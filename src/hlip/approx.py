@@ -23,6 +23,7 @@ from .graph import (
     ExtensionReport,
     GridFunction,
     GridSpec,
+    _cone_ratio,
     extend_lipschitz,
     extension_constant,
     intrinsic_gradient,
@@ -187,12 +188,11 @@ def sup_excess(
     centers: np.ndarray,
     scales: tuple[float, ...],
     orientation: int = 1,
-    chunk: int = 64,
 ) -> np.ndarray:
     """max over scales of the cylindrical excess at each center.
 
-    Matches excess_cloud exactly; vectorized over centers in chunks so the
-    relative-coordinate block stays within memory.
+    Matches excess_cloud exactly; vectorized over row blocks of centers so
+    the relative-coordinate block stays within memory.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -201,18 +201,18 @@ def sup_excess(
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
     powers = np.array([float(s) ** q for s in scales])
     out = np.empty(len(centers))
-    for a in range(0, len(centers), chunk):
-        blk = centers[a : a + chunk]
+    for blk in core._row_blocks(len(centers), len(cloud)):
+        c = centers[blk]
         # cylinder norm of the relative point without forming the product
         dist = np.maximum(
-            core.pi_rel_norm(blk[:, None, :], cloud.points[None, :, :]),
-            np.abs(cloud.points[None, :, 0] - blk[:, None, 0]),
+            core.pi_rel_norm(c[:, None, :], cloud.points[None, :, :]),
+            np.abs(cloud.points[None, :, 0] - c[:, None, 0]),
         )
-        best = np.zeros(len(blk))
+        best = np.zeros(len(c))
         for s, pw in zip(scales, powers):
             e = np.sum(np.where(dist < s, defect[None, :], 0.0), axis=1) / pw
             np.maximum(best, e, out=best)
-        out[a : a + chunk] = best
+        out[blk] = best
     return out
 
 
@@ -265,24 +265,6 @@ def heights_on_projection(
     return cells, values
 
 
-def _cone_ratio(nodes: np.ndarray, vals: np.ndarray, chunk: int = 512) -> float:
-    """Exact max |dphi| / d_phi over all pairs of the partial data."""
-    pts = core.graph_points(nodes, vals)
-    worst = 0.0
-    for a in range(0, len(vals), chunk):
-        num = np.abs(vals[a : a + chunk, None] - vals[None, :])
-        den = np.minimum(
-            core.pi_rel_norm(pts[None, :, :], pts[a : a + chunk, None, :]),
-            core.pi_rel_norm(pts[a : a + chunk, None, :], pts[None, :, :]),
-        )
-        ok = den >= 1e-15
-        if np.any((~ok) & (num > 1e-12)):
-            raise ValueError("distinct heights at zero graph distance in partial data")
-        if np.any(ok):
-            worst = max(worst, float(np.max(num[ok] / den[ok])))
-    return worst
-
-
 def _extend(
     spec: GridSpec,
     cells: np.ndarray,
@@ -294,7 +276,7 @@ def _extend(
     else:
         # tiny floor only: a fixed floor would pin the cone slope of the
         # fill region and break proportionality for shallow data
-        l_ver = max(_cone_ratio(spec.nodes()[cells], values), 1e-9)
+        l_ver = max(_cone_ratio(spec.nodes()[cells], values)[0], 1e-9)
     if l_ver > 1.0 + 1e-9:
         raise ValueError(
             f"selected data has cone ratio {l_ver:.4g} > 1; lower delta1 or the scan scales"
@@ -303,7 +285,11 @@ def _extend(
     # so cap it at the unit contract; clamping preserves the data's sup
     m_const = min(extension_constant(l_ver), 1.0)
     sup_bound = float(np.max(np.abs(values)))
-    return extend_lipschitz(spec, cells, values, L=l_ver, m_const=m_const, sup_bound=sup_bound)
+    # the measured ratio is l_ver itself, so re-verifying it could not fail
+    return extend_lipschitz(
+        spec, cells, values, L=l_ver, m_const=m_const, sup_bound=sup_bound,
+        verify=config.extension_policy == "fixed",
+    )
 
 
 def sym_diff_measure(
@@ -311,7 +297,6 @@ def sym_diff_measure(
     f: GridFunction,
     tau: float,
     region: np.ndarray | None = None,
-    chunk: int = 64,
 ) -> SymDiffReport:
     """Two-sided symmetric difference between the cloud and the graph.
 
@@ -339,9 +324,9 @@ def sym_diff_measure(
     cell_min_dist = np.full(spec.size, np.inf)
     cells = np.flatnonzero(region)
     gpts = f.graph()[cells]
-    for a in range(0, len(cells), chunk):
-        d = core.dinf(gpts[a : a + chunk, None, :], cloud.points[None, :, :])
-        cell_min_dist[cells[a : a + chunk]] = np.min(d, axis=1)
+    for blk in core._row_blocks(len(cells), len(cloud)):
+        d = core.dinf(gpts[blk, None, :], cloud.points[None, :, :])
+        cell_min_dist[cells[blk]] = np.min(d, axis=1)
     cell_matched = cell_min_dist <= tau
     area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
     off_cells = region & ~cell_matched
@@ -527,7 +512,6 @@ def representative_region(
     spec: GridSpec,
     sigma: float,
     L: float,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Largest cell set of D_sigma whose samples obey the height cone.
 
@@ -551,10 +535,10 @@ def representative_region(
         if q_idx.size == 0:
             return kept
         bad = np.zeros(q_idx.size, dtype=bool)
-        for a in range(0, q_idx.size, chunk):
-            rel = core.mul(core.inv(cloud.points[q_idx[a : a + chunk]])[:, None, :], pool[None, :, :])
+        for blk in core._row_blocks(q_idx.size, len(pool)):
+            rel = core.mul(core.inv(cloud.points[q_idx[blk]])[:, None, :], pool[None, :, :])
             w_rel, h_rel = core.proj(rel)
-            bad[a : a + chunk] = np.any(np.abs(h_rel) > L * core.w_box(w_rel) + 1e-15, axis=1)
+            bad[blk] = np.any(np.abs(h_rel) > L * core.w_box(w_rel) + 1e-15, axis=1)
         if not np.any(bad):
             return kept
         kept[flat[q_idx[bad]]] = False

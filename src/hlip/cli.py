@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ class RunConfig:
     out: str | None = None
     n: int = 2
     seed: int = 0
-    threads: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -530,7 +528,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="directory for reports and artifacts")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     common.add_argument("--n", type=int, default=2, help="Heisenberg dimension (>= 2)")
-    common.add_argument("--threads", type=int, default=0, help="BLAS thread cap, 0 keeps default")
 
     ap = _Parser(prog="hlip", description="intrinsic Lipschitz approximation toolkit")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
@@ -593,7 +590,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "out", "seed", "n", "threads", "cloud")
+        if k not in ("command", "out", "seed", "n", "cloud")
     }
     inputs = (args.cloud,) if hasattr(args, "cloud") else ()
     return RunConfig(
@@ -602,18 +599,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         n=args.n,
         seed=args.seed,
-        threads=args.threads,
         params=params,
     )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads > 0:
-        # best effort: honored by pools spun up after this point, and the
-        # kernels here are elementwise anyway
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     start = time.perf_counter()
     try:
         cfg = _run_config(args)

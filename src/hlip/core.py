@@ -141,10 +141,6 @@ def box(p: np.ndarray) -> np.ndarray:
     return np.maximum(z, np.sqrt(np.abs(p[..., -1])))
 
 
-def dinf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return box(mul(inv(p), q))
-
-
 def proj(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split p = w * (h e_1): return W coordinates and the height h = x_1.
 
@@ -208,10 +204,6 @@ def w_inv(a: np.ndarray) -> np.ndarray:
     return -np.asarray(a, dtype=float)
 
 
-def w_dinf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return w_box(w_mul(w_inv(a), b))
-
-
 def w_dilate(lam: float, w: np.ndarray) -> np.ndarray:
     if lam <= 0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
@@ -231,16 +223,108 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return p
 
 
+# ---------------------------------------------------------------------------
+# fused pair kernels
+#
+# The three pair kernels read the coordinate columns p[..., k], q[..., k]
+# and write every intermediate into a few preallocated planes of the
+# broadcast shape, so they never form a (..., 2n+1) product or sum over a
+# trailing axis.  Their sums run left to right, which is how numpy adds a
+# trailing axis of fewer than 8 terms, so for n < 4 each kernel agrees bit
+# for bit with its broadcast formula (box(mul(inv(p), q)) for dinf).
+# (-p) + q and q - p are the same IEEE operation, and so are x + 2(-s)
+# and x - 2s, so dinf and w_dinf share the twist of pi_rel_norm.
+
+# bytes of one (rows x cols) float64 plane in a row-blocked loop; the
+# kernels hold four planes at a time, so a block needs 2 MiB of cache
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(rows: int, cols: int):
+    """Consecutive row slices covering range(rows) whose (rows x cols)
+    float64 plane fits _BLOCK_BYTES; a row over budget comes alone."""
+    step = max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
+    for a in range(0, rows, step):
+        yield slice(a, min(a + step, rows))
+
+
+def _pair_columns(p, q, m_extra: int):
+    """Columns of two point arrays with 2n + m_extra coordinates, n and the pair shape."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    m = p.shape[-1]
+    n = m // 2
+    if 2 * n + m_extra != m or n < 2:
+        raise ValueError(f"bad point coordinate count {m}")
+    if q.shape[-1] != m:
+        raise ValueError(f"dimension mismatch: {m} vs {q.shape[-1]} coordinates")
+    shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    return [p[..., k] for k in range(m)], [q[..., k] for k in range(m)], n, shape
+
+
+def _twist_t(P, Q, xs, ys, t, s, u, v):
+    """(q_t - p_t) - 2 (sum p_y q_x - sum p_x q_y), returned in plane u."""
+    np.multiply(P[ys[0]], Q[xs[0]], out=s)
+    for x, y in zip(xs[1:], ys[1:]):
+        s += np.multiply(P[y], Q[x], out=v)
+    np.multiply(P[xs[0]], Q[ys[0]], out=u)
+    for x, y in zip(xs[1:], ys[1:]):
+        u += np.multiply(P[x], Q[y], out=v)
+    s -= u
+    s *= 2.0
+    np.subtract(Q[t], P[t], out=u)
+    u -= s
+    return u
+
+
+def _square_sum(P, Q, ks, out, tmp):
+    """sum over ks of (q_k - p_k)^2, returned in plane out."""
+    np.subtract(Q[ks[0]], P[ks[0]], out=out)
+    out *= out
+    for k in ks[1:]:
+        np.subtract(Q[k], P[k], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def _box_of(z2, t):
+    """max(sqrt(z2), sqrt(|t|)) in plane z2; a numpy scalar for a single pair."""
+    np.sqrt(z2, out=z2)
+    np.sqrt(np.abs(t, out=t), out=t)
+    np.maximum(z2, t, out=z2)
+    return z2 if z2.ndim else z2[()]
+
+
+def dinf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Box norm of p^-1 * q, without forming the product."""
+    P, Q, n, shape = _pair_columns(p, q, 1)
+    s, u, v = (np.empty(shape) for _ in range(3))
+    t = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, s, u, v)
+    return _box_of(_square_sum(P, Q, range(2 * n), s, v), t)
+
+
+def w_dinf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Box norm of a^-1 * b inside W; x_1 = 0, so the twist skips y_1."""
+    P, Q, n, shape = _pair_columns(a, b, 0)
+    s, u, v = (np.empty(shape) for _ in range(3))
+    t = _twist_t(P, Q, range(n - 1), range(n, 2 * n - 1), 2 * n - 1, s, u, v)
+    return _box_of(_square_sum(P, Q, range(2 * n - 1), s, v), t)
+
+
 def pi_rel_norm(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """||proj(p^-1 * q)||_inf without materializing the product."""
-    px, py, pt, n = _split(np.asarray(p, dtype=float))
-    qx, qy, qt, _ = _split(np.asarray(q, dtype=float))
-    dx = qx - px
-    dy = qy - py
-    t_rel = qt - pt - 2.0 * (np.sum(py * qx, axis=-1) - np.sum(px * qy, axis=-1))
-    tau = t_rel - 2.0 * dx[..., 0] * dy[..., 0]
-    z2 = np.sum(dx[..., 1:] ** 2, axis=-1) + np.sum(dy**2, axis=-1)
-    return np.maximum(np.sqrt(z2), np.sqrt(np.abs(tau)))
+    P, Q, n, shape = _pair_columns(p, q, 1)
+    s, u, v, w = (np.empty(shape) for _ in range(4))
+    tau = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, s, u, v)
+    # tau = t_rel - (2 dx_1) dy_1 shears the t coordinate onto W
+    np.subtract(Q[0], P[0], out=s)
+    s *= 2.0
+    s *= np.subtract(Q[n], P[n], out=v)
+    tau -= s
+    z2 = _square_sum(P, Q, range(1, n), s, v)
+    z2 += _square_sum(P, Q, range(n, 2 * n), v, w)
+    return _box_of(z2, tau)
 
 
 # ---------------------------------------------------------------------------

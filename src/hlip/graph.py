@@ -358,32 +358,29 @@ def extension_constant(L: float) -> float:
     return (math.sqrt(1.0 + 1.0 / (L + 2.0 * L * L)) - 1.0) ** -2
 
 
-def _verify_cone(nodes, vals, L, chunk=512):
-    """Exact pairwise cone check on the partial data; raises on violation."""
+def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Exact max |dphi| / d_phi over all pairs of partial data, and a pair attaining it.
+
+    d_phi is the smaller of the two projected quasi-distances; distinct
+    values at zero graph distance raise ConeViolationError.
+    """
     pts = core.graph_points(nodes, vals)
     m = len(vals)
-    worst = (0.0, -1, -1)
-    for a in range(0, m, chunk):
-        pa = pts[a : a + chunk]
-        va = vals[a : a + chunk]
-        num = np.abs(va[:, None] - vals[None, :])
+    worst, pair = 0.0, (-1, -1)
+    for blk in core._row_blocks(m, m):
+        num = np.abs(vals[blk, None] - vals[None, :])
         den = np.minimum(
-            core.pi_rel_norm(pts[None, :, :], pa[:, None, :]),
-            core.pi_rel_norm(pa[:, None, :], pts[None, :, :]),
+            core.pi_rel_norm(pts[None, :, :], pts[blk, None, :]),
+            core.pi_rel_norm(pts[blk, None, :], pts[None, :, :]),
         )
-        np.fill_diagonal(num[:, a : a + chunk], 0.0)
-        bad = (den < 1e-15) & (num > 1e-12)
-        if np.any(bad):
+        ok = den >= 1e-15
+        if np.any(~ok & (num > 1e-12)):
             raise ConeViolationError("distinct values at zero graph distance in partial data")
-        ratio = np.where(den >= 1e-15, num / np.maximum(den, 1e-300), 0.0)
+        ratio = np.where(ok, num / np.maximum(den, 1e-300), 0.0)
         k = int(np.argmax(ratio))
-        if ratio.ravel()[k] > worst[0]:
-            worst = (float(ratio.ravel()[k]), a + k // m, k % m)
-    if worst[0] > L * (1.0 + 1e-9):
-        raise ConeViolationError(
-            f"partial data has cone ratio {worst[0]:.6g} > L = {L:.6g} "
-            f"(pair {worst[1]}, {worst[2]})"
-        )
+        if ratio.flat[k] > worst:
+            worst, pair = float(ratio.flat[k]), (blk.start + k // m, k % m)
+    return worst, pair
 
 
 @dataclass
@@ -405,7 +402,6 @@ def extend_lipschitz(
     tol: float = 1e-10,
     max_iter: int = 100,
     verify: bool = True,
-    chunk: int = 512,
 ) -> tuple[GridFunction, ExtensionReport]:
     """Extend partial graph data to the whole grid by iterated cone infima.
 
@@ -426,7 +422,11 @@ def extend_lipschitz(
     if sup_bound is not None and np.max(np.abs(values)) > sup_bound * (1 + 1e-12):
         raise ValueError("partial data exceeds the requested sup bound")
     if verify:
-        _verify_cone(kn, values, L)
+        ratio, (i, j) = _cone_ratio(kn, values)
+        if ratio > L * (1.0 + 1e-9):
+            raise ConeViolationError(
+                f"partial data has cone ratio {ratio:.6g} > L = {L:.6g} (pair {i}, {j})"
+            )
     M = extension_constant(L) if m_const is None else float(m_const)
 
     out = np.empty(spec.size)
@@ -439,16 +439,17 @@ def extend_lipschitz(
         pk = core.graph_points(kn, values)
         wf = nodes[fill]
         # seed from the nearest sample in the W metric
+        blocks = list(core._row_blocks(len(fill), len(kn)))
         psi = np.empty(len(fill))
-        for a in range(0, len(fill), chunk):
-            d = core.w_dinf(wf[a : a + chunk, None, :], kn[None, :, :])
-            psi[a : a + chunk] = values[np.argmin(d, axis=1)]
+        for blk in blocks:
+            d = core.w_dinf(wf[blk, None, :], kn[None, :, :])
+            psi[blk] = values[np.argmin(d, axis=1)]
         for it in range(1, max_iter + 1):
             new = np.empty_like(psi)
-            for a in range(0, len(fill), chunk):
-                pw = core.graph_points(wf[a : a + chunk], psi[a : a + chunk])
+            for blk in blocks:
+                pw = core.graph_points(wf[blk], psi[blk])
                 cand = values[None, :] + M * core.pi_rel_norm(pk[None, :, :], pw[:, None, :])
-                new[a : a + chunk] = np.min(cand, axis=1)
+                new[blk] = np.min(cand, axis=1)
             if sup_bound is not None:
                 np.clip(new, -sup_bound, sup_bound, out=new)
             residual = float(np.max(np.abs(new - psi)))

@@ -151,21 +151,30 @@ class PhiMaximalField:
             raise ValueError("maximal field must be nonnegative")
 
 
-def _ladder_masses(
-    dist: np.ndarray, masses: np.ndarray, rungs: np.ndarray
-) -> np.ndarray:
+def _ladder_bins(dist: np.ndarray, rungs: np.ndarray) -> np.ndarray:
+    """Ladder bin of each entry of dist (centers, support), offset per row.
+
+    Row i owns bins i*(nr+1) .. i*(nr+1)+nr; within a row, searchsorted
+    ('right') counts rungs <= d, i.e. indexes the first rung strictly
+    containing the point, and nr is the overflow bin (never inside).
+    """
+    bins = np.searchsorted(rungs, dist, side="right")
+    bins += (len(rungs) + 1) * np.arange(dist.shape[0])[:, None]
+    return bins
+
+
+def _ladder_masses(bins: np.ndarray, nr: int, masses: np.ndarray | None = None) -> np.ndarray:
     """Cumulative mass per rung: out[i, k] = sum of masses within rungs[k].
 
-    dist is (centers, support); membership is strict (d < r).
+    bins come from _ladder_bins over nr rungs; membership is strict
+    (d < r).  Without masses each point counts 1 (integer counts).
+    bincount adds each bin in input order, so the sums are sequential.
     """
-    nc, nr = dist.shape[0], len(rungs)
-    # searchsorted('right') counts rungs <= d, i.e. indexes the first rung
-    # strictly containing the point; nr is the overflow bin (never inside)
-    first = np.searchsorted(rungs, dist.ravel(), side="right").reshape(dist.shape)
-    acc = np.zeros((nc, nr + 1))
-    np.add.at(acc, (np.repeat(np.arange(nc), dist.shape[1]), first.ravel()),
-              np.broadcast_to(masses, dist.shape).ravel())
-    return np.cumsum(acc[:, :nr], axis=1)
+    nc = bins.shape[0]
+    if masses is not None:
+        masses = np.broadcast_to(masses, bins.shape).ravel()
+    acc = np.bincount(bins.ravel(), weights=masses, minlength=nc * (nr + 1))
+    return np.cumsum(acc.reshape(nc, nr + 1)[:, :nr], axis=1)
 
 
 def disk_maximal(
@@ -173,7 +182,6 @@ def disk_maximal(
     s: float,
     centers: np.ndarray | None = None,
     r_min: float | None = None,
-    chunk: int = 512,
 ) -> MaximalField:
     """Local maximal function sup_{0 < r < 4s - |x|} mu(D_r(x)) / (k r^Q).
 
@@ -198,11 +206,11 @@ def disk_maximal(
         norm = kappa * rungs**hom
         sup_nodes = nodes[supp]
         sup_mass = mu.flat[supp]
-        for lo in range(0, eval_idx.size, chunk):
-            idx = eval_idx[lo : lo + chunk]
+        for blk in core._row_blocks(eval_idx.size, supp.size):
+            idx = eval_idx[blk]
             x = nodes[idx]
             dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :])
-            cum = _ladder_masses(dist, sup_mass, rungs)
+            cum = _ladder_masses(_ladder_bins(dist, rungs), rungs.size, sup_mass)
             cap = 4 * s - core.w_box(x)
             admissible = rungs[None, :] < cap[:, None]
             ratios = np.where(admissible, cum / norm, 0.0)
@@ -340,19 +348,18 @@ def phi_maximal(
     evaluated = np.zeros(spec.size, dtype=bool)
     evaluated[eval_idx] = True
     mflat = mu_phi.flat
-    ones = np.ones(spec.size)
-    chunk = max(1, int(2e6 // max(spec.size, 1)))
     if rungs.size:
-        for lo in range(0, eval_idx.size, chunk):
-            idx = eval_idx[lo : lo + chunk]
+        for blk in core._row_blocks(eval_idx.size, spec.size):
+            idx = eval_idx[blk]
             pc = pall[idx]
             dist = 0.5 * (
                 core.pi_rel_norm(pc[:, None, :], pall[None, :, :])
                 + core.pi_rel_norm(pall[None, :, :], pc[:, None, :])
             )
             caps = (rho / c_hat_l) * s - d_origin[idx]
-            mass = _ladder_masses(dist, mflat, rungs)
-            count = _ladder_masses(dist, ones, rungs)
+            bins = _ladder_bins(dist, rungs)
+            mass = _ladder_masses(bins, rungs.size, mflat)
+            count = _ladder_masses(bins, rungs.size)
             admissible = (rungs[None, :] < caps[:, None]) & (count > 0)
             ratios = np.where(
                 admissible, mass / np.maximum(count, 1.0) / spec.cell_volume, 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlip import approx, core, generators, surface
+from hlip import approx, core, generators, graph, surface
 from hlip.approx import PipelineConfig
 from hlip.graph import GridFunction, GridSpec
 from hlip.surface import disk_mask, excess_cloud
@@ -195,6 +195,23 @@ def test_pipeline_degenerate(spec, cfg):
     assert res.degenerate
     assert len(res.m0) == 0
     assert res.sup_abs == 0.0
+
+
+def test_extend_computes_cone_ratio_once(spec, monkeypatch):
+    calls, exact = [], graph._cone_ratio
+
+    def counted(nodes, vals):
+        calls.append(len(vals))
+        return exact(nodes, vals)
+
+    monkeypatch.setattr(approx, "_cone_ratio", counted)
+    monkeypatch.setattr(graph, "_cone_ratio", counted)
+    base = GridFunction.from_callable(spec, lambda w: 0.03 * w[:, 1])
+    cells = np.arange(0, spec.size, 3)
+    for policy in ("measured", "fixed"):
+        calls.clear()
+        approx._extend(spec, cells, base.flat[cells], PipelineConfig(extension_policy=policy))
+        assert calls == [cells.size], policy
 
 
 def test_pipeline_cluster_sweep(spec, cfg):

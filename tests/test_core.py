@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hlip import core
 
@@ -239,3 +240,94 @@ def test_triangle_property(p, q):
 @settings(max_examples=200, deadline=None)
 def test_homogeneity_property(p, lam):
     assert abs(core.box(core.dilate_arr(lam, p)) - lam * core.box(p)) < 1e-9 * max(1.0, lam)
+
+
+# --- fused kernels against the broadcast formulas ---------------------------
+# The references are the broadcast forms the fused column kernels replaced;
+# the kernels must reproduce them bit for bit, not just to a tolerance.
+
+
+def _ref_pi_rel_norm(p, q):
+    n = (p.shape[-1] - 1) // 2
+    px, py, pt = p[..., :n], p[..., n : 2 * n], p[..., 2 * n]
+    qx, qy, qt = q[..., :n], q[..., n : 2 * n], q[..., 2 * n]
+    dx = qx - px
+    dy = qy - py
+    t_rel = qt - pt - 2.0 * (np.sum(py * qx, axis=-1) - np.sum(px * qy, axis=-1))
+    tau = t_rel - 2.0 * dx[..., 0] * dy[..., 0]
+    z2 = np.sum(dx[..., 1:] ** 2, axis=-1) + np.sum(dy**2, axis=-1)
+    return np.maximum(np.sqrt(z2), np.sqrt(np.abs(tau)))
+
+
+def _ref_dinf(p, q):
+    return core.box(core.mul(core.inv(p), q))
+
+
+def _ref_w_dinf(a, b):
+    return core.w_box(core.w_mul(core.w_inv(a), b))
+
+
+@st.composite
+def point_pairs(draw, extra):
+    """Two point arrays with 2n + extra coordinates in one of the kernel call shapes."""
+    n = draw(st.sampled_from((2, 3)))
+    m = 2 * n + extra
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shapes = draw(st.sampled_from([((a, 1, m), (1, b, m)), ((m,), (b, m)), ((b, m), (b, m))]))
+    elems = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False)
+    p = draw(hnp.arrays(np.float64, shapes[0], elements=elems))
+    q = draw(hnp.arrays(np.float64, shapes[1], elements=elems))
+    return p, q
+
+
+@given(point_pairs(1))
+@settings(max_examples=300, deadline=None)
+def test_fused_pi_rel_norm_bitwise(pq):
+    p, q = pq
+    np.testing.assert_array_equal(core.pi_rel_norm(p, q), _ref_pi_rel_norm(p, q))
+    np.testing.assert_array_equal(core.pi_rel_norm(q, p), _ref_pi_rel_norm(q, p))
+
+
+@given(point_pairs(1))
+@settings(max_examples=300, deadline=None)
+def test_fused_dinf_bitwise(pq):
+    p, q = pq
+    np.testing.assert_array_equal(core.dinf(p, q), _ref_dinf(p, q))
+    np.testing.assert_array_equal(core.dinf(q, p), _ref_dinf(q, p))
+
+
+@given(point_pairs(0))
+@settings(max_examples=300, deadline=None)
+def test_fused_w_dinf_bitwise(ab):
+    a, b = ab
+    np.testing.assert_array_equal(core.w_dinf(a, b), _ref_w_dinf(a, b))
+    np.testing.assert_array_equal(core.w_dinf(b, a), _ref_w_dinf(b, a))
+
+
+def test_fused_kernels_keep_shapes_and_scalars():
+    p, q = random_points(2, 4), random_points(2, 4)
+    for kernel in (core.pi_rel_norm, core.dinf):
+        assert kernel(p[:, None, :], q[None, :, :]).shape == (4, 4)
+        single = kernel(p[0], q[0])
+        assert isinstance(single, np.float64) and np.ndim(single) == 0
+    assert isinstance(core.w_dinf(p[0, 1:], q[0, 1:]), np.float64)
+    with pytest.raises(ValueError):
+        core.dinf(p, random_points(3, 4))
+    with pytest.raises(ValueError):
+        core.w_dinf(p, q)
+
+
+def test_row_blocks_cover_rows_once_within_budget():
+    budget = core._BLOCK_BYTES
+    for rows, cols in ((0, 5), (1, 1), (1000, 3), (5000, 2160), (333, budget // 8)):
+        blocks = list(core._row_blocks(rows, cols))
+        covered = np.concatenate([np.arange(rows)[b] for b in blocks] + [np.empty(0, int)])
+        np.testing.assert_array_equal(covered, np.arange(rows))
+        assert all(b.stop - b.start >= 1 for b in blocks)
+        assert all((b.stop - b.start) * cols * 8 <= budget for b in blocks)
+
+
+def test_row_blocks_yield_single_rows_over_budget():
+    cols = core._BLOCK_BYTES // 8 + 1
+    blocks = list(core._row_blocks(5, cols))
+    assert [(b.start, b.stop) for b in blocks] == [(k, k + 1) for k in range(5)]

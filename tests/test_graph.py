@@ -352,6 +352,21 @@ def test_extension_rejects_bad_cone(small_spec):
         graph.extend_lipschitz(small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1)
 
 
+def test_cone_ratio_exact_pair_and_zero_distance(small_spec):
+    nodes = small_spec.nodes()[[0, 1, 9]]
+    vals = np.array([0.0, 0.01, -0.02])
+    ratio, (i, j) = graph._cone_ratio(nodes, vals)
+    pts = core.graph_points(nodes, vals)
+
+    def cone(a, b):
+        d = min(core.pi_rel_norm(pts[a], pts[b]), core.pi_rel_norm(pts[b], pts[a]))
+        return abs(vals[a] - vals[b]) / d
+
+    assert ratio == cone(i, j) == max(cone(a, b) for a in range(3) for b in range(3) if a != b)
+    with pytest.raises(graph.ConeViolationError, match="zero graph distance"):
+        graph._cone_ratio(nodes[[0, 0]], np.array([0.0, 0.5]))
+
+
 def test_extension_rejects_bad_input(small_spec):
     with pytest.raises(ValueError):
         graph.extend_lipschitz(small_spec, np.array([], dtype=int), np.array([]), L=0.1)

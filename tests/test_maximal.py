@@ -61,6 +61,52 @@ def test_radius_ladder():
         maximal.radius_ladder(0.0, 1.0)
 
 
+def _ref_ladder_masses(dist, masses, rungs):
+    # the np.add.at ladder the bincount form replaced
+    nc, nr = dist.shape[0], len(rungs)
+    first = np.searchsorted(rungs, dist.ravel(), side="right").reshape(dist.shape)
+    acc = np.zeros((nc, nr + 1))
+    np.add.at(acc, (np.repeat(np.arange(nc), dist.shape[1]), first.ravel()),
+              np.broadcast_to(masses, dist.shape).ravel())
+    return np.cumsum(acc[:, :nr], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), nc=st.integers(1, 12), ns=st.integers(1, 300))
+def test_bincount_ladder_matches_add_at(seed, nc, ns):
+    rng = np.random.default_rng(seed)
+    rungs = maximal.radius_ladder(0.05, 1.5)
+    dist = rng.uniform(0.0, 2.0, size=(nc, ns))
+    # points exactly on a rung sit outside it (strict membership)
+    dist.ravel()[:: 7] = rng.choice(rungs, size=dist.ravel()[:: 7].size)
+    masses = rng.exponential(1e-3, size=ns)
+    bins = maximal._ladder_bins(dist, rungs)
+    np.testing.assert_array_equal(
+        maximal._ladder_masses(bins, rungs.size, masses), _ref_ladder_masses(dist, masses, rungs)
+    )
+    np.testing.assert_array_equal(
+        maximal._ladder_masses(bins, rungs.size), _ref_ladder_masses(dist, np.ones(ns), rungs)
+    )
+
+
+def test_maximal_fields_independent_of_block_size(spec, monkeypatch):
+    mu = sparse_measure(spec, 11, atoms=40)
+    f = GridFunction.from_callable(spec, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] ** 2)
+    centers = np.arange(0, spec.size, 37)
+
+    def fields():
+        disk = maximal.disk_maximal(mu, 0.5, centers=centers).values
+        phi = maximal.phi_maximal(
+            f, maximal.measure_from_gradient(f), 0.1, c_hat_l=1.0, centers=centers
+        ).values
+        return disk, phi
+
+    default = fields()
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)  # one center per block
+    for a, b in zip(default, fields()):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_zero_measure_gives_zero_field(spec):
     mu = maximal.DiscreteMeasure(spec, np.zeros(spec.counts))
     fld = maximal.disk_maximal(mu, 0.5)
