@@ -13,6 +13,7 @@ sandwiches) live here as well.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,14 +25,17 @@ from .graph import (
     GridFunction,
     GridSpec,
     _cone_ratio,
+    _graph_point,
+    _sym_dist,
     extend_lipschitz,
     extension_constant,
     intrinsic_gradient,
     lipschitz_estimate,
-    phi_ball,
 )
 from .maximal import DiscreteMeasure, check_phi_lemma
 from .surface import BoundaryCloud, disk_mask, excess_cloud
+
+log = logging.getLogger("hlip.approx")
 
 # Scale ratios under which the continuum statements are stated; at grid
 # resolution they would collapse the inner region to a single cell, so
@@ -161,7 +165,12 @@ class ApproxResult:
 
 @dataclass
 class TruncationResult:
-    """Kept region and certificates of the maximal truncation."""
+    """Kept region and certificates of the maximal truncation.
+
+    phi_lemma_path names the c_L behind lip_certified: "estimated" from
+    sampled balls, "pinned" to 1 after the estimate failed, or "none"
+    when the lemma did not run (trivial truncation) or failed both ways.
+    """
 
     k_mask: np.ndarray
     d1_mask: np.ndarray
@@ -176,6 +185,7 @@ class TruncationResult:
     mu_total: float
     maximal_scale: float
     trivial: bool
+    phi_lemma_path: str
     mu: DiscreteMeasure = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -469,6 +479,7 @@ def truncate(
         if k_idx.size >= 2
         else 0.0
     )
+    path = "none"
     if trivial or theta <= 0.0:
         lip_certified = 0.0
     else:
@@ -477,13 +488,17 @@ def truncate(
                 f, s=s, theta=theta, gamma2=config.gamma2,
                 pair_budget=config.pair_budget, seed=config.seed,
             )
-        except ValueError:
+            path = "estimated"
+        except ValueError as exc:
+            log.info("phi lemma: c_L estimate failed (%s); retrying with c_L pinned to 1", exc)
             try:
                 rep = check_phi_lemma(
                     f, s=s, theta=theta, gamma2=config.gamma2,
                     pair_budget=config.pair_budget, seed=config.seed, c_hat_l=1.0,
                 )
-            except ValueError:
+                path = "pinned"
+            except ValueError as exc:
+                log.warning("phi lemma failed with c_L pinned to 1 (%s); no certificate", exc)
                 rep = None
         lip_certified = math.inf if rep is None else rep["ratio"] * theta
 
@@ -503,6 +518,7 @@ def truncate(
         mu_total=mu.total(),
         maximal_scale=s,
         trivial=trivial,
+        phi_lemma_path=path,
         mu=mu,
     )
 
@@ -589,19 +605,21 @@ def check_sandwich(f: GridFunction, x: np.ndarray, r: float, C: float) -> dict:
     spec = f.spec
     x = np.asarray(x, dtype=float)
     lip = lipschitz_estimate(f)
-    inner, _, exits_inner = phi_ball(f, x, C * r)
-    outer, _, exits_outer = phi_ball(f, x, r)
+    # one graph-distance row from x serves every graph ball below
+    pall = f.graph()
+    px = _graph_point(f, x)
+    d = _sym_dist(px, pall)
+    inner, outer = d < C * r, d < r
     r_slack = r * (1.0 + 0.5 * lip) + 1e-12
-    outer_slack = outer if lip == 0.0 else phi_ball(f, x, r_slack)[0]
-    px = core.graph_points(x[None, :], f.interp(x[None, :]))[0]
-    ball_proj = core.dinf(px, f.graph()) < r
+    outer_slack = outer if lip == 0.0 else d < r_slack
+    ball_proj = core.dinf(px, pall) < r
 
     sup_h = float(np.max(np.abs(f.flat)))
     R = r + 2.0 * math.sqrt(sup_h) * math.sqrt(r)
     nodes = spec.nodes()
     disk_r = core.w_dinf(x, nodes) < r
     disk_big = core.w_dinf(x, nodes) < R
-    graph_ball_big, _, _ = phi_ball(f, x, R)
+    graph_ball_big = d < R
 
     incl = {
         "graph_ball_in_projection": bool(np.all(~inner | ball_proj)),
@@ -615,7 +633,7 @@ def check_sandwich(f: GridFunction, x: np.ndarray, r: float, C: float) -> dict:
         "c_admissible": bool(C < 1.0 / (1.0 + lip)),
         "lip_estimate": lip,
         "R": R,
-        "ball_exits_grid": bool(exits_inner or exits_outer),
+        "ball_exits_grid": bool(np.any((inner | outer) & spec.boundary_mask().ravel())),
         "counts": {
             "inner": int(np.count_nonzero(inner)),
             "projection": int(np.count_nonzero(ball_proj)),

@@ -6,7 +6,8 @@ paths never enter a report (two runs in different directories must hash
 identically); they go to stdout instead.
 
 Exit codes: 0 success, 1 precondition failure (bad flags, missing inputs,
-unknown kinds), 2 a verification suite reported a failure.
+unknown kinds), 2 a mathematical failure (a verification suite reported
+a failure, or the extension fixed point did not converge).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import approx, core, fileio, generators, maximal, surface
 from .approx import PipelineConfig
-from .graph import GridFunction, GridSpec, extension_constant
+from .graph import ExtensionConvergenceError, GridFunction, GridSpec, extension_constant
 from .optimize import dirichlet_problem, solve
 from .surface import BoundaryCloud
 
@@ -350,7 +351,8 @@ def cmd_truncate(cfg: RunConfig) -> tuple[dict, int]:
         print(f"wrote kept-region mask to {dest / 'k_mask.grid'}")
     print(
         f"kept {results['k_cells']}/{results['d1_cells']} disk cells; "
-        f"Lip on K {trunc.lip_on_k:.6g} (certified {trunc.lip_certified:.6g}), "
+        f"Lip on K {trunc.lip_on_k:.6g} (certified {trunc.lip_certified:.6g}, "
+        f"c_L {trunc.phi_lemma_path}), "
         f"measure lost {trunc.outside_measure:.6g}"
     )
     return results, 0
@@ -612,6 +614,9 @@ def main(argv=None) -> int:
     except (PreconditionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ExtensionConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "command": cfg.command,
         "config": {

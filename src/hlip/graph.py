@@ -268,13 +268,17 @@ def graph_distance(f: GridFunction, w1: np.ndarray, w2: np.ndarray) -> np.ndarra
     w2 = np.asarray(w2, dtype=float)
     p1 = core.graph_points(w1, f.interp(w1.reshape(-1, w1.shape[-1])).reshape(w1.shape[:-1]))
     p2 = core.graph_points(w2, f.interp(w2.reshape(-1, w2.shape[-1])).reshape(w2.shape[:-1]))
-    return 0.5 * (core.pi_rel_norm(p1, p2) + core.pi_rel_norm(p2, p1))
+    return _sym_dist(p1, p2)
 
 
-def _graph_distance_from_point(f: GridFunction, x: np.ndarray, pts: np.ndarray | None = None):
-    px = core.graph_points(x, f.interp(x[None, :])[0])
-    pall = f.graph() if pts is None else pts
-    return 0.5 * (core.pi_rel_norm(px, pall) + core.pi_rel_norm(pall, px))
+def _sym_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Symmetrized quasi-distance between graph points, broadcasting like pi_rel_norm."""
+    return 0.5 * (core.pi_rel_norm(p, q) + core.pi_rel_norm(q, p))
+
+
+def _graph_point(f: GridFunction, x: np.ndarray) -> np.ndarray:
+    """Graph point Phi(x) of one W point, interpolating phi."""
+    return core.graph_points(x, f.interp(x[None, :])[0])
 
 
 def phi_ball(
@@ -290,8 +294,8 @@ def phi_ball(
         raise ValueError(f"ball radius must be positive, got {r}")
     if isinstance(x, core.WPoint):
         x = x.coords
-    d = _graph_distance_from_point(f, np.asarray(x, dtype=float))
-    mask = d < r
+    x = np.asarray(x, dtype=float)
+    mask = _sym_dist(_graph_point(f, x), f.graph()) < r
     exits = bool(np.any(mask & f.spec.boundary_mask().ravel()))
     return mask, float(np.count_nonzero(mask)) * f.spec.cell_volume, exits
 
@@ -363,15 +367,21 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
 
     d_phi is the smaller of the two projected quasi-distances; distinct
     values at zero graph distance raise ConeViolationError.
+
+    The ratio is symmetric bit for bit, so row block [a, b) only meets
+    columns a: .  The row-major first maximum of the full matrix lies in
+    the upper triangle, which every block covers, so the witness is the
+    one the full matrix would give.
     """
     pts = core.graph_points(nodes, vals)
     m = len(vals)
     worst, pair = 0.0, (-1, -1)
     for blk in core._row_blocks(m, m):
-        num = np.abs(vals[blk, None] - vals[None, :])
+        a = blk.start
+        num = np.abs(vals[blk, None] - vals[None, a:])
         den = np.minimum(
-            core.pi_rel_norm(pts[None, :, :], pts[blk, None, :]),
-            core.pi_rel_norm(pts[blk, None, :], pts[None, :, :]),
+            core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :]),
+            core.pi_rel_norm(pts[blk, None, :], pts[None, a:, :]),
         )
         ok = den >= 1e-15
         if np.any(~ok & (num > 1e-12)):
@@ -379,7 +389,7 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
         ratio = np.where(ok, num / np.maximum(den, 1e-300), 0.0)
         k = int(np.argmax(ratio))
         if ratio.flat[k] > worst:
-            worst, pair = float(ratio.flat[k]), (blk.start + k // m, k % m)
+            worst, pair = float(ratio.flat[k]), (a + k // (m - a), a + k % (m - a))
     return worst, pair
 
 

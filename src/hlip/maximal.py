@@ -19,7 +19,8 @@ from . import core
 from .graph import (
     GridFunction,
     GridSpec,
-    _graph_distance_from_point,
+    _graph_point,
+    _sym_dist,
     intrinsic_gradient,
     lipschitz_estimate,
     phi_ball,
@@ -343,7 +344,7 @@ def phi_maximal(
     )
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     pall = f.graph()
-    d_origin = _graph_distance_from_point(f, np.zeros(2 * spec.n), pall)
+    d_origin = _sym_dist(_graph_point(f, np.zeros(2 * spec.n)), pall)
     values = np.zeros(spec.size)
     evaluated = np.zeros(spec.size, dtype=bool)
     evaluated[eval_idx] = True
@@ -352,10 +353,7 @@ def phi_maximal(
         for blk in core._row_blocks(eval_idx.size, spec.size):
             idx = eval_idx[blk]
             pc = pall[idx]
-            dist = 0.5 * (
-                core.pi_rel_norm(pc[:, None, :], pall[None, :, :])
-                + core.pi_rel_norm(pall[None, :, :], pc[:, None, :])
-            )
+            dist = _sym_dist(pc[:, None, :], pall[None, :, :])
             caps = (rho / c_hat_l) * s - d_origin[idx]
             bins = _ladder_bins(dist, rungs)
             mass = _ladder_masses(bins, rungs.size, mflat)
@@ -417,7 +415,7 @@ def check_phi_lemma(
     i, j = i[keep], j[keep]
     pi_ = core.graph_points(nodes[i], vals[i])
     pj = core.graph_points(nodes[j], vals[j])
-    d = 0.5 * (core.pi_rel_norm(pi_, pj) + core.pi_rel_norm(pj, pi_))
+    d = _sym_dist(pi_, pj)
     ok = d > 1e-15
     ratio = float(np.max(np.abs(vals[i[ok]] - vals[j[ok]]) / (theta * d[ok]), initial=0.0))
     return {
@@ -483,6 +481,9 @@ def estimate_ball_constants(
     quasi-triangle constant of d_phi, floored at 1.
 
     Balls that leave the grid are skipped; raises if every sample does.
+    A ball leaves the grid exactly when its centre lies closer than r to
+    a boundary node, so each drawn centre costs one row against the
+    boundary nodes, and only a ball that stays inside costs a full row.
     """
     spec = f.spec
     hom = 2 * spec.n + 1
@@ -496,23 +497,31 @@ def estimate_ball_constants(
     # bias centers toward the middle so balls of the requested size fit
     interior = interior[np.argsort(core.w_box(nodes[interior]), kind="stable")]
     interior = interior[: max(1, interior.size // 3)]
+    px = f.graph()
+    px_boundary = px[spec.boundary_mask().ravel()]
+    seen: dict = {}  # centre -> (graph point, distance to the boundary nodes)
     c1, c2, used = math.inf, 0.0, 0
     for _ in range(20 * samples):
         if used >= samples:
             break
         ci = rng.choice(interior)
         r = math.exp(rng.uniform(math.log(r_bounds[0]), math.log(r_bounds[1])))
-        mask, meas, exits = phi_ball(f, nodes[ci], r)
-        if exits or not np.any(mask):
+        if ci not in seen:
+            pc = _graph_point(f, nodes[ci])
+            seen[ci] = pc, np.min(_sym_dist(pc, px_boundary))
+        pc, to_boundary = seen[ci]
+        if to_boundary < r:
             continue
-        ratio = meas / r**hom
+        count = np.count_nonzero(_sym_dist(pc, px) < r)
+        if count == 0:
+            continue
+        ratio = float(count) * spec.cell_volume / r**hom
         c1, c2 = min(c1, ratio), max(c2, ratio)
         used += 1
     if used == 0:
         raise ValueError("every sampled ball left the grid; shrink r_bounds")
     trip = rng.integers(0, spec.size, size=(samples, 3))
-    px = f.graph()
-    d = lambda a, b: 0.5 * (core.pi_rel_norm(px[a], px[b]) + core.pi_rel_norm(px[b], px[a]))
+    d = lambda a, b: _sym_dist(px[a], px[b])
     dxy, dxz, dzy = d(trip[:, 0], trip[:, 1]), d(trip[:, 0], trip[:, 2]), d(trip[:, 2], trip[:, 1])
     ok = dxz + dzy > 1e-15
     c_l = float(np.max(dxy[ok] / (dxz + dzy)[ok], initial=1.0))

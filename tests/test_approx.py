@@ -1,9 +1,12 @@
 """Approximation pipelines: selection, deposit, extension, truncation, lemmas."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlip import approx, core, generators, graph, surface
 from hlip.approx import PipelineConfig
@@ -503,3 +506,94 @@ def test_corollary_eps_ratio_stability(spec, cfg):
         assert not rec["degenerate"]
         ratios.append(rec["quantities"]["l2_gradient"]["ratio"])
     assert max(ratios) <= 1.25 * min(ratios)
+
+
+def check_sandwich_reference(f, x, r, C):
+    """check_sandwich with one phi_ball call per radius, kept as the reference."""
+    spec = f.spec
+    x = np.asarray(x, dtype=float)
+    lip = graph.lipschitz_estimate(f)
+    inner, _, exits_inner = graph.phi_ball(f, x, C * r)
+    outer, _, exits_outer = graph.phi_ball(f, x, r)
+    r_slack = r * (1.0 + 0.5 * lip) + 1e-12
+    outer_slack = outer if lip == 0.0 else graph.phi_ball(f, x, r_slack)[0]
+    px = core.graph_points(x[None, :], f.interp(x[None, :]))[0]
+    ball_proj = core.dinf(px, f.graph()) < r
+    sup_h = float(np.max(np.abs(f.flat)))
+    R = r + 2.0 * math.sqrt(sup_h) * math.sqrt(r)
+    nodes = spec.nodes()
+    disk_r = core.w_dinf(x, nodes) < r
+    disk_big = core.w_dinf(x, nodes) < R
+    graph_ball_big, _, _ = graph.phi_ball(f, x, R)
+    incl = {
+        "graph_ball_in_projection": bool(np.all(~inner | ball_proj)),
+        "projection_in_graph_ball": bool(np.all(~ball_proj | outer_slack)),
+        "graph_ball_in_disk": bool(np.all(~outer | disk_big)),
+        "disk_in_graph_ball": bool(np.all(~disk_r | graph_ball_big)),
+    }
+    return {
+        **incl,
+        "passed": all(incl.values()),
+        "c_admissible": bool(C < 1.0 / (1.0 + lip)),
+        "lip_estimate": lip,
+        "R": R,
+        "ball_exits_grid": bool(exits_inner or exits_outer),
+        "counts": {
+            "inner": int(np.count_nonzero(inner)),
+            "projection": int(np.count_nonzero(ball_proj)),
+            "outer": int(np.count_nonzero(outer)),
+        },
+    }
+
+
+SANDWICH_SPEC = GridSpec.centered(2, 0.5, 0.125)
+
+
+@given(
+    st.sampled_from((0.0, 0.05, 0.3)),
+    st.floats(-0.2, 0.2),
+    st.lists(st.floats(-0.43, 0.43), min_size=4, max_size=4),
+    st.booleans(),
+    st.floats(0.02, 0.9),
+    st.floats(0.1, 1.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_check_sandwich_matches_phi_ball_reference(eps, bend, x, on_node, r, C):
+    # eps = 0, bend = 0 is the flat graph, where the slack ball is the outer one
+    f = GridFunction.from_callable(
+        SANDWICH_SPEC, lambda w: eps * w[:, 1] + bend * w[:, 0] * w[:, 2]
+    )
+    x = np.asarray(x)
+    if on_node:
+        x = SANDWICH_SPEC.nodes()[SANDWICH_SPEC.locate(x)[0][0]]
+    assert approx.check_sandwich(f, x, r, C) == check_sandwich_reference(f, x, r, C)
+
+
+# ------------------------------------------------------ phi lemma path
+
+
+def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, caplog):
+    cloud, res = flat_result
+    assert approx.truncate(cloud, res.phi, cfg, sym=res.symdiff).phi_lemma_path == "none"
+
+    cloud = generators.corrupted_cluster_cloud(spec, 2**-2, displacement=0.3)
+    res = approx.lipschitz_approximation(cloud, spec, cfg)
+
+    def lemma(estimate_fails, pinned_fails):
+        def check(f, s, theta, c_hat_l=None, **kw):
+            if pinned_fails if c_hat_l == 1.0 else estimate_fails:
+                raise ValueError("every sampled ball left the grid")
+            return {"ratio": 0.5}
+        return check
+
+    caplog.set_level(logging.INFO, logger="hlip.approx")
+    for fails, path in [((False, False), "estimated"), ((True, False), "pinned"),
+                        ((True, True), "none")]:
+        caplog.clear()
+        monkeypatch.setattr(approx, "check_phi_lemma", lemma(*fails))
+        tr = approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)
+        assert not tr.trivial
+        assert tr.phi_lemma_path == path
+        assert tr.lip_certified == (math.inf if path == "none" else 0.5 * tr.theta)
+        logged = [r.getMessage() for r in caplog.records if r.name == "hlip.approx"]
+        assert any("pinned to 1" in m for m in logged) == (path != "estimated")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hlip import approx, core, fileio, generators
+from hlip import approx, core, fileio, generators, graph
 from hlip.cli import main
 
 KAPPA2, DELTA2 = core.constants(2)[:2]
@@ -185,6 +185,18 @@ def test_truncate_clean_graph_keeps_disk(tmp_path, linear_cloud_file):
     assert int(mask.values.sum()) == res["k_cells"]
 
 
+def test_truncate_prints_phi_lemma_path(tmp_path, linear_cloud_file, capsys):
+    code, report, _ = run(tmp_path, "truncate", str(linear_cloud_file))
+    assert code == 0
+    cloud = fileio.read_cloud(linear_cloud_file)
+    spec = generators.default_grid(2, 0.5)
+    pcfg = approx.PipelineConfig(seed=0)
+    lib = approx.truncate(cloud, approx.lipschitz_approximation(cloud, spec, pcfg).phi, pcfg)
+    assert f"c_L {lib.phi_lemma_path})" in capsys.readouterr().out
+    # the path is printed only, so report hashes stay as they were
+    assert "phi_lemma_path" not in report["results"]
+
+
 # ---------------------------------------------------------------- minimize
 
 
@@ -226,6 +238,17 @@ def test_verify_failure_exits_2(monkeypatch):
     broken = lambda f, region=None: {"lhs": 1.0, "rhs": 0.0, "slack": -1.0, "passed": False}
     monkeypatch.setattr(approx, "check_bv", broken)
     assert main(["verify", "--cases", "1", "--balls", "1"]) == 2
+
+
+def test_extension_stall_exits_2(linear_cloud_file, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise graph.ExtensionConvergenceError(1e-3, 100)
+
+    monkeypatch.setattr(approx, "extend_lipschitz", stalled)
+    assert main(["approx", str(linear_cloud_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: extension fixed point stalled")
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_bad_sizes(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlip import core, graph
 
@@ -411,3 +413,60 @@ def test_dilate_graph_rejects_nonpositive(small_spec):
     f = graph.GridFunction.constant(small_spec, 0.0)
     with pytest.raises(ValueError):
         graph.dilate_graph(0.0, f)
+
+
+def cone_ratio_reference(nodes, vals):
+    """_cone_ratio over the full pair matrix, kept as the reference."""
+    pts = core.graph_points(nodes, vals)
+    m = len(vals)
+    worst, pair = 0.0, (-1, -1)
+    for blk in core._row_blocks(m, m):
+        num = np.abs(vals[blk, None] - vals[None, :])
+        den = np.minimum(
+            core.pi_rel_norm(pts[None, :, :], pts[blk, None, :]),
+            core.pi_rel_norm(pts[blk, None, :], pts[None, :, :]),
+        )
+        ok = den >= 1e-15
+        if np.any(~ok & (num > 1e-12)):
+            raise graph.ConeViolationError("distinct values at zero graph distance in partial data")
+        ratio = np.where(ok, num / np.maximum(den, 1e-300), 0.0)
+        k = int(np.argmax(ratio))
+        if ratio.flat[k] > worst:
+            worst, pair = float(ratio.flat[k]), (blk.start + k // m, k % m)
+    return worst, pair
+
+
+def cone_outcome(fn, nodes, vals):
+    try:
+        return fn(nodes, vals)
+    except graph.ConeViolationError as exc:
+        return str(exc)
+
+
+@st.composite
+def cone_data(draw):
+    spec = graph.GridSpec.centered(2, 0.5, 0.25)
+    m = draw(st.integers(1, 40))
+    idx = np.array(draw(st.lists(st.integers(0, spec.size - 1), min_size=m, max_size=m,
+                                 unique=draw(st.booleans()))))
+    nodes = spec.nodes()[idx]
+    kind = draw(st.sampled_from(("linear", "repeated", "random")))
+    if kind == "linear":
+        vals = draw(st.sampled_from((0.0, 0.01, 0.05))) * nodes[:, 1]
+    elif kind == "repeated":
+        vals = np.array(draw(st.lists(st.sampled_from((0.0, 0.01, -0.01)), min_size=m, max_size=m)))
+    else:
+        vals = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=m, max_size=m)))
+    return nodes, vals, draw(st.integers(1, 7))
+
+
+@given(cone_data())
+@settings(max_examples=300, deadline=None)
+def test_half_matrix_cone_ratio_matches_full_matrix(data):
+    # forced ties (linear graphs, repeated values) and several row blocks,
+    # most of them not dividing m, must keep the witness pair
+    nodes, vals, rows = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", 8 * len(vals) * rows)
+        got = cone_outcome(graph._cone_ratio, nodes, vals)
+        assert got == cone_outcome(cone_ratio_reference, nodes, vals)

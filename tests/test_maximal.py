@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import core, maximal
-from hlip.graph import GridFunction, GridSpec
+from hlip import core, generators, maximal
+from hlip.graph import GridFunction, GridSpec, phi_ball
 
 KAPPA2 = core.constants(2)[0]
 
@@ -406,3 +406,84 @@ def test_ball_constants_flat_graph():
     assert abs(est.c1 - KAPPA2) < 0.3 * KAPPA2
     assert abs(est.c2 - KAPPA2) < 0.3 * KAPPA2
     assert est.samples > 10
+
+
+# --- ball constants against one phi_ball per draw ----------------------------
+
+
+def ball_constants_reference(f, samples=50, seed=0, r_bounds=None):
+    """estimate_ball_constants with a full phi_ball per draw, kept as the reference."""
+    spec = f.spec
+    hom = 2 * spec.n + 1
+    nodes = spec.nodes()
+    if r_bounds is None:
+        spatial = min(c * spec.h for c in spec.counts[:-1]) / 2.0
+        r_hi = 0.5 * min(spatial, math.sqrt(spec.counts[-1] * spec.h / 2.0))
+        r_bounds = (2 * spec.h, max(2.5 * spec.h, r_hi))
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(~spec.boundary_mask(1).ravel())
+    interior = interior[np.argsort(core.w_box(nodes[interior]), kind="stable")]
+    interior = interior[: max(1, interior.size // 3)]
+    c1, c2, used = math.inf, 0.0, 0
+    for _ in range(20 * samples):
+        if used >= samples:
+            break
+        ci = rng.choice(interior)
+        r = math.exp(rng.uniform(math.log(r_bounds[0]), math.log(r_bounds[1])))
+        mask, meas, exits = phi_ball(f, nodes[ci], r)
+        if exits or not np.any(mask):
+            continue
+        ratio = meas / r**hom
+        c1, c2 = min(c1, ratio), max(c2, ratio)
+        used += 1
+    if used == 0:
+        raise ValueError("every sampled ball left the grid; shrink r_bounds")
+    trip = rng.integers(0, spec.size, size=(samples, 3))
+    px = f.graph()
+    d = lambda a, b: 0.5 * (core.pi_rel_norm(px[a], px[b]) + core.pi_rel_norm(px[b], px[a]))
+    dxy, dxz, dzy = d(trip[:, 0], trip[:, 1]), d(trip[:, 0], trip[:, 2]), d(trip[:, 2], trip[:, 1])
+    ok = dxz + dzy > 1e-15
+    c_l = float(np.max(dxy[ok] / (dxz + dzy)[ok], initial=1.0))
+    return maximal.BallConstants(c1, c2, max(c_l, 1.0), used)
+
+
+def ball_constants_outcome(estimate, f, **kw):
+    try:
+        return estimate(f, **kw)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def graph_fields(draw):
+    halves = tuple(draw(st.sampled_from((0.5, 0.75))) for _ in range(4))
+    g = GridSpec.centered(2, halves, 0.25)
+    a, b, c = (draw(st.floats(-0.3, 0.3)) for _ in range(3))
+    return GridFunction.from_callable(
+        g, lambda w: a * w[:, 1] + b * w[:, 0] * w[:, 3] + c * np.sin(3 * w[:, 2])
+    )
+
+
+@given(
+    graph_fields(),
+    st.integers(1, 30),
+    st.integers(0, 2**16),
+    st.none() | st.tuples(st.floats(0.05, 0.8), st.floats(1.01, 3.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_ball_constants_match_phi_ball_reference(f, samples, seed, bounds):
+    kw = {"samples": samples, "seed": seed}
+    if bounds is not None:
+        kw["r_bounds"] = (bounds[0], bounds[0] * bounds[1])
+    got = ball_constants_outcome(maximal.estimate_ball_constants, f, **kw)
+    assert got == ball_constants_outcome(ball_constants_reference, f, **kw)
+
+
+@pytest.mark.parametrize("r_bounds", [None, (0.05, 0.3)])
+def test_ball_constants_match_reference_on_pipeline_grid(r_bounds):
+    # at h = 0.3 every default-radius ball leaves the grid, so both raise
+    g = generators.default_grid(2, 0.3)
+    f = GridFunction.from_callable(g, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] * w[:, 3])
+    got = ball_constants_outcome(maximal.estimate_ball_constants, f, r_bounds=r_bounds)
+    assert got == ball_constants_outcome(ball_constants_reference, f, r_bounds=r_bounds)
+    assert isinstance(got, str) == (r_bounds is None)
