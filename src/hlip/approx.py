@@ -587,7 +587,9 @@ def check_bv(f: GridFunction, region: np.ndarray | None = None) -> dict:
     }
 
 
-def check_sandwich(f: GridFunction, x: np.ndarray, r: float, C: float) -> dict:
+def check_sandwich(
+    f: GridFunction, x: np.ndarray, r: float, C: float, lip: float | None = None
+) -> dict:
     """Inclusion tests between graph balls, projected metric balls, disks.
 
     Checks U_phi(x, Cr) inside proj(B_r(Phi(x)) cap graph) inside U_phi(x, r)
@@ -598,13 +600,16 @@ def check_sandwich(f: GridFunction, x: np.ndarray, r: float, C: float) -> dict:
     The symmetrized graph distance of two graph points exceeds their
     ambient quasi-distance by at most the factor 1 + Lip/2 (the height
     difference twists the vertical part), so the outer graph ball carries
-    that slack; it vanishes for flat graphs.
+    that slack; it vanishes for flat graphs.  `lip` is that Lipschitz
+    estimate; pass lipschitz_estimate(f) to reuse it across many balls on
+    one graph, or leave it None to have it computed here.
     """
     if r <= 0 or C <= 0:
         raise ValueError("radius and ratio must be positive")
     spec = f.spec
     x = np.asarray(x, dtype=float)
-    lip = lipschitz_estimate(f)
+    if lip is None:
+        lip = lipschitz_estimate(f)
     # one graph-distance row from x serves every graph ball below
     pall = f.graph()
     px = _graph_point(f, x)

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import approx, core, fileio, generators, maximal, surface
 from .approx import PipelineConfig
-from .graph import ExtensionConvergenceError, GridFunction, GridSpec, extension_constant
+from .graph import (
+    ExtensionConvergenceError,
+    GridFunction,
+    GridSpec,
+    extension_constant,
+    lipschitz_estimate,
+)
 from .optimize import dirichlet_problem, solve
 from .surface import BoundaryCloud
 
@@ -470,11 +476,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     f05 = GridFunction.from_callable(pspec, lambda w: 0.05 * w[:, 1])
     nodes = pspec.nodes()
     pool = np.flatnonzero(core.w_box(nodes) < 0.3)
+    lip05 = lipschitz_estimate(f05)
     fails = 0
     for _ in range(balls):
         x = nodes[rng.choice(pool)]
         r = float(rng.uniform(0.1, 0.25))
-        srep = approx.check_sandwich(f05, x, r, 0.4)
+        srep = approx.check_sandwich(f05, x, r, 0.4, lip=lip05)
         fails += not (srep["passed"] and srep["c_admissible"])
     rows.append({"check": "sandwich_inclusions", "cases": balls, "failures": fails, "passed": fails == 0})
 

@@ -202,6 +202,7 @@ class IntrinsicGradient:
 
     spec: GridSpec
     components: np.ndarray  # shape (2n-1,) + counts
+    dt: np.ndarray  # d(phi)/dt, shape counts
 
     @property
     def names(self) -> list[str]:
@@ -213,7 +214,13 @@ class IntrinsicGradient:
         )
 
     def norm_sq(self) -> np.ndarray:
-        return np.sum(self.components**2, axis=0)
+        # summed in component order, as np.sum(components**2, axis=0) does
+        comps = self.components
+        out = np.multiply(comps[0], comps[0])
+        sq = np.empty_like(out)
+        for c in comps[1:]:
+            out += np.multiply(c, c, out=sq)
+        return out
 
     def norm(self) -> np.ndarray:
         return np.sqrt(self.norm_sq())
@@ -232,11 +239,31 @@ def graph_map(f: GridFunction, w: np.ndarray | core.WPoint) -> np.ndarray | core
     return core.graph_points(w, f.interp(w))
 
 
-def _partials(f: GridFunction) -> list[np.ndarray]:
-    return [
-        np.gradient(f.values, f.spec.h, axis=ax, edge_order=2)
-        for ax in range(2 * f.spec.n)
-    ]
+def _sl(ndim: int, axis: int, s) -> tuple:
+    """Index selecting `s` along one axis and everything along the others."""
+    idx = [slice(None)] * ndim
+    idx[axis] = s
+    return tuple(idx)
+
+
+def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.gradient(v, h, axis=axis, edge_order=2) written into `out`, bit for bit.
+
+    Centered differences inside, numpy's one-sided second-order
+    coefficients on the two end layers, evaluated in numpy's order.
+    """
+    nd = v.ndim
+    mid = out[_sl(nd, axis, slice(1, -1))]
+    np.subtract(v[_sl(nd, axis, slice(2, None))], v[_sl(nd, axis, slice(None, -2))], out=mid)
+    np.divide(mid, 2.0 * h, out=mid)
+    for end, layers, coefs in (
+        (0, (0, 1, 2), (-1.5, 2.0, -0.5)),
+        (-1, (-3, -2, -1), (0.5, -2.0, 1.5)),
+    ):
+        a, b, c = (k / h for k in coefs)
+        fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
+        out[_sl(nd, axis, end)] = a * fi + b * fj + c * fk
+    return out
 
 
 def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
@@ -244,19 +271,25 @@ def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
 
     X_i phi = d/dx_i + 2 y_i d/dt, Y_i phi = d/dy_i - 2 x_i d/dt for
     i = 2..n, and the Burgers component B phi = d/dy_1 - 4 phi d/dt.
+    The result also carries d(phi)/dt.
     """
-    n = f.spec.n
-    parts = _partials(f)
-    dt = parts[2 * n - 1]
-    comps = np.empty((2 * n - 1,) + f.spec.counts)
+    spec, v = f.spec, f.values
+    n, h = spec.n, spec.h
+    if min(spec.counts) < 3:
+        raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
+    dt = _partial(v, h, 2 * n - 1, np.empty(spec.counts))
+    comps = np.empty((2 * n - 1,) + spec.counts)
+    tmp = np.empty(spec.counts)
     for i in range(2, n + 1):
-        y_i = f.spec.coordinate_field(n + i - 2)
-        comps[i - 2] = parts[i - 2] + 2.0 * y_i * dt
-    comps[n - 1] = parts[n - 1] - 4.0 * f.values * dt
+        x_comp = _partial(v, h, i - 2, comps[i - 2])
+        x_comp += np.multiply(2.0 * spec.coordinate_field(n + i - 2), dt, out=tmp)
+    b_comp = _partial(v, h, n - 1, comps[n - 1])
+    np.multiply(4.0, v, out=tmp)
+    b_comp -= np.multiply(tmp, dt, out=tmp)
     for i in range(2, n + 1):
-        x_i = f.spec.coordinate_field(i - 2)
-        comps[n + i - 2] = parts[n + i - 2] - 2.0 * x_i * dt
-    return IntrinsicGradient(f.spec, comps)
+        y_comp = _partial(v, h, n + i - 2, comps[n + i - 2])
+        y_comp -= np.multiply(2.0 * spec.coordinate_field(i - 2), dt, out=tmp)
+    return IntrinsicGradient(spec, comps, dt)
 
 
 def graph_distance(f: GridFunction, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ which vanishes only on graphs with zero intrinsic gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GridFunction, GridSpec, intrinsic_gradient
-from .surface import _region_mask, hperimeter
+from .graph import GridFunction, GridSpec, IntrinsicGradient, _sl, intrinsic_gradient
+from .surface import _region_mask
 
 __all__ = [
     "STENCIL_REACH",
@@ -32,28 +32,58 @@ __all__ = [
 STENCIL_REACH = 3
 
 
-def _sl(ndim: int, axis: int, s) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
+def _adjoint_axis(
+    u: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Adjoint of the second-order np.gradient stencil along one axis.
 
-
-def _adjoint_axis(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Adjoint of the second-order np.gradient stencil along one axis."""
-    g = np.zeros_like(u)
+    Written into `out` when given, so a caller can reuse one scratch array.
+    """
+    if out is None:
+        out = np.empty_like(u)
+    out.fill(0.0)
     nd = u.ndim
-    g[_sl(nd, axis, slice(2, None))] += u[_sl(nd, axis, slice(1, -1))]
-    g[_sl(nd, axis, slice(None, -2))] -= u[_sl(nd, axis, slice(1, -1))]
+    out[_sl(nd, axis, slice(2, None))] += u[_sl(nd, axis, slice(1, -1))]
+    out[_sl(nd, axis, slice(None, -2))] -= u[_sl(nd, axis, slice(1, -1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
-        g[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
-    g /= 2.0 * h
-    return g
+        out[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
+    out /= 2.0 * h
+    return out
+
+
+@dataclass
+class _Iterate(GridFunction):
+    """Descent point that keeps the stencil pass of its energy evaluation.
+
+    `energy` stores (intrinsic gradient, area element) here and
+    `energy_gradient` takes it, writing into its buffers, so each point of
+    the descent costs one stencil pass.
+    """
+
+    stencils: tuple[IntrinsicGradient, np.ndarray] | None = field(default=None, repr=False)
+
+
+def _stencil_pass(f: GridFunction) -> tuple[IntrinsicGradient, np.ndarray]:
+    """Intrinsic gradient of f and its area element sqrt(1 + |grad phi|^2)."""
+    grad = intrinsic_gradient(f)
+    area = grad.norm_sq()
+    area += 1.0
+    return grad, np.sqrt(area, out=area)
 
 
 def energy(f: GridFunction, region=None) -> float:
-    """Area of the graph over the region; always >= L^{2n}(region)."""
-    return hperimeter(f, region=region)
+    """Area of the graph over the region; always >= L^{2n}(region).
+
+    Equal to surface.hperimeter(f, region) bit for bit.
+    """
+    stencils = _stencil_pass(f)
+    if isinstance(f, _Iterate):
+        f.stencils = stencils
+    area = stencils[1].ravel()
+    if region is not None:
+        area = area[_region_mask(f, region)]
+    return float(np.sum(area) * f.spec.cell_volume)
 
 
 def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
@@ -61,24 +91,37 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
     spec = f.spec
     n, h, V = spec.n, spec.h, spec.cell_volume
     t_ax = 2 * n - 1
-    G = intrinsic_gradient(f).components
-    W = G * (V / np.sqrt(1.0 + np.sum(G * G, axis=0)))
+    stencils = f.stencils if isinstance(f, _Iterate) else None
+    if stencils is None:
+        stencils = _stencil_pass(f)
+    else:
+        f.stencils = None  # its buffers are overwritten below
+    G, area = stencils
+    dt = G.dt
+    # W = G * (V / area), written over G
+    W = G.components
+    W *= np.divide(V, area, out=area)
     if region is not None:
-        W = W * _region_mask(f, region).reshape(spec.counts)
+        W *= _region_mask(f, region).reshape(spec.counts)
     grad = np.zeros(spec.counts)
+    adj = np.empty(spec.counts)
+    tmp = np.empty(spec.counts)
     for i in range(2, n + 1):
         wx = W[i - 2]
-        grad += _adjoint_axis(wx, i - 2, h)
-        grad += _adjoint_axis(2.0 * spec.coordinate_field(n + i - 2) * wx, t_ax, h)
+        grad += _adjoint_axis(wx, i - 2, h, adj)
+        np.multiply(2.0 * spec.coordinate_field(n + i - 2), wx, out=tmp)
+        grad += _adjoint_axis(tmp, t_ax, h, adj)
     wb = W[n - 1]
-    dt = np.gradient(f.values, h, axis=t_ax, edge_order=2)
-    grad += _adjoint_axis(wb, n - 1, h)
-    grad -= 4.0 * dt * wb
-    grad -= 4.0 * _adjoint_axis(f.values * wb, t_ax, h)
+    grad += _adjoint_axis(wb, n - 1, h, adj)
+    np.multiply(4.0, dt, out=tmp)
+    grad -= np.multiply(tmp, wb, out=tmp)
+    _adjoint_axis(np.multiply(f.values, wb, out=tmp), t_ax, h, adj)
+    grad -= np.multiply(4.0, adj, out=adj)
     for i in range(2, n + 1):
         wy = W[n + i - 2]
-        grad += _adjoint_axis(wy, n + i - 2, h)
-        grad -= _adjoint_axis(2.0 * spec.coordinate_field(i - 2) * wy, t_ax, h)
+        grad += _adjoint_axis(wy, n + i - 2, h, adj)
+        np.multiply(2.0 * spec.coordinate_field(i - 2), wy, out=tmp)
+        grad -= _adjoint_axis(tmp, t_ax, h, adj)
     return grad.ravel()
 
 
@@ -196,20 +239,19 @@ def solve(
     if step_rule not in ("bb", "adaptive"):
         raise ValueError(f"unknown step rule {step_rule!r}")
     spec = problem.spec
-    free = problem.free
+    region = problem.region
     mask = problem.initial.dirichlet_mask
+    fixed = mask.ravel()
 
-    def masked_grad(vals: np.ndarray) -> np.ndarray:
-        g = energy_gradient(GridFunction(spec, vals), problem.region)
-        g[~free] = 0.0
+    def masked_grad(point: _Iterate) -> np.ndarray:
+        g = energy_gradient(point, region)
+        g[fixed] = 0.0
         return g
 
-    def e_of(vals: np.ndarray) -> float:
-        return energy(GridFunction(spec, vals), problem.region)
-
     x = problem.initial.values.ravel().copy()
-    e = e_of(x.reshape(spec.counts))
-    g = masked_grad(x.reshape(spec.counts))
+    point = _Iterate(spec, x.reshape(spec.counts))
+    e = energy(point, region)
+    g = masked_grad(point)
     e_trace = [e]
     g_trace = [float(np.max(np.abs(g)))]
     prev_x = prev_g = None
@@ -231,7 +273,9 @@ def solve(
         accepted = False
         for _ in range(max_halvings):
             cand = x - alpha * g
-            ec = e_of(cand.reshape(spec.counts))
+            # rebinding drops the previous candidate's stencil pass first
+            point = _Iterate(spec, cand.reshape(spec.counts))
+            ec = energy(point, region)
             if ec <= e - armijo * alpha * gg:
                 accepted = True
                 break
@@ -241,7 +285,7 @@ def solve(
             break
         prev_x, prev_g = x, g
         x, e, last_alpha = cand, ec, alpha
-        g = masked_grad(x.reshape(spec.counts))
+        g = masked_grad(point)
         e_trace.append(e)
         g_trace.append(float(np.max(np.abs(g))))
         iterations += 1

@@ -482,6 +482,17 @@ def test_check_sandwich_inflated_c_flags():
     assert not rep["passed"]
 
 
+def test_check_sandwich_given_estimate_matches_default():
+    spec = GridSpec.centered(2, 0.7, 0.1)
+    f = GridFunction.from_callable(spec, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] ** 2)
+    lip = graph.lipschitz_estimate(f)
+    nodes = spec.nodes()
+    for k, r, C in ((0, 0.2, 0.4), (len(nodes) // 2, 0.15, 0.4), (len(nodes) // 3, 0.25, 1.3)):
+        rep = approx.check_sandwich(f, nodes[k], r, C, lip=lip)
+        assert rep == approx.check_sandwich(f, nodes[k], r, C)
+        assert rep["lip_estimate"] == lip
+
+
 # --------------------------------------------------------------- corollary
 
 

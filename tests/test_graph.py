@@ -192,6 +192,72 @@ def test_gradient_n3_shape_and_formula():
     assert np.max(np.abs(g.components - exact)) < 1e-12
 
 
+def intrinsic_gradient_reference(f):
+    """intrinsic_gradient as np.gradient partials, kept as the reference."""
+    n = f.spec.n
+    parts = [np.gradient(f.values, f.spec.h, axis=ax, edge_order=2) for ax in range(2 * n)]
+    dt = parts[2 * n - 1]
+    comps = np.empty((2 * n - 1,) + f.spec.counts)
+    for i in range(2, n + 1):
+        comps[i - 2] = parts[i - 2] + 2.0 * f.spec.coordinate_field(n + i - 2) * dt
+    comps[n - 1] = parts[n - 1] - 4.0 * f.values * dt
+    for i in range(2, n + 1):
+        comps[n + i - 2] = parts[n + i - 2] - 2.0 * f.spec.coordinate_field(i - 2) * dt
+    return comps, dt
+
+
+@st.composite
+def grid_functions(draw):
+    """Random values on small grids, n in {2, 3}, unequal counts down to 3."""
+    n = draw(st.sampled_from((2, 3)))
+    top = 7 if n == 2 else 4
+    counts = tuple(draw(st.lists(st.integers(3, top), min_size=2 * n, max_size=2 * n)))
+    h = draw(st.sampled_from((0.1, 0.25, 0.3, 1.0 / 7.0)))
+    origin = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 50.0)))
+    return graph.GridFunction(graph.GridSpec(n, origin, h, counts), scale * rng.normal(size=counts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_functions())
+def test_intrinsic_gradient_bitwise_matches_np_gradient(f):
+    comps, dt = intrinsic_gradient_reference(f)
+    g = graph.intrinsic_gradient(f)
+    np.testing.assert_array_equal(g.components, comps)
+    np.testing.assert_array_equal(g.dt, dt)
+    np.testing.assert_array_equal(g.norm_sq(), np.sum(comps**2, axis=0))
+
+
+def test_intrinsic_gradient_smallest_axes_bitwise():
+    # length 3 is the shortest axis edge_order=2 accepts; every node is an end layer or the middle
+    for spec in (graph.GridSpec(2, (0.0,) * 4, 0.2, (3, 4, 3, 5)),
+                 graph.GridSpec(3, (0.1,) * 6, 0.5, (3,) * 6)):
+        vals = np.random.default_rng(spec.n).normal(size=spec.counts)
+        f = graph.GridFunction(spec, vals)
+        comps, dt = intrinsic_gradient_reference(f)
+        g = graph.intrinsic_gradient(f)
+        np.testing.assert_array_equal(g.components, comps)
+        np.testing.assert_array_equal(g.dt, dt)
+
+
+def test_intrinsic_gradient_rejects_short_axis():
+    spec = graph.GridSpec(2, (0.0,) * 4, 0.2, (4, 4, 2, 4))
+    with pytest.raises(ValueError):
+        graph.intrinsic_gradient(graph.GridFunction.constant(spec, 1.0))
+
+
+def test_intrinsic_gradient_leaves_values_alone(small_spec):
+    f = graph.GridFunction.from_callable(small_spec, _transcendental)
+    before = f.values.copy()
+    first = graph.intrinsic_gradient(f)
+    kept = first.components.copy()
+    second = graph.intrinsic_gradient(f)
+    np.testing.assert_array_equal(f.values, before)
+    np.testing.assert_array_equal(first.components, kept)
+    assert not np.shares_memory(first.components, second.components)
+
+
 # --- graph distance and phi balls -------------------------------------------
 
 

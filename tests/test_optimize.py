@@ -212,3 +212,210 @@ def test_gradient_check_higher_dimension():
         spec3, lambda w: 0.1 * np.sin(w[:, 2]) * np.cos(w[:, 5]) + 0.05 * w[:, 0] * w[:, 3]
     )
     assert optimize.gradient_check(f, num_nodes=5, seed=8) < 1e-6
+
+
+# --- one stencil pass per descent point --------------------------------------
+
+
+def _adjoint_reference(u, axis, h):
+    g = np.zeros_like(u)
+    nd = u.ndim
+
+    def sl(s):
+        idx = [slice(None)] * nd
+        idx[axis] = s
+        return tuple(idx)
+
+    g[sl(slice(2, None))] += u[sl(slice(1, -1))]
+    g[sl(slice(None, -2))] -= u[sl(slice(1, -1))]
+    for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
+                    (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
+        g[sl(j)] += c * u[sl(i)]
+    g /= 2.0 * h
+    return g
+
+
+def _components_reference(f):
+    n, h = f.spec.n, f.spec.h
+    parts = [np.gradient(f.values, h, axis=ax, edge_order=2) for ax in range(2 * n)]
+    dt = parts[2 * n - 1]
+    comps = np.empty((2 * n - 1,) + f.spec.counts)
+    for i in range(2, n + 1):
+        comps[i - 2] = parts[i - 2] + 2.0 * f.spec.coordinate_field(n + i - 2) * dt
+    comps[n - 1] = parts[n - 1] - 4.0 * f.values * dt
+    for i in range(2, n + 1):
+        comps[n + i - 2] = parts[n + i - 2] - 2.0 * f.spec.coordinate_field(i - 2) * dt
+    return comps
+
+
+def energy_reference(f, region=None):
+    """Midpoint-rule area from np.gradient partials, kept as the reference."""
+    area = np.sqrt(1.0 + np.sum(_components_reference(f) ** 2, axis=0)).ravel()
+    return float(np.sum(area[surface._region_mask(f, region)]) * f.spec.cell_volume)
+
+
+def energy_gradient_reference(f, region=None):
+    """The area gradient with its own stencil pass, kept as the reference."""
+    spec = f.spec
+    n, h, V = spec.n, spec.h, spec.cell_volume
+    t_ax = 2 * n - 1
+    G = _components_reference(f)
+    W = G * (V / np.sqrt(1.0 + np.sum(G * G, axis=0)))
+    if region is not None:
+        W = W * surface._region_mask(f, region).reshape(spec.counts)
+    grad = np.zeros(spec.counts)
+    for i in range(2, n + 1):
+        wx = W[i - 2]
+        grad += _adjoint_reference(wx, i - 2, h)
+        grad += _adjoint_reference(2.0 * spec.coordinate_field(n + i - 2) * wx, t_ax, h)
+    wb = W[n - 1]
+    dt = np.gradient(f.values, h, axis=t_ax, edge_order=2)
+    grad += _adjoint_reference(wb, n - 1, h)
+    grad -= 4.0 * dt * wb
+    grad -= 4.0 * _adjoint_reference(f.values * wb, t_ax, h)
+    for i in range(2, n + 1):
+        wy = W[n + i - 2]
+        grad += _adjoint_reference(wy, n + i - 2, h)
+        grad -= _adjoint_reference(2.0 * spec.coordinate_field(i - 2) * wy, t_ax, h)
+    return grad.ravel()
+
+
+def solve_reference(problem, tol=1e-8, max_iter=5000, step_rule="bb", armijo=1e-4, max_halvings=60):
+    """Descent with separate energy and gradient evaluations, kept as the reference."""
+    spec, free = problem.spec, problem.free
+
+    def masked_grad(vals):
+        g = energy_gradient_reference(GridFunction(spec, vals), problem.region)
+        g[~free] = 0.0
+        return g
+
+    def e_of(vals):
+        return energy_reference(GridFunction(spec, vals), problem.region)
+
+    x = problem.initial.values.ravel().copy()
+    e = e_of(x.reshape(spec.counts))
+    g = masked_grad(x.reshape(spec.counts))
+    e_trace, g_trace = [e], [float(np.max(np.abs(g)))]
+    prev_x = prev_g = last_alpha = None
+    iterations = 0
+    while iterations < max_iter and g_trace[-1] > tol:
+        alpha = None
+        if step_rule == "bb" and prev_x is not None:
+            s, y = x - prev_x, g - prev_g
+            sy = float(s @ y)
+            if sy > 1e-300:
+                alpha = float(s @ s) / sy
+        if alpha is None or not np.isfinite(alpha) or alpha <= 0:
+            alpha = 2.0 * last_alpha if last_alpha else 1.0 / max(g_trace[-1], 1.0)
+        gg = float(g @ g)
+        accepted = False
+        for _ in range(max_halvings):
+            cand = x - alpha * g
+            ec = e_of(cand.reshape(spec.counts))
+            if ec <= e - armijo * alpha * gg:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        prev_x, prev_g = x, g
+        x, e, last_alpha = cand, ec, alpha
+        g = masked_grad(x.reshape(spec.counts))
+        e_trace.append(e)
+        g_trace.append(float(np.max(np.abs(g))))
+        iterations += 1
+    return x, np.asarray(e_trace), np.asarray(g_trace), iterations, g_trace[-1] <= tol
+
+
+def _wavy(w):
+    return 0.3 + 0.04 * np.sin(3 * w[:, 0]) * np.cos(2 * w[:, 1]) * np.cos(w[:, 3])
+
+
+@pytest.mark.parametrize("step_rule", ["bb", "adaptive"])
+@pytest.mark.parametrize("with_region", [False, True])
+def test_solve_matches_reference_bitwise(spec, step_rule, with_region):
+    region = surface.disk_mask(spec, 0.55) if with_region else None
+    prob = optimize.dirichlet_problem(
+        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
+    )
+    max_iter = 60 if step_rule == "bb" else 25
+    rep = optimize.solve(prob, tol=1e-7, max_iter=max_iter, step_rule=step_rule)
+    x, e_trace, g_trace, iterations, converged = solve_reference(
+        prob, tol=1e-7, max_iter=max_iter, step_rule=step_rule
+    )
+    assert iterations > 5
+    np.testing.assert_array_equal(rep.energy_trace, e_trace)
+    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
+    assert rep.iterations == iterations
+    assert rep.converged == converged
+    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+
+
+def test_solve_converged_run_matches_reference_bitwise(spec):
+    prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
+    rep = optimize.solve(prob)
+    x, e_trace, g_trace, iterations, converged = solve_reference(prob)
+    assert rep.converged and converged
+    np.testing.assert_array_equal(rep.energy_trace, e_trace)
+    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
+    assert rep.iterations == iterations
+    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+
+
+@pytest.mark.parametrize("region_kind", [None, "mask", "callable"])
+def test_public_energy_and_gradient_match_reference_bitwise(spec, region_kind):
+    region = {
+        None: None,
+        "mask": surface.disk_mask(spec, 0.5),
+        "callable": lambda w: np.abs(w[:, 1]) < 0.35,
+    }[region_kind]
+    f = GridFunction.from_callable(spec, smooth)
+    e = optimize.energy(f, region)
+    assert e == surface.hperimeter(f, region=region)
+    assert e == energy_reference(f, region)
+    np.testing.assert_array_equal(
+        optimize.energy_gradient(f, region), energy_gradient_reference(f, region)
+    )
+
+
+def test_public_energy_and_gradient_n3_match_reference_bitwise():
+    spec3 = GridSpec.centered(3, 0.5, 0.125)
+    f = GridFunction.from_callable(
+        spec3, lambda w: 0.1 * np.sin(w[:, 2]) * np.cos(w[:, 5]) + 0.05 * w[:, 0] * w[:, 3]
+    )
+    assert optimize.energy(f) == surface.hperimeter(f) == energy_reference(f)
+    np.testing.assert_array_equal(optimize.energy_gradient(f), energy_gradient_reference(f))
+
+
+def test_energy_and_gradient_leave_inputs_alone(spec):
+    f = GridFunction.from_callable(spec, smooth)
+    values = f.values.copy()
+    earlier = intrinsic_gradient(f)
+    comps, dt = earlier.components.copy(), earlier.dt.copy()
+    optimize.energy(f)
+    g1 = optimize.energy_gradient(f)
+    optimize.energy(f, surface.disk_mask(spec, 0.5))
+    g2 = optimize.energy_gradient(f)
+    np.testing.assert_array_equal(f.values, values)
+    np.testing.assert_array_equal(earlier.components, comps)
+    np.testing.assert_array_equal(earlier.dt, dt)
+    np.testing.assert_array_equal(g1, g2)
+
+
+def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
+    calls = {"energy": 0, "energy_gradient": 0, "intrinsic_gradient": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
+    prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
+    rep = optimize.solve(prob, max_iter=20)
+    assert rep.iterations == 20
+    assert calls["energy_gradient"] == rep.iterations + 1
+    assert calls["energy"] > calls["energy_gradient"]
+    assert calls["intrinsic_gradient"] == calls["energy"]
