@@ -140,6 +140,10 @@ class SymDiffReport:
     cell_min_dist: np.ndarray
 
 
+class LipContractError(ValueError):
+    """The output graph of the pipeline is not 1-Lipschitz."""
+
+
 @dataclass
 class ApproxResult:
     """Output of the selection/extension pipeline."""
@@ -156,7 +160,7 @@ class ApproxResult:
 
     def __post_init__(self) -> None:
         if self.lip_estimate > 1.0 + 1e-9:
-            raise ValueError(
+            raise LipContractError(
                 f"output graph violates the unit Lipschitz contract: {self.lip_estimate:.6g}"
             )
         if self.l2_gradient < 0:
@@ -457,7 +461,7 @@ def truncate(
     e_outer = excess_cloud(cloud, None, config.outer_scale, config.orientation).excess
     d1 = disk_mask(spec, config.inner_radius)
     if sym is None:
-        support = core.w_box(spec.nodes()) < 4.0 * s - 1e-12
+        support = core.box(spec.nodes()) < 4.0 * s - 1e-12
         sym = sym_diff_measure(cloud, f, tau, region=support)
     mu = build_mu(cloud, f, tau, orientation=config.orientation, sym=sym)
 
@@ -543,7 +547,7 @@ def representative_region(
     kept = disk_mask(spec, sigma)
     proj = cloud.projections()
     flat, inside = spec.locate(proj)
-    pool = cloud.points[(core.w_box(proj) < sigma) & (np.abs(cloud.heights) < 1.0)]
+    pool = cloud.points[(core.box(proj) < sigma) & (np.abs(cloud.heights) < 1.0)]
     if pool.shape[0] == 0:
         return kept
     while True:
@@ -554,7 +558,7 @@ def representative_region(
         for blk in core._row_blocks(q_idx.size, len(pool)):
             rel = core.mul(core.inv(cloud.points[q_idx[blk]])[:, None, :], pool[None, :, :])
             w_rel, h_rel = core.proj(rel)
-            bad[blk] = np.any(np.abs(h_rel) > L * core.w_box(w_rel) + 1e-15, axis=1)
+            bad[blk] = np.any(np.abs(h_rel) > L * core.box(w_rel) + 1e-15, axis=1)
         if not np.any(bad):
             return kept
         kept[flat[q_idx[bad]]] = False

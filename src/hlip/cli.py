@@ -475,7 +475,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
     f05 = GridFunction.from_callable(pspec, lambda w: 0.05 * w[:, 1])
     nodes = pspec.nodes()
-    pool = np.flatnonzero(core.w_box(nodes) < 0.3)
+    pool = np.flatnonzero(core.box(nodes) < 0.3)
     lip05 = lipschitz_estimate(f05)
     fails = 0
     for _ in range(balls):
@@ -618,12 +618,12 @@ def main(argv=None) -> int:
     try:
         cfg = _run_config(args)
         results, code = _COMMANDS[cfg.command](cfg)
+    except (approx.LipContractError, ExtensionConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (PreconditionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ExtensionConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = {
         "command": cfg.command,
         "config": {

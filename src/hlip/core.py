@@ -2,34 +2,21 @@
 
 Points of H^n live in R^{2n+1} with coordinates (x_1..x_n, y_1..y_n, t).
 The vertical hyperplane W = {x_1 = 0} is identified with R^{2n} via the
-coordinates (x_2..x_n, y_1..y_n, t).  Everything here is exact arithmetic;
-the array functions broadcast over leading axes and are the hot path for
-the rest of the package.
+coordinates (x_2..x_n, y_1..y_n, t).  Points are plain float arrays of
+shape (..., 2n+1) or (..., 2n); every function broadcasts over the leading
+axes.  Everything here is exact arithmetic and the hot path for the rest
+of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Dimension",
-    "HPoint",
-    "WPoint",
     "constants",
     "unit_ball_volume",
-    "group_mul",
-    "group_inv",
-    "dilate",
-    "box_norm",
-    "d_inf",
-    "height",
-    "project",
-    "cyl_norm",
-    "in_cylinder",
-    "exp_x1",
     "mul",
     "inv",
     "dilate_arr",
@@ -39,10 +26,7 @@ __all__ = [
     "cylnorm",
     "embed_w",
     "w_mul",
-    "w_inv",
     "w_dinf",
-    "w_box",
-    "w_dilate",
     "graph_points",
     "pi_rel_norm",
 ]
@@ -66,33 +50,6 @@ def constants(n: int) -> tuple[float, float, float, float]:
     lo = unit_ball_volume(2 * n - 1)
     hi = unit_ball_volume(2 * n + 1)
     return 2.0 * lo, 2.0 * lo / hi, lo, hi
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """Ambient dimension n >= 2 of H^n plus its derived constants."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
-
-    @property
-    def kappa(self) -> float:
-        return constants(self.n)[0]
-
-    @property
-    def delta(self) -> float:
-        return constants(self.n)[1]
-
-    @property
-    def homogeneous_dim(self) -> int:
-        return 2 * self.n + 2
-
-    @property
-    def w_dim(self) -> int:
-        return 2 * self.n
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +98,10 @@ def box(p: np.ndarray) -> np.ndarray:
     return np.maximum(z, np.sqrt(np.abs(p[..., -1])))
 
 
+# a W point (x_2..x_n, y_1..y_n, t) also ends in t, so its box norm is box
+w_box = box
+
+
 def proj(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split p = w * (h e_1): return W coordinates and the height h = x_1.
 
@@ -157,7 +118,7 @@ def proj(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cylnorm(p: np.ndarray) -> np.ndarray:
     """Cylinder quasi-norm max(||proj(p)||_inf, |height(p)|)."""
     w, h = proj(p)
-    return np.maximum(w_box(w), np.abs(h))
+    return np.maximum(box(w), np.abs(h))
 
 
 def embed_w(w: np.ndarray) -> np.ndarray:
@@ -173,12 +134,6 @@ def embed_w(w: np.ndarray) -> np.ndarray:
     p[..., n : 2 * n] = w[..., n - 1 : 2 * n - 1]
     p[..., 2 * n] = w[..., 2 * n - 1]
     return p
-
-
-def w_box(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    z = np.sqrt(np.sum(w[..., :-1] ** 2, axis=-1))
-    return np.maximum(z, np.sqrt(np.abs(w[..., -1])))
 
 
 def w_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,19 +152,6 @@ def w_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         + b[..., 2 * n - 1]
         + 2.0 * (np.sum(ay * bx, axis=-1) - np.sum(ax * by, axis=-1))
     )
-    return out
-
-
-def w_inv(a: np.ndarray) -> np.ndarray:
-    return -np.asarray(a, dtype=float)
-
-
-def w_dilate(lam: float, w: np.ndarray) -> np.ndarray:
-    if lam <= 0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    w = np.asarray(w, dtype=float)
-    out = lam * w.copy()
-    out[..., -1] = lam * lam * w[..., -1]
     return out
 
 
@@ -325,152 +267,3 @@ def pi_rel_norm(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     z2 = _square_sum(P, Q, range(1, n), s, v)
     z2 += _square_sum(P, Q, range(n, 2 * n), v, w)
     return _box_of(z2, tau)
-
-
-# ---------------------------------------------------------------------------
-# typed points
-
-
-def _finite_vec(v, length: int, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """A point of H^n, n >= 2."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        n = len(np.atleast_1d(self.x))
-        if n < 2:
-            raise ValueError(f"need n >= 2, got n={n}")
-        object.__setattr__(self, "x", _finite_vec(self.x, n, "x"))
-        object.__setattr__(self, "y", _finite_vec(self.y, n, "y"))
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, [self.t]])
-
-    @classmethod
-    def from_coords(cls, c: np.ndarray) -> "HPoint":
-        c = np.asarray(c, dtype=float)
-        n = (c.shape[-1] - 1) // 2
-        return cls(c[:n], c[n : 2 * n], float(c[2 * n]))
-
-    @classmethod
-    def origin(cls, n: int) -> "HPoint":
-        return cls(np.zeros(n), np.zeros(n), 0.0)
-
-
-@dataclass(frozen=True)
-class WPoint:
-    """A point of the vertical hyperplane W = {x_1 = 0} of H^n."""
-
-    x: np.ndarray  # x_2..x_n
-    y: np.ndarray  # y_1..y_n
-    t: float
-
-    def __post_init__(self) -> None:
-        n = len(np.atleast_1d(self.y))
-        if n < 2:
-            raise ValueError(f"need n >= 2, got n={n}")
-        object.__setattr__(self, "x", _finite_vec(self.x, n - 1, "x"))
-        object.__setattr__(self, "y", _finite_vec(self.y, n, "y"))
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, [self.t]])
-
-    @classmethod
-    def from_coords(cls, c: np.ndarray) -> "WPoint":
-        c = np.asarray(c, dtype=float)
-        n = c.shape[-1] // 2
-        return cls(c[: n - 1], c[n - 1 : 2 * n - 1], float(c[2 * n - 1]))
-
-    @classmethod
-    def origin(cls, n: int) -> "WPoint":
-        return cls(np.zeros(n - 1), np.zeros(n), 0.0)
-
-    def embed(self) -> HPoint:
-        return HPoint.from_coords(embed_w(self.coords))
-
-
-def _check_same_n(p: HPoint, q: HPoint) -> None:
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: n={p.n} vs n={q.n}")
-
-
-def group_mul(p: HPoint, q: HPoint) -> HPoint:
-    _check_same_n(p, q)
-    return HPoint.from_coords(mul(p.coords, q.coords))
-
-
-def group_inv(p: HPoint) -> HPoint:
-    return HPoint.from_coords(inv(p.coords))
-
-
-def dilate(lam: float, p: HPoint) -> HPoint:
-    return HPoint.from_coords(dilate_arr(lam, p.coords))
-
-
-def box_norm(p: HPoint) -> float:
-    return float(box(p.coords))
-
-
-def d_inf(p: HPoint, q: HPoint) -> float:
-    _check_same_n(p, q)
-    return float(dinf(p.coords, q.coords))
-
-
-def height(p: HPoint) -> float:
-    return float(p.x[0])
-
-
-def project(p: HPoint) -> WPoint:
-    w, _ = proj(p.coords)
-    return WPoint.from_coords(w)
-
-
-def cyl_norm(p: HPoint) -> float:
-    return float(cylnorm(p.coords))
-
-
-def in_cylinder(p: HPoint, center: HPoint, r: float) -> bool:
-    """Open cylinder C_r(center) = center * (D_r * (-r, r))."""
-    if r <= 0:
-        raise ValueError(f"cylinder radius must be positive, got {r}")
-    _check_same_n(p, center)
-    return cyl_norm(group_mul(group_inv(center), p)) < r
-
-
-def exp_x1(s: float, p: HPoint | WPoint) -> HPoint:
-    """Flow of the horizontal field X_1: (z, t) -> (z + s e_1, t + 2 y_1 s)."""
-    if isinstance(p, WPoint):
-        p = p.embed()
-    c = p.coords.copy()
-    n = p.n
-    c[0] += s
-    c[2 * n] += 2.0 * c[n] * s
-    return HPoint.from_coords(c)

@@ -24,7 +24,6 @@ __all__ = [
     "ConeViolationError",
     "ExtensionConvergenceError",
     "grid_nodes",
-    "graph_map",
     "intrinsic_gradient",
     "graph_distance",
     "phi_ball",
@@ -230,15 +229,6 @@ class IntrinsicGradient:
         return self.components.reshape(2 * self.spec.n - 1, -1).T
 
 
-def graph_map(f: GridFunction, w: np.ndarray | core.WPoint) -> np.ndarray | core.HPoint:
-    """Graph point Phi(w) = w * (phi(w) e_1), interpolating phi off-node."""
-    if isinstance(w, core.WPoint):
-        val = f.interp(w.coords[None, :])[0]
-        return core.HPoint.from_coords(core.graph_points(w.coords, val))
-    w = np.asarray(w, dtype=float)
-    return core.graph_points(w, f.interp(w))
-
-
 def _sl(ndim: int, axis: int, s) -> tuple:
     """Index selecting `s` along one axis and everything along the others."""
     idx = [slice(None)] * ndim
@@ -314,9 +304,7 @@ def _graph_point(f: GridFunction, x: np.ndarray) -> np.ndarray:
     return core.graph_points(x, f.interp(x[None, :])[0])
 
 
-def phi_ball(
-    f: GridFunction, x: np.ndarray | core.WPoint, r: float
-) -> tuple[np.ndarray, float, bool]:
+def phi_ball(f: GridFunction, x: np.ndarray, r: float) -> tuple[np.ndarray, float, bool]:
     """Cells of the grid inside the graph-distance ball U(x, r).
 
     Returns (flat mask, discrete measure = count * cell volume, exits flag);
@@ -325,8 +313,6 @@ def phi_ball(
     """
     if r <= 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    if isinstance(x, core.WPoint):
-        x = x.coords
     x = np.asarray(x, dtype=float)
     mask = _sym_dist(_graph_point(f, x), f.graph()) < r
     exits = bool(np.any(mask & f.spec.boundary_mask().ravel()))

@@ -75,42 +75,12 @@ class DiscreteMeasure:
         if not np.all(np.isfinite(self.masses)) or np.any(self.masses < 0):
             raise ValueError("masses must be finite and nonnegative")
 
-    @classmethod
-    def from_density(cls, spec: GridSpec, density) -> "DiscreteMeasure":
-        vals = np.asarray(density(spec.nodes()), dtype=float).reshape(spec.counts)
-        return cls(spec, vals * spec.cell_volume)
-
-    @classmethod
-    def from_deposits(cls, spec: GridSpec, points: np.ndarray, masses: np.ndarray):
-        """Accumulate point masses into their covering cells.
-
-        Mass landing outside the grid is dropped; the dropped total is
-        returned alongside the measure.
-        """
-        flat, inside = spec.locate(np.asarray(points, dtype=float))
-        masses = np.asarray(masses, dtype=float)
-        acc = np.zeros(spec.size)
-        np.add.at(acc, flat[inside], masses[inside])
-        return cls(spec, acc.reshape(spec.counts)), float(np.sum(masses[~inside]))
-
     @property
     def flat(self) -> np.ndarray:
         return self.masses.ravel()
 
     def total(self) -> float:
         return float(np.sum(self.masses))
-
-    def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
-        kept = np.where(np.asarray(mask, dtype=bool).reshape(self.spec.counts),
-                        self.masses, 0.0)
-        return DiscreteMeasure(self.spec, kept)
-
-    def ball_mass(self, center: np.ndarray, r: float) -> float:
-        d = core.w_dinf(np.asarray(center, dtype=float), self.spec.nodes())
-        return float(np.sum(self.flat[d < r]))
-
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.spec, c * self.masses)
 
 
 def radius_ladder(r_min: float, r_max: float, ratio: float = LADDER_RATIO) -> np.ndarray:
@@ -194,7 +164,7 @@ def disk_maximal(
     spec = mu.spec
     nodes = spec.nodes()
     supp = np.flatnonzero(mu.flat > 0)
-    if supp.size and np.max(core.w_box(nodes[supp])) >= 4 * s:
+    if supp.size and np.max(core.box(nodes[supp])) >= 4 * s:
         raise ValueError("measure must be supported in D_{4s}")
     kappa = core.constants(spec.n)[0]
     hom = 2 * spec.n + 1
@@ -212,7 +182,7 @@ def disk_maximal(
             x = nodes[idx]
             dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :])
             cum = _ladder_masses(_ladder_bins(dist, rungs), rungs.size, sup_mass)
-            cap = 4 * s - core.w_box(x)
+            cap = 4 * s - core.box(x)
             admissible = rungs[None, :] < cap[:, None]
             ratios = np.where(admissible, cum / norm, 0.0)
             values[idx] = np.max(ratios, axis=1, initial=0.0)
@@ -261,7 +231,7 @@ def check_disk_lemma(
     hypothesis_ok = bool(mu.total() <= (theta / 5**hom) * kappa * s**hom)
     if fld is None:
         fld = disk_maximal(mu, s)
-    box = core.w_box(spec.nodes())
+    box = core.box(spec.nodes())
     j_theta, _ = superlevel(fld, theta)
     lhs = float(np.count_nonzero(j_theta & (box < r))) * spec.cell_volume
     j_small, _ = superlevel(fld, theta / 2**hom)
@@ -495,7 +465,7 @@ def estimate_ball_constants(
     rng = np.random.default_rng(seed)
     interior = np.flatnonzero(~spec.boundary_mask(1).ravel())
     # bias centers toward the middle so balls of the requested size fit
-    interior = interior[np.argsort(core.w_box(nodes[interior]), kind="stable")]
+    interior = interior[np.argsort(core.box(nodes[interior]), kind="stable")]
     interior = interior[: max(1, interior.size // 3)]
     px = f.graph()
     px_boundary = px[spec.boundary_mask().ravel()]

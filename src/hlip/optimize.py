@@ -168,10 +168,6 @@ class DirichletProblem:
     def free(self) -> np.ndarray:
         return ~self.initial.dirichlet_mask.ravel()
 
-    @property
-    def boundary_values(self) -> np.ndarray:
-        return self.initial.flat[self.initial.dirichlet_mask.ravel()]
-
     def region_measure(self) -> float:
         count = self.spec.size if self.region is None else int(np.count_nonzero(self.region))
         return count * self.spec.cell_volume

@@ -10,7 +10,7 @@ fixed horizontal direction and is invariant under intrinsic dilations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import core
 from .graph import GridFunction, GridSpec, intrinsic_gradient
 
 __all__ = [
-    "BoundarySample",
     "BoundaryCloud",
     "ExcessReport",
     "epigraph_normal",
@@ -31,13 +30,6 @@ __all__ = [
     "excess_profile",
     "height_bound_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    point: core.HPoint
-    normal: np.ndarray  # 2n entries on the frame (X_1..X_n, Y_1..Y_n)
-    weight: float
 
 
 @dataclass
@@ -78,11 +70,6 @@ class BoundaryCloud:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def sample(self, i: int) -> BoundarySample:
-        return BoundarySample(
-            core.HPoint.from_coords(self.points[i]), self.normals[i].copy(), float(self.weights[i])
-        )
 
     def subset(self, idx: np.ndarray) -> "BoundaryCloud":
         return BoundaryCloud(
@@ -143,7 +130,7 @@ def disk_mask(spec: GridSpec, r: float, center: np.ndarray | None = None) -> np.
         raise ValueError(f"disk radius must be positive, got {r}")
     nodes = spec.nodes()
     if center is None:
-        return core.w_box(nodes) < r
+        return core.box(nodes) < r
     return core.w_dinf(np.asarray(center, dtype=float), nodes) < r
 
 
@@ -151,9 +138,7 @@ def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndar
     """Samples of the cloud lying in the open cylinder C_r(center)."""
     if r <= 0:
         raise ValueError(f"cylinder radius must be positive, got {r}")
-    center = np.asarray(center, dtype=float)
-    rel_w, rel_h = core.proj(core.mul(core.inv(center), cloud.points))
-    return np.maximum(core.w_box(rel_w), np.abs(rel_h)) < r
+    return core.cylnorm(core.mul(core.inv(center), cloud.points)) < r
 
 
 def hperimeter(f: GridFunction, region=None, integrand=None) -> float:
@@ -216,7 +201,7 @@ def dilate_cloud(lam: float, cloud: BoundaryCloud) -> BoundaryCloud:
 
 def excess_cloud(
     cloud: BoundaryCloud,
-    center: np.ndarray | core.HPoint | None = None,
+    center: np.ndarray | None = None,
     r: float = 1.0,
     orientation: int = 1,
 ) -> ExcessReport:
@@ -227,8 +212,6 @@ def excess_cloud(
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    if isinstance(center, core.HPoint):
-        center = center.coords
     if center is None:
         center = np.zeros(2 * cloud.n + 1)
     inside = cylinder_mask(cloud, center, r)
@@ -247,7 +230,7 @@ def excess_cloud(
 
 def excess_profile(
     cloud: BoundaryCloud,
-    center: np.ndarray | core.HPoint | None = None,
+    center: np.ndarray | None = None,
     scales: tuple[float, ...] = (0.25, 0.5, 1.0),
     orientation: int = 1,
 ) -> list[ExcessReport]:

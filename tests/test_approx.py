@@ -380,7 +380,7 @@ def test_representative_region_cluster_bruteforce():
 
     proj = cloud.projections()
     flat, inside = spec.locate(proj)
-    pool = cloud.points[(core.w_box(proj) < sigma) & (np.abs(cloud.heights) < 1.0)]
+    pool = cloud.points[(core.box(proj) < sigma) & (np.abs(cloud.heights) < 1.0)]
     kept = disk_mask(spec, sigma)
     while True:
         removed = False
@@ -389,7 +389,7 @@ def test_representative_region_cluster_bruteforce():
                 continue
             rel = core.mul(core.inv(cloud.points[i])[None, :], pool)
             w_rel, h_rel = core.proj(rel)
-            if np.any(np.abs(h_rel) > L * core.w_box(w_rel) + 1e-15):
+            if np.any(np.abs(h_rel) > L * core.box(w_rel) + 1e-15):
                 kept[flat[i]] = False
                 removed = True
         if not removed:
@@ -462,8 +462,8 @@ def test_check_sandwich_random_linear():
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, spec.n - 1])
     rng = np.random.default_rng(11)
     nodes = spec.nodes()
-    # the t-axis is staggered, so cell centers have w_box at least sqrt(h/2)
-    pool = np.flatnonzero(core.w_box(nodes) < 0.3)
+    # the t-axis is staggered, so cell centers have box norm at least sqrt(h/2)
+    pool = np.flatnonzero(core.box(nodes) < 0.3)
     for _ in range(100):
         x = nodes[rng.choice(pool)]
         r = float(rng.uniform(0.1, 0.25))

@@ -251,6 +251,14 @@ def test_extension_stall_exits_2(linear_cloud_file, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_lip_contract_violation_exits_2(linear_cloud_file, monkeypatch, capsys):
+    monkeypatch.setattr(approx, "lipschitz_estimate", lambda *args, **kwargs: 1.5)
+    assert main(["approx", str(linear_cloud_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output graph violates the unit Lipschitz contract")
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_bad_sizes(capsys):
     assert main(["verify", "--cases", "0"]) == 1
     assert "positive" in capsys.readouterr().err

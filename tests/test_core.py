@@ -22,45 +22,51 @@ def random_points(n, size, scale=5.0, rng=RNG):
 # --- hand-checked examples -------------------------------------------------
 
 
-def test_group_mul_hand_example():
-    p = core.HPoint(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.0)
-    q = core.HPoint(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.0)
-    r = core.group_mul(p, q)
-    assert np.allclose(r.x, [1.0, 0.0]) and np.allclose(r.y, [1.0, 0.0])
-    assert r.t == -2.0
-    assert core.box_norm(r) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+E1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # e_1 of H^2
+
+
+def test_mul_hand_example():
+    p = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    q = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    r = core.mul(p, q)
+    assert np.allclose(r[:2], [1.0, 0.0]) and np.allclose(r[2:4], [1.0, 0.0])
+    assert r[4] == -2.0
+    assert core.box(r) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_inverse_and_identity():
-    p = core.HPoint(np.array([0.3, -1.2]), np.array([2.0, 0.5]), -0.7)
-    e = core.HPoint.origin(2)
-    pi = core.group_inv(p)
-    assert np.allclose(core.group_mul(p, pi).coords, e.coords, atol=1e-15)
-    assert np.allclose(core.group_mul(pi, p).coords, e.coords, atol=1e-15)
-    assert np.allclose(core.group_mul(p, e).coords, p.coords)
+    p = np.array([0.3, -1.2, 2.0, 0.5, -0.7])
+    e = np.zeros(5)
+    pi = core.inv(p)
+    assert np.allclose(core.mul(p, pi), e, atol=1e-15)
+    assert np.allclose(core.mul(pi, p), e, atol=1e-15)
+    assert np.allclose(core.mul(p, e), p)
 
 
 def test_projection_hand_example():
-    p = core.HPoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 3.0)
-    assert core.height(p) == 1.0
-    w = core.project(p)
-    assert np.allclose(w.coords, [0.0, 1.0, 0.0, 1.0])  # t - 2 x1 y1 = 1
+    p = np.array([1.0, 0.0, 1.0, 0.0, 3.0])
+    w, h = core.proj(p)
+    assert h == 1.0
+    assert np.allclose(w, [0.0, 1.0, 0.0, 1.0])  # t - 2 x1 y1 = 1
     # p = proj(p) * (h e_1)
-    back = core.exp_x1(core.height(p), w)
-    assert np.allclose(back.coords, p.coords, atol=1e-15)
+    back = core.mul(core.embed_w(w), h * E1)
+    assert np.allclose(back, p, atol=1e-15)
 
 
 def test_cylinder_norm_hand_example():
-    p = core.HPoint(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 4.0)
-    assert core.cyl_norm(p) == pytest.approx(2.0, abs=1e-15)
-    assert core.in_cylinder(p, core.HPoint.origin(2), 2.0001)
-    assert not core.in_cylinder(p, core.HPoint.origin(2), 2.0)
+    p = np.array([1.0, 0.0, 0.0, 2.0, 4.0])
+    assert core.cylnorm(p) == pytest.approx(2.0, abs=1e-15)
+    # the open cylinder C_r(0) = {cylnorm(0^-1 p) < r}
+    rel = core.mul(core.inv(np.zeros(5)), p)
+    assert core.cylnorm(rel) < 2.0001
+    assert not core.cylnorm(rel) < 2.0
 
 
 def test_exp_x1_hand_example():
-    w = core.WPoint(np.array([0.0]), np.array([3.0, 0.0]), 0.0)
-    p = core.exp_x1(1.0, w)
-    assert np.allclose(p.coords, [1.0, 0.0, 3.0, 0.0, 6.0])
+    # the flow of X_1 for time s is right translation by s e_1
+    w = np.array([0.0, 3.0, 0.0, 0.0])
+    p = core.mul(core.embed_w(w), E1)
+    assert np.allclose(p, [1.0, 0.0, 3.0, 0.0, 6.0])
 
 
 def test_constants_closed_forms():
@@ -77,7 +83,7 @@ def test_constants_monte_carlo_disk_volume():
     # L^4 of D_1 in W for n=2: ball^3 x (-1,1), estimated on 1e6 points
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, size=(1_000_000, 4))
-    inside = core.w_box(pts) < 1.0
+    inside = core.box(pts) < 1.0
     est = 16.0 * np.mean(inside)
     kappa = core.constants(2)[0]
     assert abs(est - kappa) / kappa < 0.005
@@ -87,33 +93,17 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         core.constants(1)
     with pytest.raises(ValueError):
-        core.Dimension(1)
-    with pytest.raises(ValueError):
-        core.HPoint(np.array([1.0]), np.array([0.0]), 0.0)
-    d = core.Dimension(2)
-    assert d.homogeneous_dim == 6 and d.w_dim == 4
+        core.mul(np.zeros(3), np.zeros(3))  # n = 1
 
 
 def test_dimension_mismatch_rejected():
-    p = core.HPoint.origin(2)
-    q = core.HPoint.origin(3)
     with pytest.raises(ValueError):
-        core.group_mul(p, q)
-
-
-def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        core.HPoint(np.array([np.nan, 0.0]), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        core.WPoint(np.array([0.0]), np.array([np.inf, 0.0]), 0.0)
+        core.mul(np.zeros(5), np.zeros(7))
 
 
 def test_dilate_errors():
-    p = core.HPoint.origin(2)
     with pytest.raises(ValueError):
-        core.dilate(0.0, p)
-    with pytest.raises(ValueError):
-        core.in_cylinder(p, p, -1.0)
+        core.dilate_arr(0.0, np.zeros(5))
 
 
 # --- algebraic properties ---------------------------------------------------
@@ -207,7 +197,7 @@ def test_cylinder_ball_sandwich():
 def test_pi_rel_norm_matches_composed_ops():
     p, q = random_points(2, 5_000), random_points(2, 5_000)
     w, _ = core.proj(core.mul(core.inv(p), q))
-    ref = core.w_box(w)
+    ref = core.box(w)
     assert np.max(np.abs(core.pi_rel_norm(p, q) - ref)) < 1e-12
 
 
@@ -264,7 +254,7 @@ def _ref_dinf(p, q):
 
 
 def _ref_w_dinf(a, b):
-    return core.w_box(core.w_mul(core.w_inv(a), b))
+    return core.box(core.w_mul(core.inv(a), b))
 
 
 @st.composite

@@ -40,7 +40,8 @@ def _mismatches(want, got, path="results"):
     if isinstance(want, list):
         if len(want) != len(got):
             return [f"{path}: length {len(got)} != {len(want)}"]
-        return [m for i, (a, b) in enumerate(zip(want, got)) for m in _mismatches(a, b, f"{path}[{i}]")]
+        pairs = enumerate(zip(want, got))
+        return [m for i, (a, b) in pairs for m in _mismatches(a, b, f"{path}[{i}]")]
     return [] if want == got else [f"{path}: {got!r} != {want!r}"]
 
 

@@ -85,13 +85,13 @@ def test_interp_outside_raises(small_spec):
 # --- graph map ---------------------------------------------------------------
 
 
-def test_graph_map_flat_is_embedding(small_spec):
+def test_graph_points_flat_is_embedding(small_spec):
     f = graph.GridFunction.constant(small_spec, 0.0)
     pts = f.graph()
     assert np.max(np.abs(pts - core.embed_w(small_spec.nodes()))) == 0.0
 
 
-def test_graph_map_projects_back(small_spec):
+def test_graph_points_projects_back(small_spec):
     f = graph.GridFunction.from_callable(small_spec, lambda w: 0.3 * w[:, 1] - 0.1 * w[:, 3])
     pts = f.graph()
     w, h = core.proj(pts)
@@ -99,15 +99,14 @@ def test_graph_map_projects_back(small_spec):
     assert np.max(np.abs(h - f.flat)) == 0.0
 
 
-def test_graph_map_point_formula():
+def test_graph_points_formula():
     spec = graph.GridSpec.centered(2, 1.0, 0.25)
     f = graph.GridFunction.constant(spec, 0.5)
-    w = core.WPoint(np.array([0.125]), np.array([0.375, -0.125]), 0.125)
-    p = graph_pt = graph.graph_map(f, w)
-    assert isinstance(graph_pt, core.HPoint)
+    w = np.array([0.125, 0.375, -0.125, 0.125])
+    p = core.graph_points(w, f.interp(w[None, :])[0])
     # t coordinate picks up the shear 2 y_1 phi
-    assert p.t == pytest.approx(0.125 + 2 * 0.375 * 0.5)
-    assert p.x[0] == pytest.approx(0.5)
+    assert p[4] == pytest.approx(0.125 + 2 * 0.375 * 0.5)
+    assert p[0] == pytest.approx(0.5)
 
 
 # --- intrinsic gradient ------------------------------------------------------
@@ -393,7 +392,7 @@ def test_extension_recovers_linear_graph():
     f, rep = graph.extend_lipschitz(
         spec, K, base.flat[K], L=eps, sup_bound=float(np.abs(base.flat[K]).max())
     )
-    in_d1 = core.w_box(spec.nodes()) < 1.0
+    in_d1 = core.box(spec.nodes()) < 1.0
     assert np.max(np.abs(f.flat - base.flat)[in_d1]) <= 2 * eps * h
     assert np.array_equal(f.flat[K], base.flat[K])
     assert rep.lip_bound_ok

@@ -32,23 +32,22 @@ def test_measure_validation_and_helpers(spec):
         maximal.DiscreteMeasure(spec, -np.ones(spec.counts))
     with pytest.raises(ValueError):
         maximal.DiscreteMeasure(spec, np.ones(7))
-    mu = maximal.DiscreteMeasure.from_density(spec, lambda w: 2.0 + 0 * w[:, 0])
+    mu = maximal.DiscreteMeasure(spec, np.full(spec.size, 2.0 * spec.cell_volume))
+    assert mu.masses.shape == spec.counts
     assert math.isclose(mu.total(), 2.0 * spec.size * spec.cell_volume, rel_tol=1e-12)
-    sub = mu.restrict(core.w_box(spec.nodes()) < 0.3)
-    assert sub.total() < mu.total()
-    assert math.isclose(mu.scaled(3.0).total(), 3.0 * mu.total(), rel_tol=1e-14)
 
 
 def test_deposits_land_in_cells(spec):
     pts = spec.nodes()[[10, 10, 77]]
-    mu, dropped = maximal.DiscreteMeasure.from_deposits(
-        spec, np.vstack([pts, [[9.0, 0, 0, 0]]]), np.array([1.0, 2.0, 4.0, 8.0])
-    )
-    assert dropped == 8.0
+    flat, inside = spec.locate(np.vstack([pts, [[9.0, 0, 0, 0]]]))
+    assert inside.tolist() == [True, True, True, False]
+    masses = np.zeros(spec.size)
+    np.add.at(masses, flat[inside], np.array([1.0, 2.0, 4.0]))
+    mu = maximal.DiscreteMeasure(spec, masses)
     assert mu.flat[10] == 3.0 and mu.flat[77] == 4.0
     assert mu.total() == 7.0
     # group-translated ball membership
-    assert mu.ball_mass(pts[0], 2 * spec.h) >= 3.0
+    assert np.sum(mu.flat[core.w_dinf(pts[0], spec.nodes()) < 2 * spec.h]) >= 3.0
 
 
 def test_radius_ladder():
@@ -116,7 +115,7 @@ def test_zero_measure_gives_zero_field(spec):
 
 
 def test_support_precondition(spec):
-    mu = maximal.DiscreteMeasure.from_density(spec, lambda w: 1.0 + 0 * w[:, 0])
+    mu = maximal.DiscreteMeasure(spec, np.full(spec.size, spec.cell_volume))
     with pytest.raises(ValueError):
         maximal.disk_maximal(mu, 0.12)  # grid corners lie outside D_{0.48}
 
@@ -132,7 +131,7 @@ def test_single_atom_matches_bruteforce_ladder(spec):
     rng = np.random.default_rng(1)
     for ci in rng.choice(spec.size, size=40, replace=False):
         d = core.w_dinf(nodes[ci], nodes[atom])
-        cap = 4 * s - core.w_box(nodes[ci])
+        cap = 4 * s - core.box(nodes[ci])
         best = 0.0
         for r in fld.ladder:
             if r < cap and d < r:
@@ -144,7 +143,7 @@ def test_lebesgue_density_bounded_by_one(spec):
     # s large enough that central cells admit rungs above the cell
     # diameter sqrt(h) despite the t-staggered centers
     s = 0.2
-    support = core.w_box(spec.nodes()) < 4 * s - 1e-9
+    support = core.box(spec.nodes()) < 4 * s - 1e-9
     mu = maximal.DiscreteMeasure(
         spec, (support * spec.cell_volume).reshape(spec.counts)
     )
@@ -200,7 +199,7 @@ def test_disk_lemma_single_atom_bruteforce(spec):
     assert rep.lhs > 0  # superlevel set is nonempty at this theta
 
     fld = maximal.disk_maximal(mu, s)
-    box = core.w_box(spec.nodes())
+    box = core.box(spec.nodes())
     lhs = np.count_nonzero((fld.values > theta) & (box < r)) * spec.cell_volume
     small = fld.values > theta / 2**5
     rhs = 5**5 / theta * float(np.sum(mu.flat[small & (box < r + 1.0)]))
@@ -283,7 +282,8 @@ def test_phi_maximal_homogeneous_in_measure(spec):
     mu = maximal.measure_from_gradient(f)
     centers = np.arange(0, spec.size, 97)
     a = maximal.phi_maximal(f, mu, 0.2, centers=centers)
-    b = maximal.phi_maximal(f, mu.scaled(3.0), 0.2, centers=centers)
+    tripled = maximal.DiscreteMeasure(spec, 3.0 * mu.masses)
+    b = maximal.phi_maximal(f, tripled, 0.2, centers=centers)
     assert np.allclose(b.values, 3.0 * a.values, rtol=1e-12)
 
 
@@ -300,7 +300,7 @@ def test_phi_maximal_matches_disk_maximal_for_flat_graph(spec):
     # so keep the atoms and the centers near the middle and s small
     f = GridFunction.constant(spec, 0.0)
     nodes = spec.nodes()
-    box = core.w_box(nodes)
+    box = core.box(nodes)
     masses = np.zeros(spec.size)
     atom_pool = np.flatnonzero(box < 0.3)
     rng = np.random.default_rng(21)
@@ -422,7 +422,7 @@ def ball_constants_reference(f, samples=50, seed=0, r_bounds=None):
         r_bounds = (2 * spec.h, max(2.5 * spec.h, r_hi))
     rng = np.random.default_rng(seed)
     interior = np.flatnonzero(~spec.boundary_mask(1).ravel())
-    interior = interior[np.argsort(core.w_box(nodes[interior]), kind="stable")]
+    interior = interior[np.argsort(core.box(nodes[interior]), kind="stable")]
     interior = interior[: max(1, interior.size // 3)]
     c1, c2, used = math.inf, 0.0, 0
     for _ in range(20 * samples):

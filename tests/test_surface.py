@@ -46,7 +46,7 @@ def test_perimeter_integrand_weighting():
 def test_perimeter_region_forms_agree():
     spec, f = flat_disk_setup(h=0.2, half=0.6)
     mask = surface.disk_mask(spec, 0.5)
-    via_callable = surface.hperimeter(f, region=lambda nodes: core.w_box(nodes) < 0.5)
+    via_callable = surface.hperimeter(f, region=lambda nodes: core.box(nodes) < 0.5)
     assert math.isclose(surface.hperimeter(f, region=mask), via_callable, rel_tol=1e-15)
     with pytest.raises(ValueError):
         surface.hperimeter(f, region=np.ones(7, dtype=bool))
@@ -117,9 +117,6 @@ def test_cloud_validation():
                                meta={"minimality": {"lambda": 2.0, "r0": 0.5}})
     assert ok.meta["minimality"]["lambda"] == 2.0
 
-    s = cloud.sample(3)
-    assert isinstance(s.point, core.HPoint)
-    assert s.weight == cloud.weights[3]
     sub = cloud.subset(np.arange(5))
     assert len(sub) == 5
 
@@ -181,11 +178,13 @@ def test_excess_translated_center():
     spec = GridSpec.centered(2, 1.0, 0.1)
     f = GridFunction.constant(spec, 0.0)
     cloud = surface.sample_graph_boundary(f)
-    p = core.HPoint((0.0, 0.2), (0.1, 0.0), 0.05)
+    p = np.array([0.0, 0.2, 0.1, 0.0, 0.05])
     rep = surface.excess_cloud(cloud, center=p, r=0.4)
     assert rep.excess == 0.0
     assert 0 < rep.count < len(cloud)
-    assert rep.center == tuple(p.coords)
+    assert rep.center == tuple(p)
+    with pytest.raises(ValueError):
+        surface.cylinder_mask(cloud, p, -1.0)
 
 
 def test_height_bound_ratio_conventions():
