@@ -6,8 +6,13 @@ Each tests/golden/<kind>.json holds the `results` blocks of
     hlip approx d/<kind>.cloud --seed 7 --out d
     hlip truncate d/<kind>.cloud --seed 7 --out d
 
-under the keys "approx" and "truncate".  A refactor must leave them as they
-are: floats agree to 1e-12 relative, everything else is equal.
+under the keys "approx" and "truncate".  At h = 0.5 these clouds give a
+zero symmetric difference and keep the whole disk, so each
+tests/golden/cut-<name>.json pins the same two blocks on the h = 0.3 grid,
+where the truncation cut and the symmetric difference are nonzero, plus
+`corollary_report`, the selected index set and the nearest-sample distance
+of every kept cell.  A refactor must leave them as they are: floats agree
+to 1e-12 relative, everything else is equal.
 """
 
 import json
@@ -16,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from hlip import fileio
+import numpy as np
+
+from hlip import approx, fileio
 from hlip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +32,12 @@ CLOUDS = {
     "flat": [],
     "linear": ["--eps", "0.05"],
     "corrupted-cluster": ["--mass", "0.02", "--eps", "0.05", "--displacement", "0.3"],
+}
+
+CUT_CLOUDS = {
+    "cluster-0.02": ["corrupted-cluster", "--mass", "0.02", "--eps", "0.05", "--displacement", "0.3"],
+    "cluster-0.05": ["corrupted-cluster", "--mass", "0.05", "--eps", "0.05", "--displacement", "0.3"],
+    "deleted-patch": ["deleted-patch", "--eps", "0.05", "--radius", "0.4"],
 }
 
 
@@ -54,3 +67,33 @@ def test_golden_reports(tmp_path, kind):
         assert main([cmd, str(tmp_path / f"{kind}.cloud"), *argv]) == 0
         got = fileio.read_report(tmp_path / f"{cmd}_report.json")["results"]
         assert _mismatches(golden[cmd], got, cmd) == []
+
+
+def cut_record(workdir, name):
+    """The pinned blocks of tests/golden/cut-<name>.json, computed afresh."""
+    kind = CUT_CLOUDS[name][0]
+    argv = ["--seed", "7", "--out", str(workdir)]
+    assert main(["gen", *CUT_CLOUDS[name], "--h", "0.3", *argv]) == 0
+    path = workdir / f"{kind}.cloud"
+    record = {}
+    for cmd in ("approx", "truncate"):
+        assert main([cmd, str(path), *argv]) == 0
+        record[cmd] = fileio.read_report(workdir / f"{cmd}_report.json")["results"]
+    cloud = fileio.read_cloud(path)
+    g = cloud.meta["grid"]
+    spec = approx.GridSpec(g["n"], tuple(g["origin"]), g["h"], tuple(g["counts"]))
+    cfg = approx.PipelineConfig(seed=7)
+    res = approx.lipschitz_approximation(cloud, spec, cfg)
+    kept = approx.truncate(cloud, res.phi, cfg).k_mask
+    record["corollary"] = approx.corollary_report(cloud, spec, cfg)
+    record["m0"] = res.m0.tolist()
+    record["kept_cell_min_dist"] = res.symdiff.cell_min_dist[kept].tolist()
+    record["kept_cells"] = np.flatnonzero(kept).tolist()
+    # the JSON round trip gives plain floats and ints, as the golden file holds
+    return json.loads(json.dumps(record))
+
+
+@pytest.mark.parametrize("name", sorted(CUT_CLOUDS))
+def test_golden_cut_reports(tmp_path, name):
+    golden = json.loads((GOLDEN / f"cut-{name}.json").read_text(encoding="ascii"))
+    assert _mismatches(golden, cut_record(tmp_path, name), name) == []
