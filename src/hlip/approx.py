@@ -32,7 +32,7 @@ from .graph import (
     intrinsic_gradient,
     lipschitz_estimate,
 )
-from .maximal import DiscreteMeasure, check_phi_lemma
+from .maximal import DiscreteMeasure, PhiLemmaError, check_phi_lemma
 from .surface import BoundaryCloud, disk_mask, excess_cloud
 
 log = logging.getLogger("hlip.approx")
@@ -205,28 +205,68 @@ def sup_excess(
 ) -> np.ndarray:
     """max over scales of the cylindrical excess at each center.
 
-    Matches excess_cloud exactly; vectorized over row blocks of centers so
-    the relative-coordinate block stays within memory.
+    Matches excess_cloud exactly; computed cell by cell over the samples
+    each cylinder can reach.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    # a cell whose reach carries no positive defect has excess at most 0
+    return _excess_above(cloud, centers, scales, orientation, 0.0)
+
+
+def _excess_above(
+    cloud: BoundaryCloud,
+    centers: np.ndarray,
+    scales: tuple[float, ...],
+    orientation: int,
+    delta1: float,
+) -> np.ndarray:
+    """sup_excess wherever it exceeds delta1; elsewhere a value in [0, delta1].
+
+    Centers are taken cell by cell.  Defect weights are nonnegative up to
+    rounding, so a scale s whose cylinders from a cell can reach defect mass
+    at most delta1 s^q keeps every center of that cell within delta1 and is
+    skipped there.  The other scales are evaluated exactly on the samples in
+    reach.  Each row is summed in a full-length row of zeros, so its float
+    sum, and the result, is bit for bit that of the all-pairs row.
+    """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
-    powers = np.array([float(s) ** q for s in scales])
-    out = np.empty(len(centers))
-    for blk in core._row_blocks(len(centers), len(cloud)):
-        c = centers[blk]
-        # cylinder norm of the relative point without forming the product
-        dist = np.maximum(
-            core.pi_rel_norm(c[:, None, :], cloud.points[None, :, :]),
-            np.abs(cloud.points[None, :, 0] - c[:, None, 0]),
-        )
-        best = np.zeros(len(c))
-        for s, pw in zip(scales, powers):
-            e = np.sum(np.where(dist < s, defect[None, :], 0.0), axis=1) / pw
-            np.maximum(best, e, out=best)
-        out[blk] = best
+    positive = np.maximum(defect, 0.0)
+    # cells a hair wider than the smallest scale, so that a scale of a
+    # whole number of cells keeps that reach under the 1e-9 margin
+    cells = core._CellList(cloud.points, min(scales) * (1.0 + 1e-6))
+
+    def reach(s: float) -> int:
+        return math.ceil(s * (1.0 + 1e-9) / cells.width)
+
+    N = len(cloud)
+    out = np.zeros(len(centers))
+    for key, rows in cells.groups(centers):
+        near = {r: cells.near(key, r) for r in {reach(s) for s in scales}}
+        live = [
+            s for s in scales
+            if np.sum(positive[near[reach(s)]]) > delta1 * float(s) ** q * (1.0 - 1e-9)
+        ]
+        if not live:
+            continue
+        cand = near[max(reach(s) for s in live)]
+        # column-major, so the kernels read each coordinate contiguously
+        pts = np.asfortranarray(cloud.points[cand])
+        for blk in core._row_blocks(rows.size, N):
+            c = centers[rows[blk]]
+            # cylinder norm of the relative point without forming the product
+            dist = np.maximum(
+                core.pi_rel_norm(c[:, None, :], pts[None, :, :]),
+                np.abs(pts[None, :, 0] - c[:, None, 0]),
+            )
+            full = np.zeros((len(c), N))
+            best = np.zeros(len(c))
+            for s in live:
+                full[:, cand] = np.where(dist < s, defect[cand], 0.0)
+                np.maximum(best, np.sum(full, axis=1) / float(s) ** q, out=best)
+            out[rows[blk]] = best
     return out
 
 
@@ -239,7 +279,7 @@ def select_m0(
     idx = np.arange(len(cloud)) if candidates is None else np.asarray(candidates, dtype=int)
     if idx.size == 0:
         return idx
-    e = sup_excess(cloud, cloud.points[idx], config.scales, config.orientation)
+    e = _excess_above(cloud, cloud.points[idx], config.scales, config.orientation, config.delta1)
     return idx[e <= config.delta1]
 
 
@@ -306,6 +346,34 @@ def _extend(
     )
 
 
+def _nearest_dinf(targets: np.ndarray, points: np.ndarray, width: float) -> np.ndarray:
+    """min over points of dinf(target, point) for each target, bit for bit.
+
+    Targets are taken cell by cell and search the points within r cells,
+    from r = 1 up.  A point beyond that ring lies more than r cell widths
+    away, so a target whose best distance is at most that is settled; the
+    minimum over a superset of the minimizers is the exact minimum.  The
+    others search again within the ring that holds their best distance.
+    """
+    cells = core._CellList(points, width)
+    best = np.full(len(targets), np.inf)
+    for key, rows in cells.groups(targets):
+        r = 1
+        while rows.size:
+            cand = cells.near(key, r)
+            # column-major, so the kernel reads each coordinate contiguously
+            pts = np.asfortranarray(points[cand])
+            for blk in core._row_blocks(rows.size, cand.size):
+                d = core.dinf(targets[rows[blk], None, :], pts[None, :, :])
+                best[rows[blk]] = np.min(d, axis=1, initial=np.inf)
+            if cand.size == cells.size:
+                break
+            rows = rows[best[rows] > r * cells.width * (1.0 - 1e-9)]
+            far = np.max(best[rows], initial=0.0)
+            r = r + 1 if math.isinf(far) else max(r + 1, math.ceil(far / cells.width))
+    return best
+
+
 def sym_diff_measure(
     cloud: BoundaryCloud,
     f: GridFunction,
@@ -337,10 +405,7 @@ def sym_diff_measure(
 
     cell_min_dist = np.full(spec.size, np.inf)
     cells = np.flatnonzero(region)
-    gpts = f.graph()[cells]
-    for blk in core._row_blocks(len(cells), len(cloud)):
-        d = core.dinf(gpts[blk, None, :], cloud.points[None, :, :])
-        cell_min_dist[cells[blk]] = np.min(d, axis=1)
+    cell_min_dist[cells] = _nearest_dinf(f.graph()[cells], cloud.points, spec.h)
     cell_matched = cell_min_dist <= tau
     area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
     off_cells = region & ~cell_matched
@@ -493,7 +558,7 @@ def truncate(
                 pair_budget=config.pair_budget, seed=config.seed,
             )
             path = "estimated"
-        except ValueError as exc:
+        except PhiLemmaError as exc:
             log.info("phi lemma: c_L estimate failed (%s); retrying with c_L pinned to 1", exc)
             try:
                 rep = check_phi_lemma(
@@ -501,7 +566,7 @@ def truncate(
                     pair_budget=config.pair_budget, seed=config.seed, c_hat_l=1.0,
                 )
                 path = "pinned"
-            except ValueError as exc:
+            except PhiLemmaError as exc:
                 log.warning("phi lemma failed with c_L pinned to 1 (%s); no certificate", exc)
                 rep = None
         lip_certified = math.inf if rep is None else rep["ratio"] * theta

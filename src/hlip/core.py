@@ -94,8 +94,13 @@ def dilate_arr(lam: float, p: np.ndarray) -> np.ndarray:
 def box(p: np.ndarray) -> np.ndarray:
     """Box norm max(|z|, |t|^(1/2)); homogeneous and a genuine metric norm."""
     p = np.asarray(p, dtype=float)
-    z = np.sqrt(np.sum(p[..., :-1] ** 2, axis=-1))
-    return np.maximum(z, np.sqrt(np.abs(p[..., -1])))
+    # squares summed left to right in two planes, never a (..., 2n) one;
+    # for fewer than 8 terms (n <= 3) that is np.sum's order on that axis
+    z, u = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
+    np.square(p[..., 0], out=z)
+    for k in range(1, p.shape[-1] - 1):
+        z += np.square(p[..., k], out=u)
+    return _box_of(z, np.abs(p[..., -1], out=u))
 
 
 # a W point (x_2..x_n, y_1..y_n, t) also ends in t, so its box norm is box
@@ -118,7 +123,7 @@ def proj(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cylnorm(p: np.ndarray) -> np.ndarray:
     """Cylinder quasi-norm max(||proj(p)||_inf, |height(p)|)."""
     w, h = proj(p)
-    return np.maximum(box(w), np.abs(h))
+    return np.maximum(box(w), np.abs(h, out=h))
 
 
 def embed_w(w: np.ndarray) -> np.ndarray:
@@ -184,7 +189,8 @@ _BLOCK_BYTES = 1 << 19
 
 def _row_blocks(rows: int, cols: int):
     """Consecutive row slices covering range(rows) whose (rows x cols)
-    float64 plane fits _BLOCK_BYTES; a row over budget comes alone."""
+    float64 plane fits _BLOCK_BYTES.  A row over budget comes alone, so a
+    block's plane is bounded by one row, 8 * cols bytes, not by the budget."""
     step = max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
     for a in range(0, rows, step):
         yield slice(a, min(a + step, rows))
@@ -267,3 +273,73 @@ def pi_rel_norm(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     z2 = _square_sum(P, Q, range(1, n), s, v)
     z2 += _square_sum(P, Q, range(n, 2 * n), v, w)
     return _box_of(z2, tau)
+
+
+# ---------------------------------------------------------------------------
+# cell lists
+#
+# Both distances bound each spatial coordinate difference from below:
+# dinf(p, q) >= |q_k - p_k| for every k < 2n, because its z part is their
+# Euclidean norm, and pi_rel_norm(p, q) >= |q_k - p_k| for the W
+# coordinates x_2..x_n, y_1..y_n.  So two points whose cells of width w on
+# those 2n - 1 columns differ by more than r in some column lie more than
+# r w apart under both, and a search within a known cutoff only needs the
+# cells in reach (Allen & Tildesley's cell lists).  Keys are floors of
+# coordinate / w; a cutoff tested with a relative margin of 1e-9 absorbs
+# their rounding for coordinates up to about 10^6 cell widths.
+
+
+class _CellList:
+    """H-points bucketed into cells of width `width` on x_2..x_n, y_1..y_n.
+
+    Cell keys are tuples of ints; the bookkeeping runs on Python ints
+    because a search visits a few dozen cells at a time.
+    """
+
+    def __init__(self, points: np.ndarray, width: float):
+        self.size = len(points)
+        self.width = width
+        # cells much finer than the point spacing would make the cell table
+        # outgrow the points; any width keeps a search exact, so widen them
+        while True:
+            keys = self.keys(points)
+            lo, hi = keys.min(axis=0), keys.max(axis=0)
+            if math.prod((hi - lo + 1).tolist()) <= 4 * self.size + 64:
+                break
+            self.width *= 2.0
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        self.dims = [j - i + 1 for i, j in zip(self.lo, self.hi)]
+        cell = np.ravel_multi_index(tuple((keys - lo).T), self.dims)
+        self.order = np.argsort(cell, kind="stable")
+        # the points of cell c are order[start[c]:start[c + 1]]
+        cells = np.arange(math.prod(self.dims) + 1)
+        self.start = np.searchsorted(cell[self.order], cells).tolist()
+
+    def keys(self, p: np.ndarray) -> np.ndarray:
+        n = p.shape[-1] // 2
+        return np.floor(p[:, 1 : 2 * n] / self.width).astype(np.int64)
+
+    def groups(self, p: np.ndarray):
+        """(cell key, row indices) of the points p, one pair per occupied cell."""
+        keys, inv = np.unique(self.keys(p), axis=0, return_inverse=True)
+        order = np.argsort(inv.reshape(-1), kind="stable")
+        bounds = np.searchsorted(inv.reshape(-1)[order], np.arange(len(keys) + 1)).tolist()
+        for k, key in enumerate(keys.tolist()):
+            yield tuple(key), order[bounds[k] : bounds[k + 1]]
+
+    def near(self, key: tuple, reach: int) -> np.ndarray:
+        """Indices of the points whose cell is within `reach` of key in every column."""
+        a = [max(k - reach, lo) - lo for k, lo in zip(key, self.lo)]
+        b = [min(k + reach, hi) - lo for k, lo, hi in zip(key, self.lo, self.hi)]
+        if any(i > j for i, j in zip(a, b)):
+            return np.empty(0, dtype=np.int64)
+        if not any(a) and all(j == dim - 1 for j, dim in zip(b, self.dims)):
+            return self.order
+        # the cells that share all columns but the last are consecutive, so
+        # each choice of the leading columns is one run of the sorted points
+        first = [0]
+        for dim, i, j in zip(self.dims, a[:-1], b[:-1]):
+            first = [f * dim + c for f in first for c in range(i, j + 1)]
+        start, last, span = self.start, self.dims[-1], b[-1] - a[-1] + 1
+        runs = (f * last + a[-1] for f in first)
+        return np.concatenate([self.order[start[c] : start[c + span]] for c in runs])

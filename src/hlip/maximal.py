@@ -28,6 +28,7 @@ from .graph import (
 
 __all__ = [
     "LADDER_RATIO",
+    "PhiLemmaError",
     "cell_diameter",
     "DiscreteMeasure",
     "MaximalField",
@@ -47,6 +48,12 @@ __all__ = [
 ]
 
 LADDER_RATIO = 1.1
+
+
+class PhiLemmaError(ValueError):
+    """check_phi_lemma cannot certify on this graph: it is too steep for the
+    small-slope regime, every ball sampled for c_L left the grid, or no
+    pair lies off the superlevel set."""
 
 
 def cell_diameter(spec: GridSpec) -> float:
@@ -302,7 +309,7 @@ def phi_maximal(
         raise ValueError("measure and graph must share a grid")
     lip = lipschitz_estimate(f)
     if lip > lip_threshold:
-        raise ValueError(
+        raise PhiLemmaError(
             f"graph too steep for the small-slope regime: {lip:.3g} > {lip_threshold:.3g}"
         )
     if c_hat_l is None:
@@ -375,7 +382,7 @@ def check_phi_lemma(
     )
     good = np.flatnonzero(in_ball & ~(fld.values > theta))
     if good.size < 2:
-        raise ValueError("no pairs available off the superlevel set")
+        raise PhiLemmaError("no pairs available off the superlevel set")
     nodes = f.spec.nodes()[good]
     vals = f.flat[good]
     rng = np.random.default_rng(seed)
@@ -489,7 +496,7 @@ def estimate_ball_constants(
         c1, c2 = min(c1, ratio), max(c2, ratio)
         used += 1
     if used == 0:
-        raise ValueError("every sampled ball left the grid; shrink r_bounds")
+        raise PhiLemmaError("every sampled ball left the grid; shrink r_bounds")
     trip = rng.integers(0, spec.size, size=(samples, 3))
     d = lambda a, b: _sym_dist(px[a], px[b])
     dxy, dxz, dzy = d(trip[:, 0], trip[:, 1]), d(trip[:, 0], trip[:, 2]), d(trip[:, 2], trip[:, 1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import approx, core, generators, graph, surface
+from hlip import approx, core, generators, graph, maximal, surface
 from hlip.approx import PipelineConfig
 from hlip.graph import GridFunction, GridSpec
 from hlip.surface import disk_mask, excess_cloud
@@ -113,6 +113,114 @@ def test_select_m0_cluster_excluded_and_monotone(spec):
             assert np.array_equal(np.sort(m0), np.setdiff1d(np.arange(len(cloud)), bad))
     assert sizes == sorted(sizes)
     assert sizes[-1] == len(cloud)
+
+
+# ------------------------------------------- cell lists against all pairs
+# The references are the all-pairs loops the cell-list searches replaced;
+# select_m0 must keep the same index set and cell_min_dist the same bits.
+
+
+def sup_excess_reference(cloud, centers, scales, orientation=1):
+    q = 2 * cloud.n + 1
+    defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
+    out = np.empty(len(centers))
+    for blk in core._row_blocks(len(centers), len(cloud)):
+        c = centers[blk]
+        dist = np.maximum(
+            core.pi_rel_norm(c[:, None, :], cloud.points[None, :, :]),
+            np.abs(cloud.points[None, :, 0] - c[:, None, 0]),
+        )
+        best = np.zeros(len(c))
+        for s in scales:
+            e = np.sum(np.where(dist < s, defect[None, :], 0.0), axis=1) / float(s) ** q
+            np.maximum(best, e, out=best)
+        out[blk] = best
+    return out
+
+
+def nearest_dinf_reference(targets, points):
+    out = np.empty(len(targets))
+    for blk in core._row_blocks(len(targets), len(points)):
+        out[blk] = np.min(core.dinf(targets[blk, None, :], points[None, :, :]), axis=1)
+    return out
+
+
+@st.composite
+def cut_clouds(draw):
+    """A corrupted-cluster or deleted-patch cloud at h in {0.3, 0.5}, n in {2, 3}."""
+    n = draw(st.sampled_from((2, 3)))
+    h = draw(st.sampled_from((0.3, 0.5)))
+    # the pipeline grid for n = 2; for n = 3 a window of 3 to 4 nodes per
+    # axis (the gradient needs 3) keeps the all-pairs reference cheap
+    if n == 2:
+        spec = generators.default_grid(2, h)
+    else:
+        counts = (4, 3, 3, 3, 3, 4)
+        spec = GridSpec(3, tuple(-(c - 1) * h / 2.0 for c in counts), h, counts)
+    eps = draw(st.floats(0.0, 0.2))
+    center = tuple(draw(st.floats(-0.5, 0.5)) for _ in range(2 * n - 1)) + (
+        draw(st.floats(-0.3, 0.3)),
+    )
+    orientation = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        total = float(np.sum(generators.linear_cloud(spec, eps).weights))
+        cloud = generators.corrupted_cluster_cloud(
+            spec, draw(st.floats(0.005, 0.1)) * total, eps=eps, center=center,
+            displacement=draw(st.floats(0.05, 1.0)), orientation=orientation,
+        )
+    else:
+        cloud = generators.deleted_patch_cloud(
+            spec, draw(st.floats(0.1, 0.5)), eps=eps, center=center, orientation=orientation
+        )
+    return spec, cloud
+
+
+SCALE_SETS = ((0.25, 0.5, 1.0), (0.3, 0.6, 0.9), (0.2, 0.7), (0.5,))
+
+
+@given(
+    cut_clouds(),
+    st.sampled_from(SCALE_SETS),
+    st.sampled_from((0.003, 0.03, 0.1, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_select_m0_matches_all_pairs(spec_cloud, scales, delta1, seed):
+    # scales that are whole multiples of h test the cell reach at its edge
+    spec, cloud = spec_cloud
+    orientation = int(cloud.meta["params"]["orientation"])
+    cfg = PipelineConfig(scales=scales, delta1=delta1, orientation=orientation)
+    ref = sup_excess_reference(cloud, cloud.points, scales, orientation)
+    np.testing.assert_array_equal(
+        approx.select_m0(cloud, cfg), np.flatnonzero(ref <= delta1)
+    )
+    sub = np.random.default_rng(seed).choice(len(cloud), size=len(cloud) // 3, replace=False)
+    np.testing.assert_array_equal(approx.select_m0(cloud, cfg, sub), sub[ref[sub] <= delta1])
+    # off-grid centers, some outside the cloud
+    centers = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(40, 2 * spec.n + 1))
+    np.testing.assert_array_equal(
+        approx.sup_excess(cloud, centers, scales, orientation),
+        sup_excess_reference(cloud, centers, scales, orientation),
+    )
+
+
+@given(cut_clouds(), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_cell_min_dist_matches_all_pairs(spec_cloud, level, slope, seed):
+    spec, cloud = spec_cloud
+    rng = np.random.default_rng(seed)
+    f = GridFunction(spec, (level + slope * spec.nodes()[:, spec.n - 1]).reshape(spec.counts))
+    region = rng.random(spec.size) < 0.7
+    sym = approx.sym_diff_measure(cloud, f, 0.1, region=region)
+    want = np.full(spec.size, np.inf)
+    want[region] = nearest_dinf_reference(f.graph()[region], cloud.points)
+    np.testing.assert_array_equal(sym.cell_min_dist, want)
+    # off-grid targets, far ones too, so the rings grow
+    targets = rng.uniform(-3.0, 3.0, size=(40, 2 * spec.n + 1))
+    np.testing.assert_array_equal(
+        approx._nearest_dinf(targets, cloud.points, spec.h),
+        nearest_dinf_reference(targets, cloud.points),
+    )
 
 
 # -------------------------------------------------------------- deposits
@@ -593,7 +701,7 @@ def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, ca
     def lemma(estimate_fails, pinned_fails):
         def check(f, s, theta, c_hat_l=None, **kw):
             if pinned_fails if c_hat_l == 1.0 else estimate_fails:
-                raise ValueError("every sampled ball left the grid")
+                raise maximal.PhiLemmaError("every sampled ball left the grid")
             return {"ratio": 0.5}
         return check
 
@@ -608,3 +716,17 @@ def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, ca
         assert tr.lip_certified == (math.inf if path == "none" else 0.5 * tr.theta)
         logged = [r.getMessage() for r in caplog.records if r.name == "hlip.approx"]
         assert any("pinned to 1" in m for m in logged) == (path != "estimated")
+
+
+def test_truncate_lets_other_value_errors_propagate(spec, cfg, monkeypatch):
+    # only the lemma's own failure becomes a pinned or missing certificate;
+    # any other ValueError inside it is a fault and must surface
+    cloud = generators.corrupted_cluster_cloud(spec, 2**-2, displacement=0.3)
+    res = approx.lipschitz_approximation(cloud, spec, cfg)
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside the lemma")
+
+    monkeypatch.setattr(maximal, "phi_maximal", broken)
+    with pytest.raises(ValueError, match="a fault inside the lemma"):
+        approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)

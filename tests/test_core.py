@@ -321,3 +321,45 @@ def test_row_blocks_yield_single_rows_over_budget():
     cols = core._BLOCK_BYTES // 8 + 1
     blocks = list(core._row_blocks(5, cols))
     assert [(b.start, b.stop) for b in blocks] == [(k, k + 1) for k in range(5)]
+
+
+def _ref_box(p):
+    return np.maximum(np.sqrt(np.sum(p[..., :-1] ** 2, axis=-1)), np.sqrt(np.abs(p[..., -1])))
+
+
+@given(point_pairs(1), point_pairs(0))
+@settings(max_examples=200, deadline=None)
+def test_box_bitwise(pq, ab):
+    # H-points and W points, n in {2, 3}, in the kernel call shapes
+    for p in (*pq, *ab):
+        np.testing.assert_array_equal(core.box(p), _ref_box(p))
+
+
+# --- cell lists ---------------------------------------------------------------
+
+
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 60),
+    st.sampled_from((1e-3, 0.1, 0.3, 0.5, 2.0)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_cell_list_matches_key_filter(n, size, width, seed):
+    # near() against a filter of every point's cell, for query cells inside
+    # and outside the occupied range; width 1e-3 exercises the widening
+    rng = np.random.default_rng(seed)
+    pts = random_points(n, size, scale=1.0, rng=rng)
+    cells = core._CellList(pts, width)
+    assert cells.width >= width
+    assert math.prod(cells.dims) <= 4 * size + 64
+    keys = cells.keys(pts)
+    queries = random_points(n, 8, scale=2.0, rng=rng)
+    seen = []
+    for key, rows in cells.groups(np.concatenate([pts, queries])):
+        seen.append(rows)
+        for r in range(4):
+            want = np.flatnonzero(np.all(np.abs(keys - np.asarray(key)) <= r, axis=1))
+            np.testing.assert_array_equal(np.sort(cells.near(key, r)), want)
+    rows = np.sort(np.concatenate(seen))
+    np.testing.assert_array_equal(rows, np.arange(size + 8))
