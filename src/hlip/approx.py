@@ -228,8 +228,7 @@ def _excess_above(
     rounding, so a scale s whose cylinders from a cell can reach defect mass
     at most delta1 s^q keeps every center of that cell within delta1 and is
     skipped there.  The other scales are evaluated exactly on the samples in
-    reach.  Each row is summed in a full-length row of zeros, so its float
-    sum, and the result, is bit for bit that of the all-pairs row.
+    reach, and each excess is bit for bit that of the all-pairs row.
     """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
@@ -242,6 +241,7 @@ def _excess_above(
         return math.ceil(s * (1.0 + 1e-9) / cells.width)
 
     N = len(cloud)
+    full = np.zeros((max(1, core._BLOCK_BYTES // (8 * N)), N))  # one row block
     out = np.zeros(len(centers))
     for key, rows in cells.groups(centers):
         near = {r: cells.near(key, r) for r in {reach(s) for s in scales}}
@@ -254,19 +254,36 @@ def _excess_above(
         cand = near[max(reach(s) for s in live)]
         # column-major, so the kernels read each coordinate contiguously
         pts = np.asfortranarray(cloud.points[cand])
-        for blk in core._row_blocks(rows.size, N):
+        for blk in core._row_blocks(rows.size, cand.size):
             c = centers[rows[blk]]
             # cylinder norm of the relative point without forming the product
             dist = np.maximum(
                 core.pi_rel_norm(c[:, None, :], pts[None, :, :]),
                 np.abs(pts[None, :, 0] - c[:, None, 0]),
             )
-            full = np.zeros((len(c), N))
             best = np.zeros(len(c))
             for s in live:
-                full[:, cand] = np.where(dist < s, defect[cand], 0.0)
-                np.maximum(best, np.sum(full, axis=1) / float(s) ** q, out=best)
+                inside = np.where(dist < s, defect[cand], 0.0)
+                np.maximum(best, _full_row_sums(inside, cand, full) / float(s) ** q, out=best)
             out[rows[blk]] = best
+    return out
+
+
+def _full_row_sums(values: np.ndarray, cols: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Row sums of the matrix that holds values at columns cols and zeros
+    elsewhere, its rows as wide as the zero scratch plane `full`, which is
+    left zero.  np.sum adds a full row in an order fixed by the positions,
+    so these are bit for bit the sums of the dense matrix."""
+    k, width = full.shape
+    flat = full.reshape(-1)
+    at = (width * np.arange(k)[:, None] + cols).ravel()
+    out = np.empty(len(values))
+    for a in range(0, len(values), k):
+        b = min(a + k, len(values))
+        put = at[: (b - a) * len(cols)]
+        flat[put] = values[a:b].ravel()
+        out[a:b] = np.sum(full[: b - a], axis=1)
+        flat[put] = 0.0
     return out
 
 

@@ -215,12 +215,19 @@ def test_cell_min_dist_matches_all_pairs(spec_cloud, level, slope, seed):
     want = np.full(spec.size, np.inf)
     want[region] = nearest_dinf_reference(f.graph()[region], cloud.points)
     np.testing.assert_array_equal(sym.cell_min_dist, want)
-    # off-grid targets, far ones too, so the rings grow
-    targets = rng.uniform(-3.0, 3.0, size=(40, 2 * spec.n + 1))
-    np.testing.assert_array_equal(
-        approx._nearest_dinf(targets, cloud.points, spec.h),
-        nearest_dinf_reference(targets, cloud.points),
-    )
+    # off-grid targets against the cloud and a sparse subset of it: far
+    # ones, and samples moved up to 2h in x_2..y_n, whose nearest point
+    # often lies a ring or two away
+    sparse = cloud.points[rng.permutation(len(cloud))[:40]]
+    moved = sparse[rng.integers(0, len(sparse), 60)]
+    moved[:, 1 : 2 * spec.n] += rng.uniform(-2 * spec.h, 2 * spec.h, (60, 2 * spec.n - 1))
+    far = rng.uniform(-3.0, 3.0, size=(40, 2 * spec.n + 1))
+    targets = np.concatenate([moved, far])
+    for points in (cloud.points, sparse):
+        np.testing.assert_array_equal(
+            approx._nearest_dinf(targets, points, spec.h),
+            nearest_dinf_reference(targets, points),
+        )
 
 
 # -------------------------------------------------------------- deposits
