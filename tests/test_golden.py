@@ -9,9 +9,11 @@ Each tests/golden/<kind>.json holds the `results` blocks of
 under the keys "approx" and "truncate".  At h = 0.5 these clouds give a
 zero symmetric difference and keep the whole disk, so each
 tests/golden/cut-<name>.json pins the same two blocks on the h = 0.3 grid,
-where the truncation cut and the symmetric difference are nonzero, plus
-`corollary_report`, the selected index set and the nearest-sample distance
-of every kept cell.  A refactor must leave them as they are: floats agree
+plus `corollary_report`, the selected index set and the nearest-sample
+distance of every kept cell.  There the truncation cut fires for the
+clusters displaced by 0.3, and the symmetric difference is nonzero for the
+cluster displaced by 1.0 (off-graph cloud mass) and the patch of radius 0.9
+(uncovered graph mass, coincidence residual above tau).  A refactor must leave them as they are: floats agree
 to 1e-12 relative, everything else is equal.
 """
 
@@ -37,7 +39,9 @@ CLOUDS = {
 CUT_CLOUDS = {
     "cluster-0.02": ["corrupted-cluster", "--mass", "0.02", "--eps", "0.05", "--displacement", "0.3"],
     "cluster-0.05": ["corrupted-cluster", "--mass", "0.05", "--eps", "0.05", "--displacement", "0.3"],
+    "cluster-0.02-far": ["corrupted-cluster", "--mass", "0.02", "--eps", "0.05", "--displacement", "1.0"],
     "deleted-patch": ["deleted-patch", "--eps", "0.05", "--radius", "0.4"],
+    "deleted-patch-0.9": ["deleted-patch", "--eps", "0.05", "--radius", "0.9"],
 }
 
 
