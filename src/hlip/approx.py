@@ -37,18 +37,6 @@ from .surface import BoundaryCloud, disk_mask, excess_cloud
 
 log = logging.getLogger("hlip.approx")
 
-# Scale ratios under which the continuum statements are stated; at grid
-# resolution they would collapse the inner region to a single cell, so
-# desk runs use the (much smaller) PipelineConfig defaults instead and
-# these are kept only as the reference configuration.
-REFERENCE_SCALE_RATIOS = {
-    "inner": 16.0,
-    "scan": 256.0,
-    "outer": 5124.0,
-    "corollary_outer": 20496.0,
-    "truncation_outer": 1311744.0,
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -287,17 +275,10 @@ def _full_row_sums(values: np.ndarray, cols: np.ndarray, full: np.ndarray) -> np
     return out
 
 
-def select_m0(
-    cloud: BoundaryCloud,
-    config: PipelineConfig,
-    candidates: np.ndarray | None = None,
-) -> np.ndarray:
+def select_m0(cloud: BoundaryCloud, config: PipelineConfig) -> np.ndarray:
     """Indices whose sup-excess over the scan scales stays below delta1."""
-    idx = np.arange(len(cloud)) if candidates is None else np.asarray(candidates, dtype=int)
-    if idx.size == 0:
-        return idx
-    e = _excess_above(cloud, cloud.points[idx], config.scales, config.orientation, config.delta1)
-    return idx[e <= config.delta1]
+    e = _excess_above(cloud, cloud.points, config.scales, config.orientation, config.delta1)
+    return np.flatnonzero(e <= config.delta1)
 
 
 def heights_on_projection(
@@ -449,18 +430,16 @@ def lipschitz_approximation(
     cloud: BoundaryCloud,
     spec: GridSpec,
     config: PipelineConfig | None = None,
-    candidates: np.ndarray | None = None,
 ) -> ApproxResult:
     """Select, deposit, extend; then measure how well the graph fits.
 
-    Every sample is a selection candidate unless a subset is given; with
-    no admissible sample the result is the zero graph flagged degenerate
-    rather than an error.
+    With no admissible sample the result is the zero graph flagged
+    degenerate rather than an error.
     """
     config = PipelineConfig() if config is None else config
     tau = config.resolved_tau(spec)
     rin = config.inner_radius
-    m0 = select_m0(cloud, config, candidates)
+    m0 = select_m0(cloud, config)
     if m0.size == 0:
         zero = GridFunction.constant(spec, 0.0)
         return ApproxResult(
@@ -607,43 +586,6 @@ def truncate(
         phi_lemma_path=path,
         mu=mu,
     )
-
-
-def representative_region(
-    cloud: BoundaryCloud,
-    spec: GridSpec,
-    sigma: float,
-    L: float,
-) -> np.ndarray:
-    """Largest cell set of D_sigma whose samples obey the height cone.
-
-    A cell is removed when one of its samples q sees some sample p in the
-    sigma-cylinder with |height(q^-1 p)| > L ||proj(q^-1 p)||; removal is
-    repeated to stability.  The admissible sets are closed under union,
-    so greedy removal reaches the unique maximal one.
-    """
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    if L <= 0:
-        raise ValueError(f"cone constant must be positive, got {L}")
-    kept = disk_mask(spec, sigma)
-    proj = cloud.projections()
-    flat, inside = spec.locate(proj)
-    pool = cloud.points[(core.box(proj) < sigma) & (np.abs(cloud.heights) < 1.0)]
-    if pool.shape[0] == 0:
-        return kept
-    while True:
-        q_idx = np.flatnonzero(inside & kept[flat])
-        if q_idx.size == 0:
-            return kept
-        bad = np.zeros(q_idx.size, dtype=bool)
-        for blk in core._row_blocks(q_idx.size, len(pool)):
-            rel = core.mul(core.inv(cloud.points[q_idx[blk]])[:, None, :], pool[None, :, :])
-            w_rel, h_rel = core.proj(rel)
-            bad[blk] = np.any(np.abs(h_rel) > L * core.box(w_rel) + 1e-15, axis=1)
-        if not np.any(bad):
-            return kept
-        kept[flat[q_idx[bad]]] = False
 
 
 def check_bv(f: GridFunction, region: np.ndarray | None = None) -> dict:

@@ -104,12 +104,17 @@ def _read_cloud(cfg: RunConfig) -> BoundaryCloud:
 def _cloud_spec(cloud: BoundaryCloud, h: float | None) -> GridSpec:
     meta = cloud.meta.get("grid")
     if meta is not None:
-        return GridSpec(
-            int(meta["n"]),
-            tuple(float(v) for v in meta["origin"]),
-            float(meta["h"]),
-            tuple(int(c) for c in meta["counts"]),
-        )
+        try:
+            return GridSpec(
+                int(meta["n"]),
+                tuple(float(v) for v in meta["origin"]),
+                float(meta["h"]),
+                tuple(int(c) for c in meta["counts"]),
+            )
+        except KeyError as exc:
+            raise PreconditionError(f"cloud grid provenance lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed cloud grid provenance: {exc}") from None
     if h is None:
         raise PreconditionError("cloud carries no grid provenance; pass --h to pick one")
     return generators.default_grid(cloud.n, h)
@@ -433,7 +438,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             "cases": cases,
             "failures": fails,
             "vacuous": vacuous,
-            "slack": 0.05,
+            "slack": drep.slack,
             "worst_ratio": _empirical(worst),
             "passed": fails == 0 and vacuous < cases,
         }

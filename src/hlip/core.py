@@ -25,7 +25,6 @@ __all__ = [
     "proj",
     "cylnorm",
     "embed_w",
-    "w_mul",
     "w_dinf",
     "graph_points",
     "pi_rel_norm",
@@ -139,25 +138,6 @@ def embed_w(w: np.ndarray) -> np.ndarray:
     p[..., n : 2 * n] = w[..., n - 1 : 2 * n - 1]
     p[..., 2 * n] = w[..., 2 * n - 1]
     return p
-
-
-def w_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product inside the subgroup W (x_1 = 0 stays zero)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = a.shape[-1]
-    n = m // 2
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
-    out[..., : 2 * n - 1] = a[..., : 2 * n - 1] + b[..., : 2 * n - 1]
-    # x_1 = 0 on both factors, so only j >= 2 contributes to the twist
-    ax, ay = a[..., : n - 1], a[..., n : 2 * n - 1]
-    bx, by = b[..., : n - 1], b[..., n : 2 * n - 1]
-    out[..., 2 * n - 1] = (
-        a[..., 2 * n - 1]
-        + b[..., 2 * n - 1]
-        + 2.0 * (np.sum(ay * bx, axis=-1) - np.sum(ax * by, axis=-1))
-    )
-    return out
 
 
 def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ def _g17(values) -> str:
     return " ".join(f"{float(v):.17g}" for v in values)
 
 
-def _header_lines(fh, magic: str) -> dict:
+def _header_lines(fh, magic: str, required: tuple[str, ...]) -> dict:
     first = fh.readline().decode("ascii").split()
     if len(first) != 2 or first[0] != magic:
         raise ValueError(f"not a {magic} file")
@@ -72,6 +72,9 @@ def _header_lines(fh, magic: str) -> dict:
             raise ValueError("truncated header")
         line = line.decode("ascii").rstrip("\n")
         if line == "end":
+            missing = [key for key in required if key not in fields]
+            if missing:
+                raise ValueError(f"{magic} header lacks {', '.join(missing)}")
             return fields
         key, _, rest = line.partition(" ")
         fields[key] = rest
@@ -91,7 +94,7 @@ def write_grid(path, f: GridFunction) -> None:
 
 def read_grid(path) -> GridFunction:
     with open(path, "rb") as fh:
-        fields = _header_lines(fh, GRID_MAGIC)
+        fields = _header_lines(fh, GRID_MAGIC, ("n", "h", "origin", "counts"))
         n = int(fields["n"])
         h = float(fields["h"])
         origin = tuple(float(v) for v in fields["origin"].split())
@@ -119,10 +122,12 @@ def write_cloud(path, cloud: BoundaryCloud) -> None:
 
 def read_cloud(path) -> BoundaryCloud:
     with open(path, "rb") as fh:
-        fields = _header_lines(fh, CLOUD_MAGIC)
+        fields = _header_lines(fh, CLOUD_MAGIC, ("n", "count", "meta"))
         n = int(fields["n"])
         count = int(fields["count"])
         meta = json.loads(fields["meta"])
+        if not isinstance(meta, dict):
+            raise ValueError("cloud meta must be a JSON object")
         payload = fh.read()
     cols = (2 * n + 1) + 2 * n + 1
     expected = 8 * count * cols

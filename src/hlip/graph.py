@@ -25,12 +25,10 @@ __all__ = [
     "ExtensionConvergenceError",
     "grid_nodes",
     "intrinsic_gradient",
-    "graph_distance",
     "phi_ball",
     "lipschitz_estimate",
     "extension_constant",
     "extend_lipschitz",
-    "dilate_graph",
 ]
 
 
@@ -171,12 +169,12 @@ class GridFunction:
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
-    def interp(self, w: np.ndarray, clamp_tol: float = 1e-9) -> np.ndarray:
-        """Multilinear interpolation; raises off the grid beyond clamp_tol."""
+    def interp(self, w: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation; raises off the grid beyond 1e-9 of a spacing."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
         u = (w - np.array(self.spec.origin)) / self.spec.h
         hi = np.array(self.spec.counts, dtype=float) - 1.0
-        if np.any(u < -clamp_tol) or np.any(u > hi + clamp_tol):
+        if np.any(u < -1e-9) or np.any(u > hi + 1e-9):
             raise ValueError("interpolation point outside grid domain")
         u = np.clip(u, 0.0, hi)
         i0 = np.minimum(np.floor(u).astype(int), np.maximum(np.array(self.spec.counts) - 2, 0))
@@ -202,15 +200,6 @@ class IntrinsicGradient:
     spec: GridSpec
     components: np.ndarray  # shape (2n-1,) + counts
     dt: np.ndarray  # d(phi)/dt, shape counts
-
-    @property
-    def names(self) -> list[str]:
-        n = self.spec.n
-        return (
-            [f"X{i}" for i in range(2, n + 1)]
-            + ["B"]
-            + [f"Y{i}" for i in range(2, n + 1)]
-        )
 
     def norm_sq(self) -> np.ndarray:
         # summed in component order, as np.sum(components**2, axis=0) does
@@ -280,18 +269,6 @@ def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
         y_comp = _partial(v, h, n + i - 2, comps[n + i - 2])
         y_comp -= np.multiply(2.0 * spec.coordinate_field(i - 2), dt, out=tmp)
     return IntrinsicGradient(spec, comps, dt)
-
-
-def graph_distance(f: GridFunction, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Symmetrized graph quasi-distance between points of W.
-
-    d(w, w') = (||proj(Phi(w)^-1 Phi(w'))|| + ||proj(Phi(w')^-1 Phi(w))||) / 2.
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    p1 = core.graph_points(w1, f.interp(w1.reshape(-1, w1.shape[-1])).reshape(w1.shape[:-1]))
-    p2 = core.graph_points(w2, f.interp(w2.reshape(-1, w2.shape[-1])).reshape(w2.shape[:-1]))
-    return _sym_dist(p1, p2)
 
 
 def _sym_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -412,13 +389,17 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     return worst, pair
 
 
+# the cone-infimum fixed point stops once no value moves more than
+# _EXTENSION_TOL, and gives up after _EXTENSION_MAX_ITER sweeps
+_EXTENSION_TOL = 1e-10
+_EXTENSION_MAX_ITER = 100
+
+
 @dataclass
 class ExtensionReport:
     iterations: int
     residual: float
     m_const: float
-    lip_estimate: float
-    lip_bound_ok: bool
 
 
 def extend_lipschitz(
@@ -428,8 +409,6 @@ def extend_lipschitz(
     L: float,
     sup_bound: float | None = None,
     m_const: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
     verify: bool = True,
 ) -> tuple[GridFunction, ExtensionReport]:
     """Extend partial graph data to the whole grid by iterated cone infima.
@@ -473,7 +452,7 @@ def extend_lipschitz(
         for blk in blocks:
             d = core.w_dinf(wf[blk, None, :], kn[None, :, :])
             psi[blk] = values[np.argmin(d, axis=1)]
-        for it in range(1, max_iter + 1):
+        for it in range(1, _EXTENSION_MAX_ITER + 1):
             new = np.empty_like(psi)
             for blk in blocks:
                 pw = core.graph_points(wf[blk], psi[blk])
@@ -484,47 +463,10 @@ def extend_lipschitz(
             residual = float(np.max(np.abs(new - psi)))
             psi = new
             report_iters = it
-            if residual <= tol:
+            if residual <= _EXTENSION_TOL:
                 break
         else:
-            raise ExtensionConvergenceError(residual, max_iter)
+            raise ExtensionConvergenceError(residual, _EXTENSION_MAX_ITER)
         out[fill] = psi
+    return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual, M)
 
-    result = GridFunction(spec, out.reshape(spec.counts))
-    lip = lipschitz_estimate(result, pair_budget=20000, seed=1)
-    return result, ExtensionReport(
-        iterations=report_iters,
-        residual=residual,
-        m_const=M,
-        lip_estimate=lip,
-        lip_bound_ok=bool(lip <= M * 1.1 + 1e-12),
-    )
-
-
-def dilate_graph(lam: float, f: GridFunction) -> GridFunction:
-    """Dilated graph function phi_lam(delta_lam w) = lam * phi(w).
-
-    The output grid scales spacing by lam on every axis; the t axis extent
-    scales by lam^2, so its node count grows accordingly and values are
-    resampled by multilinear interpolation.
-    """
-    if lam <= 0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    spec = f.spec
-    d = 2 * spec.n
-    new_h = lam * spec.h
-    counts = list(spec.counts)
-    origin = [lam * o for o in spec.origin]
-    tax = d - 1
-    # t extent scales by lam^2; stay inside the source node hull so the
-    # resampling below never extrapolates
-    t_lo = lam * lam * spec.origin[tax]
-    t_hi = lam * lam * (spec.origin[tax] + (spec.counts[tax] - 1) * spec.h)
-    counts[tax] = max(2, int(np.floor((t_hi - t_lo) / new_h)) + 1)
-    origin[tax] = (t_lo + t_hi) / 2 - (counts[tax] - 1) * new_h / 2
-    new_spec = GridSpec(spec.n, tuple(origin), new_h, tuple(counts))
-    w = new_spec.nodes()
-    w_src = w / lam
-    w_src[:, tax] = w[:, tax] / (lam * lam)
-    vals = lam * f.interp(w_src, clamp_tol=1e-6 * max(1.0, lam * lam))
-    return GridFunction(new_spec, vals.reshape(new_spec.counts))

@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 LADDER_RATIO = 1.1
+# relative slack of the disk lemma check, for the discrete radius ladder
+_DISK_LEMMA_SLACK = 0.05
+# Lipschitz bound of the small-slope regime phi_maximal requires; the
+# continuous theory fixes no numeric value for it
+_SMALL_SLOPE_LIP = 0.2
 
 
 class PhiLemmaError(ValueError):
@@ -159,7 +164,6 @@ def disk_maximal(
     mu: DiscreteMeasure,
     s: float,
     centers: np.ndarray | None = None,
-    r_min: float | None = None,
 ) -> MaximalField:
     """Local maximal function sup_{0 < r < 4s - |x|} mu(D_r(x)) / (k r^Q).
 
@@ -175,7 +179,7 @@ def disk_maximal(
         raise ValueError("measure must be supported in D_{4s}")
     kappa = core.constants(spec.n)[0]
     hom = 2 * spec.n + 1
-    rungs = radius_ladder(r_min if r_min is not None else cell_diameter(spec), 4 * s)
+    rungs = radius_ladder(cell_diameter(spec), 4 * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
     evaluated = np.zeros(spec.size, dtype=bool)
@@ -219,7 +223,6 @@ def check_disk_lemma(
     s: float,
     theta: float,
     r: float,
-    slack: float = 0.05,
     fld: MaximalField | None = None,
 ) -> DiskLemmaReport:
     """Superlevel-measure bound for the disk maximal function.
@@ -243,8 +246,8 @@ def check_disk_lemma(
     lhs = float(np.count_nonzero(j_theta & (box < r))) * spec.cell_volume
     j_small, _ = superlevel(fld, theta / 2**hom)
     rhs = (5**hom / theta) * float(np.sum(mu.flat[j_small & (box < r + s / 5)]))
-    passed = bool(hypothesis_ok and lhs <= rhs * (1 + slack))
-    return DiskLemmaReport(lhs, rhs, theta, r, s, slack, hypothesis_ok, passed)
+    passed = bool(hypothesis_ok and lhs <= rhs * (1 + _DISK_LEMMA_SLACK))
+    return DiskLemmaReport(lhs, rhs, theta, r, s, _DISK_LEMMA_SLACK, hypothesis_ok, passed)
 
 
 def vitali_5r(
@@ -291,34 +294,29 @@ def phi_maximal(
     s: float,
     gamma2: float = 1.0,
     c_hat_l: float | None = None,
-    lip_threshold: float = 0.2,
     centers: np.ndarray | None = None,
-    r_min: float | None = None,
 ) -> PhiMaximalField:
     """Maximal function of mu_phi over graph-distance balls.
 
     Radii run over the ladder below r_phi(x, s) = (rho / c_L) s - d_phi(x, 0)
     with rho = 64 gamma2 + 2; c_L is estimated from the graph when not
-    given (floored at 1).  The small-slope regime is enforced through a
-    configurable Lipschitz threshold; the continuous theory fixes no
-    numeric value for it.
+    given (floored at 1).  A graph whose sampled Lipschitz constant exceeds
+    _SMALL_SLOPE_LIP is outside the small-slope regime and raises.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
     if mu_phi.spec != f.spec:
         raise ValueError("measure and graph must share a grid")
     lip = lipschitz_estimate(f)
-    if lip > lip_threshold:
+    if lip > _SMALL_SLOPE_LIP:
         raise PhiLemmaError(
-            f"graph too steep for the small-slope regime: {lip:.3g} > {lip_threshold:.3g}"
+            f"graph too steep for the small-slope regime: {lip:.3g} > {_SMALL_SLOPE_LIP:.3g}"
         )
     if c_hat_l is None:
         c_hat_l = estimate_ball_constants(f).c_l
     rho = 64.0 * gamma2 + 2.0
     spec = f.spec
-    rungs = radius_ladder(
-        r_min if r_min is not None else cell_diameter(spec), (rho / c_hat_l) * s
-    )
+    rungs = radius_ladder(cell_diameter(spec), (rho / c_hat_l) * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     pall = f.graph()
     d_origin = _sym_dist(_graph_point(f, np.zeros(2 * spec.n)), pall)
@@ -408,12 +406,11 @@ def check_poincare(
     f: GridFunction,
     x: np.ndarray,
     r: float,
-    p: float = 1.0,
     gamma2: float = 1.0,
 ) -> dict:
     """Empirical ratio of the phi-ball Poincare inequality at (x, r).
 
-    ratio = int_{U(x,r)} |phi - mean|^p / (r^p int_{U(x, C2 r)} |grad|^p)
+    ratio = int_{U(x,r)} |phi - mean| / (r int_{U(x, C2 r)} |grad|)
     with C2 = 2 gamma2.  Both balls must stay inside the grid.
     """
     c2 = 2.0 * gamma2
@@ -426,9 +423,9 @@ def check_poincare(
         raise ValueError("empty inner ball")
     V = f.spec.cell_volume
     vals = f.flat[inner]
-    num = float(np.sum(np.abs(vals - np.mean(vals)) ** p)) * V
+    num = float(np.sum(np.abs(vals - np.mean(vals)))) * V
     grad = intrinsic_gradient(f).norm().ravel()
-    den = r**p * float(np.sum(grad[outer] ** p)) * V
+    den = r * float(np.sum(grad[outer])) * V
     violation = den == 0.0 and num > 1e-14
     return {
         "ratio": 0.0 if num <= 1e-14 else (math.inf if den == 0.0 else num / den),

@@ -30,17 +30,16 @@ __all__ = [
 
 # one-sided second-order edge stencils read three node layers
 STENCIL_REACH = 3
+# sufficient-decrease constant of the line search, and its step halvings
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
-def _adjoint_axis(
-    u: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     """Adjoint of the second-order np.gradient stencil along one axis.
 
-    Written into `out` when given, so a caller can reuse one scratch array.
+    Written into `out`, so a caller can reuse one scratch array.
     """
-    if out is None:
-        out = np.empty_like(u)
     out.fill(0.0)
     nd = u.ndim
     out[_sl(nd, axis, slice(2, None))] += u[_sl(nd, axis, slice(1, -1))]
@@ -222,18 +221,15 @@ def solve(
     problem: DirichletProblem,
     tol: float = 1e-8,
     max_iter: int = 5000,
-    step_rule: str = "bb",
-    armijo: float = 1e-4,
-    max_halvings: int = 60,
 ) -> SolveReport:
-    """Projected gradient descent with backtracking line search.
+    """Projected gradient descent with Barzilai-Borwein steps and backtracking.
 
-    Accepted steps satisfy the sufficient-decrease condition, so the
-    energy trace is non-increasing.  A failed line search stops early and
-    reports the last iterate with converged=False.
+    The first step, and any step whose BB quotient is unusable, falls
+    back to twice the last accepted step (1 / max(|g|_inf, 1) before any).
+    Accepted steps satisfy the sufficient-decrease condition, so the energy
+    trace is non-increasing.  A failed line search stops early and reports
+    the last iterate with converged=False.
     """
-    if step_rule not in ("bb", "adaptive"):
-        raise ValueError(f"unknown step rule {step_rule!r}")
     spec = problem.spec
     region = problem.region
     mask = problem.initial.dirichlet_mask
@@ -257,7 +253,7 @@ def solve(
 
     while iterations < max_iter and g_trace[-1] > tol:
         alpha = None
-        if step_rule == "bb" and prev_x is not None:
+        if prev_x is not None:
             s = x - prev_x
             y = g - prev_g
             sy = float(s @ y)
@@ -267,12 +263,12 @@ def solve(
             alpha = 2.0 * last_alpha if last_alpha else 1.0 / max(g_trace[-1], 1.0)
         gg = float(g @ g)
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = x - alpha * g
             # rebinding drops the previous candidate's stencil pass first
             point = _Iterate(spec, cand.reshape(spec.counts))
             ec = energy(point, region)
-            if ec <= e - armijo * alpha * gg:
+            if ec <= e - _ARMIJO * alpha * gg:
                 accepted = True
                 break
             alpha *= 0.5

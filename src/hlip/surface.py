@@ -124,14 +124,11 @@ def _region_mask(f: GridFunction, region) -> np.ndarray:
     return mask
 
 
-def disk_mask(spec: GridSpec, r: float, center: np.ndarray | None = None) -> np.ndarray:
-    """Cells whose center lies in the group-translated disk D_r(center)."""
+def disk_mask(spec: GridSpec, r: float) -> np.ndarray:
+    """Cells whose center lies in the disk D_r about the origin."""
     if r <= 0:
         raise ValueError(f"disk radius must be positive, got {r}")
-    nodes = spec.nodes()
-    if center is None:
-        return core.box(nodes) < r
-    return core.w_dinf(np.asarray(center, dtype=float), nodes) < r
+    return core.box(spec.nodes()) < r
 
 
 def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndarray:
@@ -141,18 +138,11 @@ def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndar
     return core.cylnorm(core.mul(core.inv(center), cloud.points)) < r
 
 
-def hperimeter(f: GridFunction, region=None, integrand=None) -> float:
-    """Midpoint-rule H-perimeter of the graph over a region of W.
-
-    integrand, if given, is evaluated at the graph points and multiplies
-    the area element sqrt(1 + |grad phi|^2).
-    """
+def hperimeter(f: GridFunction, region=None) -> float:
+    """Midpoint-rule H-perimeter of the graph over a region of W."""
     mask = _region_mask(f, region)
     area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
-    total = area[mask]
-    if integrand is not None:
-        total = total * np.asarray(integrand(f.graph()[mask]), dtype=float)
-    return float(np.sum(total) * f.spec.cell_volume)
+    return float(np.sum(area[mask]) * f.spec.cell_volume)
 
 
 def sample_graph_boundary(
@@ -241,7 +231,6 @@ def height_bound_ratio(
     cloud: BoundaryCloud,
     r0: float,
     orientation: int = 1,
-    scale_factor: float = 16.0,
 ) -> dict:
     """Ratio sup{|h|/r0 over C_r0} / e(16 r0)^(1/(2(2n+1))).
 
@@ -253,7 +242,7 @@ def height_bound_ratio(
         raise ValueError(f"r0 must be positive, got {r0}")
     inside = cylinder_mask(cloud, np.zeros(2 * cloud.n + 1), r0)
     sup_h = float(np.max(np.abs(cloud.heights[inside]))) if np.any(inside) else 0.0
-    rep = excess_cloud(cloud, None, scale_factor * r0, orientation)
+    rep = excess_cloud(cloud, None, 16.0 * r0, orientation)
     power = 1.0 / (2 * (2 * cloud.n + 1))
     if sup_h == 0.0:
         ratio = 0.0
@@ -265,6 +254,6 @@ def height_bound_ratio(
         "sup_height": sup_h,
         "r0": float(r0),
         "excess_at_outer": rep.excess,
-        "outer_radius": scale_factor * r0,
+        "outer_radius": 16.0 * r0,
         "ratio": ratio,
     }

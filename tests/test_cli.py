@@ -170,6 +170,27 @@ def test_approx_malformed_config_exits_1(tmp_path, linear_cloud_file, capsys):
     assert main(["approx", str(linear_cloud_file), "--config", str(bad)]) == 1
 
 
+def test_approx_cloud_without_count_exits_1(tmp_path, linear_cloud_file, capsys):
+    raw = linear_cloud_file.read_bytes()
+    head, sep, payload = raw.partition(b"\nend\n")
+    lines = [ln for ln in head.split(b"\n") if not ln.startswith(b"count ")]
+    bad = tmp_path / "bad.cloud"
+    bad.write_bytes(b"\n".join(lines) + sep + payload)
+    assert main(["approx", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "count" in err
+
+
+def test_approx_grid_provenance_without_origin_exits_1(tmp_path, linear_cloud_file, capsys):
+    cloud = fileio.read_cloud(linear_cloud_file)
+    del cloud.meta["grid"]["origin"]
+    bad = tmp_path / "bad.cloud"
+    fileio.write_cloud(bad, cloud)
+    assert main(["approx", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "origin" in err
+
+
 # ---------------------------------------------------------------- truncate
 
 

@@ -19,6 +19,26 @@ def random_points(n, size, scale=5.0, rng=RNG):
     return p
 
 
+def w_mul(a, b):
+    """Product inside the subgroup W (x_1 = 0 stays zero), the reference
+    formula for the W kernels."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = a.shape[-1]
+    n = m // 2
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
+    out[..., : 2 * n - 1] = a[..., : 2 * n - 1] + b[..., : 2 * n - 1]
+    # x_1 = 0 on both factors, so only j >= 2 contributes to the twist
+    ax, ay = a[..., : n - 1], a[..., n : 2 * n - 1]
+    bx, by = b[..., : n - 1], b[..., n : 2 * n - 1]
+    out[..., 2 * n - 1] = (
+        a[..., 2 * n - 1]
+        + b[..., 2 * n - 1]
+        + 2.0 * (np.sum(ay * bx, axis=-1) - np.sum(ax * by, axis=-1))
+    )
+    return out
+
+
 # --- hand-checked examples -------------------------------------------------
 
 
@@ -176,7 +196,7 @@ def test_projection_of_w_is_identity():
 def test_w_subgroup_closure():
     a = RNG.uniform(-3, 3, size=(2000, 4))
     b = RNG.uniform(-3, 3, size=(2000, 4))
-    direct = core.w_mul(a, b)
+    direct = w_mul(a, b)
     via_h = core.mul(core.embed_w(a), core.embed_w(b))
     assert np.max(np.abs(core.embed_w(direct) - via_h)) < 1e-12
     assert np.max(np.abs(core.w_dinf(a, b) - core.dinf(core.embed_w(a), core.embed_w(b)))) < 1e-12
@@ -254,7 +274,7 @@ def _ref_dinf(p, q):
 
 
 def _ref_w_dinf(a, b):
-    return core.box(core.w_mul(core.inv(a), b))
+    return core.box(w_mul(core.inv(a), b))
 
 
 @st.composite

@@ -82,6 +82,18 @@ def test_grid_truncated_header(tmp_path):
         fileio.read_grid(path)
 
 
+def test_header_missing_field_names_it(tmp_path, spec):
+    path = tmp_path / "f.grid"
+    path.write_bytes(b"HLIPGRID 1\nn 2\nh 0.25\nend\n")
+    with pytest.raises(ValueError, match="lacks origin, counts"):
+        fileio.read_grid(path)
+    path = tmp_path / "f.cloud"
+    fileio.write_cloud(path, generators.flat_cloud(spec))
+    path.write_bytes(path.read_bytes().replace(b"meta {", b"meta [{", 1).replace(b"}\nend", b"}]\nend", 1))
+    with pytest.raises(ValueError, match="meta must be a JSON object"):
+        fileio.read_cloud(path)
+
+
 def test_cloud_round_trip_exact(tmp_path, spec):
     # the cluster generator carries the richest meta: nested params,
     # an index list and numpy scalars all have to survive the header

@@ -182,7 +182,6 @@ def test_gradient_n3_shape_and_formula():
     f = graph.GridFunction.from_callable(spec, lambda w: w[:, 5])  # phi = t
     g = graph.intrinsic_gradient(f)
     assert g.components.shape == (5,) + spec.counts
-    assert g.names == ["X2", "X3", "B", "Y2", "Y3"]
     w = spec.nodes()
     # phi = t: X_i = 2 y_i, B = -4t, Y_i = -2 x_i
     exact = np.stack(
@@ -263,16 +262,17 @@ def test_intrinsic_gradient_leaves_values_alone(small_spec):
 def test_graph_distance_flat_matches_w_metric(small_spec):
     f = graph.GridFunction.constant(small_spec, 0.0)
     w = small_spec.nodes()[::37]
-    d = graph.graph_distance(f, w[:, None, :], w[None, :, :])
+    p = f.graph()[::37]
+    d = graph._sym_dist(p[:, None, :], p[None, :, :])
     assert np.max(np.abs(d - core.w_dinf(w[:, None, :], w[None, :, :]))) == 0.0
 
 
 def test_graph_distance_symmetry_and_separation(small_spec):
     f = graph.GridFunction.from_callable(small_spec, lambda w: 0.2 * w[:, 1] + 0.1 * w[:, 0])
-    w = small_spec.nodes()[::29]
-    d = graph.graph_distance(f, w[:, None, :], w[None, :, :])
+    p = f.graph()[::29]
+    d = graph._sym_dist(p[:, None, :], p[None, :, :])
     assert np.max(np.abs(d - d.T)) == 0.0
-    off = d + np.eye(len(w))
+    off = d + np.eye(len(p))
     assert np.min(np.diag(d)) == 0.0 and np.min(off) > 0.0
 
 
@@ -280,11 +280,11 @@ def test_graph_distance_quasi_triangle_near_one():
     spec = graph.GridSpec.centered(2, 1.0, 0.25)
     f = graph.GridFunction.from_callable(spec, linear_fn(0.05))
     rng = np.random.default_rng(2)
-    w = spec.nodes()
-    i, j, k = (rng.integers(0, len(w), size=3000) for _ in range(3))
-    dij = graph.graph_distance(f, w[i], w[j])
-    dik = graph.graph_distance(f, w[i], w[k])
-    dkj = graph.graph_distance(f, w[k], w[j])
+    p = f.graph()
+    i, j, k = (rng.integers(0, len(p), size=3000) for _ in range(3))
+    dij = graph._sym_dist(p[i], p[j])
+    dik = graph._sym_dist(p[i], p[k])
+    dkj = graph._sym_dist(p[k], p[j])
     ok = (dik + dkj) > 1e-12
     c = np.max(dij[ok] / (dik + dkj)[ok])
     # quasi-triangle constant approaches 1 in the small-Lipschitz regime
@@ -371,7 +371,7 @@ def test_extension_single_node_is_constant(small_spec):
         small_spec, np.array([100]), np.array([0.7]), L=0.5, sup_bound=0.7
     )
     assert np.all(f.values == 0.7)
-    assert rep.lip_estimate == 0.0
+    assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) == 0.0
 
 
 def test_extension_full_data_is_identity(small_spec):
@@ -395,7 +395,7 @@ def test_extension_recovers_linear_graph():
     in_d1 = core.box(spec.nodes()) < 1.0
     assert np.max(np.abs(f.flat - base.flat)[in_d1]) <= 2 * eps * h
     assert np.array_equal(f.flat[K], base.flat[K])
-    assert rep.lip_bound_ok
+    assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1 + 1e-12
 
 
 def test_extension_preserves_sup_norm(small_spec):
@@ -411,7 +411,7 @@ def test_extension_a_posteriori_bound(small_spec):
         base = graph.GridFunction.from_callable(small_spec, linear_fn(eps))
         K = np.arange(0, small_spec.size, 5)
         f, rep = graph.extend_lipschitz(small_spec, K, base.flat[K], L=eps)
-        assert rep.lip_estimate <= rep.m_const * 1.1
+        assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1
 
 
 def test_extension_rejects_bad_cone(small_spec):
@@ -443,41 +443,6 @@ def test_extension_rejects_bad_input(small_spec):
         graph.extend_lipschitz(
             small_spec, np.array([3]), np.array([2.0]), L=0.1, sup_bound=1.0
         )
-
-
-# --- dilation ----------------------------------------------------------------
-
-
-def test_dilate_graph_identity(small_spec):
-    f = graph.GridFunction.from_callable(small_spec, linear_fn(0.1))
-    g = graph.dilate_graph(1.0, f)
-    assert g.spec == small_spec
-    assert np.max(np.abs(g.values - f.values)) < 1e-12
-
-
-def test_dilate_graph_constant(small_spec):
-    f = graph.GridFunction.constant(small_spec, 0.4)
-    g = graph.dilate_graph(2.0, f)
-    assert np.max(np.abs(g.values - 0.8)) < 1e-12
-    assert g.spec.h == pytest.approx(0.5)
-
-
-def test_dilate_graph_gradient_invariance():
-    # phi = y1 is invariant: phi_lam(w) = lam * (y1/lam) = y1, so B phi = 1
-    spec = graph.GridSpec.centered(2, 1.0, 0.25)
-    f = graph.GridFunction.from_callable(spec, linear_fn(1.0))
-    g = graph.dilate_graph(2.0, f)
-    grad = graph.intrinsic_gradient(g)
-    assert np.max(np.abs(grad.components[1] - 1.0)) < 1e-12
-    assert np.max(np.abs(grad.components[0])) < 1e-12
-    # t axis extent scaled by lam^2 = 4: node hull doubles at twice the h
-    assert g.spec.counts[3] == 2 * spec.counts[3] - 1
-
-
-def test_dilate_graph_rejects_nonpositive(small_spec):
-    f = graph.GridFunction.constant(small_spec, 0.0)
-    with pytest.raises(ValueError):
-        graph.dilate_graph(0.0, f)
 
 
 def cone_ratio_reference(nodes, vals):

@@ -370,7 +370,7 @@ def test_poincare_ratio_slope_independent():
     vals = []
     for eps in (1e-3, 3e-3, 1e-2):
         f = GridFunction.from_callable(pspec, lambda w: eps * w[:, 1])
-        rep = maximal.check_poincare(f, np.zeros(4), 0.25, p=1.0)
+        rep = maximal.check_poincare(f, np.zeros(4), 0.25)
         assert not rep["violation_candidate"]
         vals.append(rep["ratio"])
     assert max(vals) / min(vals) < 1.02

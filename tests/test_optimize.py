@@ -43,7 +43,7 @@ def test_axis_adjoint_identity():
     for axis in range(4):
         u = rng.normal(size=arr.shape)
         lhs = np.sum(np.gradient(arr, h, axis=axis, edge_order=2) * u)
-        rhs = np.sum(arr * _adjoint_axis(u, axis, h))
+        rhs = np.sum(arr * _adjoint_axis(u, axis, h, np.empty_like(u)))
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
@@ -187,8 +187,6 @@ def test_problem_validation(spec):
     # free nodes adjacent to exterior cells are rejected
     with pytest.raises(ValueError):
         optimize.DirichletProblem(ok, region=surface.disk_mask(spec, 0.5))
-    with pytest.raises(ValueError):
-        optimize.solve(optimize.dirichlet_problem(spec, data=0.0), step_rule="newton")
 
 
 def test_report_trace_invariant(spec):
@@ -280,7 +278,7 @@ def energy_gradient_reference(f, region=None):
     return grad.ravel()
 
 
-def solve_reference(problem, tol=1e-8, max_iter=5000, step_rule="bb", armijo=1e-4, max_halvings=60):
+def solve_reference(problem, tol=1e-8, max_iter=5000):
     """Descent with separate energy and gradient evaluations, kept as the reference."""
     spec, free = problem.spec, problem.free
 
@@ -300,7 +298,7 @@ def solve_reference(problem, tol=1e-8, max_iter=5000, step_rule="bb", armijo=1e-
     iterations = 0
     while iterations < max_iter and g_trace[-1] > tol:
         alpha = None
-        if step_rule == "bb" and prev_x is not None:
+        if prev_x is not None:
             s, y = x - prev_x, g - prev_g
             sy = float(s @ y)
             if sy > 1e-300:
@@ -309,10 +307,10 @@ def solve_reference(problem, tol=1e-8, max_iter=5000, step_rule="bb", armijo=1e-
             alpha = 2.0 * last_alpha if last_alpha else 1.0 / max(g_trace[-1], 1.0)
         gg = float(g @ g)
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(60):
             cand = x - alpha * g
             ec = e_of(cand.reshape(spec.counts))
-            if ec <= e - armijo * alpha * gg:
+            if ec <= e - 1e-4 * alpha * gg:
                 accepted = True
                 break
             alpha *= 0.5
@@ -331,19 +329,17 @@ def _wavy(w):
     return 0.3 + 0.04 * np.sin(3 * w[:, 0]) * np.cos(2 * w[:, 1]) * np.cos(w[:, 3])
 
 
-@pytest.mark.parametrize("step_rule", ["bb", "adaptive"])
 @pytest.mark.parametrize("with_region", [False, True])
-def test_solve_matches_reference_bitwise(spec, step_rule, with_region):
+def test_solve_matches_reference_bitwise(spec, with_region):
     region = surface.disk_mask(spec, 0.55) if with_region else None
     prob = optimize.dirichlet_problem(
         spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
     )
-    max_iter = 60 if step_rule == "bb" else 25
-    rep = optimize.solve(prob, tol=1e-7, max_iter=max_iter, step_rule=step_rule)
-    x, e_trace, g_trace, iterations, converged = solve_reference(
-        prob, tol=1e-7, max_iter=max_iter, step_rule=step_rule
-    )
-    assert iterations > 5
+    # both runs need more than 12 steps, so this one stops at the cap
+    max_iter = 12
+    rep = optimize.solve(prob, tol=1e-7, max_iter=max_iter)
+    x, e_trace, g_trace, iterations, converged = solve_reference(prob, tol=1e-7, max_iter=max_iter)
+    assert iterations == max_iter and not converged
     np.testing.assert_array_equal(rep.energy_trace, e_trace)
     np.testing.assert_array_equal(rep.gradient_trace, g_trace)
     assert rep.iterations == iterations

@@ -36,13 +36,6 @@ def test_linear_graph_perimeter_carries_sqrt2_density():
     assert abs(per - math.sqrt(2) * KAPPA2) / KAPPA2 < 0.015
 
 
-def test_perimeter_integrand_weighting():
-    spec, f = flat_disk_setup(h=0.1)
-    mask = surface.disk_mask(spec, 1.0)
-    doubled = surface.hperimeter(f, region=mask, integrand=lambda p: np.full(len(p), 2.0))
-    assert math.isclose(doubled, 2 * surface.hperimeter(f, region=mask), rel_tol=1e-14)
-
-
 def test_perimeter_region_forms_agree():
     spec, f = flat_disk_setup(h=0.2, half=0.6)
     mask = surface.disk_mask(spec, 0.5)
