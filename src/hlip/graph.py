@@ -469,4 +469,3 @@ def extend_lipschitz(
             raise ExtensionConvergenceError(residual, _EXTENSION_MAX_ITER)
         out[fill] = psi
     return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual, M)
-

@@ -65,8 +65,13 @@ class BoundaryCloud:
         if np.max(np.abs(lens - 1.0)) > 1e-9:
             raise ValueError("normals must be unit vectors")
         wit = self.meta.get("minimality")
-        if wit is not None and wit["lambda"] * wit["r0"] > 1.0 + 1e-12:
-            raise ValueError("minimality witness must satisfy lambda * r0 <= 1")
+        if wit is not None:
+            try:
+                product = float(wit["lambda"]) * float(wit["r0"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed minimality witness: {exc!r}") from None
+            if product > 1.0 + 1e-12:
+                raise ValueError("minimality witness must satisfy lambda * r0 <= 1")
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -191,6 +191,16 @@ def test_approx_grid_provenance_without_origin_exits_1(tmp_path, linear_cloud_fi
     assert err.startswith("error:") and "origin" in err
 
 
+def test_approx_minimality_witness_without_lambda_exits_1(tmp_path, linear_cloud_file, capsys):
+    cloud = fileio.read_cloud(linear_cloud_file)
+    cloud.meta["minimality"] = {"r0": 0.5}
+    bad = tmp_path / "bad.cloud"
+    fileio.write_cloud(bad, cloud)
+    assert main(["approx", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lambda" in err
+
+
 # ---------------------------------------------------------------- truncate
 
 
