@@ -181,24 +181,21 @@ def test_approx_cloud_without_count_exits_1(tmp_path, linear_cloud_file, capsys)
     assert err.startswith("error:") and "count" in err
 
 
-def test_approx_grid_provenance_without_origin_exits_1(tmp_path, linear_cloud_file, capsys):
+@pytest.mark.parametrize(
+    "missing, damage",
+    [
+        ("origin", lambda meta: meta["grid"].pop("origin")),  # grid provenance
+        ("lambda", lambda meta: meta.update(minimality={"r0": 0.5})),  # minimality witness
+    ],
+)
+def test_approx_malformed_cloud_meta_exits_1(tmp_path, linear_cloud_file, capsys, missing, damage):
     cloud = fileio.read_cloud(linear_cloud_file)
-    del cloud.meta["grid"]["origin"]
+    damage(cloud.meta)
     bad = tmp_path / "bad.cloud"
     fileio.write_cloud(bad, cloud)
     assert main(["approx", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "origin" in err
-
-
-def test_approx_minimality_witness_without_lambda_exits_1(tmp_path, linear_cloud_file, capsys):
-    cloud = fileio.read_cloud(linear_cloud_file)
-    cloud.meta["minimality"] = {"r0": 0.5}
-    bad = tmp_path / "bad.cloud"
-    fileio.write_cloud(bad, cloud)
-    assert main(["approx", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "lambda" in err
+    assert err.startswith("error:") and missing in err
 
 
 # ---------------------------------------------------------------- truncate
