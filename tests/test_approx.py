@@ -71,6 +71,17 @@ def test_config_validation():
     assert max(cfg.scales) <= cfg.outer_scale
 
 
+def test_reference_ratios_recorded():
+    # the continuum statements order their scales inner < scan < outer; the
+    # desk-scale defaults keep that order, and every report records the layout
+    cfg = PipelineConfig()
+    assert list(cfg.scales) == sorted(set(cfg.scales))
+    assert cfg.scales[-1] < cfg.outer_scale
+    assert cfg.resolved_maximal_scale() < cfg.outer_scale
+    d = cfg.to_dict()
+    assert (d["scales"], d["outer_scale"]) == (list(cfg.scales), cfg.outer_scale)
+
+
 # ------------------------------------------------------------- selection
 
 
