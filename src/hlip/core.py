@@ -11,6 +11,8 @@ of the package.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -163,8 +165,19 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # and x - 2s, so dinf and w_dinf share the twist of pi_rel_norm.
 
 # bytes of one (rows x cols) float64 plane in a row-blocked loop; the
-# kernels hold four planes at a time, so a block needs 2 MiB of cache
+# kernels hold four planes at a time and _map_blocks runs up to _WORKERS
+# blocks at once, so the live planes stay within _WORKERS x 4 x 512 KiB
 _BLOCK_BYTES = 1 << 19
+
+# threads that run the blocks of one _map_blocks call: the caller and at
+# most one helper.  numpy's kernels release the GIL, so two threads use two
+# cores; a second helper would cost another glibc malloc arena, which is
+# what raises peak RSS, for no core left to run on.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = min(2, len(os.sched_getaffinity(0)))
+else:  # no CPU affinity mask outside Linux
+    _WORKERS = min(2, os.cpu_count() or 1)
+_helper = None  # the helper's executor, started by the first call that needs it
 
 
 def _row_blocks(rows: int, cols: int):
@@ -174,6 +187,56 @@ def _row_blocks(rows: int, cols: int):
     step = max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
     for a in range(0, rows, step):
         yield slice(a, min(a + step, rows))
+
+
+def _map_blocks(fn, rows: int, cols: int) -> list:
+    """[fn(blk) for blk in _row_blocks(rows, cols)], in block order.
+
+    With _WORKERS = 2 and more than one block, the caller and one helper
+    thread run the same loop, each taking the next block from a shared
+    counter.  fn must write only its own block's rows of any shared output,
+    and must not call _map_blocks itself.  An exception in a block stops the
+    blocks not yet taken; the call waits for the helper to finish its block
+    and re-raises the exception unchanged.
+    """
+    blocks = list(_row_blocks(rows, cols))
+    out = [None] * len(blocks)
+    todo = enumerate(blocks)
+    lock = threading.Lock()
+    failed = False
+
+    def work():
+        nonlocal failed
+        while not failed:
+            with lock:
+                k, blk = next(todo, (None, None))
+            if blk is None:
+                return
+            try:
+                out[k] = fn(blk)
+            except BaseException:
+                failed = True
+                raise
+
+    helper = _start_helper().submit(work) if _WORKERS > 1 and len(blocks) > 1 else None
+    try:
+        work()
+    except BaseException:
+        if helper is not None:
+            helper.exception()  # wait, so no block of this call outlives it
+        raise
+    if helper is not None:
+        helper.result()
+    return out
+
+
+def _start_helper():
+    global _helper
+    if _helper is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hlip-blocks")
+    return _helper
 
 
 def _pair_columns(p, q, m_extra: int):

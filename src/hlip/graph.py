@@ -371,8 +371,8 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     """
     pts = core.graph_points(nodes, vals)
     m = len(vals)
-    worst, pair = 0.0, (-1, -1)
-    for blk in core._row_blocks(m, m):
+
+    def block(blk):
         a = blk.start
         num = np.abs(vals[blk, None] - vals[None, a:])
         den = np.minimum(
@@ -384,8 +384,13 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
             raise ConeViolationError("distinct values at zero graph distance in partial data")
         ratio = np.where(ok, num / np.maximum(den, 1e-300), 0.0)
         k = int(np.argmax(ratio))
-        if ratio.flat[k] > worst:
-            worst, pair = float(ratio.flat[k]), (a + k // (m - a), a + k % (m - a))
+        return a, float(ratio.flat[k]), k
+
+    # blocks reduced in block order with a strict >, as one serial pass would
+    worst, pair = 0.0, (-1, -1)
+    for a, best, k in core._map_blocks(block, m, m):
+        if best > worst:
+            worst, pair = best, (a + k // (m - a), a + k % (m - a))
     return worst, pair
 
 
@@ -446,18 +451,21 @@ def extend_lipschitz(
     if len(fill) > 0:
         pk = core.graph_points(kn, values)
         wf = nodes[fill]
-        # seed from the nearest sample in the W metric
-        blocks = list(core._row_blocks(len(fill), len(kn)))
         psi = np.empty(len(fill))
-        for blk in blocks:
+
+        def seed(blk):  # the nearest sample in the W metric
             d = core.w_dinf(wf[blk, None, :], kn[None, :, :])
             psi[blk] = values[np.argmin(d, axis=1)]
+
+        def sweep(blk):  # one cone infimum from psi into new
+            pw = core.graph_points(wf[blk], psi[blk])
+            cand = values[None, :] + M * core.pi_rel_norm(pk[None, :, :], pw[:, None, :])
+            new[blk] = np.min(cand, axis=1)
+
+        core._map_blocks(seed, len(fill), len(kn))
         for it in range(1, _EXTENSION_MAX_ITER + 1):
             new = np.empty_like(psi)
-            for blk in blocks:
-                pw = core.graph_points(wf[blk], psi[blk])
-                cand = values[None, :] + M * core.pi_rel_norm(pk[None, :, :], pw[:, None, :])
-                new[blk] = np.min(cand, axis=1)
+            core._map_blocks(sweep, len(fill), len(kn))
             if sup_bound is not None:
                 np.clip(new, -sup_bound, sup_bound, out=new)
             residual = float(np.max(np.abs(new - psi)))

@@ -53,6 +53,8 @@ _DISK_LEMMA_SLACK = 0.05
 # Lipschitz bound of the small-slope regime phi_maximal requires; the
 # continuous theory fixes no numeric value for it
 _SMALL_SLOPE_LIP = 0.2
+# outer ball factor C2 = 2 gamma2 of the Poincare check, at gamma2 = 1
+_POINCARE_C2 = 2.0
 
 
 class PhiLemmaError(ValueError):
@@ -95,14 +97,14 @@ class DiscreteMeasure:
         return float(np.sum(self.masses))
 
 
-def radius_ladder(r_min: float, r_max: float, ratio: float = LADDER_RATIO) -> np.ndarray:
-    """Geometric rungs r_min * ratio^k strictly below r_max."""
-    if r_min <= 0 or ratio <= 1:
-        raise ValueError("need r_min > 0 and ratio > 1")
+def radius_ladder(r_min: float, r_max: float) -> np.ndarray:
+    """Geometric rungs r_min * LADDER_RATIO^k strictly below r_max."""
+    if r_min <= 0:
+        raise ValueError("need r_min > 0")
     if r_max <= r_min:
         return np.empty(0)
-    k = int(math.floor(math.log(r_max / r_min) / math.log(ratio))) + 1
-    rungs = r_min * ratio ** np.arange(k + 1)
+    k = int(math.floor(math.log(r_max / r_min) / math.log(LADDER_RATIO))) + 1
+    rungs = r_min * LADDER_RATIO ** np.arange(k + 1)
     return rungs[rungs < r_max]
 
 
@@ -188,7 +190,8 @@ def disk_maximal(
         norm = kappa * rungs**hom
         sup_nodes = nodes[supp]
         sup_mass = mu.flat[supp]
-        for blk in core._row_blocks(eval_idx.size, supp.size):
+
+        def block(blk):
             idx = eval_idx[blk]
             x = nodes[idx]
             dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :])
@@ -197,6 +200,8 @@ def disk_maximal(
             admissible = rungs[None, :] < cap[:, None]
             ratios = np.where(admissible, cum / norm, 0.0)
             values[idx] = np.max(ratios, axis=1, initial=0.0)
+
+        core._map_blocks(block, eval_idx.size, supp.size)
     return MaximalField(spec, values, float(s), evaluated, rungs)
 
 
@@ -325,7 +330,7 @@ def phi_maximal(
     evaluated[eval_idx] = True
     mflat = mu_phi.flat
     if rungs.size:
-        for blk in core._row_blocks(eval_idx.size, spec.size):
+        def block(blk):
             idx = eval_idx[blk]
             pc = pall[idx]
             dist = _sym_dist(pc[:, None, :], pall[None, :, :])
@@ -338,6 +343,8 @@ def phi_maximal(
                 admissible, mass / np.maximum(count, 1.0) / spec.cell_volume, 0.0
             )
             values[idx] = np.max(ratios, axis=1, initial=0.0)
+
+        core._map_blocks(block, eval_idx.size, spec.size)
     return PhiMaximalField(
         spec,
         values,
@@ -402,21 +409,15 @@ def check_phi_lemma(
     }
 
 
-def check_poincare(
-    f: GridFunction,
-    x: np.ndarray,
-    r: float,
-    gamma2: float = 1.0,
-) -> dict:
+def check_poincare(f: GridFunction, x: np.ndarray, r: float) -> dict:
     """Empirical ratio of the phi-ball Poincare inequality at (x, r).
 
     ratio = int_{U(x,r)} |phi - mean| / (r int_{U(x, C2 r)} |grad|)
-    with C2 = 2 gamma2.  Both balls must stay inside the grid.
+    with C2 = _POINCARE_C2.  Both balls must stay inside the grid.
     """
-    c2 = 2.0 * gamma2
     x = np.asarray(x, dtype=float)
     inner, _, exits_inner = phi_ball(f, x, r)
-    outer, _, exits_outer = phi_ball(f, x, c2 * r)
+    outer, _, exits_outer = phi_ball(f, x, _POINCARE_C2 * r)
     if exits_inner or exits_outer:
         raise ValueError("phi-ball leaves the grid; shrink r or recentre")
     if not np.any(inner):
@@ -431,7 +432,7 @@ def check_poincare(
         "ratio": 0.0 if num <= 1e-14 else (math.inf if den == 0.0 else num / den),
         "numerator": num,
         "denominator": den,
-        "c2": c2,
+        "c2": _POINCARE_C2,
         "r": r,
         "violation_candidate": violation,
     }
@@ -473,18 +474,22 @@ def estimate_ball_constants(
     interior = interior[: max(1, interior.size // 3)]
     px = f.graph()
     px_boundary = px[spec.boundary_mask().ravel()]
-    seen: dict = {}  # centre -> (graph point, distance to the boundary nodes)
+    # graph points of every candidate centre from one interpolation;
+    # row_of[c] is node c's row among them
+    centres = core.graph_points(nodes[interior], f.interp(nodes[interior]))
+    row_of = np.empty(spec.size, dtype=int)
+    row_of[interior] = np.arange(interior.size)
+    seen: dict = {}  # centre -> distance to the boundary nodes
     c1, c2, used = math.inf, 0.0, 0
     for _ in range(20 * samples):
         if used >= samples:
             break
         ci = rng.choice(interior)
         r = math.exp(rng.uniform(math.log(r_bounds[0]), math.log(r_bounds[1])))
+        pc = centres[row_of[ci]]
         if ci not in seen:
-            pc = _graph_point(f, nodes[ci])
-            seen[ci] = pc, np.min(_sym_dist(pc, px_boundary))
-        pc, to_boundary = seen[ci]
-        if to_boundary < r:
+            seen[ci] = np.min(_sym_dist(pc, px_boundary))
+        if seen[ci] < r:
             continue
         count = np.count_nonzero(_sym_dist(pc, px) < r)
         if count == 0:

@@ -1,6 +1,9 @@
 """Group arithmetic, norms, projections, and the dimensional constants."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hlip import core
+from hlip.graph import ConeViolationError
 
 RNG = np.random.default_rng(20260814)
 
@@ -341,6 +345,60 @@ def test_row_blocks_yield_single_rows_over_budget():
     cols = core._BLOCK_BYTES // 8 + 1
     blocks = list(core._row_blocks(5, cols))
     assert [(b.start, b.stop) for b in blocks] == [(k, k + 1) for k in range(5)]
+
+
+def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 3)  # 3 rows per block at 1 column
+    rows = 3000
+    expected = list(core._row_blocks(rows, 1))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    threads = set()
+    try:
+        for _ in range(20):
+            runs = [0] * len(expected)
+
+            def fn(blk):
+                runs[blk.start // 3] += 1
+                threads.add(threading.get_ident())
+                time.sleep(0)  # let the other thread take a block
+                return blk
+
+            assert core._map_blocks(fn, rows, 1) == expected
+            assert runs == [1] * len(expected)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(threads) == 2
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_map_blocks_reraises_after_the_helper_stops(monkeypatch, raiser):
+    # one thread raises in its block while the other is inside a slow one:
+    # the call re-raises that very exception only after the other block
+    # ends, takes no further block, and the next call still works
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block at 1 column
+    caller = threading.current_thread()
+    other_started = threading.Event()
+    error = ConeViolationError(f"raised in a {raiser} block")
+    ran, finished = [], []
+
+    def fn(blk):
+        ran.append(blk.start)
+        if (threading.current_thread() is caller) == (raiser == "caller"):
+            assert other_started.wait(timeout=30)
+            raise error
+        other_started.set()
+        time.sleep(0.1)
+        finished.append(blk.start)
+        return blk.start
+
+    with pytest.raises(ConeViolationError) as info:
+        core._map_blocks(fn, 6, 1)
+    assert info.value is error
+    assert len(finished) == 1 and len(ran) == 2
+    assert core._map_blocks(lambda blk: blk.start, 6, 1) == list(range(6))
 
 
 def _ref_box(p):

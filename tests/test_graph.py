@@ -414,6 +414,26 @@ def test_extension_a_posteriori_bound(small_spec):
         assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1
 
 
+def test_extension_same_on_one_and_two_workers(monkeypatch):
+    spec = graph.GridSpec.centered(2, 0.75, 0.25)
+    base = graph.GridFunction.from_callable(
+        spec, lambda w: 0.04 * w[:, 1] + 0.01 * np.sin(3 * w[:, 0] + w[:, 2])
+    )
+    K = np.sort(np.random.default_rng(5).choice(spec.size, size=spec.size // 3, replace=False))
+    # about 20 fill rows per block, so each pass has several blocks
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * len(K) * 20)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        ratio = graph._cone_ratio(spec.nodes()[K], base.flat[K])
+        f, rep = graph.extend_lipschitz(spec, K, base.flat[K], L=0.1)
+        runs.append((ratio, f.flat, rep.iterations, rep.residual))
+    (ratio1, flat1, it1, res1), (ratio2, flat2, it2, res2) = runs
+    assert ratio1 == ratio2
+    np.testing.assert_array_equal(flat1, flat2)
+    assert it1 == it2 > 1 and res1 == res2
+
+
 def test_extension_rejects_bad_cone(small_spec):
     with pytest.raises(graph.ConeViolationError):
         graph.extend_lipschitz(small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1)
@@ -487,16 +507,18 @@ def cone_data(draw):
         vals = np.array(draw(st.lists(st.sampled_from((0.0, 0.01, -0.01)), min_size=m, max_size=m)))
     else:
         vals = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=m, max_size=m)))
-    return nodes, vals, draw(st.integers(1, 7))
+    return nodes, vals, draw(st.integers(1, 7)), draw(st.sampled_from((1, 2)))
 
 
 @given(cone_data())
 @settings(max_examples=300, deadline=None)
 def test_half_matrix_cone_ratio_matches_full_matrix(data):
     # forced ties (linear graphs, repeated values) and several row blocks,
-    # most of them not dividing m, must keep the witness pair
-    nodes, vals, rows = data
+    # most of them not dividing m, run by one thread or two, must keep the
+    # witness pair
+    nodes, vals, rows, workers = data
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_BYTES", 8 * len(vals) * rows)
+        mp.setattr(core, "_WORKERS", workers)
         got = cone_outcome(graph._cone_ratio, nodes, vals)
         assert got == cone_outcome(cone_ratio_reference, nodes, vals)

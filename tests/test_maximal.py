@@ -102,8 +102,10 @@ def test_maximal_fields_independent_of_block_size(spec, monkeypatch):
 
     default = fields()
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1)  # one center per block
-    for a, b in zip(default, fields()):
-        np.testing.assert_array_equal(a, b)
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        for a, b in zip(default, fields()):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_zero_measure_gives_zero_field(spec):
