@@ -303,9 +303,10 @@ def heights_on_projection(
     order = np.lexsort((h, flat))
     flat, h, wt = flat[order], h[order], wt[order]
     cells, starts = np.unique(flat, return_index=True)
-    values = np.empty(len(cells))
     bounds = np.append(starts, len(flat))
-    for k in range(len(cells)):
+    # a cell hit once takes its sample's height, whatever the weight's sign
+    values = h[starts]
+    for k in np.flatnonzero(np.diff(bounds) > 1):
         hs = h[bounds[k] : bounds[k + 1]]
         ws = wt[bounds[k] : bounds[k + 1]]
         tot = float(np.sum(ws))

@@ -163,6 +163,14 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # for bit with its broadcast formula (box(mul(inv(p), q)) for dinf).
 # (-p) + q and q - p are the same IEEE operation, and so are x + 2(-s)
 # and x - 2s, so dinf and w_dinf share the twist of pi_rel_norm.
+#
+# Swapping p and q negates every coordinate difference and the twist
+# exactly, because IEEE rounding is symmetric in sign; the squares and the
+# shear 2 dx_1 dy_1 stay the same.  So tau of (q, p) is -(twist + shear),
+# and pi_rel_norm(both=True) pays for the second order with one add, abs,
+# sqrt and max.  It keeps four planes: z^2 into A (B and C scratch), the
+# twist into D (B and C scratch), then the shear into B, twist + shear
+# into C and tau into D.
 
 # bytes of one (rows x cols) float64 plane in a row-blocked loop; the
 # kernels hold four planes at a time and _map_blocks runs up to _WORKERS
@@ -280,11 +288,16 @@ def _square_sum(P, Q, ks, out, tmp):
 
 
 def _box_of(z2, t):
-    """max(sqrt(z2), sqrt(|t|)) in plane z2; a numpy scalar for a single pair."""
+    """max(sqrt(z2), sqrt(|t|)) in plane t; a numpy scalar for a single pair."""
     np.sqrt(z2, out=z2)
+    return _max_root(z2, t)
+
+
+def _max_root(root, t):
+    """max(root, sqrt(|t|)) in plane t; a numpy scalar for a single pair."""
     np.sqrt(np.abs(t, out=t), out=t)
-    np.maximum(z2, t, out=z2)
-    return z2 if z2.ndim else z2[()]
+    np.maximum(root, t, out=t)
+    return t if t.ndim else t[()]
 
 
 def dinf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -303,19 +316,28 @@ def w_dinf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _box_of(_square_sum(P, Q, range(2 * n - 1), s, v), t)
 
 
-def pi_rel_norm(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """||proj(p^-1 * q)||_inf without materializing the product."""
+def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False):
+    """||proj(p^-1 * q)||_inf without materializing the product.
+
+    With both=True, the pair (pi_rel_norm(p, q), pi_rel_norm(q, p)) from
+    one pass, bit for bit.
+    """
     P, Q, n, shape = _pair_columns(p, q, 1)
-    s, u, v, w = (np.empty(shape) for _ in range(4))
-    tau = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, s, u, v)
+    a, b, c, d = (np.empty(shape) for _ in range(4))
+    z2 = _square_sum(P, Q, range(1, n), a, b)
+    z2 += _square_sum(P, Q, range(n, 2 * n), b, c)
+    tau = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, b, d, c)
     # tau = t_rel - (2 dx_1) dy_1 shears the t coordinate onto W
-    np.subtract(Q[0], P[0], out=s)
-    s *= 2.0
-    s *= np.subtract(Q[n], P[n], out=v)
-    tau -= s
-    z2 = _square_sum(P, Q, range(1, n), s, v)
-    z2 += _square_sum(P, Q, range(n, 2 * n), v, w)
-    return _box_of(z2, tau)
+    np.subtract(Q[0], P[0], out=b)
+    b *= 2.0
+    b *= np.subtract(Q[n], P[n], out=c)
+    if not both:
+        tau -= b
+        return _box_of(z2, tau)
+    back = np.add(tau, b, out=c)  # -(tau of q^-1 * p)
+    tau -= b
+    np.sqrt(z2, out=z2)
+    return _max_root(z2, tau), _max_root(z2, back)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,10 @@ def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
 
 def _sym_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Symmetrized quasi-distance between graph points, broadcasting like pi_rel_norm."""
-    return 0.5 * (core.pi_rel_norm(p, q) + core.pi_rel_norm(q, p))
+    a, b = core.pi_rel_norm(p, q, both=True)
+    a += b
+    a *= 0.5
+    return a
 
 
 def _graph_point(f: GridFunction, x: np.ndarray) -> np.ndarray:
@@ -338,7 +341,8 @@ def lipschitz_estimate(
     pi_ = core.graph_points(nodes[i], vals[i])
     pj = core.graph_points(nodes[j], vals[j])
     num = np.abs(vals[i] - vals[j])
-    den = np.minimum(core.pi_rel_norm(pj, pi_), core.pi_rel_norm(pi_, pj))
+    den, back = core.pi_rel_norm(pj, pi_, both=True)
+    np.minimum(den, back, out=den)
     bad = (den < 1e-15) & (num > 1e-12)
     if np.any(bad):
         raise ValueError("distinct values at zero graph distance: not an intrinsic graph")
@@ -375,10 +379,8 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     def block(blk):
         a = blk.start
         num = np.abs(vals[blk, None] - vals[None, a:])
-        den = np.minimum(
-            core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :]),
-            core.pi_rel_norm(pts[blk, None, :], pts[None, a:, :]),
-        )
+        den, back = core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :], both=True)
+        np.minimum(den, back, out=den)
         ok = den >= 1e-15
         if np.any(~ok & (num > 1e-12)):
             raise ConeViolationError("distinct values at zero graph distance in partial data")

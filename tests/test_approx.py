@@ -261,6 +261,48 @@ def test_heights_on_projection_single_and_median():
     assert vals3[0] == 1.0
 
 
+def heights_reference(cloud, m0, spec):
+    """heights_on_projection with the weighted-median loop over every cell,
+    singletons included, kept as the reference."""
+    flat, inside = spec.locate(cloud.projections()[m0])
+    flat, h, wt = flat[inside], cloud.heights[m0][inside], cloud.weights[m0][inside]
+    order = np.lexsort((h, flat))
+    flat, h, wt = flat[order], h[order], wt[order]
+    cells, starts = np.unique(flat, return_index=True)
+    values = np.empty(len(cells))
+    bounds = np.append(starts, len(flat))
+    for k in range(len(cells)):
+        hs = h[bounds[k] : bounds[k + 1]]
+        ws = wt[bounds[k] : bounds[k + 1]]
+        tot = float(np.sum(ws))
+        if tot == 0.0:
+            values[k] = float(np.median(hs))
+            continue
+        j = int(np.searchsorted(np.cumsum(ws), 0.5 * tot))
+        values[k] = hs[min(j, len(hs) - 1)]
+    return cells, values
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heights_on_projection_matches_loop_reference(seed):
+    # singletons, duplicated cells, cells whose weights are all zero and
+    # single samples of weight zero, some samples outside the grid
+    rng = np.random.default_rng(seed)
+    spec = GridSpec.centered(2, 0.5, 0.25)
+    hit = rng.choice(rng.integers(0, spec.size, size=30), size=60)
+    w = spec.nodes()[hit] + rng.uniform(-0.1, 0.1, size=(60, 4))
+    w[:3] += 5.0
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=60)
+    weights[hit == hit[5]] = 0.0
+    cloud = manual_cloud(w, rng.normal(scale=0.1, size=60), weights)
+    cells, values = approx.heights_on_projection(cloud, np.arange(60), spec)
+    ref_cells, ref_values = heights_reference(cloud, np.arange(60), spec)
+    per_cell = np.bincount(hit[3:])
+    assert np.any(per_cell == 1) and np.any(per_cell > 1)
+    np.testing.assert_array_equal(cells, ref_cells)
+    np.testing.assert_array_equal(values, ref_values)
+
+
 # -------------------------------------------------------------- pipeline
 
 

@@ -304,6 +304,28 @@ def test_fused_pi_rel_norm_bitwise(pq):
 
 @given(point_pairs(1))
 @settings(max_examples=300, deadline=None)
+def test_pi_rel_norm_both_orders_bitwise(pq):
+    # one pass gives both orders: reversing negates the twist exactly
+    p, q = pq
+    fwd, back = core.pi_rel_norm(p, q, both=True)
+    np.testing.assert_array_equal(fwd, _ref_pi_rel_norm(p, q))
+    np.testing.assert_array_equal(back, _ref_pi_rel_norm(q, p))
+
+
+def test_pi_rel_norm_both_orders_equal_points_and_scalars():
+    p = random_points(2, 5)
+    # p == q: every difference and tau are +-0, so both orders read +0
+    fwd, back = core.pi_rel_norm(p, p, both=True)
+    assert np.all(fwd == 0.0) and not np.any(np.signbit(fwd))
+    assert np.all(back == 0.0) and not np.any(np.signbit(back))
+    pair = core.pi_rel_norm(p[0], p[1], both=True)
+    assert isinstance(pair, tuple) and len(pair) == 2
+    assert all(isinstance(d, np.float64) and np.ndim(d) == 0 for d in pair)
+    assert pair == (core.pi_rel_norm(p[0], p[1]), core.pi_rel_norm(p[1], p[0]))
+
+
+@given(point_pairs(1))
+@settings(max_examples=300, deadline=None)
 def test_fused_dinf_bitwise(pq):
     p, q = pq
     np.testing.assert_array_equal(core.dinf(p, q), _ref_dinf(p, q))

@@ -276,6 +276,50 @@ def test_graph_distance_symmetry_and_separation(small_spec):
     assert np.min(np.diag(d)) == 0.0 and np.min(off) > 0.0
 
 
+def sym_dist_reference(p, q):
+    """_sym_dist as two one-order kernel calls, kept as the reference."""
+    return 0.5 * (core.pi_rel_norm(p, q) + core.pi_rel_norm(q, p))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_dist_matches_two_call_reference(n):
+    rng = np.random.default_rng(n)
+    spec = graph.GridSpec.centered(n, 1.0, 0.5)
+    f = graph.GridFunction(spec, 0.3 * rng.normal(size=spec.counts))
+    p = f.graph()[rng.integers(0, spec.size, size=9)]
+    for a, b in [(p[:, None, :], p[None, :5, :]), (p[0], p), (p, p[::-1]), (p[2], p[7])]:
+        got = graph._sym_dist(a, b)
+        np.testing.assert_array_equal(got, sym_dist_reference(a, b))
+        assert type(got) is type(sym_dist_reference(a, b))
+
+
+def lipschitz_estimate_reference(f, pair_budget, seed):
+    """lipschitz_estimate with two one-order kernel calls, kept as the reference."""
+    nodes, vals = f.spec.nodes(), f.flat
+    i, j = graph._pair_stream(len(vals), pair_budget, seed)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    pi_ = core.graph_points(nodes[i], vals[i])
+    pj = core.graph_points(nodes[j], vals[j])
+    num = np.abs(vals[i] - vals[j])
+    den = np.minimum(core.pi_rel_norm(pj, pi_), core.pi_rel_norm(pi_, pj))
+    ok = den >= 1e-15
+    return float(np.max(num[ok] / den[ok]))
+
+
+@pytest.mark.parametrize("kind", ["linear", "random"])
+def test_lipschitz_estimate_matches_two_call_reference(small_spec, kind):
+    if kind == "linear":
+        f = graph.GridFunction.from_callable(small_spec, lambda w: 0.1 * w[:, 1] + 0.05 * w[:, 0])
+    else:
+        rng = np.random.default_rng(4)
+        f = graph.GridFunction(small_spec, 0.02 * rng.normal(size=small_spec.counts))
+    for seed in (0, 3):
+        assert graph.lipschitz_estimate(f, 5000, seed=seed) == lipschitz_estimate_reference(
+            f, 5000, seed
+        )
+
+
 def test_graph_distance_quasi_triangle_near_one():
     spec = graph.GridSpec.centered(2, 1.0, 0.25)
     f = graph.GridFunction.from_callable(spec, linear_fn(0.05))
