@@ -174,7 +174,12 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 # bytes of one (rows x cols) float64 plane in a row-blocked loop; the
 # kernels hold four planes at a time and _map_blocks runs up to _WORKERS
-# blocks at once, so the live planes stay within _WORKERS x 4 x 512 KiB
+# blocks at once, so the live planes stay within _WORKERS x 4 x 512 KiB.
+# The grid stencil passes (graph.intrinsic_gradient, optimize's area
+# element and energy gradient) block a grid along axis 0 instead: each
+# block reads the whole-grid inputs and writes one budget-sized slab of
+# each output and of scratch allocated once per call, so they allocate
+# nothing per block.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at
@@ -206,6 +211,11 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
     and must not call _map_blocks itself.  An exception in a block stops the
     blocks not yet taken; the call waits for the helper to finish its block
     and re-raises the exception unchanged.
+
+    Consecutive calls are a barrier: every block of one call has finished
+    when it returns, so the next call's blocks may read any row the first
+    wrote (optimize.energy_gradient scales every row before its axis-0
+    adjoint reads neighbour rows).
     """
     blocks = list(_row_blocks(rows, cols))
     out = [None] * len(blocks)

@@ -202,13 +202,8 @@ class IntrinsicGradient:
     dt: np.ndarray  # d(phi)/dt, shape counts
 
     def norm_sq(self) -> np.ndarray:
-        # summed in component order, as np.sum(components**2, axis=0) does
-        comps = self.components
-        out = np.multiply(comps[0], comps[0])
-        sq = np.empty_like(out)
-        for c in comps[1:]:
-            out += np.multiply(c, c, out=sq)
-        return out
+        counts = self.spec.counts
+        return _norm_sq_into(self.components, np.empty(counts), np.empty(counts))
 
     def norm(self) -> np.ndarray:
         return np.sqrt(self.norm_sq())
@@ -218,6 +213,17 @@ class IntrinsicGradient:
         return self.components.reshape(2 * self.spec.n - 1, -1).T
 
 
+def _norm_sq_into(comps: np.ndarray, out: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Sum of squares over the leading axis of comps, written into out; sq is scratch.
+
+    Summed in component order, as np.sum(comps**2, axis=0) does.
+    """
+    np.multiply(comps[0], comps[0], out=out)
+    for c in comps[1:]:
+        out += np.multiply(c, c, out=sq)
+    return out
+
+
 def _sl(ndim: int, axis: int, s) -> tuple:
     """Index selecting `s` along one axis and everything along the others."""
     idx = [slice(None)] * ndim
@@ -225,24 +231,61 @@ def _sl(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
-def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """np.gradient(v, h, axis=axis, edge_order=2) written into `out`, bit for bit.
+def _slab(v: np.ndarray, out: np.ndarray, axis: int, rows: slice):
+    """Operands of a stencil along `axis` that writes only `rows` (axis 0) of out.
 
-    Centered differences inside, numpy's one-sided second-order
-    coefficients on the two end layers, evaluated in numpy's order.
+    Returns (v, out, a, b): the stencil writes indices a..b-1 along `axis`
+    of the returned out.  Off axis 0 that is the whole axis of the slab
+    views; on axis 0 it is `rows` of the whole arrays, so the stencil
+    reads the neighbour rows outside the slab.
+    """
+    if axis:
+        v, out = v[rows], out[rows]
+        return v, out, 0, v.shape[axis]
+    return v, out, rows.start, rows.stop
+
+
+def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of np.gradient(v, h, axis=axis, edge_order=2) written into out[rows].
+
+    Bit for bit: centered differences inside, numpy's one-sided
+    second-order coefficients on the two end layers, evaluated in numpy's
+    order.  `rows` is a slice of axis 0 with explicit bounds; returns out[rows].
     """
     nd = v.ndim
-    mid = out[_sl(nd, axis, slice(1, -1))]
-    np.subtract(v[_sl(nd, axis, slice(2, None))], v[_sl(nd, axis, slice(None, -2))], out=mid)
+    rows_out = out[rows]
+    v, out, a, b = _slab(v, out, axis, rows)
+    last = v.shape[axis] - 1
+    lo, hi = max(a, 1), min(b, last)
+    mid = out[_sl(nd, axis, slice(lo, hi))]
+    np.subtract(
+        v[_sl(nd, axis, slice(lo + 1, hi + 1))], v[_sl(nd, axis, slice(lo - 1, hi - 1))], out=mid
+    )
     np.divide(mid, 2.0 * h, out=mid)
     for end, layers, coefs in (
         (0, (0, 1, 2), (-1.5, 2.0, -0.5)),
-        (-1, (-3, -2, -1), (0.5, -2.0, 1.5)),
+        (last, (-3, -2, -1), (0.5, -2.0, 1.5)),
     ):
-        a, b, c = (k / h for k in coefs)
-        fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
-        out[_sl(nd, axis, end)] = a * fi + b * fj + c * fk
-    return out
+        if a <= end < b:
+            c0, c1, c2 = (k / h for k in coefs)
+            fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
+            out[_sl(nd, axis, end)] = c0 * fi + c1 * fj + c2 * fk
+    return rows_out
+
+
+def _map_slabs(fn, spec: GridSpec) -> None:
+    """Run fn(rows) on every x_2-slab of the grid: core._map_blocks over axis-0 rows."""
+    core._map_blocks(fn, spec.counts[0], spec.size // spec.counts[0])
+
+
+def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
+    """2 * the coordinate of axes first..first+n-2, each over the full grid
+    shape, so a row slab slices it: (2 y_2..2 y_n) for first = n and
+    (2 x_2..2 x_n) for first = 0."""
+    return [
+        np.broadcast_to(2.0 * spec.coordinate_field(first + k), spec.counts)
+        for k in range(spec.n - 1)
+    ]
 
 
 def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
@@ -250,24 +293,33 @@ def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
 
     X_i phi = d/dx_i + 2 y_i d/dt, Y_i phi = d/dy_i - 2 x_i d/dt for
     i = 2..n, and the Burgers component B phi = d/dy_1 - 4 phi d/dt.
-    The result also carries d(phi)/dt.
+    The result also carries d(phi)/dt.  The stencils run in row slabs
+    along axis 0 (x_2) on core._map_blocks.
     """
     spec, v = f.spec, f.values
     n, h = spec.n, spec.h
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
-    dt = _partial(v, h, 2 * n - 1, np.empty(spec.counts))
+    t_ax = 2 * n - 1
+    dt = np.empty(spec.counts)
     comps = np.empty((2 * n - 1,) + spec.counts)
     tmp = np.empty(spec.counts)
-    for i in range(2, n + 1):
-        x_comp = _partial(v, h, i - 2, comps[i - 2])
-        x_comp += np.multiply(2.0 * spec.coordinate_field(n + i - 2), dt, out=tmp)
-    b_comp = _partial(v, h, n - 1, comps[n - 1])
-    np.multiply(4.0, v, out=tmp)
-    b_comp -= np.multiply(tmp, dt, out=tmp)
-    for i in range(2, n + 1):
-        y_comp = _partial(v, h, n + i - 2, comps[n + i - 2])
-        y_comp -= np.multiply(2.0 * spec.coordinate_field(i - 2), dt, out=tmp)
+    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
+
+    def block(rows: slice) -> None:
+        d = _partial(v, h, t_ax, dt, rows)
+        t = tmp[rows]
+        for i in range(2, n + 1):
+            x_comp = _partial(v, h, i - 2, comps[i - 2], rows)
+            x_comp += np.multiply(ys[i - 2][rows], d, out=t)
+        b_comp = _partial(v, h, n - 1, comps[n - 1], rows)
+        np.multiply(4.0, v[rows], out=t)
+        b_comp -= np.multiply(t, d, out=t)
+        for i in range(2, n + 1):
+            y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], rows)
+            y_comp -= np.multiply(xs[i - 2][rows], d, out=t)
+
+    _map_slabs(block, spec)
     return IntrinsicGradient(spec, comps, dt)
 
 

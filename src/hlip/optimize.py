@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GridFunction, GridSpec, IntrinsicGradient, _sl, intrinsic_gradient
+from .graph import (
+    GridFunction,
+    GridSpec,
+    IntrinsicGradient,
+    _map_slabs,
+    _norm_sq_into,
+    _sl,
+    _slab,
+    _twice_coordinates,
+    intrinsic_gradient,
+)
 from .surface import _region_mask
 
 __all__ = [
@@ -35,20 +45,28 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
-    """Adjoint of the second-order np.gradient stencil along one axis.
+def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of the adjoint of the second-order np.gradient stencil along one axis.
 
-    Written into `out`, so a caller can reuse one scratch array.
+    Written into out[rows], so a caller can reuse one scratch array, with
+    the same operations in the same order on every element as on the whole
+    array.  `rows` is a slice of axis 0 with explicit bounds; along axis 0
+    the adjoint reads u's neighbour rows outside it.  Returns out[rows].
     """
-    out.fill(0.0)
     nd = u.ndim
-    out[_sl(nd, axis, slice(2, None))] += u[_sl(nd, axis, slice(1, -1))]
-    out[_sl(nd, axis, slice(None, -2))] -= u[_sl(nd, axis, slice(1, -1))]
+    rows_out = out[rows]
+    u, out, a, b = _slab(u, out, axis, rows)
+    size = u.shape[axis]
+    rows_out.fill(0.0)
+    lo, hi = max(a, 2), min(b, size - 2)
+    out[_sl(nd, axis, slice(lo, b))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
+    out[_sl(nd, axis, slice(a, hi))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
-        out[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
-    out /= 2.0 * h
-    return out
+        if a <= j % size < b:
+            out[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
+    rows_out /= 2.0 * h
+    return rows_out
 
 
 @dataclass
@@ -66,9 +84,16 @@ class _Iterate(GridFunction):
 def _stencil_pass(f: GridFunction) -> tuple[IntrinsicGradient, np.ndarray]:
     """Intrinsic gradient of f and its area element sqrt(1 + |grad phi|^2)."""
     grad = intrinsic_gradient(f)
-    area = grad.norm_sq()
-    area += 1.0
-    return grad, np.sqrt(area, out=area)
+    comps = grad.components
+    area, sq = np.empty(f.spec.counts), np.empty(f.spec.counts)
+
+    def block(rows: slice) -> None:
+        a = _norm_sq_into(comps[:, rows], area[rows], sq[rows])
+        a += 1.0
+        np.sqrt(a, out=a)
+
+    _map_slabs(block, f.spec)
+    return grad, area
 
 
 def energy(f: GridFunction, region=None) -> float:
@@ -97,30 +122,43 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
         f.stencils = None  # its buffers are overwritten below
     G, area = stencils
     dt = G.dt
-    # W = G * (V / area), written over G
+    # W = G * (V / area), written over G, on every row before any adjoint:
+    # the axis-0 adjoint of W[0] reads the neighbour rows of a slab
     W = G.components
-    W *= np.divide(V, area, out=area)
-    if region is not None:
-        W *= _region_mask(f, region).reshape(spec.counts)
+    mask = None if region is None else _region_mask(f, region).reshape(spec.counts)
+
+    def scale(rows: slice) -> None:
+        w = W[:, rows]
+        w *= np.divide(V, area[rows], out=area[rows])
+        if mask is not None:
+            w *= mask[rows]
+
+    _map_slabs(scale, spec)
     grad = np.zeros(spec.counts)
     adj = np.empty(spec.counts)
     tmp = np.empty(spec.counts)
-    for i in range(2, n + 1):
-        wx = W[i - 2]
-        grad += _adjoint_axis(wx, i - 2, h, adj)
-        np.multiply(2.0 * spec.coordinate_field(n + i - 2), wx, out=tmp)
-        grad += _adjoint_axis(tmp, t_ax, h, adj)
-    wb = W[n - 1]
-    grad += _adjoint_axis(wb, n - 1, h, adj)
-    np.multiply(4.0, dt, out=tmp)
-    grad -= np.multiply(tmp, wb, out=tmp)
-    _adjoint_axis(np.multiply(f.values, wb, out=tmp), t_ax, h, adj)
-    grad -= np.multiply(4.0, adj, out=adj)
-    for i in range(2, n + 1):
-        wy = W[n + i - 2]
-        grad += _adjoint_axis(wy, n + i - 2, h, adj)
-        np.multiply(2.0 * spec.coordinate_field(i - 2), wy, out=tmp)
-        grad -= _adjoint_axis(tmp, t_ax, h, adj)
+    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
+
+    def adjoints(rows: slice) -> None:
+        g, t = grad[rows], tmp[rows]
+        for i in range(2, n + 1):
+            wx = W[i - 2]
+            g += _adjoint_axis(wx, i - 2, h, adj, rows)
+            np.multiply(ys[i - 2][rows], wx[rows], out=t)
+            g += _adjoint_axis(tmp, t_ax, h, adj, rows)
+        wb = W[n - 1]
+        g += _adjoint_axis(wb, n - 1, h, adj, rows)
+        np.multiply(4.0, dt[rows], out=t)
+        g -= np.multiply(t, wb[rows], out=t)
+        np.multiply(f.values[rows], wb[rows], out=t)
+        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, rows), out=adj[rows])
+        for i in range(2, n + 1):
+            wy = W[n + i - 2]
+            g += _adjoint_axis(wy, n + i - 2, h, adj, rows)
+            np.multiply(xs[i - 2][rows], wy[rows], out=t)
+            g -= _adjoint_axis(tmp, t_ax, h, adj, rows)
+
+    _map_slabs(adjoints, spec)
     return grad.ravel()
 
 
@@ -162,10 +200,6 @@ class DirichletProblem:
     @property
     def spec(self) -> GridSpec:
         return self.initial.spec
-
-    @property
-    def free(self) -> np.ndarray:
-        return ~self.initial.dirichlet_mask.ravel()
 
     def region_measure(self) -> float:
         count = self.spec.size if self.region is None else int(np.count_nonzero(self.region))

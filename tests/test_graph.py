@@ -239,6 +239,20 @@ def test_intrinsic_gradient_smallest_axes_bitwise():
         np.testing.assert_array_equal(g.dt, dt)
 
 
+@settings(max_examples=60, deadline=None)
+@given(grid_functions(), st.integers(1, 3), st.sampled_from((1, 2)))
+def test_intrinsic_gradient_in_slabs_bitwise_matches_np_gradient(f, rows, workers):
+    # x_2-slabs of 1-3 rows on one thread or two; one-row slabs hold the
+    # one-sided end rows and their neighbours alone
+    comps, dt = intrinsic_gradient_reference(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", 8 * (f.spec.size // f.spec.counts[0]) * rows)
+        mp.setattr(core, "_WORKERS", workers)
+        g = graph.intrinsic_gradient(f)
+    np.testing.assert_array_equal(g.components, comps)
+    np.testing.assert_array_equal(g.dt, dt)
+
+
 def test_intrinsic_gradient_rejects_short_axis():
     spec = graph.GridSpec(2, (0.0,) * 4, 0.2, (4, 4, 2, 4))
     with pytest.raises(ValueError):

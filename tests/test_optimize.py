@@ -1,11 +1,12 @@
 """Exactness of the discrete area gradient and solver behavior."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hlip import optimize, surface
+from hlip import core, optimize, surface
 from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
 from hlip.optimize import _adjoint_axis
 
@@ -43,7 +44,7 @@ def test_axis_adjoint_identity():
     for axis in range(4):
         u = rng.normal(size=arr.shape)
         lhs = np.sum(np.gradient(arr, h, axis=axis, edge_order=2) * u)
-        rhs = np.sum(arr * _adjoint_axis(u, axis, h, np.empty_like(u)))
+        rhs = np.sum(arr * _adjoint_axis(u, axis, h, np.empty_like(u), slice(0, len(u))))
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
@@ -131,7 +132,7 @@ def test_linear_graph_is_discrete_critical_point(spec):
     # layers the one-sided stencil columns never reach a free node
     prob = optimize.dirichlet_problem(spec, data=lambda w: 0.1 * w[:, 1])
     g = optimize.energy_gradient(prob.initial)
-    assert np.max(np.abs(g[prob.free])) < 1e-13
+    assert np.max(np.abs(g[~prob.initial.dirichlet_mask.ravel()])) < 1e-13
     rep = optimize.solve(prob)
     assert rep.iterations == 0
     assert math.isclose(
@@ -149,7 +150,8 @@ def test_solve_on_disk_region(spec):
         init=lambda w: 0.03 * np.cos(4 * w[:, 1]) * np.cos(w[:, 3]),
         region=mask,
     )
-    assert np.all(prob.free <= mask)  # free nodes sit inside the region
+    free = ~prob.initial.dirichlet_mask.ravel()
+    assert np.all(free <= mask)  # free nodes sit inside the region
     rep = optimize.solve(prob)
     assert rep.converged
     assert -1e-12 < rep.calibration_gap < 1e-6
@@ -280,7 +282,7 @@ def energy_gradient_reference(f, region=None):
 
 def solve_reference(problem, tol=1e-8, max_iter=5000):
     """Descent with separate energy and gradient evaluations, kept as the reference."""
-    spec, free = problem.spec, problem.free
+    spec, free = problem.spec, ~problem.initial.dirichlet_mask.ravel()
 
     def masked_grad(vals):
         g = energy_gradient_reference(GridFunction(spec, vals), problem.region)
@@ -415,3 +417,73 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     assert calls["energy_gradient"] == rep.iterations + 1
     assert calls["energy"] > calls["energy_gradient"]
     assert calls["intrinsic_gradient"] == calls["energy"]
+
+
+# --- x_2-slabs: the stencil passes split into row blocks ---------------------
+
+# rows per block and threads; one-row blocks put each of rows 0, 1, 2 and
+# N-3..N-1, where the one-sided and adjoint edge terms live, in its own block
+SLABS = [(rows, workers) for rows in (1, 2, 3) for workers in (1, 2)]
+
+
+def _force_slabs(monkeypatch, spec, rows, workers):
+    cols = spec.size // spec.counts[0]
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * cols * rows)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    assert len(list(core._row_blocks(spec.counts[0], cols))) == math.ceil(spec.counts[0] / rows)
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+@pytest.mark.parametrize("with_region", [False, True])
+def test_energy_and_gradient_in_slabs_match_reference_bitwise(
+    spec, monkeypatch, rows, workers, with_region
+):
+    region = surface.disk_mask(spec, 0.5) if with_region else None
+    f = GridFunction.from_callable(spec, smooth)
+    _force_slabs(monkeypatch, spec, rows, workers)
+    assert optimize.energy(f, region) == energy_reference(f, region)
+    np.testing.assert_array_equal(
+        optimize.energy_gradient(f, region), energy_gradient_reference(f, region)
+    )
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+def test_energy_and_gradient_n3_in_slabs_match_reference_bitwise(monkeypatch, rows, workers):
+    spec3 = GridSpec.centered(3, 0.5, 0.125)
+    f = GridFunction.from_callable(
+        spec3, lambda w: 0.1 * np.sin(w[:, 2]) * np.cos(w[:, 5]) + 0.05 * w[:, 0] * w[:, 3]
+    )
+    _force_slabs(monkeypatch, spec3, rows, workers)
+    assert optimize.energy(f) == energy_reference(f)
+    np.testing.assert_array_equal(optimize.energy_gradient(f), energy_gradient_reference(f))
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, workers):
+    prob = optimize.dirichlet_problem(
+        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=surface.disk_mask(spec, 0.55)
+    )
+    _force_slabs(monkeypatch, spec, rows, workers)
+    rep = optimize.solve(prob, tol=1e-7, max_iter=12)
+    x, e_trace, g_trace, iterations, _ = solve_reference(prob, tol=1e-7, max_iter=12)
+    assert rep.iterations == iterations == 12
+    np.testing.assert_array_equal(rep.energy_trace, e_trace)
+    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
+    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+
+
+def test_gradient_in_slabs_under_fast_thread_switches(spec, monkeypatch):
+    # one-row slabs on two threads that switch every microsecond: a slab
+    # that read a row before another slab wrote it would show here
+    f = GridFunction.from_callable(spec, smooth)
+    region = surface.disk_mask(spec, 0.5)
+    e_want, g_want = energy_reference(f, region), energy_gradient_reference(f, region)
+    _force_slabs(monkeypatch, spec, 1, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert optimize.energy(f, region) == e_want
+            np.testing.assert_array_equal(optimize.energy_gradient(f, region), g_want)
+    finally:
+        sys.setswitchinterval(interval)
