@@ -171,15 +171,31 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # sqrt and max.  It keeps four planes: z^2 into A (B and C scratch), the
 # twist into D (B and C scratch), then the shear into B, twist + shear
 # into C and tau into D.
+#
+# A block of a _map_blocks loop passes `planes`: the kernel's planes of
+# the pair shape (four for pi_rel_norm, three for dinf and w_dinf) from
+# _planes, and gets its result in some of them.  Without it a call
+# allocates fresh planes, so a public caller owns its result.  A block
+# loop also hands its long side (the columns of every block) over in
+# Fortran order, so each coordinate column the kernel reads is contiguous;
+# that changes no value and makes the kernel about a fifth faster.
 
-# bytes of one (rows x cols) float64 plane in a row-blocked loop; the
-# kernels hold four planes at a time and _map_blocks runs up to _WORKERS
-# blocks at once, so the live planes stay within _WORKERS x 4 x 512 KiB.
+# bytes of one (rows x cols) float64 plane in a row-blocked loop.  A block
+# of an all-pairs loop takes its kernel's three or four planes from its
+# worker's arena (_planes) and writes its own temporaries (|dphi|, the
+# ratios, the broadcast masses) into planes the kernel's result has left
+# or spent.  Each worker allocates its arena at its first request and
+# drops it when the _map_blocks call returns, so the live planes stay
+# within _WORKERS x 4 x 512 KiB, allocated once per call, not per block.
+# Per block only the outputs of np.searchsorted and np.bincount (the
+# maximal functions' ladder bins and ladder tables, each within one plane,
+# because those loops count the ladder's columns in their block width) and
+# a few bool masks of an eighth of a plane still allocate.
 # The grid stencil passes (graph.intrinsic_gradient, optimize's area
 # element and energy gradient) block a grid along axis 0 instead: each
 # block reads the whole-grid inputs and writes one budget-sized slab of
-# each output and of scratch allocated once per call, so they allocate
-# nothing per block.
+# each output and of scratch allocated once per call, so they ask for no
+# planes and allocate nothing per block.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at
@@ -191,6 +207,7 @@ if hasattr(os, "sched_getaffinity"):
 else:  # no CPU affinity mask outside Linux
     _WORKERS = min(2, os.cpu_count() or 1)
 _helper = None  # the helper's executor, started by the first call that needs it
+_arena = threading.local()  # .planes: the running _map_blocks call's planes on this thread
 
 
 def _row_blocks(rows: int, cols: int):
@@ -212,6 +229,13 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
     blocks not yet taken; the call waits for the helper to finish its block
     and re-raises the exception unchanged.
 
+    Each thread keeps an arena of scratch planes for the call: fn gets them
+    from _planes, the arena grows at the first request and is reused by
+    every later block that thread runs, and it is freed when the call
+    returns.  So the live scratch is at most _WORKERS arenas of a few
+    (rows x cols) planes (see _BLOCK_BYTES), and fn must copy out whatever
+    it keeps of a plane before it returns.
+
     Consecutive calls are a barrier: every block of one call has finished
     when it returns, so the next call's blocks may read any row the first
     wrote (optimize.energy_gradient scales every row before its axis-0
@@ -225,16 +249,20 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
 
     def work():
         nonlocal failed
-        while not failed:
-            with lock:
-                k, blk = next(todo, (None, None))
-            if blk is None:
-                return
-            try:
-                out[k] = fn(blk)
-            except BaseException:
-                failed = True
-                raise
+        _arena.planes = []
+        try:
+            while not failed:
+                with lock:
+                    k, blk = next(todo, (None, None))
+                if blk is None:
+                    return
+                try:
+                    out[k] = fn(blk)
+                except BaseException:
+                    failed = True
+                    raise
+        finally:
+            del _arena.planes
 
     helper = _start_helper().submit(work) if _WORKERS > 1 and len(blocks) > 1 else None
     try:
@@ -246,6 +274,22 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
     if helper is not None:
         helper.result()
     return out
+
+
+def _planes(k: int, shape: tuple) -> list:
+    """k float64 planes of `shape` for the running block of a _map_blocks call.
+
+    They come from the calling thread's arena, so their contents are
+    garbage, and a later call (in this block or the thread's next one)
+    hands out the same memory again: a block asks once, for all the
+    planes it needs at the same time.
+    """
+    bufs, size = _arena.planes, math.prod(shape)
+    bufs.extend(np.empty(size) for _ in range(k - len(bufs)))
+    for i in range(k):
+        if bufs[i].size < size:
+            bufs[i] = np.empty(size)
+    return [b[:size].reshape(shape) for b in bufs[:k]]
 
 
 def _start_helper():
@@ -310,30 +354,30 @@ def _max_root(root, t):
     return t if t.ndim else t[()]
 
 
-def dinf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def dinf(p: np.ndarray, q: np.ndarray, planes=None) -> np.ndarray:
     """Box norm of p^-1 * q, without forming the product."""
     P, Q, n, shape = _pair_columns(p, q, 1)
-    s, u, v = (np.empty(shape) for _ in range(3))
+    s, u, v = planes or [np.empty(shape) for _ in range(3)]
     t = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, s, u, v)
     return _box_of(_square_sum(P, Q, range(2 * n), s, v), t)
 
 
-def w_dinf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def w_dinf(a: np.ndarray, b: np.ndarray, planes=None) -> np.ndarray:
     """Box norm of a^-1 * b inside W; x_1 = 0, so the twist skips y_1."""
     P, Q, n, shape = _pair_columns(a, b, 0)
-    s, u, v = (np.empty(shape) for _ in range(3))
+    s, u, v = planes or [np.empty(shape) for _ in range(3)]
     t = _twist_t(P, Q, range(n - 1), range(n, 2 * n - 1), 2 * n - 1, s, u, v)
     return _box_of(_square_sum(P, Q, range(2 * n - 1), s, v), t)
 
 
-def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False):
+def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False, planes=None):
     """||proj(p^-1 * q)||_inf without materializing the product.
 
     With both=True, the pair (pi_rel_norm(p, q), pi_rel_norm(q, p)) from
     one pass, bit for bit.
     """
     P, Q, n, shape = _pair_columns(p, q, 1)
-    a, b, c, d = (np.empty(shape) for _ in range(4))
+    a, b, c, d = planes or [np.empty(shape) for _ in range(4)]
     z2 = _square_sum(P, Q, range(1, n), a, b)
     z2 += _square_sum(P, Q, range(n, 2 * n), b, c)
     tau = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, b, d, c)

@@ -323,9 +323,10 @@ def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
     return IntrinsicGradient(spec, comps, dt)
 
 
-def _sym_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Symmetrized quasi-distance between graph points, broadcasting like pi_rel_norm."""
-    a, b = core.pi_rel_norm(p, q, both=True)
+def _sym_dist(p: np.ndarray, q: np.ndarray, planes=None) -> np.ndarray:
+    """Symmetrized quasi-distance between graph points, broadcasting like
+    pi_rel_norm (and taking its planes)."""
+    a, b = core.pi_rel_norm(p, q, both=True, planes=planes)
     a += b
     a *= 0.5
     return a
@@ -425,18 +426,20 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     the upper triangle, which every block covers, so the witness is the
     one the full matrix would give.
     """
-    pts = core.graph_points(nodes, vals)
+    pts = np.asfortranarray(core.graph_points(nodes, vals))  # contiguous columns
     m = len(vals)
 
     def block(blk):
         a = blk.start
-        num = np.abs(vals[blk, None] - vals[None, a:])
-        den, back = core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :], both=True)
+        planes = core._planes(4, (blk.stop - a, m - a))
+        den, back = core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :], both=True, planes=planes)
         np.minimum(den, back, out=den)
+        num = np.abs(np.subtract(vals[blk, None], vals[None, a:], out=back), out=back)
         ok = den >= 1e-15
         if np.any(~ok & (num > 1e-12)):
             raise ConeViolationError("distinct values at zero graph distance in partial data")
-        ratio = np.where(ok, num / np.maximum(den, 1e-300), 0.0)
+        ratio = np.divide(num, np.maximum(den, 1e-300, out=den), out=den)
+        np.copyto(ratio, 0.0, where=~ok)
         k = int(np.argmax(ratio))
         return a, float(ratio.flat[k]), k
 
@@ -503,18 +506,21 @@ def extend_lipschitz(
     fill = np.nonzero(~mask)[0]
     report_iters, residual = 0, 0.0
     if len(fill) > 0:
-        pk = core.graph_points(kn, values)
+        pk = np.asfortranarray(core.graph_points(kn, values))  # contiguous columns
         wf = nodes[fill]
         psi = np.empty(len(fill))
 
         def seed(blk):  # the nearest sample in the W metric
-            d = core.w_dinf(wf[blk, None, :], kn[None, :, :])
+            planes = core._planes(3, (blk.stop - blk.start, len(kn)))
+            d = core.w_dinf(wf[blk, None, :], kn[None, :, :], planes=planes)
             psi[blk] = values[np.argmin(d, axis=1)]
 
         def sweep(blk):  # one cone infimum from psi into new
             pw = core.graph_points(wf[blk], psi[blk])
-            cand = values[None, :] + M * core.pi_rel_norm(pk[None, :, :], pw[:, None, :])
-            new[blk] = np.min(cand, axis=1)
+            planes = core._planes(4, (blk.stop - blk.start, len(kn)))
+            cand = core.pi_rel_norm(pk[None, :, :], pw[:, None, :], planes=planes)
+            cand *= M
+            new[blk] = np.min(np.add(values, cand, out=cand), axis=1)
 
         core._map_blocks(seed, len(fill), len(kn))
         for it in range(1, _EXTENSION_MAX_ITER + 1):

@@ -153,13 +153,17 @@ def _ladder_masses(bins: np.ndarray, nr: int, masses: np.ndarray | None = None) 
 
     bins come from _ladder_bins over nr rungs; membership is strict
     (d < r).  Without masses each point counts 1 (integer counts).
-    bincount adds each bin in input order, so the sums are sequential.
+    masses broadcast against bins; passed at bins' shape (a block's
+    plane), they are not copied.  bincount adds each bin in input order,
+    so the sums are sequential, and the cumulative sum runs in place in
+    its output.
     """
     nc = bins.shape[0]
     if masses is not None:
         masses = np.broadcast_to(masses, bins.shape).ravel()
     acc = np.bincount(bins.ravel(), weights=masses, minlength=nc * (nr + 1))
-    return np.cumsum(acc.reshape(nc, nr + 1)[:, :nr], axis=1)
+    acc = acc.reshape(nc, nr + 1)[:, :nr]
+    return np.cumsum(acc, axis=1, out=acc)
 
 
 def disk_maximal(
@@ -171,6 +175,10 @@ def disk_maximal(
 
     Disks are group translates x * D_r; the measure must be supported in
     D_{4s}.  Cells with no admissible radius get value 0.
+
+    A block stops its ladder at the first rung that holds every support
+    point of its centres: past it the mass is constant and the norm
+    grows, so no later rung can raise the maximum.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
@@ -194,14 +202,19 @@ def disk_maximal(
         def block(blk):
             idx = eval_idx[blk]
             x = nodes[idx]
-            dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :])
-            cum = _ladder_masses(_ladder_bins(dist, rungs), rungs.size, sup_mass)
-            cap = 4 * s - core.box(x)
-            admissible = rungs[None, :] < cap[:, None]
-            ratios = np.where(admissible, cum / norm, 0.0)
+            planes = core._planes(3, (idx.size, supp.size))
+            dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :], planes=planes)
+            r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
+            bins = _ladder_bins(dist, r)
+            masses = planes[0]  # dist is spent, so any plane takes the masses
+            np.copyto(masses, sup_mass)
+            ratios = _ladder_masses(bins, r.size, masses)
+            ratios /= norm[: r.size]
+            np.copyto(ratios, 0.0, where=r >= 4 * s - core.box(x)[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
-        core._map_blocks(block, eval_idx.size, supp.size)
+        # a block's ladder tables are up to rungs.size + 1 columns wide
+        core._map_blocks(block, eval_idx.size, max(supp.size, rungs.size + 1))
     return MaximalField(spec, values, float(s), evaluated, rungs)
 
 
@@ -307,6 +320,10 @@ def phi_maximal(
     with rho = 64 gamma2 + 2; c_L is estimated from the graph when not
     given (floored at 1).  A graph whose sampled Lipschitz constant exceeds
     _SMALL_SLOPE_LIP is outside the small-slope regime and raises.
+
+    A block stops its ladder as disk_maximal's do: past the first rung
+    that holds every node, each ball holds the whole grid, so the ratio
+    stays the same.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
@@ -323,7 +340,7 @@ def phi_maximal(
     spec = f.spec
     rungs = radius_ladder(cell_diameter(spec), (rho / c_hat_l) * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
-    pall = f.graph()
+    pall = np.asfortranarray(f.graph())  # contiguous columns: see core's pair kernels
     d_origin = _sym_dist(_graph_point(f, np.zeros(2 * spec.n)), pall)
     values = np.zeros(spec.size)
     evaluated = np.zeros(spec.size, dtype=bool)
@@ -332,19 +349,23 @@ def phi_maximal(
     if rungs.size:
         def block(blk):
             idx = eval_idx[blk]
-            pc = pall[idx]
-            dist = _sym_dist(pc[:, None, :], pall[None, :, :])
+            planes = core._planes(4, (idx.size, spec.size))
+            dist = _sym_dist(pall[idx][:, None, :], pall[None, :, :], planes=planes)
+            r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
+            bins = _ladder_bins(dist, r)
+            masses = planes[0]  # dist is spent, so any plane takes the masses
+            np.copyto(masses, mflat)
+            # a rung that holds no point holds no mass either, so its
+            # ratio 0 / max(count, 1) is the 0 an empty ball scores
+            count = _ladder_masses(bins, r.size)
+            ratios = _ladder_masses(bins, r.size, masses)
+            ratios /= np.maximum(count, 1, out=count)
+            ratios /= spec.cell_volume
             caps = (rho / c_hat_l) * s - d_origin[idx]
-            bins = _ladder_bins(dist, rungs)
-            mass = _ladder_masses(bins, rungs.size, mflat)
-            count = _ladder_masses(bins, rungs.size)
-            admissible = (rungs[None, :] < caps[:, None]) & (count > 0)
-            ratios = np.where(
-                admissible, mass / np.maximum(count, 1.0) / spec.cell_volume, 0.0
-            )
+            np.copyto(ratios, 0.0, where=r >= caps[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
-        core._map_blocks(block, eval_idx.size, spec.size)
+        core._map_blocks(block, eval_idx.size, max(spec.size, rungs.size + 1))
     return PhiMaximalField(
         spec,
         values,

@@ -492,6 +492,50 @@ def test_extension_same_on_one_and_two_workers(monkeypatch):
     assert it1 == it2 > 1 and res1 == res2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_loops_on_single_rows_match_one_block(monkeypatch, workers):
+    # each block reuses its worker's arena planes, so a block that read a
+    # plane an earlier block left behind would differ from one block
+    spec = graph.GridSpec.centered(2, 0.75, 0.25)
+    base = graph.GridFunction.from_callable(
+        spec, lambda w: 0.04 * w[:, 1] + 0.01 * np.sin(3 * w[:, 0] + w[:, 2])
+    )
+    K = np.sort(np.random.default_rng(5).choice(spec.size, size=spec.size // 3, replace=False))
+
+    def outcome():
+        ratio = graph._cone_ratio(spec.nodes()[K], base.flat[K])
+        runs = []
+        for sup in (None, 0.05):
+            f, rep = graph.extend_lipschitz(spec, K, base.flat[K], L=0.1, sup_bound=sup)
+            runs.append((f.flat, rep.iterations, rep.residual))
+        return ratio, runs
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 40)
+    (ratio, runs) = outcome()
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    got_ratio, got_runs = outcome()
+    assert got_ratio == ratio and ratio[0] > 0
+    for (flat, iters, res), (got_flat, got_iters, got_res) in zip(runs, got_runs):
+        np.testing.assert_array_equal(got_flat, flat)
+        assert got_iters == iters > 1 and got_res == res
+    assert not np.array_equal(runs[0][0], runs[1][0])  # the sup bound clips
+
+
+def test_kernel_result_held_by_caller_survives_block_loops(monkeypatch):
+    # a public kernel call allocates its own planes, so no later block loop
+    # can write into a result the caller still holds
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    rng = np.random.default_rng(3)
+    p, q = rng.normal(size=(40, 5)), rng.normal(size=(30, 5))
+    held = core.pi_rel_norm(p[:, None, :], q[None, :, :])
+    kept = held.copy()
+    nodes = rng.uniform(-1.0, 1.0, size=(200, 4))
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 200 * 3)  # several blocks
+    graph._cone_ratio(nodes, 0.05 * nodes[:, 1])
+    np.testing.assert_array_equal(held, kept)
+
+
 def test_extension_rejects_bad_cone(small_spec):
     with pytest.raises(graph.ConeViolationError):
         graph.extend_lipschitz(small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1)

@@ -1,13 +1,14 @@
 """Maximal operators against brute-force oracles and the covering lemmas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import core, generators, maximal
+from hlip import core, generators, graph, maximal
 from hlip.graph import GridFunction, GridSpec, phi_ball
 
 KAPPA2 = core.constants(2)[0]
@@ -106,6 +107,107 @@ def test_maximal_fields_independent_of_block_size(spec, monkeypatch):
         monkeypatch.setattr(core, "_WORKERS", workers)
         for a, b in zip(default, fields()):
             np.testing.assert_array_equal(a, b)
+
+
+def _one_block_then_single_rows(monkeypatch, run):
+    """run() on one block, then its results on 1-row blocks with 1 and 2 workers."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 40)
+    whole = run()
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)
+    rows = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        rows.append(run())
+    return whole, rows
+
+
+def _ref_disk_maximal(mu, s, centers):
+    # the full-ladder field every block's cut ladder must reproduce
+    nodes, supp = mu.spec.nodes(), np.flatnonzero(mu.flat)
+    rungs = maximal.radius_ladder(maximal.cell_diameter(mu.spec), 4 * s)
+    dist = core.w_dinf(nodes[centers][:, None, :], nodes[supp][None, :, :])
+    cum = _ref_ladder_masses(dist, mu.flat[supp], rungs)
+    admissible = rungs[None, :] < 4 * s - core.box(nodes[centers])[:, None]
+    ratios = np.where(admissible, cum / (KAPPA2 * rungs**5), 0.0)
+    return np.max(ratios, axis=1, initial=0.0)
+
+
+# atoms, scale and the centres' rule: a centre at exactly a rung's distance
+# from the atom, every atom inside every centre's first rung, and an atom
+# past the last rung of far centres (the overflow bin)
+RUNG_CASES = {
+    "atom_on_rung": ([4644], 0.5, "all"),
+    "inside_first_rung": ([4644, 5644], 0.5, "near"),
+    "beyond_last_rung": ([4644, 4655, 5544], 0.2, "all"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNG_CASES))
+def test_disk_maximal_on_single_rows_matches_one_block(spec, monkeypatch, case):
+    atoms, s, which = RUNG_CASES[case]
+    nodes = spec.nodes()
+    masses = np.zeros(spec.size)
+    masses[atoms] = np.linspace(1e-3, 2e-3, len(atoms))
+    mu = maximal.DiscreteMeasure(spec, masses)
+    rungs = maximal.radius_ladder(maximal.cell_diameter(spec), 4 * s)
+    dist = np.max(core.w_dinf(nodes[:, None, :], nodes[atoms][None, :, :]), axis=1)
+    centers = np.arange(spec.size) if which == "all" else np.flatnonzero(dist < rungs[0])
+    d = dist[centers]
+    if case == "atom_on_rung":
+        assert np.isin(d, rungs).any()
+    elif case == "inside_first_rung":
+        assert centers.size >= 2 and d.max() < rungs[0]
+    else:
+        assert d.max() >= rungs[-1]
+    assert len(atoms) < rungs.size  # the ladder, not the support, sets the block width
+    whole, rows = _one_block_then_single_rows(
+        monkeypatch, lambda: maximal.disk_maximal(mu, s, centers=centers).values
+    )
+    np.testing.assert_array_equal(whole[centers], _ref_disk_maximal(mu, s, centers))
+    assert whole[centers].max() > 0
+    for got in rows:
+        np.testing.assert_array_equal(got, whole)
+
+
+def test_phi_maximal_on_single_rows_matches_one_block(spec, monkeypatch):
+    f = GridFunction.from_callable(spec, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] ** 2)
+    mu_phi = maximal.measure_from_gradient(f)
+    centers = np.arange(0, spec.size, 397)
+    whole, rows = _one_block_then_single_rows(
+        monkeypatch,
+        lambda: maximal.phi_maximal(f, mu_phi, 0.1, c_hat_l=1.0, centers=centers).values,
+    )
+    assert whole[centers].max() > 0
+    for got in rows:
+        np.testing.assert_array_equal(got, whole)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("loop", ["disk_maximal", "cone_ratio"])
+def test_block_loops_stay_within_the_arena_bound(spec, monkeypatch, workers, loop):
+    # the traced peak of a block loop is its workers' arenas (the kernel's
+    # planes of _BLOCK_BYTES each), plus per worker two planes' worth for
+    # the searchsorted and bincount outputs (the ladder bins and tables) or
+    # the cone ratio's bool masks, plus 1 MiB for the arrays the call holds
+    # whole (nodes, values, graph points)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    if loop == "disk_maximal":
+        masses = np.zeros(spec.size)
+        masses[[4644, 5644, 4655]] = [1e-3, 2e-3, 5e-4]
+        mu = maximal.DiscreteMeasure(spec, masses)
+        run, planes = lambda: maximal.disk_maximal(mu, 5.0), 3
+    else:
+        nodes = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 4))
+        run, planes = lambda: graph._cone_ratio(nodes, 0.05 * nodes[:, 1]), 4
+    bound = workers * (planes + 2) * core._BLOCK_BYTES + (1 << 20)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_zero_measure_gives_zero_field(spec):
