@@ -617,7 +617,11 @@ def check_bv(f: GridFunction, region: np.ndarray | None = None) -> dict:
 
 
 def check_sandwich(
-    f: GridFunction, x: np.ndarray, r: float, C: float, lip: float | None = None
+    f: GridFunction,
+    x: np.ndarray,
+    r: float,
+    C: float,
+    lip: float | None = None,
 ) -> dict:
     """Inclusion tests between graph balls, projected metric balls, disks.
 
@@ -639,20 +643,30 @@ def check_sandwich(
     x = np.asarray(x, dtype=float)
     if lip is None:
         lip = lipschitz_estimate(f)
+    # every result below depends only on the nodes of the balls and disks
+    # of radius r or Cr (the counts, the exit flag and the left side of
+    # each inclusion), and every distance is at least each spatial W
+    # coordinate difference (see core's cell lists): so only the nodes
+    # within that reach of x in each of those coordinates are measured
+    nodes = spec.nodes()
+    reach = max(C * r, r) * (1.0 + 1e-9)
+    near = np.abs(nodes[:, 0] - x[0]) < reach
+    for k in range(1, 2 * spec.n - 1):
+        near &= np.abs(nodes[:, k] - x[k]) < reach
+    near = np.flatnonzero(near)
     # one graph-distance row from x serves every graph ball below
-    pall = f.graph()
-    px = _graph_point(f, x)
-    d = _sym_dist(px, pall)
+    px, pnear = _graph_point(f, x), core.graph_points(nodes[near], f.flat[near])
+    d = _sym_dist(px, pnear)
     inner, outer = d < C * r, d < r
     r_slack = r * (1.0 + 0.5 * lip) + 1e-12
     outer_slack = outer if lip == 0.0 else d < r_slack
-    ball_proj = core.dinf(px, pall) < r
+    ball_proj = core.dinf(px, pnear) < r
 
     sup_h = float(np.max(np.abs(f.flat)))
     R = r + 2.0 * math.sqrt(sup_h) * math.sqrt(r)
-    nodes = spec.nodes()
-    disk_r = core.w_dinf(x, nodes) < r
-    disk_big = core.w_dinf(x, nodes) < R
+    # one W-distance row serves both disks
+    dw = core.w_dinf(x, nodes[near])
+    disk_r, disk_big = dw < r, dw < R
     graph_ball_big = d < R
 
     incl = {
@@ -667,7 +681,7 @@ def check_sandwich(
         "c_admissible": bool(C < 1.0 / (1.0 + lip)),
         "lip_estimate": lip,
         "R": R,
-        "ball_exits_grid": bool(np.any((inner | outer) & spec.boundary_mask().ravel())),
+        "ball_exits_grid": bool(np.any((inner | outer) & spec.boundary_mask().ravel()[near])),
         "counts": {
             "inner": int(np.count_nonzero(inner)),
             "projection": int(np.count_nonzero(ball_proj)),

@@ -382,11 +382,10 @@ def _sparse_measure(spec: GridSpec, rng, atoms: int, total: float):
 
 def _vitali_exact(centers: np.ndarray, radii: np.ndarray) -> bool:
     sel, asg = maximal.vitali_5r(centers, radii)
-    sel = np.asarray(sel)
-    for a in range(len(sel)):
-        i, rest = sel[a], sel[a + 1 :]
-        if np.any(core.w_dinf(centers[i], centers[rest]) < radii[i] + radii[rest]):
-            return False
+    # every pair of selected balls in one elementwise call
+    i, j = (sel[t] for t in np.triu_indices(len(sel), 1))
+    if np.any(core.w_dinf(centers[i], centers[j]) < radii[i] + radii[j]):
+        return False
     if not np.all(np.isin(asg, sel)):
         return False
     d = core.w_dinf(centers[asg], centers)

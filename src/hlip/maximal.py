@@ -277,6 +277,12 @@ def vitali_5r(
     selected ball whose 5-times enlargement contains ball i.  Selection is
     by descending radius, ties by input order; disjointness of open balls
     means center distance >= r_i + r_j.
+
+    The distances come in row blocks taken along that order: one w_dinf
+    call within _BLOCK_BYTES puts a block's candidates against the balls
+    selected before it and against the block itself, and the greedy pass
+    reads its rows.  w_dinf is elementwise, so every distance is the one
+    a call per candidate would give.
     """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -287,17 +293,30 @@ def vitali_5r(
     order = np.argsort(-radii, kind="stable")
     selected: list[int] = []
     assignment = np.full(len(radii), -1, dtype=int)
-    for i in order:
-        if selected:
-            d = core.w_dinf(centers[i], centers[selected])
-            hit = d < radii[i] + radii[selected]
-            if np.any(hit):
+    budget = max(1, core._BLOCK_BYTES // 8)
+    a = 0
+    while a < order.size:
+        # rows x (selected + rows) entries within the budget, at least one row
+        m = len(selected)
+        rows = max(1, (math.isqrt(m * m + 4 * budget) - m) // 2)
+        blk = order[a : a + rows]
+        a += blk.size
+        cols = np.concatenate([np.asarray(selected, dtype=int), blk])
+        d = core.w_dinf(centers[blk][:, None, :], centers[cols][None, :, :])
+        meets = d < radii[blk][:, None] + radii[cols][None, :]
+        for k, i in enumerate(blk):
+            # the first columns are the balls selected so far, in selection order
+            hit = np.flatnonzero(meets[k, : len(selected)])
+            if hit.size:
                 # the blocking ball is at least as large, so its
                 # 5-enlargement contains this one
-                assignment[i] = selected[int(np.argmax(hit))]
+                assignment[i] = selected[hit[0]]
                 continue
-        selected.append(int(i))
-        assignment[i] = i
+            selected.append(int(i))
+            assignment[i] = i
+            # its column moves next to the selected ones, over the column of
+            # a block ball at or before it that was moved or rejected
+            meets[:, len(selected) - 1] = meets[:, m + k]
     return np.asarray(selected, dtype=int), assignment
 
 
@@ -480,6 +499,12 @@ def estimate_ball_constants(
     A ball leaves the grid exactly when its centre lies closer than r to
     a boundary node, so each drawn centre costs one row against the
     boundary nodes, and only a ball that stays inside costs a full row.
+
+    No draw depends on a distance, so the balls are drawn in chunks of
+    `samples - used` (within the 20 * samples cap): exactly the draws a
+    one-ball-at-a-time loop makes before it could next stop.  Each chunk
+    then takes its new centres' boundary rows and its inside balls' full
+    rows in one block loop each.
     """
     spec = f.spec
     hom = 2 * spec.n + 1
@@ -493,31 +518,47 @@ def estimate_ball_constants(
     # bias centers toward the middle so balls of the requested size fit
     interior = interior[np.argsort(core.box(nodes[interior]), kind="stable")]
     interior = interior[: max(1, interior.size // 3)]
-    px = f.graph()
-    px_boundary = px[spec.boundary_mask().ravel()]
-    # graph points of every candidate centre from one interpolation;
-    # row_of[c] is node c's row among them
+    px = np.asfortranarray(f.graph())  # contiguous columns: see core's pair kernels
+    px_boundary = np.asfortranarray(px[spec.boundary_mask().ravel()])
+    # graph points of every candidate centre from one interpolation
     centres = core.graph_points(nodes[interior], f.interp(nodes[interior]))
-    row_of = np.empty(spec.size, dtype=int)
-    row_of[interior] = np.arange(interior.size)
-    seen: dict = {}  # centre -> distance to the boundary nodes
-    c1, c2, used = math.inf, 0.0, 0
-    for _ in range(20 * samples):
-        if used >= samples:
-            break
-        ci = rng.choice(interior)
-        r = math.exp(rng.uniform(math.log(r_bounds[0]), math.log(r_bounds[1])))
-        pc = centres[row_of[ci]]
-        if ci not in seen:
-            seen[ci] = np.min(_sym_dist(pc, px_boundary))
-        if seen[ci] < r:
-            continue
-        count = np.count_nonzero(_sym_dist(pc, px) < r)
-        if count == 0:
-            continue
-        ratio = float(count) * spec.cell_volume / r**hom
-        c1, c2 = min(c1, ratio), max(c2, ratio)
-        used += 1
+
+    def row_blocks(rows, cols, reduce):
+        """reduce(d, blk) of each row block d of _sym_dist(centres[rows], cols)."""
+        out = np.empty(rows.size)
+
+        def block(blk):
+            pc = centres[rows[blk]]
+            planes = core._planes(4, (pc.shape[0], cols.shape[0]))
+            out[blk] = reduce(_sym_dist(pc[:, None, :], cols[None, :, :], planes=planes), blk)
+
+        core._map_blocks(block, rows.size, cols.shape[0])
+        return out
+
+    # each candidate centre's distance to the boundary nodes, NaN until drawn
+    edge = np.full(interior.size, np.nan)
+    log_lo, log_hi = math.log(r_bounds[0]), math.log(r_bounds[1])
+    c1, c2, used, drawn = math.inf, 0.0, 0, 0
+    while used < samples and drawn < 20 * samples:
+        k = min(samples - used, 20 * samples - drawn)
+        drawn += k
+        rows, radii = np.empty(k, dtype=int), np.empty(k)
+        for j in range(k):
+            rows[j] = rng.integers(interior.size)
+            radii[j] = math.exp(rng.uniform(log_lo, log_hi))
+        fresh = np.unique(rows[np.isnan(edge[rows])])
+        edge[fresh] = row_blocks(fresh, px_boundary, lambda d, blk: d.min(axis=1))
+        inside = edge[rows] >= radii
+        rows, radii = rows[inside], radii[inside]
+        counts = row_blocks(
+            rows, px, lambda d, blk: np.count_nonzero(d < radii[blk, None], axis=1)
+        )
+        for count, r in zip(counts.tolist(), radii.tolist()):
+            if count == 0:
+                continue
+            ratio = count * spec.cell_volume / r**hom
+            c1, c2 = min(c1, ratio), max(c2, ratio)
+            used += 1
     if used == 0:
         raise PhiLemmaError("every sampled ball left the grid; shrink r_bounds")
     trip = rng.integers(0, spec.size, size=(samples, 3))

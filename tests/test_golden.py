@@ -13,8 +13,14 @@ plus `corollary_report`, the selected index set and the nearest-sample
 distance of every kept cell.  There the truncation cut fires for the
 clusters displaced by 0.3, and the symmetric difference is nonzero for the
 cluster displaced by 1.0 (off-graph cloud mass) and the patch of radius 0.9
-(uncovered graph mass, coincidence residual above tau).  A refactor must leave them as they are: floats agree
-to 1e-12 relative, everything else is equal.
+(uncovered graph mass, coincidence residual above tau).  Each
+tests/golden/verify-seed-<S>.json holds the `results` block of
+
+    hlip verify --seed S --cases 5 --balls 10
+
+the lemma battery (the c_L estimate behind the phi lemma, the sandwich
+inclusions, the Vitali cover).  A refactor must leave them as they are:
+floats agree to 1e-12 relative, everything else is equal.
 """
 
 import json
@@ -95,6 +101,15 @@ def cut_record(workdir, name):
     record["kept_cells"] = np.flatnonzero(kept).tolist()
     # the JSON round trip gives plain floats and ints, as the golden file holds
     return json.loads(json.dumps(record))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_golden_verify_reports(tmp_path, seed):
+    golden = json.loads((GOLDEN / f"verify-seed-{seed}.json").read_text(encoding="ascii"))
+    argv = ["verify", "--seed", str(seed), "--cases", "5", "--balls", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    got = fileio.read_report(tmp_path / "verify_report.json")["results"]
+    assert _mismatches(golden, got, "verify") == []
 
 
 @pytest.mark.parametrize("name", sorted(CUT_CLOUDS))

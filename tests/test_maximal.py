@@ -361,6 +361,51 @@ def test_vitali_random_family_disjoint_and_covering():
         maximal.vitali_5r(centers, -radii)
 
 
+def vitali_reference(centers, radii):
+    """vitali_5r with one w_dinf row per candidate, kept as the reference."""
+    order = np.argsort(-radii, kind="stable")
+    selected = []
+    assignment = np.full(len(radii), -1, dtype=int)
+    for i in order:
+        if selected:
+            d = core.w_dinf(centers[i], centers[selected])
+            hit = d < radii[i] + radii[selected]
+            if np.any(hit):
+                assignment[i] = selected[int(np.argmax(hit))]
+                continue
+        selected.append(int(i))
+        assignment[i] = i
+    return np.asarray(selected, dtype=int), assignment
+
+
+@st.composite
+def vitali_families(draw):
+    """1-80 balls whose centres and radii come from small pools, so centres
+    coincide and radii repeat (ties in the greedy order)."""
+    m = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pool = rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, m)), 4))
+    pool[:, 3] *= 0.5
+    centers = pool[rng.integers(len(pool), size=m)]
+    radii = rng.choice(rng.uniform(0.05, 0.6, size=draw(st.integers(1, m))), size=m)
+    return centers, radii
+
+
+@given(vitali_families())
+@settings(max_examples=80, deadline=None)
+def test_vitali_matches_per_candidate_reference(family):
+    centers, radii = family
+    want = vitali_reference(centers, radii)
+    # one block for the whole family, one row per block, and a few rows per block
+    for budget in (core._BLOCK_BYTES, 8, 8 * 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_BYTES", budget)
+            got = maximal.vitali_5r(centers, radii)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 def test_phi_maximal_flat_constant_is_zero(spec):
     f = GridFunction.constant(spec, 0.3)
     fld = maximal.phi_maximal(
@@ -515,8 +560,11 @@ def test_ball_constants_flat_graph():
 # --- ball constants against one phi_ball per draw ----------------------------
 
 
-def ball_constants_reference(f, samples=50, seed=0, r_bounds=None):
-    """estimate_ball_constants with a full phi_ball per draw, kept as the reference."""
+def ball_constants_reference(f, samples=50, seed=0, r_bounds=None, accepted=None):
+    """estimate_ball_constants with a full phi_ball per draw, kept as the reference.
+
+    A list passed as `accepted` gets one flag per draw: whether that ball
+    counted."""
     spec = f.spec
     hom = 2 * spec.n + 1
     nodes = spec.nodes()
@@ -535,6 +583,8 @@ def ball_constants_reference(f, samples=50, seed=0, r_bounds=None):
         ci = rng.choice(interior)
         r = math.exp(rng.uniform(math.log(r_bounds[0]), math.log(r_bounds[1])))
         mask, meas, exits = phi_ball(f, nodes[ci], r)
+        if accepted is not None:
+            accepted.append(not exits and bool(np.any(mask)))
         if exits or not np.any(mask):
             continue
         ratio = meas / r**hom
@@ -581,6 +631,50 @@ def test_ball_constants_match_phi_ball_reference(f, samples, seed, bounds):
         kw["r_bounds"] = (bounds[0], bounds[0] * bounds[1])
     got = ball_constants_outcome(maximal.estimate_ball_constants, f, **kw)
     assert got == ball_constants_outcome(ball_constants_reference, f, **kw)
+
+
+def sampler_chunks(accepted, samples):
+    """(size, cut by the 20 * samples cap) of each chunk estimate_ball_constants
+    draws, given the reference's per-draw flags, and the balls used."""
+    chunks, drawn, used = [], 0, 0
+    while used < samples and drawn < 20 * samples:
+        want = samples - used
+        k = min(want, 20 * samples - drawn)
+        chunks.append((k, k < want))
+        used += sum(accepted[drawn : drawn + k])
+        drawn += k
+    return chunks, used
+
+
+# samples, seed and r_bounds on the 7^4 grid below: `used` reaches samples
+# on the last draw of the eighth chunk, a chunk of 3; and the cap cuts a
+# chunk of 5 wanted draws to 1, with two balls used (a draw past the cap
+# would have been used too)
+CHUNK_END_CASES = {
+    "samples_reached": (8, 2, (0.3, 0.48)),
+    "cap_mid_chunk": (7, 3, (0.46, 0.736)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(CHUNK_END_CASES))
+def test_ball_constants_chunk_ends_match_phi_ball_reference(monkeypatch, case, workers):
+    samples, seed, r_bounds = CHUNK_END_CASES[case]
+    g = GridSpec.centered(2, 0.75, 0.25)
+    f = GridFunction.from_callable(g, lambda w: 0.1 * w[:, 1] + 0.05 * w[:, 0] * w[:, 3])
+    kw = {"samples": samples, "seed": seed, "r_bounds": r_bounds}
+    accepted = []
+    want = ball_constants_reference(f, **kw, accepted=accepted)
+    chunks, used = sampler_chunks(accepted, samples)
+    assert used == want.samples
+    if case == "samples_reached":
+        assert used == samples and len(chunks) == 8 and chunks[-1] == (3, False)
+    else:
+        assert 0 < used < samples and chunks[-1] == (1, True)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    assert maximal.estimate_ball_constants(f, **kw) == want
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block
+    assert maximal.estimate_ball_constants(f, **kw) == want
 
 
 @pytest.mark.parametrize("r_bounds", [None, (0.05, 0.3)])
