@@ -191,11 +191,12 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # maximal functions' ladder bins and ladder tables, each within one plane,
 # because those loops count the ladder's columns in their block width) and
 # a few bool masks of an eighth of a plane still allocate.
-# The grid stencil passes (graph.intrinsic_gradient, optimize's area
-# element and energy gradient) block a grid along axis 0 instead: each
-# block reads the whole-grid inputs and writes one budget-sized slab of
-# each output and of scratch allocated once per call, so they ask for no
-# planes and allocate nothing per block.
+# The grid stencil passes (graph.intrinsic_gradient, with the area
+# element folded in, and optimize.energy_gradient) block a box of a grid
+# along axis 0 instead, sized by the box's columns: each block reads the
+# whole-grid inputs and writes one slab of the box into each output and
+# scratch plane, planes a descent allocates once and reuses from point to
+# point, so they ask for no arena planes and allocate nothing per block.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at

@@ -231,30 +231,28 @@ def _sl(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
-def _slab(v: np.ndarray, out: np.ndarray, axis: int, rows: slice):
-    """Operands of a stencil along `axis` that writes only `rows` (axis 0) of out.
+def _slab(v: np.ndarray, out: np.ndarray, axis: int, box: tuple):
+    """Operands of a stencil along `axis` that writes only out[box].
 
-    Returns (v, out, a, b): the stencil writes indices a..b-1 along `axis`
-    of the returned out.  Off axis 0 that is the whole axis of the slab
-    views; on axis 0 it is `rows` of the whole arrays, so the stencil
-    reads the neighbour rows outside the slab.
+    Returns (v, out, a, b): views of the whole arrays cut to `box` on every
+    axis but `axis`, and the indices a..b-1 the stencil writes along it, so
+    the stencil reads its neighbours along `axis` outside the box.
     """
-    if axis:
-        v, out = v[rows], out[rows]
-        return v, out, 0, v.shape[axis]
-    return v, out, rows.start, rows.stop
+    cut = box[:axis] + (slice(None),) + box[axis + 1:]
+    return v[cut], out[cut], box[axis].start, box[axis].stop
 
 
-def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of np.gradient(v, h, axis=axis, edge_order=2) written into out[rows].
+def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) -> np.ndarray:
+    """np.gradient(v, h, axis=axis, edge_order=2) over `box`, written into out[box].
 
     Bit for bit: centered differences inside, numpy's one-sided
     second-order coefficients on the two end layers, evaluated in numpy's
-    order.  `rows` is a slice of axis 0 with explicit bounds; returns out[rows].
+    order.  `box` holds one slice with explicit bounds per axis; returns
+    out[box].
     """
     nd = v.ndim
-    rows_out = out[rows]
-    v, out, a, b = _slab(v, out, axis, rows)
+    box_out = out[box]
+    v, out, a, b = _slab(v, out, axis, box)
     last = v.shape[axis] - 1
     lo, hi = max(a, 1), min(b, last)
     mid = out[_sl(nd, axis, slice(lo, hi))]
@@ -270,17 +268,25 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, rows: slice) -
             c0, c1, c2 = (k / h for k in coefs)
             fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
             out[_sl(nd, axis, end)] = c0 * fi + c1 * fj + c2 * fk
-    return rows_out
+    return box_out
 
 
-def _map_slabs(fn, spec: GridSpec) -> None:
-    """Run fn(rows) on every x_2-slab of the grid: core._map_blocks over axis-0 rows."""
-    core._map_blocks(fn, spec.counts[0], spec.size // spec.counts[0])
+def _map_slabs(fn, spec: GridSpec, box: tuple | None = None) -> None:
+    """Run fn(slab) on the x_2-slabs of `box` (the whole grid by default):
+    core._map_blocks over the box's axis-0 rows, each slab the box cut to
+    one block of them."""
+    box = tuple(slice(0, c) for c in spec.counts) if box is None else box
+    start, rest = box[0].start, box[1:]
+
+    def slab(blk: slice) -> None:
+        fn((slice(start + blk.start, start + blk.stop),) + rest)
+
+    core._map_blocks(slab, box[0].stop - start, math.prod(s.stop - s.start for s in rest))
 
 
 def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
     """2 * the coordinate of axes first..first+n-2, each over the full grid
-    shape, so a row slab slices it: (2 y_2..2 y_n) for first = n and
+    shape, so a slab's box slices it: (2 y_2..2 y_n) for first = n and
     (2 x_2..2 x_n) for first = 0."""
     return [
         np.broadcast_to(2.0 * spec.coordinate_field(first + k), spec.counts)
@@ -288,38 +294,49 @@ def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
     ]
 
 
-def intrinsic_gradient(f: GridFunction) -> IntrinsicGradient:
+def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient:
     """Finite-difference intrinsic gradient of a graph function.
 
     X_i phi = d/dx_i + 2 y_i d/dt, Y_i phi = d/dy_i - 2 x_i d/dt for
     i = 2..n, and the Burgers component B phi = d/dy_1 - 4 phi d/dt.
     The result also carries d(phi)/dt.  The stencils run in row slabs
     along axis 0 (x_2) on core._map_blocks.
+
+    `out` = (components, dt, tmp, area) makes the pass write into those
+    planes of the grid's shape (tmp is scratch) and also write the area
+    element sqrt(1 + |grad phi|^2) into area.  With it, `box` (one slice
+    per axis, the whole grid by default) limits the pass to those nodes
+    and leaves the planes alone outside them.
     """
     spec, v = f.spec, f.values
     n, h = spec.n, spec.h
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     t_ax = 2 * n - 1
-    dt = np.empty(spec.counts)
-    comps = np.empty((2 * n - 1,) + spec.counts)
-    tmp = np.empty(spec.counts)
+    if out is None:
+        counts = spec.counts
+        out = np.empty((2 * n - 1,) + counts), np.empty(counts), np.empty(counts), None
+    comps, dt, tmp, area = out
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
-    def block(rows: slice) -> None:
-        d = _partial(v, h, t_ax, dt, rows)
-        t = tmp[rows]
+    def block(slab: tuple) -> None:
+        d = _partial(v, h, t_ax, dt, slab)
+        t = tmp[slab]
         for i in range(2, n + 1):
-            x_comp = _partial(v, h, i - 2, comps[i - 2], rows)
-            x_comp += np.multiply(ys[i - 2][rows], d, out=t)
-        b_comp = _partial(v, h, n - 1, comps[n - 1], rows)
-        np.multiply(4.0, v[rows], out=t)
+            x_comp = _partial(v, h, i - 2, comps[i - 2], slab)
+            x_comp += np.multiply(ys[i - 2][slab], d, out=t)
+        b_comp = _partial(v, h, n - 1, comps[n - 1], slab)
+        np.multiply(4.0, v[slab], out=t)
         b_comp -= np.multiply(t, d, out=t)
         for i in range(2, n + 1):
-            y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], rows)
-            y_comp -= np.multiply(xs[i - 2][rows], d, out=t)
+            y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], slab)
+            y_comp -= np.multiply(xs[i - 2][slab], d, out=t)
+        if area is not None:
+            a = _norm_sq_into(comps[(slice(None),) + slab], area[slab], t)
+            a += 1.0
+            np.sqrt(a, out=a)
 
-    _map_slabs(block, spec)
+    _map_slabs(block, spec, box)
     return IntrinsicGradient(spec, comps, dt)
 
 

@@ -17,9 +17,7 @@ import numpy as np
 from .graph import (
     GridFunction,
     GridSpec,
-    IntrinsicGradient,
     _map_slabs,
-    _norm_sq_into,
     _sl,
     _slab,
     _twice_coordinates,
@@ -45,19 +43,19 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of the adjoint of the second-order np.gradient stencil along one axis.
+def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, box: tuple) -> np.ndarray:
+    """The adjoint of the second-order np.gradient stencil along one axis, over `box`.
 
-    Written into out[rows], so a caller can reuse one scratch array, with
+    Written into out[box], so a caller can reuse one scratch array, with
     the same operations in the same order on every element as on the whole
-    array.  `rows` is a slice of axis 0 with explicit bounds; along axis 0
-    the adjoint reads u's neighbour rows outside it.  Returns out[rows].
+    array.  `box` holds one slice with explicit bounds per axis; the adjoint
+    reads u's neighbours along `axis` outside it.  Returns out[box].
     """
     nd = u.ndim
-    rows_out = out[rows]
-    u, out, a, b = _slab(u, out, axis, rows)
+    box_out = out[box]
+    u, out, a, b = _slab(u, out, axis, box)
     size = u.shape[axis]
-    rows_out.fill(0.0)
+    box_out.fill(0.0)
     lo, hi = max(a, 2), min(b, size - 2)
     out[_sl(nd, axis, slice(lo, b))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
     out[_sl(nd, axis, slice(a, hi))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
@@ -65,35 +63,52 @@ def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, rows: sli
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
         if a <= j % size < b:
             out[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
-    rows_out /= 2.0 * h
-    return rows_out
+    box_out /= 2.0 * h
+    return box_out
 
 
 @dataclass
 class _Iterate(GridFunction):
-    """Descent point that keeps the stencil pass of its energy evaluation.
+    """Descent point whose stencil passes run only where values can change.
 
-    `energy` stores (intrinsic gradient, area element) here and
-    `energy_gradient` takes it, writing into its buffers, so each point of
-    the descent costs one stencil pass.
+    `boxes` = (energy box, gradient box) of _free_boxes.  The `planes`
+    (components, dt, tmp, area, adj) pass from each point to the next: the
+    first energy fills them over the whole grid and every later one only
+    over the energy box, outside which no value, so no area element,
+    changes.  energy_gradient reads the pass of the energy just before it
+    and writes W and V / area over it, which the next energy recomputes.
     """
 
-    stencils: tuple[IntrinsicGradient, np.ndarray] | None = field(default=None, repr=False)
+    boxes: tuple = ()
+    planes: tuple | None = field(default=None, repr=False)
 
 
-def _stencil_pass(f: GridFunction) -> tuple[IntrinsicGradient, np.ndarray]:
-    """Intrinsic gradient of f and its area element sqrt(1 + |grad phi|^2)."""
-    grad = intrinsic_gradient(f)
-    comps = grad.components
-    area, sq = np.empty(f.spec.counts), np.empty(f.spec.counts)
+def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
+    """(energy box, gradient box) of a descent whose free nodes are ~mask.
 
-    def block(rows: slice) -> None:
-        a = _norm_sq_into(comps[:, rows], area[rows], sq[rows])
-        a += 1.0
-        np.sqrt(a, out=a)
+    The gradient box bounds the free nodes; the energy box grows it by the
+    one node a centered stencil reaches, and stays in the grid because
+    free nodes keep STENCIL_REACH layers from its edge.  Both cut only the
+    leading 2n - 2 axes and keep (y_n, t) whole, so every numpy inner loop
+    of a pass runs over one contiguous (y_n, t) plane.  Without free nodes
+    both are empty.
+    """
+    free = ~mask
+    whole = tuple(slice(0, c) for c in mask.shape)
+    if not free.any():
+        return ((slice(0, 0),) + whole[1:],) * 2
+    grad_box = list(whole)
+    for ax in range(2 * n - 2):
+        hit = np.flatnonzero(free.any(axis=tuple(k for k in range(mask.ndim) if k != ax)))
+        grad_box[ax] = slice(int(hit[0]), int(hit[-1]) + 1)
+    energy_box = [slice(s.start - 1, s.stop + 1) for s in grad_box[: 2 * n - 2]]
+    return tuple(energy_box) + whole[2 * n - 2:], tuple(grad_box)
 
-    _map_slabs(block, f.spec)
-    return grad, area
+
+def _pass_planes(spec: GridSpec) -> tuple:
+    """(components, dt, tmp, area, adj): the planes of a stencil pass and its adjoints."""
+    counts = spec.counts
+    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(4))
 
 
 def energy(f: GridFunction, region=None) -> float:
@@ -101,64 +116,69 @@ def energy(f: GridFunction, region=None) -> float:
 
     Equal to surface.hperimeter(f, region) bit for bit.
     """
-    stencils = _stencil_pass(f)
-    if isinstance(f, _Iterate):
-        f.stencils = stencils
-    area = stencils[1].ravel()
+    box = None
+    if not isinstance(f, _Iterate):
+        planes = _pass_planes(f.spec)
+    elif f.planes is None:
+        planes = f.planes = _pass_planes(f.spec)
+    else:
+        planes, box = f.planes, f.boxes[0]
+    intrinsic_gradient(f, box, planes[:4])
+    area = planes[3].ravel()
     if region is not None:
         area = area[_region_mask(f, region)]
     return float(np.sum(area) * f.spec.cell_volume)
 
 
 def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
-    """Exact nodal derivative of the discretized energy, flat layout."""
+    """Exact nodal derivative of the discretized energy, flat layout.
+
+    On a descent point it is exact over the gradient box and zero outside.
+    """
     spec = f.spec
     n, h, V = spec.n, spec.h, spec.cell_volume
     t_ax = 2 * n - 1
-    stencils = f.stencils if isinstance(f, _Iterate) else None
-    if stencils is None:
-        stencils = _stencil_pass(f)
+    if isinstance(f, _Iterate) and f.planes is not None:
+        planes, (scaled, box) = f.planes, f.boxes
     else:
-        f.stencils = None  # its buffers are overwritten below
-    G, area = stencils
-    dt = G.dt
-    # W = G * (V / area), written over G, on every row before any adjoint:
-    # the axis-0 adjoint of W[0] reads the neighbour rows of a slab
-    W = G.components
+        planes, scaled, box = _pass_planes(spec), None, None
+        intrinsic_gradient(f, None, planes[:4])
+    W, dt, tmp, area, adj = planes
     mask = None if region is None else _region_mask(f, region).reshape(spec.counts)
 
-    def scale(rows: slice) -> None:
-        w = W[:, rows]
-        w *= np.divide(V, area[rows], out=area[rows])
+    def scale(slab: tuple) -> None:
+        w = W[(slice(None),) + slab]
+        w *= np.divide(V, area[slab], out=area[slab])
         if mask is not None:
-            w *= mask[rows]
+            w *= mask[slab]
 
-    _map_slabs(scale, spec)
+    # W = G * (V / area), written over G and the area, over the whole
+    # energy box before any adjoint: an axis-0 adjoint reads the
+    # neighbour rows of its slab
+    _map_slabs(scale, spec, scaled)
     grad = np.zeros(spec.counts)
-    adj = np.empty(spec.counts)
-    tmp = np.empty(spec.counts)
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
-    def adjoints(rows: slice) -> None:
-        g, t = grad[rows], tmp[rows]
+    def adjoints(slab: tuple) -> None:
+        g, t = grad[slab], tmp[slab]
         for i in range(2, n + 1):
             wx = W[i - 2]
-            g += _adjoint_axis(wx, i - 2, h, adj, rows)
-            np.multiply(ys[i - 2][rows], wx[rows], out=t)
-            g += _adjoint_axis(tmp, t_ax, h, adj, rows)
+            g += _adjoint_axis(wx, i - 2, h, adj, slab)
+            np.multiply(ys[i - 2][slab], wx[slab], out=t)
+            g += _adjoint_axis(tmp, t_ax, h, adj, slab)
         wb = W[n - 1]
-        g += _adjoint_axis(wb, n - 1, h, adj, rows)
-        np.multiply(4.0, dt[rows], out=t)
-        g -= np.multiply(t, wb[rows], out=t)
-        np.multiply(f.values[rows], wb[rows], out=t)
-        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, rows), out=adj[rows])
+        g += _adjoint_axis(wb, n - 1, h, adj, slab)
+        np.multiply(4.0, dt[slab], out=t)
+        g -= np.multiply(t, wb[slab], out=t)
+        np.multiply(f.values[slab], wb[slab], out=t)
+        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, slab), out=adj[slab])
         for i in range(2, n + 1):
             wy = W[n + i - 2]
-            g += _adjoint_axis(wy, n + i - 2, h, adj, rows)
-            np.multiply(xs[i - 2][rows], wy[rows], out=t)
-            g -= _adjoint_axis(tmp, t_ax, h, adj, rows)
+            g += _adjoint_axis(wy, n + i - 2, h, adj, slab)
+            np.multiply(xs[i - 2][slab], wy[slab], out=t)
+            g -= _adjoint_axis(tmp, t_ax, h, adj, slab)
 
-    _map_slabs(adjoints, spec)
+    _map_slabs(adjoints, spec, box)
     return grad.ravel()
 
 
@@ -268,6 +288,7 @@ def solve(
     region = problem.region
     mask = problem.initial.dirichlet_mask
     fixed = mask.ravel()
+    boxes = _free_boxes(mask, spec.n)
 
     def masked_grad(point: _Iterate) -> np.ndarray:
         g = energy_gradient(point, region)
@@ -275,7 +296,7 @@ def solve(
         return g
 
     x = problem.initial.values.ravel().copy()
-    point = _Iterate(spec, x.reshape(spec.counts))
+    point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes)
     e = energy(point, region)
     g = masked_grad(point)
     e_trace = [e]
@@ -299,8 +320,8 @@ def solve(
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = x - alpha * g
-            # rebinding drops the previous candidate's stencil pass first
-            point = _Iterate(spec, cand.reshape(spec.counts))
+            # g is +0.0 on fixed nodes, so cand equals x there bit for bit
+            point = _Iterate(spec, cand.reshape(spec.counts), boxes=boxes, planes=point.planes)
             ec = energy(point, region)
             if ec <= e - _ARMIJO * alpha * gg:
                 accepted = True

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlip import core, optimize, surface
 from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
@@ -44,7 +46,8 @@ def test_axis_adjoint_identity():
     for axis in range(4):
         u = rng.normal(size=arr.shape)
         lhs = np.sum(np.gradient(arr, h, axis=axis, edge_order=2) * u)
-        rhs = np.sum(arr * _adjoint_axis(u, axis, h, np.empty_like(u), slice(0, len(u))))
+        whole = tuple(slice(0, c) for c in u.shape)
+        rhs = np.sum(arr * _adjoint_axis(u, axis, h, np.empty_like(u), whole))
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
@@ -401,7 +404,11 @@ def test_energy_and_gradient_leave_inputs_alone(spec):
 
 
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
-    calls = {"energy": 0, "energy_gradient": 0, "intrinsic_gradient": 0}
+    # one intrinsic-gradient pass per energy; the first covers the grid,
+    # every later one only the energy box, and the area element outside
+    # it stays the first pass's, bit for bit
+    calls = {"energy": 0, "energy_gradient": 0}
+    passes = []  # (box, area plane) after every intrinsic-gradient call
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -409,14 +416,88 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def recording(f, box=None, out=None):
+        result = intrinsic(f, box, out)
+        passes.append((box, out[3].copy()))
+        return result
+
     for name in calls:
         monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
+    intrinsic = optimize.intrinsic_gradient
+    monkeypatch.setattr(optimize, "intrinsic_gradient", recording)
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
     rep = optimize.solve(prob, max_iter=20)
     assert rep.iterations == 20
     assert calls["energy_gradient"] == rep.iterations + 1
     assert calls["energy"] > calls["energy_gradient"]
-    assert calls["intrinsic_gradient"] == calls["energy"]
+    assert len(passes) == calls["energy"]
+    energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
+    outside = np.ones(spec.counts, dtype=bool)
+    outside[energy_box] = False
+    assert outside.any() and not outside.all()
+    first_box, first_area = passes[0]
+    assert first_box is None
+    for box, area in passes[1:]:
+        assert box == energy_box
+        np.testing.assert_array_equal(area[outside], first_area[outside])
+
+
+def _solve_matches_reference(prob, **kwargs):
+    """solve(prob) against solve_reference(prob), bit for bit; returns the report."""
+    rep = optimize.solve(prob, **kwargs)
+    x, e_trace, g_trace, iterations, converged = solve_reference(prob, **kwargs)
+    np.testing.assert_array_equal(rep.energy_trace, e_trace)
+    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
+    assert rep.iterations == iterations
+    assert rep.converged == converged
+    np.testing.assert_array_equal(rep.phi.values, x.reshape(prob.spec.counts))
+    return rep
+
+
+@st.composite
+def descent_problems(draw):
+    """n = 2 problems on grids of unequal counts: the 3-layer rim, fixed
+    blobs drawn on top of it and an optional region disk, so the free
+    nodes' box shrinks, shifts or empties."""
+    counts = tuple(draw(st.lists(st.integers(8, 11), min_size=4, max_size=4)))
+    spec = GridSpec(2, tuple(-(c - 1) * 0.05 for c in counts), 0.1, counts)
+    radius = draw(st.sampled_from((None, 0.3, 0.4, 0.6)))
+    region = None if radius is None else surface.disk_mask(spec, radius)
+    prob = optimize.dirichlet_problem(
+        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
+    )
+    mask = prob.initial.dirichlet_mask.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        corner = [draw(st.integers(0, c - 1)) for c in counts]
+        sides = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+        mask[tuple(slice(a, a + w) for a, w in zip(corner, sides))] = True
+    f = GridFunction(spec, prob.initial.values, dirichlet_mask=mask)
+    return optimize.DirichletProblem(f, region=prob.region)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descent_problems())
+def test_solve_on_drawn_free_sets_matches_reference_bitwise(prob):
+    _solve_matches_reference(prob, tol=1e-7, max_iter=6)
+
+
+def test_solve_n3_matches_reference_bitwise():
+    spec3 = GridSpec(3, (-0.3,) * 6, 0.1, (7, 8, 9, 7, 8, 7))
+    prob = optimize.dirichlet_problem(
+        spec3,
+        data=lambda w: 0.2 + 0.05 * w[:, 2],
+        init=lambda w: 0.2 + 0.04 * np.sin(3 * w[:, 0]) * np.cos(2 * w[:, 3]) * np.cos(w[:, 5]),
+    )
+    rep = _solve_matches_reference(prob, tol=1e-7, max_iter=8)
+    assert rep.iterations > 0
+
+
+def test_solve_without_free_nodes_matches_reference_bitwise(spec):
+    prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], layers=6)
+    assert prob.initial.dirichlet_mask.all()
+    rep = _solve_matches_reference(prob)
+    assert rep.iterations == 0 and rep.converged
+    assert rep.calibration_gap == rep.energy_trace[0] - prob.region_measure()
 
 
 # --- x_2-slabs: the stencil passes split into row blocks ---------------------
@@ -426,11 +507,15 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
 SLABS = [(rows, workers) for rows in (1, 2, 3) for workers in (1, 2)]
 
 
-def _force_slabs(monkeypatch, spec, rows, workers):
-    cols = spec.size // spec.counts[0]
+def _force_slabs(monkeypatch, spec, rows, workers, box=None):
+    # sized from the columns of `box` (the whole grid by default), so a
+    # pass over a box at least as wide gets blocks of at most `rows` rows
+    box = box or tuple(slice(0, c) for c in spec.counts)
+    span = box[0].stop - box[0].start
+    cols = math.prod(s.stop - s.start for s in box[1:])
     monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * cols * rows)
     monkeypatch.setattr(core, "_WORKERS", workers)
-    assert len(list(core._row_blocks(spec.counts[0], cols))) == math.ceil(spec.counts[0] / rows)
+    assert len(list(core._row_blocks(span, cols))) == math.ceil(span / rows)
 
 
 @pytest.mark.parametrize("rows,workers", SLABS)
@@ -463,7 +548,8 @@ def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, worke
     prob = optimize.dirichlet_problem(
         spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=surface.disk_mask(spec, 0.55)
     )
-    _force_slabs(monkeypatch, spec, rows, workers)
+    # the gradient box is the narrowest pass of the descent
+    _force_slabs(monkeypatch, spec, rows, workers, optimize._free_boxes(prob.initial.dirichlet_mask, 2)[1])
     rep = optimize.solve(prob, tol=1e-7, max_iter=12)
     x, e_trace, g_trace, iterations, _ = solve_reference(prob, tol=1e-7, max_iter=12)
     assert rep.iterations == iterations == 12
