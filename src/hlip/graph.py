@@ -313,9 +313,9 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     t_ax = 2 * n - 1
-    if out is None:
-        counts = spec.counts
-        out = np.empty((2 * n - 1,) + counts), np.empty(counts), np.empty(counts), None
+    if out is None:  # dt first: the other order raised verify's peak RSS by ~1 MB
+        dt = np.empty(spec.counts)
+        out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
     comps, dt, tmp, area = out
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 

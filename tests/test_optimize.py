@@ -549,7 +549,8 @@ def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, worke
         spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=surface.disk_mask(spec, 0.55)
     )
     # the gradient box is the narrowest pass of the descent
-    _force_slabs(monkeypatch, spec, rows, workers, optimize._free_boxes(prob.initial.dirichlet_mask, 2)[1])
+    grad_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[1]
+    _force_slabs(monkeypatch, spec, rows, workers, grad_box)
     rep = optimize.solve(prob, tol=1e-7, max_iter=12)
     x, e_trace, g_trace, iterations, _ = solve_reference(prob, tol=1e-7, max_iter=12)
     assert rep.iterations == iterations == 12

@@ -116,7 +116,8 @@ def _machine(env: dict | None) -> dict:
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+            names = [ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")]
+        cpu = names[0] if names else cpu
     except OSError:
         pass
     return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
@@ -124,7 +125,9 @@ def _machine(env: dict | None) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     ap.add_argument("--parent", required=True, help="revision of the parent side")
     ap.add_argument("--change", required=True, help="revision of the change side")
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -176,7 +179,8 @@ def main(argv=None) -> int:
         for name, m in section["summary"].items():
             print(f"{key}: {name} change/parent median {m['median_ratio']}, "
                   f"lower in {m['change_lower_in_pairs']} of {m['pairs']} pairs")
-    print(f"wrote {path.name}; " + (f"FAILED: {', '.join(bad)}" if bad else "all runs correct, digests equal"))
+    verdict = f"FAILED: {', '.join(bad)}" if bad else "all runs correct, digests equal"
+    print(f"wrote {path.name}; {verdict}")
     return 1 if bad else 0
 
 
