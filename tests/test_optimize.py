@@ -330,6 +330,18 @@ def solve_reference(problem, tol=1e-8, max_iter=5000):
     return x, np.asarray(e_trace), np.asarray(g_trace), iterations, g_trace[-1] <= tol
 
 
+def _solve_matches_reference(prob, **kwargs):
+    """solve(prob) against solve_reference(prob), bit for bit; returns the report."""
+    rep = optimize.solve(prob, **kwargs)
+    x, e_trace, g_trace, iterations, converged = solve_reference(prob, **kwargs)
+    np.testing.assert_array_equal(rep.energy_trace, e_trace)
+    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
+    assert rep.iterations == iterations
+    assert rep.converged == converged
+    np.testing.assert_array_equal(rep.phi.values, x.reshape(prob.spec.counts))
+    return rep
+
+
 def _wavy(w):
     return 0.3 + 0.04 * np.sin(3 * w[:, 0]) * np.cos(2 * w[:, 1]) * np.cos(w[:, 3])
 
@@ -341,26 +353,13 @@ def test_solve_matches_reference_bitwise(spec, with_region):
         spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
     )
     # both runs need more than 12 steps, so this one stops at the cap
-    max_iter = 12
-    rep = optimize.solve(prob, tol=1e-7, max_iter=max_iter)
-    x, e_trace, g_trace, iterations, converged = solve_reference(prob, tol=1e-7, max_iter=max_iter)
-    assert iterations == max_iter and not converged
-    np.testing.assert_array_equal(rep.energy_trace, e_trace)
-    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
-    assert rep.iterations == iterations
-    assert rep.converged == converged
-    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+    rep = _solve_matches_reference(prob, tol=1e-7, max_iter=12)
+    assert rep.iterations == 12 and not rep.converged
 
 
 def test_solve_converged_run_matches_reference_bitwise(spec):
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
-    rep = optimize.solve(prob)
-    x, e_trace, g_trace, iterations, converged = solve_reference(prob)
-    assert rep.converged and converged
-    np.testing.assert_array_equal(rep.energy_trace, e_trace)
-    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
-    assert rep.iterations == iterations
-    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+    assert _solve_matches_reference(prob).converged
 
 
 @pytest.mark.parametrize("region_kind", [None, "mask", "callable"])
@@ -440,18 +439,6 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     for box, area in passes[1:]:
         assert box == energy_box
         np.testing.assert_array_equal(area[outside], first_area[outside])
-
-
-def _solve_matches_reference(prob, **kwargs):
-    """solve(prob) against solve_reference(prob), bit for bit; returns the report."""
-    rep = optimize.solve(prob, **kwargs)
-    x, e_trace, g_trace, iterations, converged = solve_reference(prob, **kwargs)
-    np.testing.assert_array_equal(rep.energy_trace, e_trace)
-    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
-    assert rep.iterations == iterations
-    assert rep.converged == converged
-    np.testing.assert_array_equal(rep.phi.values, x.reshape(prob.spec.counts))
-    return rep
 
 
 @st.composite
@@ -551,12 +538,7 @@ def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, worke
     # the gradient box is the narrowest pass of the descent
     grad_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[1]
     _force_slabs(monkeypatch, spec, rows, workers, grad_box)
-    rep = optimize.solve(prob, tol=1e-7, max_iter=12)
-    x, e_trace, g_trace, iterations, _ = solve_reference(prob, tol=1e-7, max_iter=12)
-    assert rep.iterations == iterations == 12
-    np.testing.assert_array_equal(rep.energy_trace, e_trace)
-    np.testing.assert_array_equal(rep.gradient_trace, g_trace)
-    np.testing.assert_array_equal(rep.phi.values, x.reshape(spec.counts))
+    assert _solve_matches_reference(prob, tol=1e-7, max_iter=12).iterations == 12
 
 
 def test_gradient_in_slabs_under_fast_thread_switches(spec, monkeypatch):
