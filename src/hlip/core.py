@@ -191,6 +191,12 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # maximal functions' ladder bins and ladder tables, each within one plane,
 # because those loops count the ladder's columns in their block width) and
 # a few bool masks of an eighth of a plane still allocate.
+# The grid stencil passes (graph.intrinsic_gradient, with the area
+# element folded in, and optimize.energy_gradient) block a box of a grid
+# along axis 0 instead, sized by the box's columns: each block reads the
+# whole-grid inputs and writes one slab of the box into each output and
+# scratch plane, planes a descent allocates once and reuses from point to
+# point, so they ask for no arena planes and allocate nothing per block.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at
@@ -230,6 +236,11 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
     returns.  So the live scratch is at most _WORKERS arenas of a few
     (rows x cols) planes (see _BLOCK_BYTES), and fn must copy out whatever
     it keeps of a plane before it returns.
+
+    Consecutive calls are a barrier: every block of one call has finished
+    when it returns, so the next call's blocks may read any row the first
+    wrote (optimize.energy_gradient scales every row before its axis-0
+    adjoint reads neighbour rows).
     """
     blocks = list(_row_blocks(rows, cols))
     out = [None] * len(blocks)

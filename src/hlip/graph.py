@@ -271,9 +271,22 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) ->
     return box_out
 
 
+def _map_slabs(fn, spec: GridSpec, box: tuple | None = None) -> None:
+    """Run fn(slab) on the x_2-slabs of `box` (the whole grid by default):
+    core._map_blocks over the box's axis-0 rows, each slab the box cut to
+    one block of them."""
+    box = tuple(slice(0, c) for c in spec.counts) if box is None else box
+    start, rest = box[0].start, box[1:]
+
+    def slab(blk: slice) -> None:
+        fn((slice(start + blk.start, start + blk.stop),) + rest)
+
+    core._map_blocks(slab, box[0].stop - start, math.prod(s.stop - s.start for s in rest))
+
+
 def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
     """2 * the coordinate of axes first..first+n-2, each over the full grid
-    shape, so a pass's box slices it: (2 y_2..2 y_n) for first = n and
+    shape, so a slab's box slices it: (2 y_2..2 y_n) for first = n and
     (2 x_2..2 x_n) for first = 0."""
     return [
         np.broadcast_to(2.0 * spec.coordinate_field(first + k), spec.counts)
@@ -286,7 +299,8 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
 
     X_i phi = d/dx_i + 2 y_i d/dt, Y_i phi = d/dy_i - 2 x_i d/dt for
     i = 2..n, and the Burgers component B phi = d/dy_1 - 4 phi d/dt.
-    The result also carries d(phi)/dt.
+    The result also carries d(phi)/dt.  The stencils run in row slabs
+    along axis 0 (x_2) on core._map_blocks.
 
     `out` = (components, dt, tmp, area) makes the pass write into those
     planes of the grid's shape (tmp is scratch) and also write the area
@@ -304,22 +318,25 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
         out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
     comps, dt, tmp, area = out
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
-    box = tuple(slice(0, c) for c in spec.counts) if box is None else box
-    d = _partial(v, h, t_ax, dt, box)
-    t = tmp[box]
-    for i in range(2, n + 1):
-        x_comp = _partial(v, h, i - 2, comps[i - 2], box)
-        x_comp += np.multiply(ys[i - 2][box], d, out=t)
-    b_comp = _partial(v, h, n - 1, comps[n - 1], box)
-    np.multiply(4.0, v[box], out=t)
-    b_comp -= np.multiply(t, d, out=t)
-    for i in range(2, n + 1):
-        y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], box)
-        y_comp -= np.multiply(xs[i - 2][box], d, out=t)
-    if area is not None:
-        a = _norm_sq_into(comps[(slice(None),) + box], area[box], t)
-        a += 1.0
-        np.sqrt(a, out=a)
+
+    def block(slab: tuple) -> None:
+        d = _partial(v, h, t_ax, dt, slab)
+        t = tmp[slab]
+        for i in range(2, n + 1):
+            x_comp = _partial(v, h, i - 2, comps[i - 2], slab)
+            x_comp += np.multiply(ys[i - 2][slab], d, out=t)
+        b_comp = _partial(v, h, n - 1, comps[n - 1], slab)
+        np.multiply(4.0, v[slab], out=t)
+        b_comp -= np.multiply(t, d, out=t)
+        for i in range(2, n + 1):
+            y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], slab)
+            y_comp -= np.multiply(xs[i - 2][slab], d, out=t)
+        if area is not None:
+            a = _norm_sq_into(comps[(slice(None),) + slab], area[slab], t)
+            a += 1.0
+            np.sqrt(a, out=a)
+
+    _map_slabs(block, spec, box)
     return IntrinsicGradient(spec, comps, dt)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import (
     GridFunction,
     GridSpec,
+    _map_slabs,
     _sl,
     _slab,
     _twice_coordinates,
@@ -90,8 +91,7 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
     free nodes keep STENCIL_REACH layers from its edge.  Both cut only the
     leading 2n - 2 axes and keep (y_n, t) whole, so every numpy inner loop
     of a pass runs over one contiguous (y_n, t) plane.  Without free nodes
-    both are empty on axis 0, and energy and energy_gradient skip their
-    passes.
+    both are empty.
     """
     free = ~mask
     whole = tuple(slice(0, c) for c in mask.shape)
@@ -123,8 +123,7 @@ def energy(f: GridFunction, region=None) -> float:
         planes = f.planes = _pass_planes(f.spec)
     else:
         planes, box = f.planes, f.boxes[0]
-    if box is None or box[0].start < box[0].stop:  # an empty box: no free node
-        intrinsic_gradient(f, box, planes[:4])
+    intrinsic_gradient(f, box, planes[:4])
     area = planes[3].ravel()
     if region is not None:
         area = area[_region_mask(f, region)]
@@ -142,37 +141,44 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
     if isinstance(f, _Iterate) and f.planes is not None:
         planes, (scaled, box) = f.planes, f.boxes
     else:
-        planes = _pass_planes(spec)
-        scaled = box = tuple(slice(0, c) for c in spec.counts)
+        planes, scaled, box = _pass_planes(spec), None, None
         intrinsic_gradient(f, None, planes[:4])
     W, dt, tmp, area, adj = planes
+    mask = None if region is None else _region_mask(f, region).reshape(spec.counts)
+
+    def scale(slab: tuple) -> None:
+        w = W[(slice(None),) + slab]
+        w *= np.divide(V, area[slab], out=area[slab])
+        if mask is not None:
+            w *= mask[slab]
+
+    # W = G * (V / area), written over G and the area, over the whole
+    # energy box before any adjoint: an axis-0 adjoint reads the
+    # neighbour rows of its slab
+    _map_slabs(scale, spec, scaled)
     grad = np.zeros(spec.counts)
-    if box[0].start == box[0].stop:  # no free node
-        return grad.ravel()
-    # W = G * (V / area), written over G and the area, over the energy
-    # box: the adjoints read W one node beyond the gradient box
-    w = W[(slice(None),) + scaled]
-    w *= np.divide(V, area[scaled], out=area[scaled])
-    if region is not None:
-        w *= _region_mask(f, region).reshape(spec.counts)[scaled]
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
-    g, t = grad[box], tmp[box]
-    for i in range(2, n + 1):
-        wx = W[i - 2]
-        g += _adjoint_axis(wx, i - 2, h, adj, box)
-        np.multiply(ys[i - 2][box], wx[box], out=t)
-        g += _adjoint_axis(tmp, t_ax, h, adj, box)
-    wb = W[n - 1]
-    g += _adjoint_axis(wb, n - 1, h, adj, box)
-    np.multiply(4.0, dt[box], out=t)
-    g -= np.multiply(t, wb[box], out=t)
-    np.multiply(f.values[box], wb[box], out=t)
-    g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, box), out=adj[box])
-    for i in range(2, n + 1):
-        wy = W[n + i - 2]
-        g += _adjoint_axis(wy, n + i - 2, h, adj, box)
-        np.multiply(xs[i - 2][box], wy[box], out=t)
-        g -= _adjoint_axis(tmp, t_ax, h, adj, box)
+
+    def adjoints(slab: tuple) -> None:
+        g, t = grad[slab], tmp[slab]
+        for i in range(2, n + 1):
+            wx = W[i - 2]
+            g += _adjoint_axis(wx, i - 2, h, adj, slab)
+            np.multiply(ys[i - 2][slab], wx[slab], out=t)
+            g += _adjoint_axis(tmp, t_ax, h, adj, slab)
+        wb = W[n - 1]
+        g += _adjoint_axis(wb, n - 1, h, adj, slab)
+        np.multiply(4.0, dt[slab], out=t)
+        g -= np.multiply(t, wb[slab], out=t)
+        np.multiply(f.values[slab], wb[slab], out=t)
+        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, slab), out=adj[slab])
+        for i in range(2, n + 1):
+            wy = W[n + i - 2]
+            g += _adjoint_axis(wy, n + i - 2, h, adj, slab)
+            np.multiply(xs[i - 2][slab], wy[slab], out=t)
+            g -= _adjoint_axis(tmp, t_ax, h, adj, slab)
+
+    _map_slabs(adjoints, spec, box)
     return grad.ravel()
 
 

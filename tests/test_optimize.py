@@ -1,13 +1,14 @@
 """Exactness of the discrete area gradient and solver behavior."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import optimize, surface
+from hlip import core, optimize, surface
 from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
 from hlip.optimize import _adjoint_axis
 
@@ -493,3 +494,74 @@ def test_solve_keeps_stepping_over_empty_boxes(spec):
     assert prob.initial.dirichlet_mask.all()
     rep = _solve_matches_reference(prob, tol=-1.0, max_iter=3)
     assert rep.iterations == 3 and not rep.converged
+
+
+# --- x_2-slabs: the stencil passes split into row blocks ---------------------
+
+# rows per block and threads; one-row blocks put each of rows 0, 1, 2 and
+# N-3..N-1, where the one-sided and adjoint edge terms live, in its own block
+SLABS = [(rows, workers) for rows in (1, 2, 3) for workers in (1, 2)]
+
+
+def _force_slabs(monkeypatch, spec, rows, workers, box=None):
+    # sized from the columns of `box` (the whole grid by default), so a
+    # pass over a box at least as wide gets blocks of at most `rows` rows
+    box = box or tuple(slice(0, c) for c in spec.counts)
+    span = box[0].stop - box[0].start
+    cols = math.prod(s.stop - s.start for s in box[1:])
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * cols * rows)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    assert len(list(core._row_blocks(span, cols))) == math.ceil(span / rows)
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+@pytest.mark.parametrize("with_region", [False, True])
+def test_energy_and_gradient_in_slabs_match_reference_bitwise(
+    spec, monkeypatch, rows, workers, with_region
+):
+    region = surface.disk_mask(spec, 0.5) if with_region else None
+    f = GridFunction.from_callable(spec, smooth)
+    _force_slabs(monkeypatch, spec, rows, workers)
+    assert optimize.energy(f, region) == energy_reference(f, region)
+    np.testing.assert_array_equal(
+        optimize.energy_gradient(f, region), energy_gradient_reference(f, region)
+    )
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+def test_energy_and_gradient_n3_in_slabs_match_reference_bitwise(monkeypatch, rows, workers):
+    spec3 = GridSpec.centered(3, 0.5, 0.125)
+    f = GridFunction.from_callable(
+        spec3, lambda w: 0.1 * np.sin(w[:, 2]) * np.cos(w[:, 5]) + 0.05 * w[:, 0] * w[:, 3]
+    )
+    _force_slabs(monkeypatch, spec3, rows, workers)
+    assert optimize.energy(f) == energy_reference(f)
+    np.testing.assert_array_equal(optimize.energy_gradient(f), energy_gradient_reference(f))
+
+
+@pytest.mark.parametrize("rows,workers", SLABS)
+def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, workers):
+    prob = optimize.dirichlet_problem(
+        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=surface.disk_mask(spec, 0.55)
+    )
+    # the gradient box is the narrowest pass of the descent
+    grad_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[1]
+    _force_slabs(monkeypatch, spec, rows, workers, grad_box)
+    assert _solve_matches_reference(prob, tol=1e-7, max_iter=12).iterations == 12
+
+
+def test_gradient_in_slabs_under_fast_thread_switches(spec, monkeypatch):
+    # one-row slabs on two threads that switch every microsecond: a slab
+    # that read a row before another slab wrote it would show here
+    f = GridFunction.from_callable(spec, smooth)
+    region = surface.disk_mask(spec, 0.5)
+    e_want, g_want = energy_reference(f, region), energy_gradient_reference(f, region)
+    _force_slabs(monkeypatch, spec, 1, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert optimize.energy(f, region) == e_want
+            np.testing.assert_array_equal(optimize.energy_gradient(f, region), g_want)
+    finally:
+        sys.setswitchinterval(interval)
