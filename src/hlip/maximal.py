@@ -10,6 +10,7 @@ slack for that discretization.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +56,8 @@ _DISK_LEMMA_SLACK = 0.05
 _SMALL_SLOPE_LIP = 0.2
 # outer ball factor C2 = 2 gamma2 of the Poincare check, at gamma2 = 1
 _POINCARE_C2 = 2.0
+
+log = logging.getLogger("hlip.maximal")
 
 
 class PhiLemmaError(ValueError):
@@ -332,6 +335,7 @@ def phi_maximal(
     gamma2: float = 1.0,
     c_hat_l: float | None = None,
     centers: np.ndarray | None = None,
+    _exact_above: float = -math.inf,
 ) -> PhiMaximalField:
     """Maximal function of mu_phi over graph-distance balls.
 
@@ -343,6 +347,10 @@ def phi_maximal(
     A block stops its ladder as disk_maximal's do: past the first rung
     that holds every node, each ball holds the whole grid, so the ratio
     stays the same.
+
+    Values are exact where they exceed _exact_above, elsewhere in [0,
+    _exact_above]: every ratio is a ball's mean density, so the ladder is
+    skipped when the largest density is at most _exact_above.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
@@ -359,13 +367,18 @@ def phi_maximal(
     spec = f.spec
     rungs = radius_ladder(cell_diameter(spec), (rho / c_hat_l) * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
-    pall = np.asfortranarray(f.graph())  # contiguous columns: see core's pair kernels
-    d_origin = _sym_dist(_graph_point(f, np.zeros(2 * spec.n)), pall)
     values = np.zeros(spec.size)
     evaluated = np.zeros(spec.size, dtype=bool)
     evaluated[eval_idx] = True
     mflat = mu_phi.flat
-    if rungs.size:
+    # the margin covers a sum of spec.size nonnegative masses and two divisions
+    bound = float(np.max(mflat) / spec.cell_volume * (1 + 4 * spec.size * np.finfo(float).eps))
+    decided = bound <= _exact_above
+    log.debug("phi_maximal: the %s decides (density bound %r, threshold %r)",
+              "density bound" if decided else "ladder", bound, _exact_above)
+    if rungs.size and not decided:
+        pall = np.asfortranarray(f.graph())  # contiguous columns: see core's pair kernels
+        d_origin = _sym_dist(_graph_point(f, np.zeros(2 * spec.n)), pall)
         def block(blk):
             idx = eval_idx[blk]
             planes = core._planes(4, (idx.size, spec.size))
@@ -424,6 +437,7 @@ def check_phi_lemma(
         gamma2=gamma2,
         c_hat_l=c_hat_l,
         centers=np.flatnonzero(in_ball),
+        _exact_above=theta,
     )
     good = np.flatnonzero(in_ball & ~(fld.values > theta))
     if good.size < 2:

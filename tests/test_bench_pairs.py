@@ -29,11 +29,29 @@ def test_summary_of_clean_pairs():
     wall = section["summary"]["wall_s"]
     assert wall["parent"]["median"] == 11.5 and wall["change"]["median"] == 8.0
     assert wall["parent"]["q1"] == 10.75 and wall["parent"]["q3"] == 12.25
+    assert wall["parent_iqr"] == 1.5 and wall["resolved"] is True
     assert wall["median_ratio"] == round(8.0 / 11.5, 4)
     assert wall["change_lower_in_pairs"] == 3 and wall["change_higher_in_pairs"] == 1
     assert wall["pairs"] == 4
     assert wall["pair_ratios"] == [0.6, 0.75, round(7 / 11, 4), round(14 / 13, 4)]
     assert [r["first"] for r in section["runs"]] == ["parent", "change"] * 2
+    assert bench_pairs.verdict_line("w", "wall_s", wall) == (
+        "w: wall_s change/parent median 0.6957, lower in 3 of 4 pairs"
+    )
+
+
+@pytest.mark.parametrize("change,resolved", [
+    ([11.0, 11.5, 10.5, 12.0], False),  # medians equal
+    ([10.0, 10.5, 10.0, 11.0], False),  # 11.5 -> 10.25: 1.25 is inside the IQR of 1.5
+    ([10.0, 10.0, 10.0, 10.0], False),  # 11.5 -> 10.0: exactly the IQR
+    ([9.5, 10.0, 9.5, 10.5], True),  # 11.5 -> 9.75
+    ([13.5, 14.0, 13.0, 14.0], True),  # 11.5 -> 13.75: a resolved rise
+])
+def test_a_median_shift_within_the_parent_iqr_is_unresolved(change, resolved):
+    wall = bench_pairs.summarize(_pairs([10.0, 12.0, 11.0, 13.0], change))["summary"]["wall_s"]
+    assert wall["parent_iqr"] == 1.5 and wall["resolved"] is resolved
+    line = bench_pairs.verdict_line("w", "wall_s", wall)
+    assert line.endswith("unresolved: the medians differ by no more than the parent IQR 1.5") != resolved
 
 
 @pytest.mark.parametrize("change_kw,digests_equal,all_correct", [

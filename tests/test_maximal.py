@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlip import core, generators, graph, maximal
@@ -495,6 +495,154 @@ def test_phi_lemma_flat_graph_zero(spec):
     f = GridFunction.constant(spec, 1.0)
     rep = maximal.check_phi_lemma(f, s=0.45, theta=0.5, pair_budget=2000)
     assert rep["ratio"] == 0.0
+
+
+# --- the phi lemma's density bound against the full ladder -----------------
+
+
+def phi_lemma_reference(f, **kw):
+    """check_phi_lemma with phi_maximal's full ladder, kept as the reference:
+    the threshold is dropped, so every field value is exact."""
+    full = maximal.phi_maximal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "phi_maximal", lambda *a, _exact_above, **k: full(*a, **k))
+        return ball_constants_outcome(maximal.check_phi_lemma, f, **kw)
+
+
+def largest_density(f):
+    return float(np.max(maximal.measure_from_gradient(f).flat)) / f.spec.cell_volume
+
+
+def count_ladder_loops(monkeypatch):
+    """A list that gains one entry per phi_maximal block loop run from now on."""
+    calls, map_blocks = [], core._map_blocks
+
+    def counted(fn, *a, **k):
+        calls.extend(["phi_maximal"] * (fn.__qualname__ == "phi_maximal.<locals>.block"))
+        return map_blocks(fn, *a, **k)
+
+    monkeypatch.setattr(core, "_map_blocks", counted)
+    return calls
+
+
+# 1,296 nodes: small enough to run the reference's ladder per example
+LEMMA_GRID = GridSpec.centered(2, 0.45, 0.15)
+
+
+@given(
+    st.floats(-0.15, 0.15),
+    st.floats(-0.1, 0.1),
+    st.just(0.0) | st.floats(0.0, 0.03),
+    st.sampled_from(("field", "largest", "above")),
+    st.floats(0.0, 1.0),
+    st.floats(0.3, 0.45),
+    st.floats(1.0, 2.0),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_phi_lemma_matches_full_ladder_reference(
+    a, b, wave, where, q, s, c_hat_l, workers, seed
+):
+    # linear graphs have uniform density; the sine makes it vary
+    f = GridFunction.from_callable(
+        LEMMA_GRID, lambda w: a * w[:, 1] + b * w[:, 0] + wave * np.sin(4 * w[:, 2] + w[:, 3])
+    )
+    top = largest_density(f)
+    if where == "field":
+        # below the largest density: the q-quantile of the field over the ball
+        in_ball = phi_ball(f, np.zeros(4), s)[0]
+        assume(np.count_nonzero(in_ball) >= 2)
+        mu = maximal.measure_from_gradient(f)
+        full = maximal.phi_maximal(f, mu, s, c_hat_l=c_hat_l, centers=np.flatnonzero(in_ball))
+        theta = float(np.quantile(full.values[in_ball], q))
+    else:
+        theta = top if where == "largest" else top * (1.0 + q)
+    assume(theta > 0)
+    kw = {"s": s, "theta": theta, "pair_budget": 500, "seed": seed, "c_hat_l": c_hat_l}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_WORKERS", workers)
+        got = ball_constants_outcome(maximal.check_phi_lemma, f, **kw)
+    assert got == phi_lemma_reference(f, **kw)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_phi_lemma_at_the_largest_density_runs_the_ladder(monkeypatch, eps, workers):
+    # on a uniform density the ladder's ball means round above the largest
+    # density, so a bound without its rounding margin would decide wrongly
+    f = GridFunction.from_callable(LEMMA_GRID, lambda w: eps * w[:, 1])
+    theta = largest_density(f)
+    full = maximal.phi_maximal(f, maximal.measure_from_gradient(f), 0.45, c_hat_l=1.0)
+    assert np.any(full.values > theta)
+    kw = {"s": 0.45, "theta": theta, "pair_budget": 500, "c_hat_l": 1.0}
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    ladders = count_ladder_loops(monkeypatch)
+    assert ball_constants_outcome(maximal.check_phi_lemma, f, **kw) == phi_lemma_reference(f, **kw)
+    assert len(ladders) == 2  # the change's call and the reference's
+
+
+def test_phi_lemma_runs_the_ladder_between_mean_and_largest_density(monkeypatch):
+    f = GridFunction.from_callable(
+        LEMMA_GRID, lambda w: 0.05 * w[:, 1] + 0.02 * np.sin(4 * w[:, 2] + w[:, 3])
+    )
+    mu = maximal.measure_from_gradient(f)
+    in_ball = phi_ball(f, np.zeros(4), 0.45)[0]
+    full = maximal.phi_maximal(f, mu, 0.45, c_hat_l=1.0, centers=np.flatnonzero(in_ball))
+    # the field's median over the ball: J_theta holds about half of it
+    theta = float(np.median(full.values[in_ball]))
+    assert np.mean(mu.flat) / LEMMA_GRID.cell_volume < theta < largest_density(f)
+    kw = {"s": 0.45, "theta": theta, "pair_budget": 2000, "c_hat_l": 1.0}
+    ladders = count_ladder_loops(monkeypatch)
+    rep = maximal.check_phi_lemma(f, **kw)
+    assert ladders == ["phi_maximal"]
+    assert 2 <= rep["off_level_cells"] < np.count_nonzero(in_ball)
+    assert rep == phi_lemma_reference(f, **kw)
+
+
+def test_phi_lemma_battery_is_decided_by_the_density_bound(monkeypatch):
+    # hlip verify's three cases: f = eps y_1 on its 10,000-node grid at theta = 2 eps
+    g = GridSpec.centered(2, 0.5, 0.1)
+    ladders = count_ladder_loops(monkeypatch)
+    for eps in (1e-3, 1e-2, 1e-1):
+        f = GridFunction.from_callable(g, lambda w: eps * w[:, 1])
+        assert 1.0 <= largest_density(f) / eps < 1.0 + 1e-12
+        rep = maximal.check_phi_lemma(f, s=0.45, theta=2 * eps, pair_budget=4000, seed=0)
+        assert rep["off_level_cells"] == np.count_nonzero(phi_ball(f, np.zeros(4), 0.45)[0])
+    assert ladders == []
+
+
+def test_phi_lemma_logs_which_branch_decided(caplog):
+    f = GridFunction.from_callable(
+        LEMMA_GRID, lambda w: 0.05 * w[:, 1] + 0.02 * np.sin(4 * w[:, 2] + w[:, 3])
+    )
+    top = largest_density(f)
+    caplog.set_level("DEBUG", logger="hlip.maximal")
+    for theta in (2.0 * top, 0.9 * top):
+        maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500, c_hat_l=1.0)
+    first, second = (r.getMessage() for r in caplog.records if r.name == "hlip.maximal")
+    assert first.startswith("phi_maximal: the density bound decides")
+    assert second.startswith("phi_maximal: the ladder decides")
+    assert f"threshold {2.0 * top!r}" in first and f"threshold {0.9 * top!r}" in second
+
+
+def test_phi_lemma_steep_graph_raises_before_the_bound(spec):
+    # the bound alone would decide here; the small-slope check must still raise
+    f = GridFunction.from_callable(spec, lambda w: 0.5 * w[:, 1])
+    theta = 10.0 * largest_density(f)
+    with pytest.raises(maximal.PhiLemmaError, match="steep"):
+        maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500)
+
+
+def test_phi_lemma_unestimable_c_l_raises_before_the_bound():
+    # at h = 0.3 every c_L ball leaves the grid; the bound would decide
+    g = generators.default_grid(2, 0.3)
+    f = GridFunction.from_callable(g, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] * w[:, 3])
+    theta = 10.0 * largest_density(f)
+    with pytest.raises(maximal.PhiLemmaError, match="every sampled ball left the grid"):
+        maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500)
+    rep = maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500, c_hat_l=1.0)
+    assert rep == phi_lemma_reference(f, s=0.45, theta=theta, pair_budget=500, c_hat_l=1.0)
 
 
 def test_poincare_constant_conventions():

@@ -12,10 +12,12 @@ uses seed 0, and no --workloads means every workload of BENCHMARK.json.
 
 BENCH_<label>.json, written at the repository root, holds both
 revisions, the machine, every run's end-to-end metrics and per-op
-digests, and per metric each side's median and quartiles, the change's
-wins and the pair ratios.  The script exits 1 when a run reports
-`correct: false`, when an op failed, when run.py itself failed, or when
-the per-op digests differ between runs; the file is written anyway.
+digests, and per metric each side's median and quartiles, the parent's
+interquartile range, the change's wins and the pair ratios.  A metric
+whose medians differ by no more than that range is unresolved.  The
+script exits 1 when a run reports `correct: false`, when an op failed,
+when run.py itself failed, or when the per-op digests differ between
+runs; the file is written anyway.
 """
 
 from __future__ import annotations
@@ -101,8 +103,12 @@ def summarize(pairs: list[dict]) -> dict:
         vals = {s: [p[s]["metrics"][name] for p in whole] for s in SIDES}
         ratios = [c / p for p, c in zip(vals["parent"], vals["change"])]
         side = {s: _quartiles(vals[s]) for s in SIDES}
+        iqr = side["parent"]["q3"] - side["parent"]["q1"]
         section["summary"][name] = {
             **side,
+            "parent_iqr": round(iqr, 4),
+            # a shift of the median within the parent's own spread tells nothing
+            "resolved": abs(side["change"]["median"] - side["parent"]["median"]) > iqr,
             "median_ratio": round(side["change"]["median"] / side["parent"]["median"], 4),
             "change_lower_in_pairs": sum(r < 1.0 for r in ratios),
             "change_higher_in_pairs": sum(r > 1.0 for r in ratios),
@@ -110,6 +116,15 @@ def summarize(pairs: list[dict]) -> dict:
             "pair_ratios": [round(r, 4) for r in ratios],
         }
     return section
+
+
+def verdict_line(key: str, name: str, m: dict) -> str:
+    """One metric's printed verdict, from its summary entry."""
+    line = (f"{key}: {name} change/parent median {m['median_ratio']}, "
+            f"lower in {m['change_lower_in_pairs']} of {m['pairs']} pairs")
+    if not m["resolved"]:
+        line += f"; unresolved: the medians differ by no more than the parent IQR {m['parent_iqr']}"
+    return line
 
 
 def _machine(env: dict | None) -> dict:
@@ -177,8 +192,7 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="ascii")
     for key, section in out["workloads"].items():
         for name, m in section["summary"].items():
-            print(f"{key}: {name} change/parent median {m['median_ratio']}, "
-                  f"lower in {m['change_lower_in_pairs']} of {m['pairs']} pairs")
+            print(verdict_line(key, name, m))
     verdict = f"FAILED: {', '.join(bad)}" if bad else "all runs correct, digests equal"
     print(f"wrote {path.name}; {verdict}")
     return 1 if bad else 0
