@@ -440,6 +440,9 @@ def test_phi_maximal_rejects_steep_graphs(spec):
     f = GridFunction.from_callable(spec, lambda w: 0.5 * w[:, 1])
     with pytest.raises(ValueError, match="steep"):
         maximal.phi_maximal(f, maximal.measure_from_gradient(f), 0.5)
+    # also where the density bound alone would decide the superlevel set
+    with pytest.raises(maximal.PhiLemmaError, match="steep"):
+        maximal.check_phi_lemma(f, s=0.45, theta=10.0 * largest_density(f), pair_budget=500)
 
 
 def test_phi_maximal_matches_disk_maximal_for_flat_graph(spec):
@@ -466,13 +469,17 @@ def test_phi_maximal_matches_disk_maximal_for_flat_graph(spec):
     assert np.all(ratio > 0.4) and np.all(ratio < 2.5)
 
 
-def test_phi_lemma_bounded_constant_across_slopes(spec):
+def test_phi_lemma_bounded_constant_across_slopes(spec, monkeypatch):
+    # hlip verify's three cases; the density bound decides each, so the
+    # ladder never runs and the whole ball lies off the superlevel set
+    ladders = count_ladder_loops(monkeypatch)
     ratios = []
     for eps in (1e-3, 1e-2, 1e-1):
         f = GridFunction.from_callable(spec, lambda w: eps * w[:, 1])
         rep = maximal.check_phi_lemma(f, s=0.45, theta=2 * eps, pair_budget=4000, seed=5)
-        assert rep["off_level_cells"] > 0
+        assert rep["off_level_cells"] == np.count_nonzero(phi_ball(f, np.zeros(4), 0.45)[0]) > 0
         ratios.append(rep["ratio"])
+    assert ladders == []
     assert max(ratios) <= 1.0
     assert max(ratios) / min(ratios) < 1.5
 
@@ -518,7 +525,8 @@ def count_ladder_loops(monkeypatch):
     calls, map_blocks = [], core._map_blocks
 
     def counted(fn, *a, **k):
-        calls.extend(["phi_maximal"] * (fn.__qualname__ == "phi_maximal.<locals>.block"))
+        if fn.__qualname__ == "phi_maximal.<locals>.block":
+            calls.append("phi_maximal")
         return map_blocks(fn, *a, **k)
 
     monkeypatch.setattr(core, "_map_blocks", counted)
@@ -600,18 +608,6 @@ def test_phi_lemma_runs_the_ladder_between_mean_and_largest_density(monkeypatch)
     assert rep == phi_lemma_reference(f, **kw)
 
 
-def test_phi_lemma_battery_is_decided_by_the_density_bound(monkeypatch):
-    # hlip verify's three cases: f = eps y_1 on its 10,000-node grid at theta = 2 eps
-    g = GridSpec.centered(2, 0.5, 0.1)
-    ladders = count_ladder_loops(monkeypatch)
-    for eps in (1e-3, 1e-2, 1e-1):
-        f = GridFunction.from_callable(g, lambda w: eps * w[:, 1])
-        assert 1.0 <= largest_density(f) / eps < 1.0 + 1e-12
-        rep = maximal.check_phi_lemma(f, s=0.45, theta=2 * eps, pair_budget=4000, seed=0)
-        assert rep["off_level_cells"] == np.count_nonzero(phi_ball(f, np.zeros(4), 0.45)[0])
-    assert ladders == []
-
-
 def test_phi_lemma_logs_which_branch_decided(caplog):
     f = GridFunction.from_callable(
         LEMMA_GRID, lambda w: 0.05 * w[:, 1] + 0.02 * np.sin(4 * w[:, 2] + w[:, 3])
@@ -624,14 +620,6 @@ def test_phi_lemma_logs_which_branch_decided(caplog):
     assert first.startswith("phi_maximal: the density bound decides")
     assert second.startswith("phi_maximal: the ladder decides")
     assert f"threshold {2.0 * top!r}" in first and f"threshold {0.9 * top!r}" in second
-
-
-def test_phi_lemma_steep_graph_raises_before_the_bound(spec):
-    # the bound alone would decide here; the small-slope check must still raise
-    f = GridFunction.from_callable(spec, lambda w: 0.5 * w[:, 1])
-    theta = 10.0 * largest_density(f)
-    with pytest.raises(maximal.PhiLemmaError, match="steep"):
-        maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500)
 
 
 def test_phi_lemma_unestimable_c_l_raises_before_the_bound():
