@@ -105,10 +105,10 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
     return tuple(energy_box) + whole[2 * n - 2:], tuple(grad_box)
 
 
-def _pass_planes(spec: GridSpec) -> tuple:
-    """(components, dt, tmp, area, adj): the planes of a stencil pass and its adjoints."""
+def _pass_planes(spec: GridSpec, k: int = 5) -> tuple:
+    """The first k of (components, dt, tmp, area, adj): a stencil pass's planes, then adj."""
     counts = spec.counts
-    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(4))
+    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(k - 1))
 
 
 def energy(f: GridFunction, region=None) -> float:
@@ -118,7 +118,7 @@ def energy(f: GridFunction, region=None) -> float:
     """
     box = None
     if not isinstance(f, _Iterate):
-        planes = _pass_planes(f.spec)
+        planes = _pass_planes(f.spec, 4)
     elif f.planes is None:
         planes = f.planes = _pass_planes(f.spec)
     else:

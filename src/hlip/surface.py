@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .graph import GridFunction, GridSpec, intrinsic_gradient
+from .graph import GridFunction, GridSpec, _norm_sq_into, intrinsic_gradient
 
 __all__ = [
     "BoundaryCloud",
     "ExcessReport",
-    "epigraph_normal",
     "hperimeter",
     "disk_mask",
     "cylinder_mask",
@@ -100,22 +99,28 @@ class ExcessReport:
     orientation: int
 
 
-def epigraph_normal(f: GridFunction, orientation: int = 1) -> np.ndarray:
-    """Unit horizontal normal of the subgraph boundary, one row per node.
-
-    nu = orientation * (1, -grad) / sqrt(1 + |grad|^2) with the Burgers
-    component of the gradient sitting in the Y_1 slot of the frame.
+def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
+    """(points, normals, weights) of the graph's samples at the nodes in sel
+    (all by default), in node order, one core._row_blocks block at a time,
+    from one intrinsic_gradient pass made by this call.  nu = orientation *
+    (1, -grad) / area, the Burgers component in the Y_1 slot of the frame;
+    the weight is the area element sqrt(1 + |grad|^2) times (stride h)^(2n).
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    n = f.spec.n
-    g = intrinsic_gradient(f).at_flat()  # (N, 2n-1)
-    denom = np.sqrt(1.0 + np.sum(g**2, axis=1))
-    nu = np.empty((len(g), 2 * n))
-    nu[:, 0] = 1.0
-    nu[:, 1:] = -g
-    nu *= orientation / denom[:, None]
-    return nu
+    spec, n = f.spec, f.spec.n
+    comps = intrinsic_gradient(f).components.reshape(2 * n - 1, -1)
+    nodes, vals, cell = spec.nodes(), f.flat, (stride * spec.h) ** (2 * n)
+
+    def blocks():
+        for blk in core._row_blocks(spec.size, 2 * n + 1):
+            rows = blk if sel is None else blk.start + np.flatnonzero(sel[blk])
+            g = comps[:, rows]
+            a = np.sqrt(1.0 + _norm_sq_into(g, np.empty(g.shape[1]), np.empty(g.shape[1])))
+            nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
+            yield core.graph_points(nodes[rows], vals[rows]), nu, a * cell
+
+    return blocks()
 
 
 def _region_mask(f: GridFunction, region) -> np.ndarray:
@@ -140,7 +145,10 @@ def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndar
     """Samples of the cloud lying in the open cylinder C_r(center)."""
     if r <= 0:
         raise ValueError(f"cylinder radius must be positive, got {r}")
-    return core.cylnorm(core.mul(core.inv(center), cloud.points)) < r
+    inside = np.empty(len(cloud), dtype=bool)
+    for blk in core._row_blocks(len(cloud), 2 * cloud.n + 1):
+        inside[blk] = core.cylnorm(core.mul(core.inv(center), cloud.points[blk])) < r
+    return inside
 
 
 def hperimeter(f: GridFunction, region=None) -> float:
@@ -169,12 +177,14 @@ def sample_graph_boundary(
     sub = np.zeros(spec.counts, dtype=bool)
     sub[tuple(slice(None, None, stride) for _ in range(2 * spec.n))] = True
     sel = (mask & sub).ravel()
-    if not np.any(sel):
+    count = np.count_nonzero(sel)
+    if not count:
         raise ValueError("no cells selected for sampling")
-    pts = f.graph()[sel]
-    nrm = epigraph_normal(f, orientation)[sel]
-    area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()[sel]
-    wgt = area * (stride * spec.h) ** (2 * spec.n)
+    pts, nrm, wgt = np.empty((count, 2 * spec.n + 1)), np.empty((count, 2 * spec.n)), np.empty(count)
+    i = 0
+    for p, nu, w in _graph_blocks(f, orientation, sel, stride):
+        pts[i : i + len(w)], nrm[i : i + len(w)], wgt[i : i + len(w)] = p, nu, w
+        i += len(w)
     info = {"kind": "graph", "h": spec.h, "stride": stride, "orientation": orientation}
     if meta:
         info.update(meta)
@@ -233,7 +243,7 @@ def excess_profile(
 
 
 def height_bound_ratio(
-    cloud: BoundaryCloud,
+    cloud: BoundaryCloud | GridFunction,
     r0: float,
     orientation: int = 1,
 ) -> dict:
@@ -241,24 +251,50 @@ def height_bound_ratio(
 
     Returns the pieces as a dict; by convention the ratio is 0 when the
     cylinder holds no height, and inf when the excess vanishes under a
-    nonzero height (the bound degenerates in that direction).
+    nonzero height (the bound degenerates in that direction).  A
+    GridFunction stands for its graph's cloud at stride 1, streamed.
     """
-    if r0 <= 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
-    inside = cylinder_mask(cloud, np.zeros(2 * cloud.n + 1), r0)
-    sup_h = float(np.max(np.abs(cloud.heights[inside]))) if np.any(inside) else 0.0
-    rep = excess_cloud(cloud, None, 16.0 * r0, orientation)
-    power = 1.0 / (2 * (2 * cloud.n + 1))
+    if isinstance(cloud, GridFunction):
+        return _graph_height_bound(cloud, r0, orientation)
+    rows = core._row_blocks(len(cloud), 2 * cloud.n + 1)
+    blocks = ((cloud.points[b], cloud.normals[b], cloud.weights[b]) for b in rows)
+    return _height_bound(blocks, cloud.n, len(cloud), r0, orientation)
+
+
+def _graph_height_bound(f: GridFunction, r0: float, orientation: int = 1) -> dict:
+    """height_bound_ratio(sample_graph_boundary(f, orientation=orientation), r0,
+    orientation) bit for bit, streamed from the graph without the cloud."""
+    return _height_bound(_graph_blocks(f, orientation), f.spec.n, f.spec.size, r0, orientation)
+
+
+def _height_bound(blocks, n: int, size: int, r0: float, orientation: int) -> dict:
+    """height_bound_ratio's dict from (points, normals, weights) blocks of
+    at most `size` samples in all.  The C_16r0 summands w (1 - <nu, nu_0>)
+    go into one compact buffer in sample order, so its one np.sum is
+    excess_cloud's, bit for bit; cylnorm(p) is cylinder_mask's norm about
+    the origin, value for value."""
+    if orientation not in (1, -1) or r0 <= 0:
+        raise ValueError(f"need orientation +1 or -1 and r0 > 0, got {orientation}, {r0}")
+    outer, sup_h, k, terms = 16.0 * r0, 0.0, 0, np.empty(size)
+    for pts, nu, w in blocks:
+        norm = core.cylnorm(pts)
+        sup_h = max(sup_h, float(np.max(np.abs(pts[norm < r0, 0]), initial=0.0)))
+        inside = norm < outer
+        m = k + np.count_nonzero(inside)
+        np.multiply(w[inside], 1.0 - orientation * nu[inside, 0], out=terms[k:m])
+        k = m
+    excess = float(np.sum(terms[:k]) / outer ** (2 * n + 1))
+    power = 1.0 / (2 * (2 * n + 1))
     if sup_h == 0.0:
         ratio = 0.0
-    elif rep.excess <= 0.0:
+    elif excess <= 0.0:
         ratio = float("inf")
     else:
-        ratio = (sup_h / r0) / rep.excess**power
+        ratio = (sup_h / r0) / excess**power
     return {
         "sup_height": sup_h,
         "r0": float(r0),
-        "excess_at_outer": rep.excess,
-        "outer_radius": 16.0 * r0,
+        "excess_at_outer": excess,
+        "outer_radius": outer,
         "ratio": ratio,
     }

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,22 @@ def test_energy_and_gradient_leave_inputs_alone(spec):
     np.testing.assert_array_equal(earlier.components, comps)
     np.testing.assert_array_equal(earlier.dt, dt)
     np.testing.assert_array_equal(g1, g2)
+
+
+def test_energy_of_a_plain_function_allocates_only_its_pass_planes():
+    # a plain GridFunction's energy holds the 2n + 2 planes of one stencil
+    # pass (components, dt, tmp, area), not the adjoints' plane as well
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    f = GridFunction.from_callable(spec, smooth)
+    plane = 8 * spec.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        optimize.energy(f)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * spec.n + 2.5) * plane
 
 
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):

@@ -1,12 +1,15 @@
 """Perimeter quadrature and excess against closed-form surfaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlip import core, surface
-from hlip.graph import GridFunction, GridSpec
+from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
 
 
 KAPPA2 = 2 * core.unit_ball_volume(3)  # measure of the unit disk in W, n = 2
@@ -45,30 +48,35 @@ def test_perimeter_region_forms_agree():
         surface.hperimeter(f, region=np.ones(7, dtype=bool))
 
 
+def epigraph_normal(f, orientation=1):
+    """The unit horizontal normal of the subgraph boundary at every node."""
+    return surface.sample_graph_boundary(f, orientation=orientation).normals
+
+
 def test_epigraph_normal_slots_and_unit_length():
     spec = GridSpec.centered(2, 0.5, 0.25)
     nodes = spec.nodes()
     s = 1 / math.sqrt(2)
 
-    nu = surface.epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 0]))
+    nu = epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 0]))
     assert np.allclose(nu, np.tile([s, -s, 0, 0], (spec.size, 1)), atol=1e-12)
 
-    nu = surface.epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 1]))
+    nu = epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 1]))
     # Burgers component lands in the Y_1 slot of the frame
     assert np.allclose(nu, np.tile([s, 0, -s, 0], (spec.size, 1)), atol=1e-12)
 
-    nu = surface.epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 2]))
+    nu = epigraph_normal(GridFunction.from_callable(spec, lambda w: w[:, 2]))
     assert np.allclose(nu, np.tile([s, 0, 0, -s], (spec.size, 1)), atol=1e-12)
 
     rough = GridFunction.from_callable(
         spec, lambda w: 0.2 * np.sin(w[:, 2]) + 0.1 * w[:, 0] * w[:, 1]
     )
-    lens = np.linalg.norm(surface.epigraph_normal(rough), axis=1)
+    lens = np.linalg.norm(epigraph_normal(rough), axis=1)
     assert np.max(np.abs(lens - 1.0)) < 1e-13
-    flipped = surface.epigraph_normal(rough, orientation=-1)
-    assert np.allclose(flipped, -surface.epigraph_normal(rough), atol=0)
+    flipped = epigraph_normal(rough, orientation=-1)
+    assert np.allclose(flipped, -epigraph_normal(rough), atol=0)
     with pytest.raises(ValueError):
-        surface.epigraph_normal(rough, orientation=0)
+        epigraph_normal(rough, orientation=0)
 
 
 def test_sampling_conserves_perimeter_at_stride_one():
@@ -212,3 +220,110 @@ def test_surface_api_in_higher_dimension():
     rep = surface.excess_cloud(cloud, r=0.4)
     expected = (1 - 1 / area) * rep.mass / 0.4**7
     assert math.isclose(rep.excess, expected, rel_tol=1e-12)
+
+
+# ------------------------------------------------- streamed graph samples
+
+
+def two_pass_cloud(f, region, stride, orientation):
+    """sample_graph_boundary's arrays as two whole-grid gradient passes give
+    them: one for the normals, one for the area element."""
+    spec, n = f.spec, f.spec.n
+    sub = np.zeros(spec.counts, dtype=bool)
+    sub[tuple(slice(None, None, stride) for _ in range(2 * n))] = True
+    sel = (region.reshape(spec.counts) & sub).ravel()
+    g = intrinsic_gradient(f).at_flat()
+    nu = np.empty((len(g), 2 * n))
+    nu[:, 0] = 1.0
+    nu[:, 1:] = -g
+    nu *= orientation / np.sqrt(1.0 + np.sum(g**2, axis=1))[:, None]
+    area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()[sel]
+    return f.graph()[sel], nu[sel], area * (stride * spec.h) ** (2 * n)
+
+
+def bits(a):
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("n,half,h", [(2, 0.6, 0.2), (3, 0.5, 0.25)])
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("rows", [7, None])  # short blocks, or the default budget
+def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, orientation, rows):
+    spec = GridSpec.centered(n, half, h)
+    f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
+    if rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
+    region = surface.disk_mask(spec, 0.45)
+    for stride, mask in ((1, np.ones(spec.size, dtype=bool)), (1, region), (2, region)):
+        cloud = surface.sample_graph_boundary(
+            f, region=mask, stride=stride, orientation=orientation
+        )
+        want = two_pass_cloud(f, mask, stride, orientation)
+        got = (cloud.points, cloud.normals, cloud.weights)
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+
+
+HEIGHT_SPECS = {2: GridSpec.centered(2, 0.6, 0.2), 3: GridSpec.centered(3, 0.5, 0.25)}
+HEIGHT_GRAPHS = {
+    "linear": lambda a: lambda w: a * (w[:, 1] - 0.5 * w[:, 0]),
+    "sine": lambda a: lambda w: a * np.sin(4.0 * w[:, 0] + w[:, -1]),
+    "constant": lambda a: lambda w: np.full(len(w), a),  # ratio 0 at a = 0, else inf
+}
+
+
+@given(
+    st.sampled_from((2, 3)),
+    st.sampled_from((1, -1)),
+    st.sampled_from(sorted(HEIGHT_GRAPHS)),
+    st.sampled_from((0.0, 0.05, 0.3)),
+    st.sampled_from(("empty", "partial", "whole")),
+    st.floats(0.05, 0.95),
+    st.integers(2, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_height_bound_matches_the_cloud(n, orientation, kind, a, cover, u, rows):
+    spec = HEIGHT_SPECS[n]
+    assume(spec.size % rows)  # the last block is a short one
+    f = GridFunction.from_callable(spec, HEIGHT_GRAPHS[kind](a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
+        cloud = surface.sample_graph_boundary(f, orientation=orientation)
+        norms = core.cylnorm(cloud.points)
+        lo, hi = float(norms.min()), float(norms.max())
+        r0 = {"empty": 0.5 * lo, "partial": lo + u * (hi - lo), "whole": 2.0 * hi}[cover]
+        inside = surface.cylinder_mask(cloud, np.zeros(2 * n + 1), r0)
+        assert {"empty": 0, "partial": 1, "whole": 2}[cover] == (
+            0 if not inside.any() else 2 if inside.all() else 1
+        )
+        want = surface.height_bound_ratio(cloud, r0, orientation)
+        assert surface._graph_height_bound(f, r0, orientation) == want
+        assert surface.height_bound_ratio(f, r0, orientation) == want
+    # both are the whole-cloud formulas, bit for bit
+    sup_h = float(np.max(np.abs(cloud.heights[inside]))) if inside.any() else 0.0
+    excess = surface.excess_cloud(cloud, None, 16.0 * r0, orientation).excess
+    assert (want["sup_height"], want["excess_at_outer"]) == (sup_h, excess)
+
+
+def test_streamed_height_bound_holds_no_cloud():
+    # the streamed check peaks in its one gradient pass (2n + 1 planes of
+    # the grid) or after it, with the 2n - 1 component planes, the compact
+    # excess buffer and a few _BLOCK_BYTES planes of node blocks in flight:
+    # under 7 floats per node plus those; the cloud path holds every
+    # sample's point, normal and weight as well (about 17 floats per node)
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
+    bound = 7 * 8 * spec.size + 4 * core._BLOCK_BYTES
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = run()
+            return tracemalloc.get_traced_memory()[1] - start, out
+        finally:
+            tracemalloc.stop()
+
+    streamed, rep = peak(lambda: surface._graph_height_bound(f, 0.5))
+    whole, want = peak(lambda: surface.height_bound_ratio(surface.sample_graph_boundary(f), 0.5))
+    assert rep == want
+    assert streamed <= bound < whole
