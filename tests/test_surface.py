@@ -267,7 +267,7 @@ HEIGHT_SPECS = {2: GridSpec.centered(2, 0.6, 0.2), 3: GridSpec.centered(3, 0.5, 
 HEIGHT_GRAPHS = {
     "linear": lambda a: lambda w: a * (w[:, 1] - 0.5 * w[:, 0]),
     "sine": lambda a: lambda w: a * np.sin(4.0 * w[:, 0] + w[:, -1]),
-    "constant": lambda a: lambda w: np.full(len(w), a),  # ratio 0 at a = 0, else inf
+    "constant": lambda a: lambda w: np.full(len(w), a),  # ratio 0 at a = 0 or empty C_r0, else inf
 }
 
 
