@@ -141,13 +141,17 @@ def disk_mask(spec: GridSpec, r: float) -> np.ndarray:
     return core.box(spec.nodes()) < r
 
 
+def _cyl_norm(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    return core.cylnorm(core.mul(core.inv(center), points))
+
+
 def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndarray:
     """Samples of the cloud lying in the open cylinder C_r(center)."""
     if r <= 0:
         raise ValueError(f"cylinder radius must be positive, got {r}")
     inside = np.empty(len(cloud), dtype=bool)
     for blk in core._row_blocks(len(cloud), 2 * cloud.n + 1):
-        inside[blk] = core.cylnorm(core.mul(core.inv(center), cloud.points[blk])) < r
+        inside[blk] = _cyl_norm(cloud.points[blk], center) < r
     return inside
 
 
@@ -271,26 +275,24 @@ def _height_bound(blocks, n: int, size: int, r0: float, orientation: int) -> dic
     """height_bound_ratio's dict from (points, normals, weights) blocks of
     at most `size` samples in all.  The C_16r0 summands w (1 - <nu, nu_0>)
     go into one compact buffer in sample order, so its one np.sum is
-    excess_cloud's, bit for bit; cylnorm(p) is cylinder_mask's norm about
-    the origin, value for value."""
+    excess_cloud's, bit for bit."""
     if orientation not in (1, -1) or r0 <= 0:
         raise ValueError(f"need orientation +1 or -1 and r0 > 0, got {orientation}, {r0}")
-    outer, sup_h, k, terms = 16.0 * r0, 0.0, 0, np.empty(size)
+    origin, outer, sup_h, k, terms = np.zeros(2 * n + 1), 16.0 * r0, 0.0, 0, np.empty(size)
     for pts, nu, w in blocks:
-        norm = core.cylnorm(pts)
+        norm = _cyl_norm(pts, origin)
         sup_h = max(sup_h, float(np.max(np.abs(pts[norm < r0, 0]), initial=0.0)))
         inside = norm < outer
         m = k + np.count_nonzero(inside)
         np.multiply(w[inside], 1.0 - orientation * nu[inside, 0], out=terms[k:m])
         k = m
     excess = float(np.sum(terms[:k]) / outer ** (2 * n + 1))
-    power = 1.0 / (2 * (2 * n + 1))
     if sup_h == 0.0:
         ratio = 0.0
     elif excess <= 0.0:
         ratio = float("inf")
     else:
-        ratio = (sup_h / r0) / excess**power
+        ratio = (sup_h / r0) / excess ** (1.0 / (2 * (2 * n + 1)))
     return {
         "sup_height": sup_h,
         "r0": float(r0),
