@@ -21,6 +21,7 @@ from .graph import (
     _sl,
     _slab,
     _twice_coordinates,
+    grid_nodes,
     intrinsic_gradient,
 )
 from .surface import _region_mask
@@ -41,6 +42,8 @@ STENCIL_REACH = 3
 # sufficient-decrease constant of the line search, and its step halvings
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+# grid_nodes without its cache, bound before any wrapper of the public name
+_node_array = grid_nodes.__wrapped__
 
 
 def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, box: tuple) -> np.ndarray:
@@ -72,11 +75,12 @@ class _Iterate(GridFunction):
     """Descent point whose stencil passes run only where values can change.
 
     `boxes` = (energy box, gradient box) of _free_boxes.  The `planes`
-    (components, dt, tmp, area, adj) pass from each point to the next: the
+    (components, dt, tmp, area) pass from each point to the next: the
     first energy fills them over the whole grid and every later one only
     over the energy box, outside which no value, so no area element,
     changes.  energy_gradient reads the pass of the energy just before it
-    and writes W and V / area over it, which the next energy recomputes.
+    and writes W and V / area over it, then adjoints into the area plane
+    inside the gradient box; the next energy recomputes all of it.
     """
 
     boxes: tuple = ()
@@ -105,10 +109,10 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
     return tuple(energy_box) + whole[2 * n - 2:], tuple(grad_box)
 
 
-def _pass_planes(spec: GridSpec, k: int = 5) -> tuple:
-    """The first k of (components, dt, tmp, area, adj): a stencil pass's planes, then adj."""
+def _pass_planes(spec: GridSpec) -> tuple:
+    """(components, dt, tmp, area): the planes of one stencil pass."""
     counts = spec.counts
-    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(k - 1))
+    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(3))
 
 
 def energy(f: GridFunction, region=None) -> float:
@@ -118,22 +122,23 @@ def energy(f: GridFunction, region=None) -> float:
     """
     box = None
     if not isinstance(f, _Iterate):
-        planes = _pass_planes(f.spec, 4)
+        planes = _pass_planes(f.spec)
     elif f.planes is None:
         planes = f.planes = _pass_planes(f.spec)
     else:
         planes, box = f.planes, f.boxes[0]
-    intrinsic_gradient(f, box, planes[:4])
+    intrinsic_gradient(f, box, planes)
     area = planes[3].ravel()
     if region is not None:
         area = area[_region_mask(f, region)]
     return float(np.sum(area) * f.spec.cell_volume)
 
 
-def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
+def energy_gradient(f: GridFunction, region=None, out=None) -> np.ndarray:
     """Exact nodal derivative of the discretized energy, flat layout.
 
     On a descent point it is exact over the gradient box and zero outside.
+    A flat `out` of the grid's size receives it instead of a new array.
     """
     spec = f.spec
     n, h, V = spec.n, spec.h, spec.cell_volume
@@ -142,8 +147,8 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
         planes, (scaled, box) = f.planes, f.boxes
     else:
         planes, scaled, box = _pass_planes(spec), None, None
-        intrinsic_gradient(f, None, planes[:4])
-    W, dt, tmp, area, adj = planes
+        intrinsic_gradient(f, None, planes)
+    W, dt, tmp, area = planes
     mask = None if region is None else _region_mask(f, region).reshape(spec.counts)
 
     def scale(slab: tuple) -> None:
@@ -156,7 +161,13 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
     # energy box before any adjoint: an axis-0 adjoint reads the
     # neighbour rows of its slab
     _map_slabs(scale, spec, scaled)
-    grad = np.zeros(spec.counts)
+    out = np.empty(spec.size) if out is None else out
+    grad = out.reshape(spec.counts)
+    grad.fill(0.0)
+    # the area plane is spent over the energy box once scaled, and the
+    # adjoints write only inside the gradient box, so it is their scratch;
+    # the area outside the energy box stays the first pass's
+    adj = area
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def adjoints(slab: tuple) -> None:
@@ -179,7 +190,7 @@ def energy_gradient(f: GridFunction, region=None) -> np.ndarray:
             g -= _adjoint_axis(tmp, t_ax, h, adj, slab)
 
     _map_slabs(adjoints, spec, box)
-    return grad.ravel()
+    return out
 
 
 def _exterior_reach(region: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
@@ -237,10 +248,12 @@ def dirichlet_problem(
 
     The mask is grown to cover the stencil reach of cells outside the
     region, so the assembled problem always satisfies the invariants.
+    The node array `data` and `init` read is built for them alone and is
+    not left in grid_nodes' cache.
     """
     if layers < STENCIL_REACH:
         raise ValueError(f"need at least {STENCIL_REACH} boundary layers, got {layers}")
-    nodes = spec.nodes()
+    nodes = _node_array(spec)
     vals = np.asarray(data(nodes) if callable(data) else np.full(spec.size, float(data)))
     vals = vals.reshape(spec.counts).copy()
     mask = spec.boundary_mask(layers)
@@ -290,27 +303,31 @@ def solve(
     fixed = mask.ravel()
     boxes = _free_boxes(mask, spec.n)
 
-    def masked_grad(point: _Iterate) -> np.ndarray:
-        g = energy_gradient(point, region)
+    def masked_grad(point: _Iterate, out: np.ndarray) -> np.ndarray:
+        g = energy_gradient(point, region, out)
         g[fixed] = 0.0
         return g
 
+    # four vectors: x, g and two spares; spare_x holds prev_x, then s, then
+    # the line search's candidates, spare_g holds prev_g, then y, then the
+    # next gradient, and each swaps with x or g on acceptance
     x = problem.initial.values.ravel().copy()
+    g, spare_x, spare_g = (np.empty_like(x) for _ in range(3))
     point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes)
     e = energy(point, region)
-    g = masked_grad(point)
+    masked_grad(point, g)
     e_trace = [e]
-    g_trace = [float(np.max(np.abs(g)))]
-    prev_x = prev_g = None
+    # |g|_inf without an np.abs temporary
+    g_trace = [float(max(g.max(), -g.min()))]
     last_alpha = None
     iterations = 0
     ls_failed = False
 
     while iterations < max_iter and g_trace[-1] > tol:
         alpha = None
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
+        if iterations:
+            s = np.subtract(x, spare_x, out=spare_x)
+            y = np.subtract(g, spare_g, out=spare_g)
             sy = float(s @ y)
             if sy > 1e-300:
                 alpha = float(s @ s) / sy
@@ -318,9 +335,10 @@ def solve(
             alpha = 2.0 * last_alpha if last_alpha else 1.0 / max(g_trace[-1], 1.0)
         gg = float(g @ g)
         accepted = False
+        cand = spare_x
         for _ in range(_MAX_HALVINGS):
-            cand = x - alpha * g
-            # g is +0.0 on fixed nodes, so cand equals x there bit for bit
+            # x - alpha * g; g is +0.0 on fixed nodes, so cand equals x there bit for bit
+            np.subtract(x, np.multiply(alpha, g, out=cand), out=cand)
             point = _Iterate(spec, cand.reshape(spec.counts), boxes=boxes, planes=point.planes)
             ec = energy(point, region)
             if ec <= e - _ARMIJO * alpha * gg:
@@ -330,11 +348,11 @@ def solve(
         if not accepted:
             ls_failed = True
             break
-        prev_x, prev_g = x, g
-        x, e, last_alpha = cand, ec, alpha
-        g = masked_grad(point)
+        x, spare_x = cand, x
+        e, last_alpha = ec, alpha
+        g, spare_g = masked_grad(point, spare_g), g
         e_trace.append(e)
-        g_trace.append(float(np.max(np.abs(g))))
+        g_trace.append(float(max(g.max(), -g.min())))
         iterations += 1
 
     return SolveReport(

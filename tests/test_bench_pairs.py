@@ -72,3 +72,10 @@ def test_a_run_that_did_not_finish_fails_both_verdicts():
     assert not section["digests_equal"] and not section["all_correct_no_failed_ops"]
     assert section["errors"] == ["run.py exited 2: worker did not become ready"]
     assert section["summary"]["wall_s"]["pairs"] == 1
+
+
+def test_machine_records_cores_and_two_process_throughput():
+    machine = bench_pairs._machine(None, blocks=16)
+    assert machine["affinity_cpus"] is None or machine["affinity_cpus"] >= 1
+    ratio = machine["two_process_throughput"]
+    assert isinstance(ratio, float) and ratio > 0.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import core, optimize, surface
+from hlip import core, graph, optimize, surface
 from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
 from hlip.optimize import _adjoint_axis
 
@@ -422,14 +422,19 @@ def test_energy_of_a_plain_function_allocates_only_its_pass_planes():
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     # one intrinsic-gradient pass per energy; the first covers the grid,
     # every later one only the energy box, and the area element outside
-    # it stays the first pass's, bit for bit
+    # it stays the first pass's, bit for bit, also after every gradient,
+    # whose adjoints take the area plane as scratch
     calls = {"energy": 0, "energy_gradient": 0}
     passes = []  # (box, area plane) after every intrinsic-gradient call
+    gradient_areas = []  # area plane after every energy_gradient call
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "energy_gradient":
+                gradient_areas.append(args[0].planes[3].copy())
+            return result
         return wrapped
 
     def recording(f, box=None, out=None):
@@ -456,6 +461,44 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     for box, area in passes[1:]:
         assert box == energy_box
         np.testing.assert_array_equal(area[outside], first_area[outside])
+    assert len(gradient_areas) == calls["energy_gradient"]
+    for area in gradient_areas:
+        np.testing.assert_array_equal(area[outside], first_area[outside])
+
+
+def test_solve_runs_in_a_fixed_working_set():
+    # solve allocates its four vectors (x, g and two spares) and the 2n + 2
+    # planes of a stencil pass once; no step allocates a grid-sized array,
+    # so the traced peak stays under 2n + 7 planes and does not grow with
+    # the number of steps
+    spec = GridSpec.centered(2, 0.8, 0.1)  # 65,536 nodes
+    plane = 8 * spec.size
+    prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
+    peaks = {}
+    for steps in (5, 40):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = optimize.solve(prob, max_iter=steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == steps
+    assert max(peaks.values()) <= (2 * spec.n + 7) * plane
+    assert peaks[40] <= peaks[5] + plane
+
+
+def test_dirichlet_problem_leaves_no_node_array_cached(spec):
+    region = surface.disk_mask(spec, 0.55)
+    graph.grid_nodes.cache_clear()
+    prob = optimize.dirichlet_problem(
+        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
+    )
+    assert graph.grid_nodes.cache_info().currsize == 0
+    nodes = spec.nodes()
+    mask = prob.initial.dirichlet_mask.ravel()
+    expected = np.where(mask, 0.3 + 0.05 * nodes[:, 1], _wavy(nodes))
+    np.testing.assert_array_equal(prob.initial.values.ravel(), expected)
 
 
 @st.composite

@@ -30,10 +30,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# a CPU-bound loop: sha256 over argv[1] blocks of 64 KiB; 16,384 blocks
+# (1 GiB) take about one second on a 2-core Intel Xeon box
+_SPIN = ("import hashlib, sys\nh, b = hashlib.sha256(), bytes(1 << 16)\n"
+         "for _ in range(int(sys.argv[1])): h.update(b)")
+_SPIN_BLOCKS = 1 << 14
 
 
 def _git(*args: str) -> str:
@@ -127,7 +133,23 @@ def verdict_line(key: str, name: str, m: dict) -> str:
     return line
 
 
-def _machine(env: dict | None) -> dict:
+def _spin_s(procs: int, blocks: int) -> float:
+    """Wall time of `procs` processes that each run _SPIN over `blocks` blocks at once."""
+    start = time.perf_counter()
+    running = [subprocess.Popen([sys.executable, "-c", _SPIN, str(blocks)]) for _ in range(procs)]
+    if any(p.wait() != 0 for p in running):
+        raise RuntimeError("the CPU-bound loop failed")
+    return time.perf_counter() - start
+
+
+def two_process_throughput(blocks: int = _SPIN_BLOCKS) -> float:
+    """Throughput of two processes over one: the wall time of _SPIN over
+    `blocks` blocks in one process, divided by that of the same blocks split
+    over two.  About 2 when two cores are free, about 1 on one core."""
+    return _spin_s(1, blocks) / _spin_s(2, blocks // 2)
+
+
+def _machine(env: dict | None, blocks: int = _SPIN_BLOCKS) -> dict:
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -135,8 +157,12 @@ def _machine(env: dict | None) -> dict:
         cpu = names[0] if names else cpu
     except OSError:
         pass
-    return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "os": platform.system(), "env_reported_by_worker": env}
+    affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    # whether two-worker numbers had two cores behind them
+    return {"cpu": cpu, "cpus": os.cpu_count(), "affinity_cpus": affinity,
+            "two_process_throughput": round(two_process_throughput(blocks), 3),
+            "python": platform.python_version(), "os": platform.system(),
+            "env_reported_by_worker": env}
 
 
 def main(argv=None) -> int:
