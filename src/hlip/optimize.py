@@ -325,7 +325,7 @@ def solve(
 
     while iterations < max_iter and g_trace[-1] > tol:
         alpha = None
-        if iterations:
+        if iterations:  # the spares hold prev_x and prev_g
             s = np.subtract(x, spare_x, out=spare_x)
             y = np.subtract(g, spare_g, out=spare_g)
             sy = float(s @ y)

@@ -137,7 +137,7 @@ def _spin_s(procs: int, blocks: int) -> float:
     """Wall time of `procs` processes that each run _SPIN over `blocks` blocks at once."""
     start = time.perf_counter()
     running = [subprocess.Popen([sys.executable, "-c", _SPIN, str(blocks)]) for _ in range(procs)]
-    if any(p.wait() != 0 for p in running):
+    if any([p.wait() for p in running]):
         raise RuntimeError("the CPU-bound loop failed")
     return time.perf_counter() - start
 
