@@ -377,7 +377,7 @@ def sym_diff_measure(
     cloud: BoundaryCloud,
     f: GridFunction,
     tau: float,
-    region: np.ndarray | None = None,
+    region: np.ndarray,
 ) -> SymDiffReport:
     """Two-sided symmetric difference between the cloud and the graph.
 
@@ -390,7 +390,7 @@ def sym_diff_measure(
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     spec = f.spec
-    region = disk_mask(spec, 1.0) if region is None else np.asarray(region, dtype=bool).ravel()
+    region = np.asarray(region, dtype=bool).ravel()
     proj = cloud.projections()
     flat, inside = spec.locate(proj)
     sample_in_region = inside & region[flat]
@@ -476,12 +476,10 @@ def lipschitz_approximation(
 def build_mu(
     cloud: BoundaryCloud,
     f: GridFunction,
-    tau: float,
-    region: np.ndarray | None = None,
-    orientation: int = 1,
-    sym: SymDiffReport | None = None,
+    sym: SymDiffReport,
+    orientation: int,
 ) -> DiscreteMeasure:
-    """Defect measure of the approximation.
+    """Defect measure of the approximation, on the match `sym` of cloud and f.
 
     Matched samples contribute twice their weighted normal defect at the
     cell of their projection; region cells not matched by any sample
@@ -489,8 +487,6 @@ def build_mu(
     exactly when the cloud is the graph of f with aligned normals.
     """
     spec = f.spec
-    if sym is None:
-        sym = sym_diff_measure(cloud, f, tau, region=region)
     masses = np.zeros(spec.size)
     take = sym.sample_in_region & sym.sample_matched
     if np.any(take):
@@ -507,7 +503,6 @@ def truncate(
     cloud: BoundaryCloud,
     f: GridFunction,
     config: PipelineConfig | None = None,
-    sym: SymDiffReport | None = None,
 ) -> TruncationResult:
     """Cut the unit disk down to the small-defect region K.
 
@@ -522,10 +517,9 @@ def truncate(
     s = config.resolved_maximal_scale()
     e_outer = excess_cloud(cloud, None, config.outer_scale, config.orientation).excess
     d1 = disk_mask(spec, config.inner_radius)
-    if sym is None:
-        support = core.box(spec.nodes()) < 4.0 * s - 1e-12
-        sym = sym_diff_measure(cloud, f, tau, region=support)
-    mu = build_mu(cloud, f, tau, orientation=config.orientation, sym=sym)
+    support = core.box(spec.nodes()) < 4.0 * s - 1e-12
+    sym = sym_diff_measure(cloud, f, tau, region=support)
+    mu = build_mu(cloud, f, sym, config.orientation)
 
     trivial = e_outer <= 0.0
     if trivial:
@@ -589,24 +583,20 @@ def truncate(
     )
 
 
-def check_bv(f: GridFunction, region: np.ndarray | None = None) -> dict:
+def check_bv(f: GridFunction) -> dict:
     """Cauchy-Schwarz bound on the total variation of the gradient.
 
-    (int_A |grad|)^2 <= sqrt(1 + sup |grad|^2) * |A| * int_A |grad|^2 / sqrt(1 + |grad|^2),
-    with the sup over the whole grid.  Equality for constant gradients.
+    (int |grad|)^2 <= sqrt(1 + sup |grad|^2) * |grid| * int |grad|^2 / sqrt(1 + |grad|^2),
+    all over the grid.  Equality for constant gradients.
     """
     spec = f.spec
-    region = (
-        np.ones(spec.size, dtype=bool) if region is None else np.asarray(region, dtype=bool).ravel()
-    )
     g2 = intrinsic_gradient(f).norm_sq().ravel()
     V = spec.cell_volume
-    lhs = float(np.sum(np.sqrt(g2[region])) * V) ** 2
-    area_measure = float(np.count_nonzero(region)) * V
+    lhs = float(np.sum(np.sqrt(g2)) * V) ** 2
     rhs = (
         math.sqrt(1.0 + float(np.max(g2, initial=0.0)))
-        * area_measure
-        * float(np.sum(g2[region] / np.sqrt(1.0 + g2[region])) * V)
+        * (spec.size * V)
+        * float(np.sum(g2 / np.sqrt(1.0 + g2)) * V)
     )
     return {
         "lhs": lhs,

@@ -5,8 +5,8 @@ wall-time field, so reruns with the same seed compare equal.  Artifact
 paths never enter a report (two runs in different directories must hash
 identically); they go to stdout instead.
 
-Exit codes: 0 success, 1 precondition failure (bad flags, missing inputs,
-unknown kinds), 2 a mathematical failure (a verification suite reported
+Exit codes: 0 success, 1 precondition failure (bad flags, unreadable
+inputs or unwritable outputs, unknown kinds), 2 a mathematical failure (a verification suite reported
 a failure, or the extension fixed point did not converge).
 """
 
@@ -228,6 +228,8 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.params
     spec = generators.default_grid(cfg.n, p["h"])
     eps, height = p["eps"], p["height"]
+    if not p["noise"] >= 0.0:
+        raise PreconditionError(f"noise must be a stddev >= 0, got {p['noise']}")
     init = None
     if p["noise"] > 0.0:
         rng = np.random.default_rng(cfg.seed)
@@ -623,28 +625,30 @@ def main(argv=None) -> int:
     try:
         cfg = _run_config(args)
         results, code = _COMMANDS[cfg.command](cfg)
+        report = {
+            "command": cfg.command,
+            "config": {
+                "n": cfg.n,
+                "seed": cfg.seed,
+                "params": {k: v for k, v in cfg.params.items() if k not in _PATH_KEYS},
+            },
+            "results": results,
+            "wall_time_s": time.perf_counter() - start,
+        }
+        report["hash"] = fileio.report_hash(report)
+        dest = _out_dir(cfg)
+        if dest is not None:
+            path = dest / f"{cfg.command}_report.json"
+            fileio.write_report(path, report)
+            print(f"wrote report to {path}")
     except (approx.LipContractError, ExtensionConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, FileNotFoundError, ValueError) as exc:
+    except (PreconditionError, OSError, ValueError) as exc:
+        # OSError covers unreadable inputs and unwritable outputs alike,
+        # the report's own directory and file included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "command": cfg.command,
-        "config": {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "params": {k: v for k, v in cfg.params.items() if k not in _PATH_KEYS},
-        },
-        "results": results,
-        "wall_time_s": time.perf_counter() - start,
-    }
-    report["hash"] = fileio.report_hash(report)
-    dest = _out_dir(cfg)
-    if dest is not None:
-        path = dest / f"{cfg.command}_report.json"
-        fileio.write_report(path, report)
-        print(f"wrote report to {path}")
     print(f"report hash {report['hash']}")
     return code
 

@@ -208,10 +208,6 @@ class IntrinsicGradient:
     def norm(self) -> np.ndarray:
         return np.sqrt(self.norm_sq())
 
-    def at_flat(self) -> np.ndarray:
-        """Components flattened to (size, 2n-1)."""
-        return self.components.reshape(2 * self.spec.n - 1, -1).T
-
 
 def _norm_sq_into(comps: np.ndarray, out: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Sum of squares over the leading axis of comps, written into out; sq is scratch.

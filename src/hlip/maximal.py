@@ -244,7 +244,6 @@ def check_disk_lemma(
     s: float,
     theta: float,
     r: float,
-    fld: MaximalField | None = None,
 ) -> DiskLemmaReport:
     """Superlevel-measure bound for the disk maximal function.
 
@@ -260,8 +259,7 @@ def check_disk_lemma(
     hom = 2 * spec.n + 1
     kappa = core.constants(spec.n)[0]
     hypothesis_ok = bool(mu.total() <= (theta / 5**hom) * kappa * s**hom)
-    if fld is None:
-        fld = disk_maximal(mu, s)
+    fld = disk_maximal(mu, s)
     box = core.box(spec.nodes())
     j_theta, _ = superlevel(fld, theta)
     lhs = float(np.count_nonzero(j_theta & (box < r))) * spec.cell_volume

@@ -4,8 +4,9 @@ The energy is the midpoint-rule H-perimeter of a graph over W.  Its
 discrete gradient is exact for the discretization, including the
 chain-rule term from the Burgers component where phi multiplies its own
 t-derivative.  That coupling makes the energy non-convex, so descent
-certifies quality through the calibration gap energy - L^{2n}(region),
-which vanishes only on graphs with zero intrinsic gradient.
+certifies quality through the calibration gap energy - L^{2n}(grid),
+which vanishes only on graphs with zero intrinsic gradient.  Every
+function here works over the whole grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .graph import (
     grid_nodes,
     intrinsic_gradient,
 )
-from .surface import _region_mask
 
 __all__ = [
     "STENCIL_REACH",
@@ -115,10 +115,10 @@ def _pass_planes(spec: GridSpec) -> tuple:
     return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(3))
 
 
-def energy(f: GridFunction, region=None) -> float:
-    """Area of the graph over the region; always >= L^{2n}(region).
+def energy(f: GridFunction) -> float:
+    """Area of the graph over the grid; always >= L^{2n}(grid).
 
-    Equal to surface.hperimeter(f, region) bit for bit.
+    Equal to surface.hperimeter(f) bit for bit.
     """
     box = None
     if not isinstance(f, _Iterate):
@@ -128,13 +128,10 @@ def energy(f: GridFunction, region=None) -> float:
     else:
         planes, box = f.planes, f.boxes[0]
     intrinsic_gradient(f, box, planes)
-    area = planes[3].ravel()
-    if region is not None:
-        area = area[_region_mask(f, region)]
-    return float(np.sum(area) * f.spec.cell_volume)
+    return float(np.sum(planes[3].ravel()) * f.spec.cell_volume)
 
 
-def energy_gradient(f: GridFunction, region=None, out=None) -> np.ndarray:
+def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     """Exact nodal derivative of the discretized energy, flat layout.
 
     On a descent point it is exact over the gradient box and zero outside.
@@ -149,13 +146,9 @@ def energy_gradient(f: GridFunction, region=None, out=None) -> np.ndarray:
         planes, scaled, box = _pass_planes(spec), None, None
         intrinsic_gradient(f, None, planes)
     W, dt, tmp, area = planes
-    mask = None if region is None else _region_mask(f, region).reshape(spec.counts)
 
     def scale(slab: tuple) -> None:
-        w = W[(slice(None),) + slab]
-        w *= np.divide(V, area[slab], out=area[slab])
-        if mask is not None:
-            w *= mask[slab]
+        W[(slice(None),) + slab] *= np.divide(V, area[slab], out=area[slab])
 
     # W = G * (V / area), written over G and the area, over the whole
     # energy box before any adjoint: an axis-0 adjoint reads the
@@ -193,23 +186,11 @@ def energy_gradient(f: GridFunction, region=None, out=None) -> np.ndarray:
     return out
 
 
-def _exterior_reach(region: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Nodes touched by interior stencils of cells outside the region."""
-    ext = ~region.reshape(counts)
-    touched = ext.copy()
-    nd = ext.ndim
-    for ax in range(nd):
-        touched[_sl(nd, ax, slice(None, -1))] |= ext[_sl(nd, ax, slice(1, None))]
-        touched[_sl(nd, ax, slice(1, None))] |= ext[_sl(nd, ax, slice(None, -1))]
-    return touched
-
-
 @dataclass
 class DirichletProblem:
     """Fixed boundary values on the mask, free nodes elsewhere."""
 
     initial: GridFunction
-    region: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         mask = self.initial.dirichlet_mask
@@ -220,51 +201,27 @@ class DirichletProblem:
             raise ValueError(
                 f"dirichlet mask must cover {STENCIL_REACH} layers at the grid edge"
             )
-        if self.region is not None:
-            self.region = np.asarray(self.region, dtype=bool).ravel()
-            if self.region.size != spec.size:
-                raise ValueError("region mask size does not match grid")
-            reach = _exterior_reach(self.region, spec.counts)
-            if np.any(reach & ~mask):
-                raise ValueError("dirichlet mask must cover stencil reach of exterior cells")
 
     @property
     def spec(self) -> GridSpec:
         return self.initial.spec
 
-    def region_measure(self) -> float:
-        count = self.spec.size if self.region is None else int(np.count_nonzero(self.region))
-        return count * self.spec.cell_volume
 
-
-def dirichlet_problem(
-    spec: GridSpec,
-    data,
-    init=None,
-    layers: int = STENCIL_REACH,
-    region=None,
-) -> DirichletProblem:
+def dirichlet_problem(spec: GridSpec, data, init=None) -> DirichletProblem:
     """Assemble a problem: `data` fixes the mask, `init` seeds free nodes.
 
-    The mask is grown to cover the stencil reach of cells outside the
-    region, so the assembled problem always satisfies the invariants.
-    The node array `data` and `init` read is built for them alone and is
-    not left in grid_nodes' cache.
+    The mask is the STENCIL_REACH layers at the grid edge.  The node array
+    `data` and `init` read is built for them alone and is not left in
+    grid_nodes' cache.
     """
-    if layers < STENCIL_REACH:
-        raise ValueError(f"need at least {STENCIL_REACH} boundary layers, got {layers}")
     nodes = _node_array(spec)
     vals = np.asarray(data(nodes) if callable(data) else np.full(spec.size, float(data)))
     vals = vals.reshape(spec.counts).copy()
-    mask = spec.boundary_mask(layers)
-    region_flat = None
-    if region is not None:
-        region_flat = _region_mask(GridFunction(spec, vals), region)
-        mask = mask | _exterior_reach(region_flat, spec.counts)
+    mask = spec.boundary_mask(STENCIL_REACH)
     if init is not None:
         seed = np.asarray(init(nodes), dtype=float).reshape(spec.counts)
         vals[~mask] = seed[~mask]
-    return DirichletProblem(GridFunction(spec, vals, dirichlet_mask=mask), region=region_flat)
+    return DirichletProblem(GridFunction(spec, vals, dirichlet_mask=mask))
 
 
 @dataclass
@@ -298,13 +255,12 @@ def solve(
     the last iterate with converged=False.
     """
     spec = problem.spec
-    region = problem.region
     mask = problem.initial.dirichlet_mask
     fixed = mask.ravel()
     boxes = _free_boxes(mask, spec.n)
 
     def masked_grad(point: _Iterate, out: np.ndarray) -> np.ndarray:
-        g = energy_gradient(point, region, out)
+        g = energy_gradient(point, out)
         g[fixed] = 0.0
         return g
 
@@ -314,7 +270,7 @@ def solve(
     x = problem.initial.values.ravel().copy()
     g, spare_x, spare_g = (np.empty_like(x) for _ in range(3))
     point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes)
-    e = energy(point, region)
+    e = energy(point)
     masked_grad(point, g)
     e_trace = [e]
     # |g|_inf without an np.abs temporary
@@ -340,7 +296,7 @@ def solve(
             # x - alpha * g; g is +0.0 on fixed nodes, so cand equals x there bit for bit
             np.subtract(x, np.multiply(alpha, g, out=cand), out=cand)
             point = _Iterate(spec, cand.reshape(spec.counts), boxes=boxes, planes=point.planes)
-            ec = energy(point, region)
+            ec = energy(point)
             if ec <= e - _ARMIJO * alpha * gg:
                 accepted = True
                 break
@@ -362,14 +318,12 @@ def solve(
         iterations=iterations,
         converged=g_trace[-1] <= tol,
         line_search_failed=ls_failed,
-        calibration_gap=e - problem.region_measure(),
+        calibration_gap=e - spec.size * spec.cell_volume,
     )
 
 
-def _local_area_sum(spec: GridSpec, vals: np.ndarray, box: tuple, region_shaped) -> float:
+def _local_area_sum(spec: GridSpec, vals: np.ndarray, box: tuple) -> float:
     S = np.sqrt(1.0 + intrinsic_gradient(GridFunction(spec, vals)).norm_sq())
-    if region_shaped is not None:
-        S = np.where(region_shaped, S, 0.0)
     return float(np.sum(S[box]))
 
 
@@ -378,7 +332,6 @@ def gradient_check(
     num_nodes: int = 100,
     step: float = 1e-6,
     seed: int = 0,
-    region=None,
 ) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
@@ -387,10 +340,7 @@ def gradient_check(
     the same difference without the cancellation noise of the full sum.
     """
     spec = f.spec
-    g = energy_gradient(f, region)
-    region_shaped = None
-    if region is not None:
-        region_shaped = _region_mask(f, region).reshape(spec.counts)
+    g = energy_gradient(f)
     interior = np.flatnonzero(~spec.boundary_mask(STENCIL_REACH).ravel())
     if interior.size == 0:
         raise ValueError("grid has no interior nodes to probe")
@@ -411,8 +361,7 @@ def gradient_check(
         vm = f.values.copy()
         vm[idx] -= eps
         fd = (
-            _local_area_sum(spec, vp, box, region_shaped)
-            - _local_area_sum(spec, vm, box, region_shaped)
+            _local_area_sum(spec, vp, box) - _local_area_sum(spec, vm, box)
         ) * spec.cell_volume / (2.0 * eps)
         denom = max(abs(g[j]), abs(fd), scale)
         if denom > 1e-14:

@@ -123,17 +123,6 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     return blocks()
 
 
-def _region_mask(f: GridFunction, region) -> np.ndarray:
-    if region is None:
-        return np.ones(f.spec.size, dtype=bool)
-    if callable(region):
-        return np.asarray(region(f.spec.nodes()), dtype=bool)
-    mask = np.asarray(region, dtype=bool).ravel()
-    if mask.size != f.spec.size:
-        raise ValueError("region mask size does not match grid")
-    return mask
-
-
 def disk_mask(spec: GridSpec, r: float) -> np.ndarray:
     """Cells whose center lies in the disk D_r about the origin."""
     if r <= 0:
@@ -155,43 +144,41 @@ def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndar
     return inside
 
 
-def hperimeter(f: GridFunction, region=None) -> float:
-    """Midpoint-rule H-perimeter of the graph over a region of W."""
-    mask = _region_mask(f, region)
+def hperimeter(f: GridFunction, region: np.ndarray | None = None) -> float:
+    """Midpoint-rule H-perimeter of the graph over the nodes of a region mask
+    of W (the whole grid without one)."""
     area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
-    return float(np.sum(area[mask]) * f.spec.cell_volume)
+    if region is not None:
+        region = np.asarray(region, dtype=bool).ravel()
+        if region.size != f.spec.size:
+            raise ValueError("region mask size does not match grid")
+        area = area[region]
+    return float(np.sum(area) * f.spec.cell_volume)
 
 
 def sample_graph_boundary(
     f: GridFunction,
-    region=None,
     stride: int = 1,
     orientation: int = 1,
-    meta: dict | None = None,
 ) -> BoundaryCloud:
-    """Boundary cloud of the graph: one sample per selected cell.
+    """Boundary cloud of the graph: one sample per cell of the stride sublattice.
 
     With stride s the sublattice cell volume (s h)^{2n} enters the weights;
-    at stride 1 the total weight equals hperimeter(f, region) exactly.
+    at stride 1 the total weight equals hperimeter(f) exactly.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     spec = f.spec
-    mask = _region_mask(f, region).reshape(spec.counts)
-    sub = np.zeros(spec.counts, dtype=bool)
-    sub[tuple(slice(None, None, stride) for _ in range(2 * spec.n))] = True
-    sel = (mask & sub).ravel()
+    sel = np.zeros(spec.counts, dtype=bool)
+    sel[tuple(slice(None, None, stride) for _ in range(2 * spec.n))] = True
+    sel = sel.ravel()
     count = np.count_nonzero(sel)
-    if not count:
-        raise ValueError("no cells selected for sampling")
     pts, nrm, wgt = np.empty((count, 2 * spec.n + 1)), np.empty((count, 2 * spec.n)), np.empty(count)
     i = 0
     for p, nu, w in _graph_blocks(f, orientation, sel, stride):
         pts[i : i + len(w)], nrm[i : i + len(w)], wgt[i : i + len(w)] = p, nu, w
         i += len(w)
     info = {"kind": "graph", "h": spec.h, "stride": stride, "orientation": orientation}
-    if meta:
-        info.update(meta)
     return BoundaryCloud(spec.n, pts, nrm, wgt, info)
 
 

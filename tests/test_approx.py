@@ -334,7 +334,7 @@ def test_pipeline_eps_graph(spec, cfg, eps_result):
 
 def test_pipeline_lip_cap(spec):
     f = GridFunction.constant(spec, 0.0)
-    sym = approx.sym_diff_measure(generators.flat_cloud(spec), f, 0.5)
+    sym = approx.sym_diff_measure(generators.flat_cloud(spec), f, 0.5, disk_mask(spec, 1.0))
     with pytest.raises(ValueError):
         approx.ApproxResult(
             phi=f,
@@ -403,7 +403,8 @@ def test_symdiff_exact_graph_zero_and_tau_monotone(spec, cfg, eps_result):
     corrupted = generators.corrupted_cluster_cloud(spec, 2**-3, displacement=1.0)
     f = GridFunction.constant(spec, 0.0)
     totals = [
-        approx.sym_diff_measure(corrupted, f, tau).total for tau in (0.25, 0.5, 0.75, 1.2)
+        approx.sym_diff_measure(corrupted, f, tau, disk_mask(spec, 1.0)).total
+        for tau in (0.25, 0.5, 0.75, 1.2)
     ]
     assert all(a >= b for a, b in zip(totals, totals[1:]))
 
@@ -412,13 +413,13 @@ def test_symdiff_deleted_patch(spec):
     eps, radius, tau = 0.1, 0.8, 0.125
     cloud = generators.deleted_patch_cloud(spec, radius, eps=eps)
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, spec.n - 1])
-    sym = approx.sym_diff_measure(cloud, f, tau)
+    sym = approx.sym_diff_measure(cloud, f, tau, disk_mask(spec, 1.0))
     assert sym.cloud_mass == 0.0
     deleted = cloud.meta["deleted_mass"]
     # cells within tau of the surviving rim stay matched, so the measured
     # mass is the area formula on a patch eroded by roughly tau
     assert 0.3 * deleted <= sym.graph_mass <= deleted * (1.0 + 1e-12)
-    finer = approx.sym_diff_measure(cloud, f, 0.0625)
+    finer = approx.sym_diff_measure(cloud, f, 0.0625, disk_mask(spec, 1.0))
     assert finer.graph_mass >= sym.graph_mass
     assert sym.spherical == pytest.approx(sym.total / core.constants(2)[1])
 
@@ -426,9 +427,15 @@ def test_symdiff_deleted_patch(spec):
 # ---------------------------------------------------------- defect measure
 
 
+def disk_mu(cloud, f, tau):
+    """build_mu on the match of cloud and f over the unit disk."""
+    sym = approx.sym_diff_measure(cloud, f, tau, disk_mask(f.spec, 1.0))
+    return approx.build_mu(cloud, f, sym, 1)
+
+
 def test_build_mu_flat_zero(spec, cfg, flat_result):
     cloud, res = flat_result
-    mu = approx.build_mu(cloud, res.phi, cfg.resolved_tau(spec))
+    mu = disk_mu(cloud, res.phi, cfg.resolved_tau(spec))
     assert mu.total() == 0.0
 
 
@@ -436,7 +443,7 @@ def test_build_mu_eps_density(spec, cfg):
     eps = 0.1
     cloud = generators.linear_cloud(spec, eps)
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, spec.n - 1])
-    mu = approx.build_mu(cloud, f, cfg.resolved_tau(spec))
+    mu = disk_mu(cloud, f, cfg.resolved_tau(spec))
     density = 2.0 * (math.sqrt(1.0 + eps**2) - 1.0) * spec.cell_volume
     cells = mu.masses.ravel()
     d1 = disk_mask(spec, 1.0)  # the measure lives on the region
@@ -451,8 +458,8 @@ def test_build_mu_patch_term_ratio(spec, cfg):
     holed = generators.deleted_patch_cloud(spec, radius, eps=eps)
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, spec.n - 1])
     region = disk_mask(spec, 1.0)
-    mu_full = approx.build_mu(full, f, tau, region=region)
-    mu_holed = approx.build_mu(holed, f, tau, region=region)
+    mu_full = disk_mu(full, f, tau)
+    mu_holed = disk_mu(holed, f, tau)
     sym = approx.sym_diff_measure(holed, f, tau, region=region)
     hole = ~sym.cell_matched & region
     assert np.count_nonzero(hole) > 50
@@ -467,7 +474,7 @@ def test_build_mu_patch_term_ratio(spec, cfg):
 
 def test_truncate_flat_trivial(spec, cfg, flat_result):
     cloud, res = flat_result
-    tr = approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)
+    tr = approx.truncate(cloud, res.phi, cfg)
     assert tr.trivial
     assert np.array_equal(tr.k_mask, tr.d1_mask)
     assert tr.outside_measure == 0.0
@@ -483,7 +490,7 @@ def test_truncate_tilted_cluster_band(spec, cfg):
     for mass in (2**-3, 2**-2, 2**-1):
         cloud = generators.corrupted_cluster_cloud(spec, mass, displacement=0.3)
         res = approx.lipschitz_approximation(cloud, spec, cfg)
-        tr = approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)
+        tr = approx.truncate(cloud, res.phi, cfg)
         assert not tr.trivial
         assert tr.eta == pytest.approx(tr.excess_outer**0.5)
         assert np.all(tr.d1_mask[tr.k_mask])
@@ -507,7 +514,7 @@ def test_truncate_eps_sweep_certified_slope(spec, cfg):
         cloud = generators.linear_cloud(spec, eps)
         res = approx.lipschitz_approximation(cloud, spec, sweep_cfg)
         assert not res.degenerate
-        tr = approx.truncate(cloud, res.phi, sweep_cfg, sym=res.symdiff)
+        tr = approx.truncate(cloud, res.phi, sweep_cfg)
         assert tr.outside_measure == 0.0  # clean graphs keep all of D_1
         assert math.isclose(tr.lip_on_k, eps, rel_tol=1e-6)
         es.append(tr.excess_outer)
@@ -531,11 +538,11 @@ def test_check_bv_constant_and_linear(spec):
 
     eps = 0.1
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, spec.n - 1])
-    rep = approx.check_bv(f, region=disk_mask(spec, 1.0))
+    rep = approx.check_bv(f)
     # Cauchy-Schwarz is tight for a constant gradient
     assert rep["passed"]
     assert math.isclose(rep["lhs"], rep["rhs"], rel_tol=1e-9)
-    area = np.count_nonzero(disk_mask(spec, 1.0)) * spec.cell_volume
+    area = spec.size * spec.cell_volume
     assert math.isclose(rep["lhs"], (eps * area) ** 2, rel_tol=1e-9)
 
 
@@ -697,7 +704,7 @@ def test_check_sandwich_matches_phi_ball_reference(eps, bend, x, on_node, r, C):
 
 def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, caplog):
     cloud, res = flat_result
-    assert approx.truncate(cloud, res.phi, cfg, sym=res.symdiff).phi_lemma_path == "none"
+    assert approx.truncate(cloud, res.phi, cfg).phi_lemma_path == "none"
 
     cloud = generators.corrupted_cluster_cloud(spec, 2**-2, displacement=0.3)
     res = approx.lipschitz_approximation(cloud, spec, cfg)
@@ -714,7 +721,7 @@ def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, ca
                         ((True, True), "none")]:
         caplog.clear()
         monkeypatch.setattr(approx, "check_phi_lemma", lemma(*fails))
-        tr = approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)
+        tr = approx.truncate(cloud, res.phi, cfg)
         assert not tr.trivial
         assert tr.phi_lemma_path == path
         assert tr.lip_certified == (math.inf if path == "none" else 0.5 * tr.theta)
@@ -733,4 +740,4 @@ def test_truncate_lets_other_value_errors_propagate(spec, cfg, monkeypatch):
 
     monkeypatch.setattr(maximal, "phi_maximal", broken)
     with pytest.raises(ValueError, match="a fault inside the lemma"):
-        approx.truncate(cloud, res.phi, cfg, sym=res.symdiff)
+        approx.truncate(cloud, res.phi, cfg)

@@ -74,8 +74,26 @@ def test_a_run_that_did_not_finish_fails_both_verdicts():
     assert section["summary"]["wall_s"]["pairs"] == 1
 
 
-def test_machine_records_cores_and_two_process_throughput():
-    machine = bench_pairs._machine(None, blocks=16)
+def test_machine_records_cores_and_two_process_throughput(monkeypatch):
+    machine = bench_pairs._machine(None)
     assert machine["affinity_cpus"] is None or machine["affinity_cpus"] >= 1
-    ratio = machine["two_process_throughput"]
+    # the throughput is read once per workload, before its first pair
+    events = []
+    spin = bench_pairs.two_process_throughput
+
+    def reading(blocks):
+        events.append("throughput")
+        return spin(blocks)
+
+    def fake_run(checkout, workload, seed, seconds):
+        events.append((checkout, workload, seed))
+        return _run(10.0)
+
+    monkeypatch.setattr(bench_pairs, "two_process_throughput", reading)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    dirs = {"parent": "p", "change": "c"}
+    section, pairs = bench_pairs.run_workload(dirs, "w@3", 2, 1.0, blocks=16)
+    assert events == ["throughput", ("p", "w", 3), ("c", "w", 3), ("c", "w", 3), ("p", "w", 3)]
+    ratio = section["two_process_throughput"]
     assert isinstance(ratio, float) and ratio > 0.0
+    assert section["seed"] == 3 and len(pairs) == 2 and section["digests_equal"]

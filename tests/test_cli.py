@@ -241,6 +241,12 @@ def test_minimize_reports_certificate(tmp_path):
     assert np.all(np.isfinite(phi.values))
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_minimize_rejects_a_noise_that_is_no_stddev(capsys, noise):
+    assert main(["minimize", "--h", "0.25", "--noise", noise]) == 1
+    assert "noise" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -310,3 +316,20 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["approx"])  # missing the cloud argument
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda cloud, there, taken: ["approx", str(there)],  # a directory as the cloud
+        lambda cloud, there, taken: ["approx", str(cloud), "--config", str(there)],
+        lambda cloud, there, taken: ["constants", "--out", str(taken)],  # a file as --out
+    ],
+    ids=["cloud-directory", "config-directory", "out-file"],
+)
+def test_path_errors_exit_1_on_one_line(tmp_path, linear_cloud_file, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(argv(linear_cloud_file, tmp_path, taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -7,6 +7,7 @@ the benchmark.  A name that only unit tests reach is dead weight."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -78,3 +79,68 @@ def callers():
 @pytest.mark.parametrize("name", MODULES)
 def test_exported_names_have_callers(name, callers):
     assert [n for n in _public_names(name) if n not in callers | REFERENCE_ONLY] == []
+
+
+# defaulted parameters kept without such a caller on purpose
+UNCALLED_DEFAULTS = {
+    "corollary_report.config": "the default PipelineConfig, taken as truncate and lipschitz_approximation take it",
+    "dinf.planes": "the scratch arena every pair kernel takes; dinf's callers run no block loop yet",
+    "estimate_ball_constants.samples": "its reference test sweeps it",
+    "estimate_ball_constants.seed": "its reference test sweeps it",
+    "estimate_ball_constants.r_bounds": "its reference test sweeps it; the default's fit to small grids is open",
+    "gradient_check.step": "the step that shows the check degrading at a crude difference",
+    "height_bound_ratio.orientation": "the orientation every cloud and excess function takes",
+    "sup_excess.orientation": "the orientation every cloud and excess function takes",
+    "solver_cloud.tol": "recorded in the cloud's meta, so in goldens and report hashes",
+    "solver_cloud.max_iter": "recorded in the cloud's meta, so in goldens and report hashes",
+    "corrupted_cluster_cloud.flip_normals": "recorded in the cloud's meta, so in goldens and report hashes",
+    "deleted_patch_cloud.center": "recorded in the cloud's meta, so in goldens and report hashes",
+}
+
+
+def _calls(paths) -> dict[str, list[ast.Call]]:
+    """Calls by the called name, except those inside the top-level
+    statement that defines that name."""
+    out: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defines(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name is not None and name not in own:
+                        out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, param: inspect.Parameter, position: int | None) -> bool:
+    if any(kw.arg in (param.name, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_defaulted_parameters_have_callers():
+    calls = _calls([*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *ROOT.glob("perfbench/*.py")])
+    functions = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for public in _public_names(name):
+            obj = getattr(module, public)
+            if inspect.isfunction(obj) or hasattr(obj, "__wrapped__"):
+                functions[public] = obj
+    uncalled = []
+    for fname, fn in sorted(functions.items()):
+        params = list(inspect.signature(fn).parameters.values())
+        positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        for p in params:
+            if p.default is p.empty or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+                continue
+            position = positional.index(p) if p in positional else None
+            if not any(_passes(c, p, position) for c in calls.get(fname, ())):
+                uncalled.append(f"{fname}.{p.name}")
+    assert sorted(set(uncalled) - UNCALLED_DEFAULTS.keys()) == []
+    # an allow-list entry whose parameter found a caller, or went, goes too
+    assert sorted(UNCALLED_DEFAULTS.keys() - set(uncalled)) == []

@@ -28,7 +28,7 @@ def test_energy_constant_equals_measure(spec):
     assert math.isclose(optimize.energy(f), spec.size * spec.cell_volume, rel_tol=1e-14)
     mask = surface.disk_mask(spec, 0.5)
     assert math.isclose(
-        optimize.energy(f, region=mask),
+        surface.hperimeter(f, region=mask),
         int(np.count_nonzero(mask)) * spec.cell_volume,
         rel_tol=1e-14,
     )
@@ -60,12 +60,6 @@ def test_gradient_vanishes_at_constant(spec):
 def test_gradient_matches_finite_differences(spec):
     f = GridFunction.from_callable(spec, smooth)
     assert optimize.gradient_check(f, num_nodes=100, seed=2) < 1e-6
-
-
-def test_gradient_matches_finite_differences_on_region(spec):
-    f = GridFunction.from_callable(spec, smooth)
-    mask = surface.disk_mask(spec, 0.5)
-    assert optimize.gradient_check(f, num_nodes=60, seed=4, region=mask) < 1e-6
 
 
 def test_gradient_check_degrades_at_large_step(spec):
@@ -146,16 +140,21 @@ def test_linear_graph_is_discrete_critical_point(spec):
     )
 
 
+def disk_problem(spec, data, init, radius=0.55):
+    """dirichlet_problem with every node outside the disk D_radius fixed
+    to the data too, so the free nodes form a set that is not a box."""
+    prob = optimize.dirichlet_problem(spec, data)
+    disk = surface.disk_mask(spec, radius).reshape(spec.counts)
+    mask = spec.boundary_mask(optimize.STENCIL_REACH) | ~disk
+    vals = prob.initial.values.copy()
+    vals[~mask] = GridFunction.from_callable(spec, init).values[~mask]
+    return optimize.DirichletProblem(GridFunction(spec, vals, dirichlet_mask=mask))
+
+
 def test_solve_on_disk_region(spec):
-    mask = surface.disk_mask(spec, 0.55)
-    prob = optimize.dirichlet_problem(
-        spec,
-        data=0.0,
-        init=lambda w: 0.03 * np.cos(4 * w[:, 1]) * np.cos(w[:, 3]),
-        region=mask,
-    )
+    prob = disk_problem(spec, data=0.0, init=lambda w: 0.03 * np.cos(4 * w[:, 1]) * np.cos(w[:, 3]))
     free = ~prob.initial.dirichlet_mask.ravel()
-    assert np.all(free <= mask)  # free nodes sit inside the region
+    assert np.all(free <= surface.disk_mask(spec, 0.55))  # free nodes sit inside the disk
     rep = optimize.solve(prob)
     assert rep.converged
     assert -1e-12 < rep.calibration_gap < 1e-6
@@ -182,17 +181,6 @@ def test_problem_validation(spec):
     thin.dirichlet_mask = spec.boundary_mask(1)
     with pytest.raises(ValueError):
         optimize.DirichletProblem(thin)
-    with pytest.raises(ValueError):
-        optimize.dirichlet_problem(spec, data=0.0, layers=2)
-    with pytest.raises(ValueError):
-        optimize.DirichletProblem(
-            GridFunction.constant(spec, 0.0), region=np.ones(5, dtype=bool)
-        )
-    ok = GridFunction.constant(spec, 0.0)
-    ok.dirichlet_mask = spec.boundary_mask(3)
-    # free nodes adjacent to exterior cells are rejected
-    with pytest.raises(ValueError):
-        optimize.DirichletProblem(ok, region=surface.disk_mask(spec, 0.5))
 
 
 def test_report_trace_invariant(spec):
@@ -252,21 +240,19 @@ def _components_reference(f):
     return comps
 
 
-def energy_reference(f, region=None):
+def energy_reference(f):
     """Midpoint-rule area from np.gradient partials, kept as the reference."""
     area = np.sqrt(1.0 + np.sum(_components_reference(f) ** 2, axis=0)).ravel()
-    return float(np.sum(area[surface._region_mask(f, region)]) * f.spec.cell_volume)
+    return float(np.sum(area) * f.spec.cell_volume)
 
 
-def energy_gradient_reference(f, region=None):
+def energy_gradient_reference(f):
     """The area gradient with its own stencil pass, kept as the reference."""
     spec = f.spec
     n, h, V = spec.n, spec.h, spec.cell_volume
     t_ax = 2 * n - 1
     G = _components_reference(f)
     W = G * (V / np.sqrt(1.0 + np.sum(G * G, axis=0)))
-    if region is not None:
-        W = W * surface._region_mask(f, region).reshape(spec.counts)
     grad = np.zeros(spec.counts)
     for i in range(2, n + 1):
         wx = W[i - 2]
@@ -289,12 +275,12 @@ def solve_reference(problem, tol=1e-8, max_iter=5000):
     spec, free = problem.spec, ~problem.initial.dirichlet_mask.ravel()
 
     def masked_grad(vals):
-        g = energy_gradient_reference(GridFunction(spec, vals), problem.region)
+        g = energy_gradient_reference(GridFunction(spec, vals))
         g[~free] = 0.0
         return g
 
     def e_of(vals):
-        return energy_reference(GridFunction(spec, vals), problem.region)
+        return energy_reference(GridFunction(spec, vals))
 
     x = problem.initial.values.ravel().copy()
     e = e_of(x.reshape(spec.counts))
@@ -347,12 +333,10 @@ def _wavy(w):
     return 0.3 + 0.04 * np.sin(3 * w[:, 0]) * np.cos(2 * w[:, 1]) * np.cos(w[:, 3])
 
 
-@pytest.mark.parametrize("with_region", [False, True])
-def test_solve_matches_reference_bitwise(spec, with_region):
-    region = surface.disk_mask(spec, 0.55) if with_region else None
-    prob = optimize.dirichlet_problem(
-        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
-    )
+@pytest.mark.parametrize("disk", [False, True])
+def test_solve_matches_reference_bitwise(spec, disk):
+    make = disk_problem if disk else optimize.dirichlet_problem
+    prob = make(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     # both runs need more than 12 steps, so this one stops at the cap
     rep = _solve_matches_reference(prob, tol=1e-7, max_iter=12)
     assert rep.iterations == 12 and not rep.converged
@@ -363,20 +347,12 @@ def test_solve_converged_run_matches_reference_bitwise(spec):
     assert _solve_matches_reference(prob).converged
 
 
-@pytest.mark.parametrize("region_kind", [None, "mask", "callable"])
-def test_public_energy_and_gradient_match_reference_bitwise(spec, region_kind):
-    region = {
-        None: None,
-        "mask": surface.disk_mask(spec, 0.5),
-        "callable": lambda w: np.abs(w[:, 1]) < 0.35,
-    }[region_kind]
+def test_public_energy_and_gradient_match_reference_bitwise(spec):
     f = GridFunction.from_callable(spec, smooth)
-    e = optimize.energy(f, region)
-    assert e == surface.hperimeter(f, region=region)
-    assert e == energy_reference(f, region)
-    np.testing.assert_array_equal(
-        optimize.energy_gradient(f, region), energy_gradient_reference(f, region)
-    )
+    e = optimize.energy(f)
+    assert e == surface.hperimeter(f)
+    assert e == energy_reference(f)
+    np.testing.assert_array_equal(optimize.energy_gradient(f), energy_gradient_reference(f))
 
 
 def test_public_energy_and_gradient_n3_match_reference_bitwise():
@@ -395,7 +371,7 @@ def test_energy_and_gradient_leave_inputs_alone(spec):
     comps, dt = earlier.components.copy(), earlier.dt.copy()
     optimize.energy(f)
     g1 = optimize.energy_gradient(f)
-    optimize.energy(f, surface.disk_mask(spec, 0.5))
+    optimize.energy(f)
     g2 = optimize.energy_gradient(f)
     np.testing.assert_array_equal(f.values, values)
     np.testing.assert_array_equal(earlier.components, comps)
@@ -489,11 +465,8 @@ def test_solve_runs_in_a_fixed_working_set():
 
 
 def test_dirichlet_problem_leaves_no_node_array_cached(spec):
-    region = surface.disk_mask(spec, 0.55)
     graph.grid_nodes.cache_clear()
-    prob = optimize.dirichlet_problem(
-        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
-    )
+    prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     assert graph.grid_nodes.cache_info().currsize == 0
     nodes = spec.nodes()
     mask = prob.initial.dirichlet_mask.ravel()
@@ -504,22 +477,21 @@ def test_dirichlet_problem_leaves_no_node_array_cached(spec):
 @st.composite
 def descent_problems(draw):
     """n = 2 problems on grids of unequal counts: the 3-layer rim, fixed
-    blobs drawn on top of it and an optional region disk, so the free
-    nodes' box shrinks, shifts or empties."""
+    blobs drawn on top of it and an optional disk outside which every node
+    is fixed, so the free nodes' box shrinks, shifts or empties."""
     counts = tuple(draw(st.lists(st.integers(8, 11), min_size=4, max_size=4)))
     spec = GridSpec(2, tuple(-(c - 1) * 0.05 for c in counts), 0.1, counts)
     radius = draw(st.sampled_from((None, 0.3, 0.4, 0.6)))
-    region = None if radius is None else surface.disk_mask(spec, radius)
-    prob = optimize.dirichlet_problem(
-        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=region
-    )
+    prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     mask = prob.initial.dirichlet_mask.copy()
+    if radius is not None:
+        mask |= ~surface.disk_mask(spec, radius).reshape(counts)
     for _ in range(draw(st.integers(0, 4))):
         corner = [draw(st.integers(0, c - 1)) for c in counts]
         sides = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
         mask[tuple(slice(a, a + w) for a, w in zip(corner, sides))] = True
     f = GridFunction(spec, prob.initial.values, dirichlet_mask=mask)
-    return optimize.DirichletProblem(f, region=prob.region)
+    return optimize.DirichletProblem(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -539,20 +511,25 @@ def test_solve_n3_matches_reference_bitwise():
     assert rep.iterations > 0
 
 
-def test_solve_without_free_nodes_matches_reference_bitwise(spec):
-    prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], layers=6)
+def fixed_problem(spec):
+    """A problem whose six fixed layers at the grid edge leave no free node."""
+    f = GridFunction.from_callable(spec, lambda w: 0.3 + 0.05 * w[:, 1])
+    f.dirichlet_mask = spec.boundary_mask(6)
+    prob = optimize.DirichletProblem(f)
     assert prob.initial.dirichlet_mask.all()
-    rep = _solve_matches_reference(prob)
+    return prob
+
+
+def test_solve_without_free_nodes_matches_reference_bitwise(spec):
+    rep = _solve_matches_reference(fixed_problem(spec))
     assert rep.iterations == 0 and rep.converged
-    assert rep.calibration_gap == rep.energy_trace[0] - prob.region_measure()
+    assert rep.calibration_gap == rep.energy_trace[0] - spec.size * spec.cell_volume
 
 
 def test_solve_keeps_stepping_over_empty_boxes(spec):
     # a tol below 0 keeps the loop going, so every energy and gradient
     # after the first runs over the empty boxes of a problem without free nodes
-    prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], layers=6)
-    assert prob.initial.dirichlet_mask.all()
-    rep = _solve_matches_reference(prob, tol=-1.0, max_iter=3)
+    rep = _solve_matches_reference(fixed_problem(spec), tol=-1.0, max_iter=3)
     assert rep.iterations == 3 and not rep.converged
 
 
@@ -575,17 +552,27 @@ def _force_slabs(monkeypatch, spec, rows, workers, box=None):
 
 
 @pytest.mark.parametrize("rows,workers", SLABS)
-@pytest.mark.parametrize("with_region", [False, True])
+@pytest.mark.parametrize("descent_point", [False, True])
 def test_energy_and_gradient_in_slabs_match_reference_bitwise(
-    spec, monkeypatch, rows, workers, with_region
+    spec, monkeypatch, rows, workers, descent_point
 ):
-    region = surface.disk_mask(spec, 0.5) if with_region else None
+    # a descent point whose free nodes fill a disk scales and adjoints over
+    # boxes: its gradient is exact inside the gradient box and zero outside
     f = GridFunction.from_callable(spec, smooth)
+    g_want = energy_gradient_reference(f)
+    if descent_point:
+        mask = spec.boundary_mask(optimize.STENCIL_REACH) | ~surface.disk_mask(spec, 0.5).reshape(
+            spec.counts
+        )
+        boxes = optimize._free_boxes(mask, spec.n)
+        inside = np.zeros(spec.counts, dtype=bool)
+        inside[boxes[1]] = True
+        assert not inside.all()
+        g_want = np.where(inside.ravel(), g_want, 0.0)
+        f = optimize._Iterate(spec, f.values, boxes=boxes)
     _force_slabs(monkeypatch, spec, rows, workers)
-    assert optimize.energy(f, region) == energy_reference(f, region)
-    np.testing.assert_array_equal(
-        optimize.energy_gradient(f, region), energy_gradient_reference(f, region)
-    )
+    assert optimize.energy(f) == energy_reference(f)
+    np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
 
 
 @pytest.mark.parametrize("rows,workers", SLABS)
@@ -601,9 +588,7 @@ def test_energy_and_gradient_n3_in_slabs_match_reference_bitwise(monkeypatch, ro
 
 @pytest.mark.parametrize("rows,workers", SLABS)
 def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, workers):
-    prob = optimize.dirichlet_problem(
-        spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy, region=surface.disk_mask(spec, 0.55)
-    )
+    prob = disk_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     # the gradient box is the narrowest pass of the descent
     grad_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[1]
     _force_slabs(monkeypatch, spec, rows, workers, grad_box)
@@ -614,14 +599,13 @@ def test_gradient_in_slabs_under_fast_thread_switches(spec, monkeypatch):
     # one-row slabs on two threads that switch every microsecond: a slab
     # that read a row before another slab wrote it would show here
     f = GridFunction.from_callable(spec, smooth)
-    region = surface.disk_mask(spec, 0.5)
-    e_want, g_want = energy_reference(f, region), energy_gradient_reference(f, region)
+    e_want, g_want = energy_reference(f), energy_gradient_reference(f)
     _force_slabs(monkeypatch, spec, 1, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert optimize.energy(f, region) == e_want
-            np.testing.assert_array_equal(optimize.energy_gradient(f, region), g_want)
+            assert optimize.energy(f) == e_want
+            np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
     finally:
         sys.setswitchinterval(interval)

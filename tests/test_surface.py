@@ -40,10 +40,11 @@ def test_linear_graph_perimeter_carries_sqrt2_density():
 
 
 def test_perimeter_region_forms_agree():
+    # a flat node mask and one shaped like the grid select the same nodes
     spec, f = flat_disk_setup(h=0.2, half=0.6)
     mask = surface.disk_mask(spec, 0.5)
-    via_callable = surface.hperimeter(f, region=lambda nodes: core.box(nodes) < 0.5)
-    assert math.isclose(surface.hperimeter(f, region=mask), via_callable, rel_tol=1e-15)
+    shaped = surface.hperimeter(f, region=mask.reshape(spec.counts))
+    assert surface.hperimeter(f, region=mask) == shaped
     with pytest.raises(ValueError):
         surface.hperimeter(f, region=np.ones(7, dtype=bool))
 
@@ -82,11 +83,9 @@ def test_epigraph_normal_slots_and_unit_length():
 def test_sampling_conserves_perimeter_at_stride_one():
     spec = GridSpec.centered(2, 0.8, 0.1)
     f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 2])
-    mask = surface.disk_mask(spec, 0.7)
-    cloud = surface.sample_graph_boundary(f, region=mask)
-    assert math.isclose(float(np.sum(cloud.weights)), surface.hperimeter(f, region=mask),
-                        rel_tol=1e-14)
-    assert len(cloud) == int(np.count_nonzero(mask))
+    cloud = surface.sample_graph_boundary(f)
+    assert math.isclose(float(np.sum(cloud.weights)), surface.hperimeter(f), rel_tol=1e-14)
+    assert len(cloud) == spec.size
     assert cloud.meta["stride"] == 1
 
 
@@ -225,14 +224,14 @@ def test_surface_api_in_higher_dimension():
 # ------------------------------------------------- streamed graph samples
 
 
-def two_pass_cloud(f, region, stride, orientation):
+def two_pass_cloud(f, stride, orientation):
     """sample_graph_boundary's arrays as two whole-grid gradient passes give
     them: one for the normals, one for the area element."""
     spec, n = f.spec, f.spec.n
-    sub = np.zeros(spec.counts, dtype=bool)
-    sub[tuple(slice(None, None, stride) for _ in range(2 * n))] = True
-    sel = (region.reshape(spec.counts) & sub).ravel()
-    g = intrinsic_gradient(f).at_flat()
+    sel = np.zeros(spec.counts, dtype=bool)
+    sel[tuple(slice(None, None, stride) for _ in range(2 * n))] = True
+    sel = sel.ravel()
+    g = intrinsic_gradient(f).components.reshape(2 * n - 1, -1).T
     nu = np.empty((len(g), 2 * n))
     nu[:, 0] = 1.0
     nu[:, 1:] = -g
@@ -253,12 +252,9 @@ def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, ori
     f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
     if rows:
         monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
-    region = surface.disk_mask(spec, 0.45)
-    for stride, mask in ((1, np.ones(spec.size, dtype=bool)), (1, region), (2, region)):
-        cloud = surface.sample_graph_boundary(
-            f, region=mask, stride=stride, orientation=orientation
-        )
-        want = two_pass_cloud(f, mask, stride, orientation)
+    for stride in (1, 2):
+        cloud = surface.sample_graph_boundary(f, stride=stride, orientation=orientation)
+        want = two_pass_cloud(f, stride, orientation)
         got = (cloud.points, cloud.normals, cloud.weights)
         assert [bits(a) for a in got] == [bits(a) for a in want]
 

@@ -11,8 +11,9 @@ there.  The two sides alternate which goes first from pair to pair.
 uses seed 0, and no --workloads means every workload of BENCHMARK.json.
 
 BENCH_<label>.json, written at the repository root, holds both
-revisions, the machine, every run's end-to-end metrics and per-op
-digests, and per metric each side's median and quartiles, the parent's
+revisions, the machine, per workload a two-process throughput reading
+taken just before its first pair (about 2 when two cores are free),
+every run's end-to-end metrics and per-op digests, and per metric each side's median and quartiles, the parent's
 interquartile range, the change's wins and the pair ratios.  A metric
 whose medians differ by no more than that range is unresolved.  The
 script exits 1 when a run reports `correct: false`, when an op failed,
@@ -149,7 +150,7 @@ def two_process_throughput(blocks: int = _SPIN_BLOCKS) -> float:
     return _spin_s(1, blocks) / _spin_s(2, blocks // 2)
 
 
-def _machine(env: dict | None, blocks: int = _SPIN_BLOCKS) -> dict:
+def _machine(env: dict | None) -> dict:
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -158,11 +159,29 @@ def _machine(env: dict | None, blocks: int = _SPIN_BLOCKS) -> dict:
     except OSError:
         pass
     affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    # whether two-worker numbers had two cores behind them
     return {"cpu": cpu, "cpus": os.cpu_count(), "affinity_cpus": affinity,
-            "two_process_throughput": round(two_process_throughput(blocks), 3),
             "python": platform.python_version(), "os": platform.system(),
             "env_reported_by_worker": env}
+
+
+def run_workload(dirs: dict, key: str, pairs: int, seconds: float,
+                 blocks: int = _SPIN_BLOCKS) -> tuple[dict, list[dict]]:
+    """One workload's section and its pairs.  The two-process throughput
+    is read just before the first pair, so it says whether two cores were
+    free next to these runs; the pairs alternate which side goes first."""
+    workload, _, seed = key.partition("@")
+    seed = int(seed or 0)
+    throughput = round(two_process_throughput(blocks), 3)
+    runs = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for s in order:
+            pair[s] = run_once(dirs[s], workload, seed, seconds)
+        runs.append(pair)
+        print(f"{key} pair {i + 1}/{pairs}: "
+              + "  ".join(f"{s} {pair[s].get('metrics', pair[s])}" for s in SIDES), flush=True)
+    return {"seed": seed, "two_process_throughput": throughput, **summarize(runs)}, runs
 
 
 def main(argv=None) -> int:
@@ -195,19 +214,7 @@ def main(argv=None) -> int:
         for s in SIDES:
             _unpack(shas[s], dirs[s])
         for key in names:
-            workload, _, seed = key.partition("@")
-            seed = int(seed or 0)
-            pairs = []
-            for i in range(args.pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"first": order[0]}
-                for s in order:
-                    pair[s] = run_once(dirs[s], workload, seed, args.seconds)
-                pairs.append(pair)
-                print(f"{key} pair {i + 1}/{args.pairs}: "
-                      + "  ".join(f"{s} {pair[s].get('metrics', pair[s])}" for s in SIDES),
-                      flush=True)
-            section = {"seed": seed, **summarize(pairs)}
+            section, pairs = run_workload(dirs, key, args.pairs, args.seconds)
             out["workloads"][key] = section
             if out["machine"] is None:
                 out["machine"] = _machine(next((p[s]["env"] for p in pairs for s in SIDES
