@@ -6,8 +6,9 @@ paths never enter a report (two runs in different directories must hash
 identically); they go to stdout instead.
 
 Exit codes: 0 success, 1 precondition failure (bad flags, unreadable
-inputs or unwritable outputs, unknown kinds), 2 a mathematical failure (a verification suite reported
-a failure, or the extension fixed point did not converge).
+inputs or unwritable outputs, unknown kinds), 2 a mathematical failure
+(a verification suite reported a failure, or the extension fixed point
+did not converge).
 """
 
 from __future__ import annotations
@@ -645,8 +646,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, OSError, ValueError) as exc:
-        # OSError covers unreadable inputs and unwritable outputs alike,
-        # the report's own directory and file included
+        # OSError: an input that cannot be read or an output, the report
+        # included, that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"report hash {report['hash']}")

@@ -81,9 +81,9 @@ def test_machine_records_cores_and_two_process_throughput(monkeypatch):
     events = []
     spin = bench_pairs.two_process_throughput
 
-    def reading(blocks):
+    def reading():
         events.append("throughput")
-        return spin(blocks)
+        return spin(16)
 
     def fake_run(checkout, workload, seed, seconds):
         events.append((checkout, workload, seed))
@@ -92,7 +92,7 @@ def test_machine_records_cores_and_two_process_throughput(monkeypatch):
     monkeypatch.setattr(bench_pairs, "two_process_throughput", reading)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     dirs = {"parent": "p", "change": "c"}
-    section, pairs = bench_pairs.run_workload(dirs, "w@3", 2, 1.0, blocks=16)
+    section, pairs = bench_pairs.run_workload(dirs, "w@3", 2, 1.0)
     assert events == ["throughput", ("p", "w", 3), ("c", "w", 3), ("c", "w", 3), ("p", "w", 3)]
     ratio = section["two_process_throughput"]
     assert isinstance(ratio, float) and ratio > 0.0

@@ -3,7 +3,8 @@ imports and any tool that walks the public names, such as a tracer.
 
 Every exported name also has a caller outside the tests that pin its
 behaviour: source code outside its own definition, the acceptance tests or
-the benchmark.  A name that only unit tests reach is dead weight."""
+the benchmark.  A name that only unit tests reach is dead weight, and so is
+a defaulted parameter of a public function that no such caller passes."""
 
 import ast
 import importlib
@@ -70,10 +71,13 @@ def _public_names(name: str) -> list[str]:
     return sorted(n for stmt in tree.body for n in _defines(stmt) if not n.startswith("_"))
 
 
+def _caller_files() -> list[Path]:
+    return [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *ROOT.glob("perfbench/*.py")]
+
+
 @pytest.fixture(scope="module")
 def callers():
-    paths = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *ROOT.glob("perfbench/*.py")]
-    return _references(paths)
+    return _references(_caller_files())
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -82,19 +86,21 @@ def test_exported_names_have_callers(name, callers):
 
 
 # defaulted parameters kept without such a caller on purpose
+IN_META = "recorded in the cloud's meta, so in goldens and report hashes"
+SWEPT = "its reference test sweeps it"
 UNCALLED_DEFAULTS = {
-    "corollary_report.config": "the default PipelineConfig, taken as truncate and lipschitz_approximation take it",
-    "dinf.planes": "the scratch arena every pair kernel takes; dinf's callers run no block loop yet",
-    "estimate_ball_constants.samples": "its reference test sweeps it",
-    "estimate_ball_constants.seed": "its reference test sweeps it",
-    "estimate_ball_constants.r_bounds": "its reference test sweeps it; the default's fit to small grids is open",
+    "corollary_report.config": "the default PipelineConfig, as truncate takes it",
+    "dinf.planes": "the scratch arena every pair kernel takes; no block loop calls dinf yet",
+    "estimate_ball_constants.samples": SWEPT,
+    "estimate_ball_constants.seed": SWEPT,
+    "estimate_ball_constants.r_bounds": SWEPT + "; whether its default fits small grids is open",
     "gradient_check.step": "the step that shows the check degrading at a crude difference",
-    "height_bound_ratio.orientation": "the orientation every cloud and excess function takes",
-    "sup_excess.orientation": "the orientation every cloud and excess function takes",
-    "solver_cloud.tol": "recorded in the cloud's meta, so in goldens and report hashes",
-    "solver_cloud.max_iter": "recorded in the cloud's meta, so in goldens and report hashes",
-    "corrupted_cluster_cloud.flip_normals": "recorded in the cloud's meta, so in goldens and report hashes",
-    "deleted_patch_cloud.center": "recorded in the cloud's meta, so in goldens and report hashes",
+    "height_bound_ratio.orientation": "the orientation every excess function takes",
+    "sup_excess.orientation": "the orientation every excess function takes",
+    "solver_cloud.tol": IN_META,
+    "solver_cloud.max_iter": IN_META,
+    "corrupted_cluster_cloud.flip_normals": IN_META,
+    "deleted_patch_cloud.center": IN_META,
 }
 
 
@@ -123,7 +129,7 @@ def _passes(call: ast.Call, param: inspect.Parameter, position: int | None) -> b
 
 
 def test_defaulted_parameters_have_callers():
-    calls = _calls([*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *ROOT.glob("perfbench/*.py")])
+    calls = _calls(_caller_files())
     functions = {}
     for name in MODULES:
         module = importlib.import_module(name)

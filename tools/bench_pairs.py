@@ -13,12 +13,13 @@ uses seed 0, and no --workloads means every workload of BENCHMARK.json.
 BENCH_<label>.json, written at the repository root, holds both
 revisions, the machine, per workload a two-process throughput reading
 taken just before its first pair (about 2 when two cores are free),
-every run's end-to-end metrics and per-op digests, and per metric each side's median and quartiles, the parent's
-interquartile range, the change's wins and the pair ratios.  A metric
-whose medians differ by no more than that range is unresolved.  The
-script exits 1 when a run reports `correct: false`, when an op failed,
-when run.py itself failed, or when the per-op digests differ between
-runs; the file is written anyway.
+every run's end-to-end metrics and per-op digests, and per metric each
+side's median and quartiles, the parent's interquartile range, the
+change's wins and the pair ratios.  A metric whose medians differ by no
+more than that range is unresolved.  The script exits 1 when a run
+reports `correct: false`, when an op failed, when run.py itself failed,
+or when the per-op digests differ between runs; the file is written
+anyway.
 """
 
 from __future__ import annotations
@@ -164,14 +165,13 @@ def _machine(env: dict | None) -> dict:
             "env_reported_by_worker": env}
 
 
-def run_workload(dirs: dict, key: str, pairs: int, seconds: float,
-                 blocks: int = _SPIN_BLOCKS) -> tuple[dict, list[dict]]:
+def run_workload(dirs: dict, key: str, pairs: int, seconds: float) -> tuple[dict, list[dict]]:
     """One workload's section and its pairs.  The two-process throughput
     is read just before the first pair, so it says whether two cores were
     free next to these runs; the pairs alternate which side goes first."""
     workload, _, seed = key.partition("@")
     seed = int(seed or 0)
-    throughput = round(two_process_throughput(blocks), 3)
+    throughput = round(two_process_throughput(), 3)
     runs = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
