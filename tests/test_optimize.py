@@ -561,9 +561,7 @@ def test_energy_and_gradient_in_slabs_match_reference_bitwise(
     f = GridFunction.from_callable(spec, smooth)
     g_want = energy_gradient_reference(f)
     if descent_point:
-        mask = spec.boundary_mask(optimize.STENCIL_REACH) | ~surface.disk_mask(spec, 0.5).reshape(
-            spec.counts
-        )
+        mask = disk_problem(spec, smooth, smooth, radius=0.5).initial.dirichlet_mask
         boxes = optimize._free_boxes(mask, spec.n)
         inside = np.zeros(spec.counts, dtype=bool)
         inside[boxes[1]] = True
