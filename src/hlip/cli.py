@@ -32,7 +32,7 @@ from .graph import (
     extension_constant,
     lipschitz_estimate,
 )
-from .optimize import dirichlet_problem, solve
+from .optimize import STENCIL_REACH, dirichlet_problem, solve
 from .surface import BoundaryCloud
 
 __all__ = ["RunConfig", "PreconditionError", "main"]
@@ -231,6 +231,11 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
     eps, height = p["eps"], p["height"]
     if not p["noise"] >= 0.0:
         raise PreconditionError(f"noise must be a stddev >= 0, got {p['noise']}")
+    if min(spec.counts) <= 2 * STENCIL_REACH:
+        raise PreconditionError(
+            f"grid {spec.counts} has no free nodes: its {STENCIL_REACH} fixed rim layers "
+            f"cover it; pick a smaller --h"
+        )
     init = None
     if p["noise"] > 0.0:
         rng = np.random.default_rng(cfg.seed)
@@ -238,7 +243,10 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
         init = lambda nodes: jitter  # noqa: E731 - fixed draw, nodes only set the shape
     problem = dirichlet_problem(spec, lambda w: height + eps * w[:, spec.n - 1], init=init)
     jitter = init = None  # the problem holds its own values; free the draw before the solve
-    report = solve(problem, tol=p["tol"], max_iter=p["max_iter"])
+    try:
+        report = solve(problem, tol=p["tol"], max_iter=p["max_iter"])
+    except FloatingPointError as exc:
+        raise PreconditionError(str(exc)) from None
     trace = np.asarray(report.energy_trace)
     results = {
         "energy": float(trace[-1]),

@@ -10,6 +10,7 @@ of the package.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -197,6 +198,8 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # whole-grid inputs and writes one slab of the box into each output and
 # scratch plane, planes a descent allocates once and reuses from point to
 # point, so they ask for no arena planes and allocate nothing per block.
+# surface._graph_blocks runs the same slab pass on the caller, one slab
+# at a time, into slab-sized planes of its own that every slab reuses.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at
@@ -265,7 +268,11 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
         finally:
             del _arena.planes
 
-    helper = _start_helper().submit(work) if _WORKERS > 1 and len(blocks) > 1 else None
+    # the helper runs in a copy of the caller's context, so an np.errstate
+    # around the call covers every block
+    helper = None
+    if _WORKERS > 1 and len(blocks) > 1:
+        helper = _start_helper().submit(contextvars.copy_context().run, work)
     try:
         work()
     except BaseException:

@@ -137,6 +137,24 @@ def grid_nodes(spec: GridSpec) -> np.ndarray:
     return out
 
 
+def _node_block(spec: GridSpec, rows) -> np.ndarray:
+    """grid_nodes(spec)[rows] bit for bit, without the whole-grid array.
+
+    `rows` is a slice or an array of flat node indices; each coordinate
+    is spec.axis_values(k) at the unravelled index, as in the meshgrid.
+    A grid whose node array fits one _BLOCK_BYTES block reads it from
+    grid_nodes' cache instead, so callers that revisit a small grid (the
+    verify battery builds 50 fields on one) rebuild nothing.
+    """
+    if 8 * 2 * spec.n * spec.size <= core._BLOCK_BYTES:
+        return grid_nodes(spec)[rows]
+    idx = np.arange(*rows.indices(spec.size)) if isinstance(rows, slice) else rows
+    out = np.empty((len(idx), 2 * spec.n))
+    for k, i in enumerate(np.unravel_index(idx, spec.counts)):
+        out[:, k] = spec.axis_values(k)[i]
+    return out
+
+
 @dataclass
 class GridFunction:
     """Real-valued function phi on the nodes of a GridSpec."""
@@ -158,8 +176,16 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        w = spec.nodes()
-        return cls(spec, np.asarray(fn(w), dtype=float).reshape(spec.counts))
+        """phi = fn(nodes), evaluated one core._row_blocks block of nodes at a time.
+
+        fn must be row-wise: it maps an (m, 2n) array of node coordinates
+        to the m values at those nodes, whatever m is, so no array of all
+        the grid's nodes is built.
+        """
+        values = np.empty(spec.size)
+        for blk in core._row_blocks(spec.size, 2 * spec.n):
+            values[blk] = fn(_node_block(spec, blk))
+        return cls(spec, values.reshape(spec.counts))
 
     @classmethod
     def constant(cls, spec: GridSpec, c: float) -> "GridFunction":
@@ -227,31 +253,33 @@ def _sl(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
-def _slab(v: np.ndarray, out: np.ndarray, axis: int, box: tuple):
-    """Operands of a stencil along `axis` that writes only out[box].
+def _slab(v: np.ndarray, axis: int, box: tuple):
+    """Operands of a stencil along `axis` over `box`.
 
-    Returns (v, out, a, b): views of the whole arrays cut to `box` on every
-    axis but `axis`, and the indices a..b-1 the stencil writes along it, so
-    the stencil reads its neighbours along `axis` outside the box.
+    Returns (v, a, b): v cut to `box` on every axis but `axis`, and the
+    grid indices a..b-1 the stencil writes along it, so the stencil reads
+    its neighbours along `axis` outside the box.  Its output is shaped
+    like the box: grid index i along `axis` is its index i - a.
     """
     cut = box[:axis] + (slice(None),) + box[axis + 1:]
-    return v[cut], out[cut], box[axis].start, box[axis].stop
+    return v[cut], box[axis].start, box[axis].stop
 
 
 def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) -> np.ndarray:
-    """np.gradient(v, h, axis=axis, edge_order=2) over `box`, written into out[box].
+    """np.gradient(v, h, axis=axis, edge_order=2) over `box`, written into out.
 
     Bit for bit: centered differences inside, numpy's one-sided
     second-order coefficients on the two end layers, evaluated in numpy's
-    order.  `box` holds one slice with explicit bounds per axis; returns
-    out[box].
+    order.  `box` holds one slice with explicit bounds per axis and `out`
+    is shaped like it (a view of a whole-grid plane cut to the box, or a
+    plane of its own); returns out.
     """
     nd = v.ndim
-    box_out = out[box]
-    v, out, a, b = _slab(v, out, axis, box)
+    v, a, b = _slab(v, axis, box)
     last = v.shape[axis] - 1
-    lo, hi = max(a, 1), min(b, last)
-    mid = out[_sl(nd, axis, slice(lo, hi))]
+    lo = max(a, 1)
+    hi = max(min(b, last), lo)
+    mid = out[_sl(nd, axis, slice(lo - a, hi - a))]
     np.subtract(
         v[_sl(nd, axis, slice(lo + 1, hi + 1))], v[_sl(nd, axis, slice(lo - 1, hi - 1))], out=mid
     )
@@ -263,8 +291,8 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) ->
         if a <= end < b:
             c0, c1, c2 = (k / h for k in coefs)
             fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
-            out[_sl(nd, axis, end)] = c0 * fi + c1 * fj + c2 * fk
-    return box_out
+            out[_sl(nd, axis, end - a)] = c0 * fi + c1 * fj + c2 * fk
+    return out
 
 
 def _map_slabs(fn, spec: GridSpec, box: tuple | None = None) -> None:
@@ -290,6 +318,26 @@ def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
     ]
 
 
+def _gradient_slab(f: GridFunction, slab: tuple, comps, dt, tmp, ys, xs) -> None:
+    """intrinsic_gradient's pass over the box `slab`: its components into
+    comps and d(phi)/dt into dt, planes shaped like the box (comps with a
+    leading component axis), with tmp of the box's shape as scratch.  The
+    stencils read f's neighbours outside the box; ys and xs are the
+    grid's _twice_coordinates from axes n and 0."""
+    spec, v = f.spec, f.values
+    n, h = spec.n, spec.h
+    d = _partial(v, h, 2 * n - 1, dt, slab)
+    for i in range(2, n + 1):
+        x_comp = _partial(v, h, i - 2, comps[i - 2], slab)
+        x_comp += np.multiply(ys[i - 2][slab], d, out=tmp)
+    b_comp = _partial(v, h, n - 1, comps[n - 1], slab)
+    np.multiply(4.0, v[slab], out=tmp)
+    b_comp -= np.multiply(tmp, d, out=tmp)
+    for i in range(2, n + 1):
+        y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], slab)
+        y_comp -= np.multiply(xs[i - 2][slab], d, out=tmp)
+
+
 def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient:
     """Finite-difference intrinsic gradient of a graph function.
 
@@ -304,31 +352,20 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     per axis, the whole grid by default) limits the pass to those nodes
     and leaves the planes alone outside them.
     """
-    spec, v = f.spec, f.values
-    n, h = spec.n, spec.h
+    spec = f.spec
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
-    t_ax = 2 * n - 1
     if out is None:  # dt first: the other order raised verify's peak RSS by ~1 MB
         dt = np.empty(spec.counts)
-        out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
+        out = np.empty((2 * spec.n - 1,) + spec.counts), dt, np.empty(spec.counts), None
     comps, dt, tmp, area = out
-    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
+    ys, xs = _twice_coordinates(spec, spec.n), _twice_coordinates(spec, 0)
 
     def block(slab: tuple) -> None:
-        d = _partial(v, h, t_ax, dt, slab)
-        t = tmp[slab]
-        for i in range(2, n + 1):
-            x_comp = _partial(v, h, i - 2, comps[i - 2], slab)
-            x_comp += np.multiply(ys[i - 2][slab], d, out=t)
-        b_comp = _partial(v, h, n - 1, comps[n - 1], slab)
-        np.multiply(4.0, v[slab], out=t)
-        b_comp -= np.multiply(t, d, out=t)
-        for i in range(2, n + 1):
-            y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], slab)
-            y_comp -= np.multiply(xs[i - 2][slab], d, out=t)
+        c, t = comps[(slice(None),) + slab], tmp[slab]
+        _gradient_slab(f, slab, c, dt[slab], t, ys, xs)
         if area is not None:
-            a = _norm_sq_into(comps[(slice(None),) + slab], area[slab], t)
+            a = _norm_sq_into(c, area[slab], t)
             a += 1.0
             np.sqrt(a, out=a)
 

@@ -11,6 +11,7 @@ function here works over the whole grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,25 +50,25 @@ _node_array = grid_nodes.__wrapped__
 def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, box: tuple) -> np.ndarray:
     """The adjoint of the second-order np.gradient stencil along one axis, over `box`.
 
-    Written into out[box], so a caller can reuse one scratch array, with
-    the same operations in the same order on every element as on the whole
-    array.  `box` holds one slice with explicit bounds per axis; the adjoint
-    reads u's neighbours along `axis` outside it.  Returns out[box].
+    Written into out, shaped like the box as graph._partial's output is,
+    so a caller can reuse one scratch array, with the same operations in
+    the same order on every element as on the whole array.  `box` holds
+    one slice with explicit bounds per axis; the adjoint reads u's
+    neighbours along `axis` outside it.  Returns out.
     """
     nd = u.ndim
-    box_out = out[box]
-    u, out, a, b = _slab(u, out, axis, box)
+    u, a, b = _slab(u, axis, box)
     size = u.shape[axis]
-    box_out.fill(0.0)
-    lo, hi = max(a, 2), min(b, size - 2)
-    out[_sl(nd, axis, slice(lo, b))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
-    out[_sl(nd, axis, slice(a, hi))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
+    out.fill(0.0)
+    lo, hi = max(a, 2), max(min(b, size - 2), a)
+    out[_sl(nd, axis, slice(lo - a, b - a))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
+    out[_sl(nd, axis, slice(0, hi - a))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
         if a <= j % size < b:
-            out[_sl(nd, axis, j)] += c * u[_sl(nd, axis, i)]
-    box_out /= 2.0 * h
-    return box_out
+            out[_sl(nd, axis, j % size - a)] += c * u[_sl(nd, axis, i)]
+    out /= 2.0 * h
+    return out
 
 
 @dataclass
@@ -164,23 +165,23 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def adjoints(slab: tuple) -> None:
-        g, t = grad[slab], tmp[slab]
+        g, t, a = grad[slab], tmp[slab], adj[slab]
         for i in range(2, n + 1):
             wx = W[i - 2]
-            g += _adjoint_axis(wx, i - 2, h, adj, slab)
+            g += _adjoint_axis(wx, i - 2, h, a, slab)
             np.multiply(ys[i - 2][slab], wx[slab], out=t)
-            g += _adjoint_axis(tmp, t_ax, h, adj, slab)
+            g += _adjoint_axis(tmp, t_ax, h, a, slab)
         wb = W[n - 1]
-        g += _adjoint_axis(wb, n - 1, h, adj, slab)
+        g += _adjoint_axis(wb, n - 1, h, a, slab)
         np.multiply(4.0, dt[slab], out=t)
         g -= np.multiply(t, wb[slab], out=t)
         np.multiply(f.values[slab], wb[slab], out=t)
-        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, adj, slab), out=adj[slab])
+        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, a, slab), out=a)
         for i in range(2, n + 1):
             wy = W[n + i - 2]
-            g += _adjoint_axis(wy, n + i - 2, h, adj, slab)
+            g += _adjoint_axis(wy, n + i - 2, h, a, slab)
             np.multiply(xs[i - 2][slab], wy[slab], out=t)
-            g -= _adjoint_axis(tmp, t_ax, h, adj, slab)
+            g -= _adjoint_axis(tmp, t_ax, h, a, slab)
 
     _map_slabs(adjoints, spec, box)
     return out
@@ -252,7 +253,8 @@ def solve(
     back to twice the last accepted step (1 / max(|g|_inf, 1) before any).
     Accepted steps satisfy the sufficient-decrease condition, so the energy
     trace is non-increasing.  A failed line search stops early and reports
-    the last iterate with converged=False.
+    the last iterate with converged=False.  A start whose energy is not
+    finite raises FloatingPointError before any step.
     """
     spec = problem.spec
     mask = problem.initial.dirichlet_mask
@@ -270,7 +272,10 @@ def solve(
     x = problem.initial.values.ravel().copy()
     g, spare_x, spare_g = (np.empty_like(x) for _ in range(3))
     point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes)
-    e = energy(point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energy(point)
+    if not math.isfinite(e):
+        raise FloatingPointError(f"start energy is {e}: the initial values overflow the area")
     masked_grad(point, g)
     e_trace = [e]
     # |g|_inf without an np.abs temporary

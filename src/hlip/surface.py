@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .graph import GridFunction, GridSpec, _norm_sq_into, intrinsic_gradient
+from .graph import (
+    GridFunction,
+    GridSpec,
+    _gradient_slab,
+    _node_block,
+    _norm_sq_into,
+    _twice_coordinates,
+    intrinsic_gradient,
+)
 
 __all__ = [
     "BoundaryCloud",
@@ -101,24 +109,45 @@ class ExcessReport:
 
 def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     """(points, normals, weights) of the graph's samples at the nodes in sel
-    (all by default), in node order, one core._row_blocks block at a time,
-    from one intrinsic_gradient pass made by this call.  nu = orientation *
-    (1, -grad) / area, the Burgers component in the Y_1 slot of the frame;
-    the weight is the area element sqrt(1 + |grad|^2) times (stride h)^(2n).
+    (all by default), in node order, in blocks of at most one
+    core._row_blocks block.  nu = orientation * (1, -grad) / area, the
+    Burgers component in the Y_1 slot of the frame; the weight is the area
+    element sqrt(1 + |grad|^2) times (stride h)^(2n).
+
+    The intrinsic gradient runs one x_2-slab of whole axis-0 rows at a
+    time, into component, dt and scratch planes of at most _BLOCK_BYTES
+    each that this call makes once and every slab reuses; the slab's
+    samples follow before the next slab's pass.  So no array of the whole
+    grid is built but the caller's.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     spec, n = f.spec, f.spec.n
-    comps = intrinsic_gradient(f).components.reshape(2 * n - 1, -1)
-    nodes, vals, cell = spec.nodes(), f.flat, (stride * spec.h) ** (2 * n)
+    if min(spec.counts) < 3:
+        raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
+    vals, cell = f.flat, (stride * spec.h) ** (2 * n)
+    row, rest = spec.size // spec.counts[0], tuple(slice(0, c) for c in spec.counts[1:])
+    # a slab's samples fill at most one block of (2n + 1)-column points
+    slabs = list(core._row_blocks(spec.counts[0], (2 * n + 1) * row))
+    shape = (slabs[0].stop,) + spec.counts[1:]  # the first slab is the longest
+    comps, dt, tmp = np.empty((2 * n - 1,) + shape), np.empty(shape), np.empty(shape)
+    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def blocks():
-        for blk in core._row_blocks(spec.size, 2 * n + 1):
-            rows = blk if sel is None else blk.start + np.flatnonzero(sel[blk])
-            g = comps[:, rows]
-            a = np.sqrt(1.0 + _norm_sq_into(g, np.empty(g.shape[1]), np.empty(g.shape[1])))
-            nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
-            yield core.graph_points(nodes[rows], vals[rows]), nu, a * cell
+        for slab in slabs:
+            k, base = slab.stop - slab.start, slab.start * row
+            c = comps[:, :k]
+            _gradient_slab(f, (slab,) + rest, c, dt[:k], tmp[:k], ys, xs)
+            c = c.reshape(2 * n - 1, -1)
+            for loc in core._row_blocks(k * row, 2 * n + 1):
+                rows = slice(base + loc.start, base + loc.stop)
+                if sel is not None:
+                    loc = loc.start + np.flatnonzero(sel[rows])
+                    rows = base + loc
+                g = c[:, loc]
+                a = np.sqrt(1.0 + _norm_sq_into(g, np.empty(g.shape[1]), np.empty(g.shape[1])))
+                nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
+                yield core.graph_points(_node_block(spec, rows), vals[rows]), nu, a * cell
 
     return blocks()
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,25 @@ def test_minimize_reports_certificate(tmp_path):
 def test_minimize_rejects_a_noise_that_is_no_stddev(capsys, noise):
     assert main(["minimize", "--h", "0.25", "--noise", noise]) == 1
     assert "noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["1e200", "1e150"])
+def test_minimize_rejects_a_start_of_infinite_energy(tmp_path, capsys, noise):
+    # the noisy start overflows the area element: one error line, exit 1,
+    # no report, and no RuntimeWarning from any thread of the first pass
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["minimize", "--h", "0.25", "--noise", noise, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: start energy is inf")
+    assert not (out / "minimize_report.json").exists()
+
+
+def test_minimize_rejects_a_grid_without_free_nodes(capsys):
+    # at h = 0.5 the grid is (4, 4, 4, 6) and the 3-layer rim fixes all of it
+    assert main(["minimize", "--h", "0.5", "--noise", "1"]) == 1
+    assert "no free nodes" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ verify

@@ -394,6 +394,23 @@ def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
     assert len(threads) == 2
 
 
+def test_map_blocks_run_under_the_callers_errstate(monkeypatch):
+    # an np.errstate around a call covers the helper's blocks too, so a
+    # caller that checks for overflow afterwards gets no warning from them
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block at 1 column
+    seen = set()
+
+    def fn(blk):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        time.sleep(0.01)  # let the other thread take a block
+
+    with np.errstate(over="ignore"):
+        core._map_blocks(fn, 6, 1)
+    assert {mode for _, mode in seen} == {"ignore"}
+    assert len({thread for thread, _ in seen}) == 2
+
+
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
 def test_map_blocks_reraises_after_the_helper_stops(monkeypatch, raiser):
     # one thread raises in its block while the other is inside a slow one:

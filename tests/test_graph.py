@@ -1,6 +1,7 @@
 """Grids, intrinsic gradients, graph distance, and Lipschitz extension."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,66 @@ def test_spec_validation():
         graph.GridSpec(2, (0.0,) * 4, -0.1, (4,) * 4)
     with pytest.raises(ValueError):
         graph.GridSpec(2, (0.0,) * 3, 0.1, (4,) * 4)
+
+
+NODE_SPECS = [graph.GridSpec.centered(2, 0.6, 0.2), graph.GridSpec.centered(3, 0.5, 0.25)]
+
+
+@pytest.mark.parametrize("spec", NODE_SPECS, ids=["n2", "n3"])
+@pytest.mark.parametrize("cached", [False, True])  # a small budget, or the default
+def test_node_block_matches_grid_nodes_bitwise(monkeypatch, spec, cached):
+    nodes = graph.grid_nodes(spec)
+    rng = np.random.default_rng(5)
+    size = spec.size
+    cases = [slice(0, size), slice(0, 1), slice(size - 1, size), slice(7, 7), slice(3, size - 5)]
+    cases += [rng.integers(0, size, 50), np.sort(rng.choice(size, 40, replace=False)), np.empty(0, int)]
+    # the blocks from_callable and the graph samples ask for, and index
+    # arrays that straddle their edges; under the default budget these
+    # grids' node arrays fit one block and come from grid_nodes' cache
+    assert 8 * 2 * spec.n * size <= core._BLOCK_BYTES
+    budget = 8 * 2 * spec.n * 37
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", budget)
+        blocks = list(core._row_blocks(size, 2 * spec.n))
+    assert len(blocks) > 2
+    if not cached:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+    cases += blocks
+    cases += [np.arange(b.stop - 3, min(b.stop + 3, size)) for b in blocks[:-1]]
+    hits = graph.grid_nodes.cache_info().hits
+    for rows in cases:
+        got = graph._node_block(spec, rows)
+        want = nodes[rows]
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    assert (graph.grid_nodes.cache_info().hits > hits) == cached
+
+
+@pytest.mark.parametrize("spec", NODE_SPECS, ids=["n2", "n3"])
+@pytest.mark.parametrize("rows", [1, 37, None])  # node rows per block; None: the default budget
+def test_from_callable_in_blocks_matches_the_whole_grid(monkeypatch, spec, rows):
+    def fn(w):
+        return np.sin(3.0 * w[:, 0]) * w[:, -1] + w[:, 1] ** 2 - 0.5 * w[:, spec.n - 1]
+
+    want = fn(spec.nodes()).reshape(spec.counts)
+    if rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 2 * spec.n * rows)
+    got = graph.GridFunction.from_callable(spec, fn).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_from_callable_holds_one_float_per_node():
+    # the values, then per block only its nodes and fn's temporaries
+    spec = graph.GridSpec.centered(2, 1.0, 0.1)
+    assert spec.size == 160_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f = graph.GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == spec.counts
+    assert peak < 8 * spec.size + 4 * core._BLOCK_BYTES
 
 
 def test_interp_exact_on_multilinear(small_spec):

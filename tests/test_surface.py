@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlip import core, surface
+from hlip import core, graph, surface
 from hlip.graph import GridFunction, GridSpec, intrinsic_gradient
 
 
@@ -244,19 +244,31 @@ def bits(a):
     return a.shape, a.tobytes()
 
 
+def concat(blocks):
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 @pytest.mark.parametrize("n,half,h", [(2, 0.6, 0.2), (3, 0.5, 0.25)])
 @pytest.mark.parametrize("orientation", [1, -1])
-@pytest.mark.parametrize("rows", [7, None])  # short blocks, or the default budget
-def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, orientation, rows):
+# node blocks of 7 samples in one-row slabs, one-row and two-row slabs,
+# or the default budget
+@pytest.mark.parametrize("budget", ["7 nodes", "1 row", "2 rows", None])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, orientation, budget, workers):
     spec = GridSpec.centered(n, half, h)
     f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
-    if rows:
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
+    want = {stride: two_pass_cloud(f, stride, orientation) for stride in (1, 2)}
+    row = spec.size // spec.counts[0]
+    if budget:
+        per = {"7 nodes": 7, "1 row": row, "2 rows": 2 * row}[budget]
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * per)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    got = concat(surface._graph_blocks(f, orientation))
+    assert [bits(a) for a in got] == [bits(a) for a in want[1]]
     for stride in (1, 2):
         cloud = surface.sample_graph_boundary(f, stride=stride, orientation=orientation)
-        want = two_pass_cloud(f, stride, orientation)
         got = (cloud.points, cloud.normals, cloud.weights)
-        assert [bits(a) for a in got] == [bits(a) for a in want]
+        assert [bits(a) for a in got] == [bits(a) for a in want[stride]]
 
 
 HEIGHT_SPECS = {2: GridSpec.centered(2, 0.6, 0.2), 3: GridSpec.centered(3, 0.5, 0.25)}
@@ -300,15 +312,27 @@ def test_streamed_height_bound_matches_the_cloud(n, orientation, kind, a, cover,
     assert (want["sup_height"], want["excess_at_outer"]) == (sup_h, excess)
 
 
+def test_streamed_height_bound_builds_no_node_array():
+    # the tilted graph and its streamed height bound on the 160,000-node
+    # grid never ask grid_nodes for the whole grid's coordinates
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    before = graph.grid_nodes.cache_info()
+    f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
+    surface._graph_height_bound(f, 0.5)
+    after = graph.grid_nodes.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
 def test_streamed_height_bound_holds_no_cloud():
-    # the streamed check peaks in its one gradient pass (2n + 1 planes of
-    # the grid) or after it, with the 2n - 1 component planes, the compact
-    # excess buffer and a few _BLOCK_BYTES planes of node blocks in flight:
-    # under 7 floats per node plus those; the cloud path holds every
-    # sample's point, normal and weight as well (about 17 floats per node)
+    # the streamed check holds the compact excess buffer (one float per
+    # node), the gradient planes of one x_2-slab (within one _BLOCK_BYTES
+    # block of samples together) and one block of samples with its
+    # temporaries: under 2 floats per node plus a few _BLOCK_BYTES planes;
+    # the cloud path holds every sample's point, normal and weight as well
+    # (about 17 floats per node)
     spec = GridSpec.centered(2, 1.0, 0.1)
     f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
-    bound = 7 * 8 * spec.size + 4 * core._BLOCK_BYTES
+    bound = 2 * 8 * spec.size + 4 * core._BLOCK_BYTES
 
     def peak(run):
         tracemalloc.start()
