@@ -244,26 +244,38 @@ def bits(a):
     return a.shape, a.tobytes()
 
 
-def concat(blocks):
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+@pytest.mark.parametrize("n,half,h", [(2, 0.6, 0.2), (3, 0.5, 0.25)])
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("rows", [7, None])  # short blocks, or the default budget
+def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, orientation, rows):
+    spec = GridSpec.centered(n, half, h)
+    f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
+    if rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
+    for stride in (1, 2):
+        cloud = surface.sample_graph_boundary(f, stride=stride, orientation=orientation)
+        want = two_pass_cloud(f, stride, orientation)
+        got = (cloud.points, cloud.normals, cloud.weights)
+        assert [bits(a) for a in got] == [bits(a) for a in want]
 
 
 @pytest.mark.parametrize("n,half,h", [(2, 0.6, 0.2), (3, 0.5, 0.25)])
 @pytest.mark.parametrize("orientation", [1, -1])
-# node blocks of 7 samples in one-row slabs, one-row and two-row slabs,
-# or the default budget
-@pytest.mark.parametrize("budget", ["7 nodes", "1 row", "2 rows", None])
+@pytest.mark.parametrize("slab_rows", [1, 2])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, orientation, budget, workers):
+def test_graph_samples_in_slabs_match_a_whole_grid_pass(
+    monkeypatch, n, half, h, orientation, slab_rows, workers
+):
+    # the stream's gradient pass in x_2-slabs of one or two axis-0 rows,
+    # against the reference taken from one whole-grid pass at the default
+    # budget, for the bare stream and the stride-1 and stride-2 clouds
     spec = GridSpec.centered(n, half, h)
     f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
     want = {stride: two_pass_cloud(f, stride, orientation) for stride in (1, 2)}
     row = spec.size // spec.counts[0]
-    if budget:
-        per = {"7 nodes": 7, "1 row": row, "2 rows": 2 * row}[budget]
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * per)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * row * slab_rows)
     monkeypatch.setattr(core, "_WORKERS", workers)
-    got = concat(surface._graph_blocks(f, orientation))
+    got = [np.concatenate(parts) for parts in zip(*surface._graph_blocks(f, orientation))]
     assert [bits(a) for a in got] == [bits(a) for a in want[1]]
     for stride in (1, 2):
         cloud = surface.sample_graph_boundary(f, stride=stride, orientation=orientation)
@@ -320,7 +332,7 @@ def test_streamed_height_bound_builds_no_node_array():
     f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
     surface._graph_height_bound(f, 0.5)
     after = graph.grid_nodes.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+    assert after == before  # no call at all, so no entry either
 
 
 def test_streamed_height_bound_holds_no_cloud():
