@@ -193,7 +193,11 @@ def sup_excess(
 ) -> np.ndarray:
     """max over scales of the cylindrical excess at each center.
 
-    Matches excess_cloud exactly; computed cell by cell over the samples
+    Each excess is bit for bit the dense all-pairs row sum: np.sum over a
+    row with one entry per sample, the defect weight w (1 - <nu, nu_0>)
+    inside the cylinder and zero outside, divided by s^(2n+1).
+    excess_cloud sums only the samples inside, in another order, so the
+    two can differ in the last bit.  Computed cell by cell over the samples
     each cylinder can reach.
     """
     if orientation not in (1, -1):

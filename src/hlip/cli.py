@@ -239,10 +239,13 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
     init = None
     if p["noise"] > 0.0:
         rng = np.random.default_rng(cfg.seed)
-        jitter = height + p["noise"] * rng.standard_normal(spec.size)
-        init = lambda nodes: jitter  # noqa: E731 - fixed draw, nodes only set the shape
+
+        def init(nodes: np.ndarray) -> np.ndarray:
+            # called once per block in node order, so the blocks' draws
+            # are one draw of a normal per node, in node order
+            return height + p["noise"] * rng.standard_normal(len(nodes))
+
     problem = dirichlet_problem(spec, lambda w: height + eps * w[:, spec.n - 1], init=init)
-    jitter = init = None  # the problem holds its own values; free the draw before the solve
     try:
         report = solve(problem, tol=p["tol"], max_iter=p["max_iter"])
     except FloatingPointError as exc:

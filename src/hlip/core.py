@@ -196,10 +196,12 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # element folded in, and optimize.energy_gradient) block a box of a grid
 # along axis 0 instead, sized by the box's columns: each block reads the
 # whole-grid inputs and writes one slab of the box into each output and
-# scratch plane, planes a descent allocates once and reuses from point to
-# point, so they ask for no arena planes and allocate nothing per block.
-# surface._graph_blocks runs the same slab pass on the caller, one slab
-# at a time, into slab-sized planes of its own that every slab reuses.
+# scratch plane, planes shaped like the box that a descent allocates once
+# and reuses from point to point, so they ask for no arena planes and
+# allocate nothing per block.  graph._slab_planes cuts a whole grid into
+# x_2-slabs of at most one block each for the passes that run on the
+# caller, one slab at a time, into slab planes every slab reuses: the
+# graph samples of surface._graph_blocks and the area of optimize.energy.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at

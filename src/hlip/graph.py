@@ -142,16 +142,42 @@ def _node_block(spec: GridSpec, rows) -> np.ndarray:
 
     `rows` is a slice or an array of flat node indices; each coordinate
     is spec.axis_values(k) at the unravelled index, as in the meshgrid.
-    A grid whose node array fits one _BLOCK_BYTES block reads it from
-    grid_nodes' cache instead, so callers that revisit a small grid (the
-    verify battery builds 50 fields on one) rebuild nothing.
+    A slice writes each axis's coordinates as runs: axis k holds each
+    value for prod(counts[k + 1:]) consecutive nodes, so its column is one
+    np.repeat of the runs the slice meets or, where the slice holds a
+    whole period of the axis, that period written over it.  A grid whose
+    node array fits one _BLOCK_BYTES block reads it from grid_nodes' cache
+    instead, so callers that revisit a small grid (the verify battery
+    builds 50 fields on one) rebuild nothing.
     """
     if 8 * 2 * spec.n * spec.size <= core._BLOCK_BYTES:
         return grid_nodes(spec)[rows]
-    idx = np.arange(*rows.indices(spec.size)) if isinstance(rows, slice) else rows
-    out = np.empty((len(idx), 2 * spec.n))
-    for k, i in enumerate(np.unravel_index(idx, spec.counts)):
-        out[:, k] = spec.axis_values(k)[i]
+    if not isinstance(rows, slice):
+        out = np.empty((len(rows), 2 * spec.n))
+        for k, i in enumerate(np.unravel_index(rows, spec.counts)):
+            out[:, k] = spec.axis_values(k)[i]
+        return out
+    a, b, _ = rows.indices(spec.size)
+    m = max(b - a, 0)
+    out, run = np.empty((m, 2 * spec.n)), spec.size
+    for k, c in enumerate(spec.counts if m else ()):
+        run //= c
+        period, vals = c * run, spec.axis_values(k)
+        if period > m:  # few runs: repeat the values of the runs a..b-1 meet
+            first, stop = a // run, (b - 1) // run + 1
+            reps = np.full(stop - first, run)
+            reps[0] -= a - first * run
+            reps[-1] -= stop * run - b
+            out[:, k] = np.repeat(vals[np.arange(first, stop) % c], reps)
+            continue
+        # many runs: a head up to the next whole period, whole periods, a tail
+        pat = np.repeat(vals, run)
+        head = -a % period
+        whole = (m - head) // period
+        cut = head + whole * period
+        out[:head, k] = pat[period - head:]
+        out[head:cut].reshape(whole, period, 2 * spec.n)[:, :, k] = pat
+        out[cut:, k] = pat[: m - cut]
     return out
 
 
@@ -176,7 +202,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        """phi = fn(nodes), evaluated one core._row_blocks block of nodes at a time.
+        """phi = fn(nodes), evaluated one core._row_blocks block of nodes at a time, in node order.
 
         fn must be row-wise: it maps an (m, 2n) array of node coordinates
         to the m values at those nodes, whatever m is, so no array of all
@@ -318,6 +344,14 @@ def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
     ]
 
 
+def _relative(slab: tuple, box: tuple | None) -> tuple:
+    """`slab`, a box in grid indices, indexed into planes shaped like `box`
+    (planes of the whole grid's shape when box is None)."""
+    if box is None:
+        return slab
+    return tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(slab, box))
+
+
 def _gradient_slab(f: GridFunction, slab: tuple, comps, dt, tmp, ys, xs) -> None:
     """intrinsic_gradient's pass over the box `slab`: its components into
     comps and d(phi)/dt into dt, planes shaped like the box (comps with a
@@ -338,6 +372,25 @@ def _gradient_slab(f: GridFunction, slab: tuple, comps, dt, tmp, ys, xs) -> None
         y_comp -= np.multiply(xs[i - 2][slab], d, out=tmp)
 
 
+def _slab_planes(spec: GridSpec):
+    """The grid as x_2-slabs of whole axis-0 rows, each with the
+    (components, dt, tmp) planes of a stencil pass shaped like it.
+
+    A slab's nodes fill at most one core._row_blocks block at 2n + 1
+    floats a node (a graph sample's width), so each plane fits
+    _BLOCK_BYTES.  The planes are made once, for the first (longest) slab,
+    and every slab reuses their leading rows.  Yields (slab box, planes).
+    """
+    n, counts = spec.n, spec.counts
+    slabs = list(core._row_blocks(counts[0], (2 * n + 1) * (spec.size // counts[0])))
+    shape = (slabs[0].stop,) + counts[1:]
+    comps, dt, tmp = np.empty((2 * n - 1,) + shape), np.empty(shape), np.empty(shape)
+    rest = tuple(slice(0, c) for c in counts[1:])
+    for slab in slabs:
+        k = slab.stop - slab.start
+        yield (slab,) + rest, (comps[:, :k], dt[:k], tmp[:k])
+
+
 def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient:
     """Finite-difference intrinsic gradient of a graph function.
 
@@ -347,10 +400,12 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     along axis 0 (x_2) on core._map_blocks.
 
     `out` = (components, dt, tmp, area) makes the pass write into those
-    planes of the grid's shape (tmp is scratch) and also write the area
-    element sqrt(1 + |grad phi|^2) into area.  With it, `box` (one slice
-    per axis, the whole grid by default) limits the pass to those nodes
-    and leaves the planes alone outside them.
+    planes (tmp is scratch) and also write the area element
+    sqrt(1 + |grad phi|^2) into area.  With it, `box` (one slice per axis
+    with explicit bounds, the whole grid by default) limits the pass to
+    those nodes.  components, dt and tmp are then shaped like the box,
+    grid node i at i - box start, and the result holds them as they are;
+    area keeps the grid's shape and is left alone outside the box.
     """
     spec = f.spec
     if min(spec.counts) < 3:
@@ -362,8 +417,9 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     ys, xs = _twice_coordinates(spec, spec.n), _twice_coordinates(spec, 0)
 
     def block(slab: tuple) -> None:
-        c, t = comps[(slice(None),) + slab], tmp[slab]
-        _gradient_slab(f, slab, c, dt[slab], t, ys, xs)
+        r = _relative(slab, box)
+        c, t = comps[(slice(None),) + r], tmp[r]
+        _gradient_slab(f, slab, c, dt[r], t, ys, xs)
         if area is not None:
             a = _norm_sq_into(c, area[slab], t)
             a += 1.0

@@ -20,10 +20,11 @@ from .graph import (
     GridFunction,
     GridSpec,
     _map_slabs,
+    _relative,
     _sl,
     _slab,
+    _slab_planes,
     _twice_coordinates,
-    grid_nodes,
     intrinsic_gradient,
 )
 
@@ -43,30 +44,37 @@ STENCIL_REACH = 3
 # sufficient-decrease constant of the line search, and its step halvings
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# grid_nodes without its cache, bound before any wrapper of the public name
-_node_array = grid_nodes.__wrapped__
 
 
-def _adjoint_axis(u: np.ndarray, axis: int, h: float, out: np.ndarray, box: tuple) -> np.ndarray:
+def _adjoint_axis(
+    u: np.ndarray, axis: int, h: float, out: np.ndarray, box: tuple,
+    offset: int = 0, size: int | None = None,
+) -> np.ndarray:
     """The adjoint of the second-order np.gradient stencil along one axis, over `box`.
 
     Written into out, shaped like the box as graph._partial's output is,
     so a caller can reuse one scratch array, with the same operations in
     the same order on every element as on the whole array.  `box` holds
-    one slice with explicit bounds per axis; the adjoint reads u's
-    neighbours along `axis` outside it.  Returns out.
+    one slice with explicit bounds per axis and indexes u; the adjoint
+    reads u's neighbours along `axis` outside it.  u's index i along
+    `axis` is grid index i + offset of a grid `size` nodes long (u's own
+    length by default): the one-sided end terms belong to the grid's end
+    layers, so u must hold those wherever the box reaches within three
+    nodes of them.  Returns out.
     """
     nd = u.ndim
     u, a, b = _slab(u, axis, box)
-    size = u.shape[axis]
+    size = u.shape[axis] if size is None else size
     out.fill(0.0)
-    lo, hi = max(a, 2), max(min(b, size - 2), a)
+    # the bounds lo, hi and the end layers j are grid indices shifted to u's
+    lo, hi = max(a + offset, 2) - offset, max(min(b + offset, size - 2) - offset, a)
     out[_sl(nd, axis, slice(lo - a, b - a))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
     out[_sl(nd, axis, slice(0, hi - a))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
-        if a <= j % size < b:
-            out[_sl(nd, axis, j % size - a)] += c * u[_sl(nd, axis, i)]
+        j, i = j % size - offset, i % size - offset
+        if a <= j < b:
+            out[_sl(nd, axis, j - a)] += c * u[_sl(nd, axis, i)]
     out /= 2.0 * h
     return out
 
@@ -77,11 +85,13 @@ class _Iterate(GridFunction):
 
     `boxes` = (energy box, gradient box) of _free_boxes.  The `planes`
     (components, dt, tmp, area) pass from each point to the next: the
-    first energy fills them over the whole grid and every later one only
-    over the energy box, outside which no value, so no area element,
-    changes.  energy_gradient reads the pass of the energy just before it
-    and writes W and V / area over it, then adjoints into the area plane
-    inside the gradient box; the next energy recomputes all of it.
+    first three are shaped like the energy box and the area like the
+    grid.  The first energy fills the area over the whole grid in slabs,
+    then makes the box planes; it and every later energy run one pass over
+    the energy box, outside which no value, so no area element, changes.
+    energy_gradient reads the pass of the energy just before it and writes
+    W and V / area over it, then adjoints into the area plane inside the
+    gradient box; the next energy recomputes all of it.
     """
 
     boxes: tuple = ()
@@ -110,26 +120,39 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
     return tuple(energy_box) + whole[2 * n - 2:], tuple(grad_box)
 
 
-def _pass_planes(spec: GridSpec) -> tuple:
-    """(components, dt, tmp, area): the planes of one stencil pass."""
-    counts = spec.counts
-    return (np.empty((2 * spec.n - 1,) + counts),) + tuple(np.empty(counts) for _ in range(3))
+def _box_planes(spec: GridSpec, box: tuple | None = None) -> tuple:
+    """(components, dt, tmp): the planes of a stencil pass over `box` (the
+    whole grid by default), shaped like it."""
+    shape = spec.counts if box is None else tuple(s.stop - s.start for s in box)
+    return np.empty((2 * spec.n - 1,) + shape), np.empty(shape), np.empty(shape)
+
+
+def _area(f: GridFunction) -> np.ndarray:
+    """The area element over the whole grid, one graph._slab_planes slab at
+    a time on the caller, into that call's slab planes: the only
+    grid-sized array it makes is the area."""
+    area = np.empty(f.spec.counts)
+    for box, planes in _slab_planes(f.spec):
+        intrinsic_gradient(f, box, planes + (area,))
+    return area
 
 
 def energy(f: GridFunction) -> float:
     """Area of the graph over the grid; always >= L^{2n}(grid).
 
-    Equal to surface.hperimeter(f) bit for bit.
+    Equal to surface.hperimeter(f) bit for bit.  A descent point's first
+    energy also makes its box planes and fills them for the gradient.
     """
-    box = None
     if not isinstance(f, _Iterate):
-        planes = _pass_planes(f.spec)
+        area = _area(f)
     elif f.planes is None:
-        planes = f.planes = _pass_planes(f.spec)
+        area = _area(f)
+        f.planes = _box_planes(f.spec, f.boxes[0]) + (area,)
+        intrinsic_gradient(f, f.boxes[0], f.planes)
     else:
-        planes, box = f.planes, f.boxes[0]
-    intrinsic_gradient(f, box, planes)
-    return float(np.sum(planes[3].ravel()) * f.spec.cell_volume)
+        intrinsic_gradient(f, f.boxes[0], f.planes)
+        area = f.planes[3]
+    return float(np.sum(area.ravel()) * f.spec.cell_volume)
 
 
 def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
@@ -144,12 +167,14 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     if isinstance(f, _Iterate) and f.planes is not None:
         planes, (scaled, box) = f.planes, f.boxes
     else:
-        planes, scaled, box = _pass_planes(spec), None, None
+        planes, scaled, box = _box_planes(spec) + (np.empty(spec.counts),), None, None
         intrinsic_gradient(f, None, planes)
+    # W, dt and tmp are shaped like the energy box `scaled`, the area like the grid
     W, dt, tmp, area = planes
+    offsets = (0,) * (2 * n) if scaled is None else tuple(s.start for s in scaled)
 
     def scale(slab: tuple) -> None:
-        W[(slice(None),) + slab] *= np.divide(V, area[slab], out=area[slab])
+        W[(slice(None),) + _relative(slab, scaled)] *= np.divide(V, area[slab], out=area[slab])
 
     # W = G * (V / area), written over G and the area, over the whole
     # energy box before any adjoint: an axis-0 adjoint reads the
@@ -165,23 +190,28 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def adjoints(slab: tuple) -> None:
-        g, t, a = grad[slab], tmp[slab], adj[slab]
+        r = _relative(slab, scaled)
+        g, t, a = grad[slab], tmp[r], adj[slab]
+
+        def adjoint(u: np.ndarray, axis: int) -> np.ndarray:
+            return _adjoint_axis(u, axis, h, a, r, offsets[axis], spec.counts[axis])
+
         for i in range(2, n + 1):
             wx = W[i - 2]
-            g += _adjoint_axis(wx, i - 2, h, a, slab)
-            np.multiply(ys[i - 2][slab], wx[slab], out=t)
-            g += _adjoint_axis(tmp, t_ax, h, a, slab)
+            g += adjoint(wx, i - 2)
+            np.multiply(ys[i - 2][slab], wx[r], out=t)
+            g += adjoint(tmp, t_ax)
         wb = W[n - 1]
-        g += _adjoint_axis(wb, n - 1, h, a, slab)
-        np.multiply(4.0, dt[slab], out=t)
-        g -= np.multiply(t, wb[slab], out=t)
-        np.multiply(f.values[slab], wb[slab], out=t)
-        g -= np.multiply(4.0, _adjoint_axis(tmp, t_ax, h, a, slab), out=a)
+        g += adjoint(wb, n - 1)
+        np.multiply(4.0, dt[r], out=t)
+        g -= np.multiply(t, wb[r], out=t)
+        np.multiply(f.values[slab], wb[r], out=t)
+        g -= np.multiply(4.0, adjoint(tmp, t_ax), out=a)
         for i in range(2, n + 1):
             wy = W[n + i - 2]
-            g += _adjoint_axis(wy, n + i - 2, h, a, slab)
-            np.multiply(xs[i - 2][slab], wy[slab], out=t)
-            g -= _adjoint_axis(tmp, t_ax, h, a, slab)
+            g += adjoint(wy, n + i - 2)
+            np.multiply(xs[i - 2][slab], wy[r], out=t)
+            g -= adjoint(tmp, t_ax)
 
     _map_slabs(adjoints, spec, box)
     return out
@@ -211,18 +241,27 @@ class DirichletProblem:
 def dirichlet_problem(spec: GridSpec, data, init=None) -> DirichletProblem:
     """Assemble a problem: `data` fixes the mask, `init` seeds free nodes.
 
-    The mask is the STENCIL_REACH layers at the grid edge.  The node array
-    `data` and `init` read is built for them alone and is not left in
-    grid_nodes' cache.
+    The mask is the STENCIL_REACH layers at the grid edge.  `data` is a
+    number or, like `init`, a row-wise function of nodes as
+    GridFunction.from_callable takes.  Both run through one from_callable
+    pass, so no node array of the whole grid is built: each is called once
+    per block of nodes, in node order, on every node of the block.  So an
+    `init` that draws len(nodes) values from one random stream per call
+    gives the values of one draw over the whole grid.
     """
-    nodes = _node_array(spec)
-    vals = np.asarray(data(nodes) if callable(data) else np.full(spec.size, float(data)))
-    vals = vals.reshape(spec.counts).copy()
     mask = spec.boundary_mask(STENCIL_REACH)
-    if init is not None:
-        seed = np.asarray(init(nodes), dtype=float).reshape(spec.counts)
-        vals[~mask] = seed[~mask]
-    return DirichletProblem(GridFunction(spec, vals, dirichlet_mask=mask))
+    fixed = data if callable(data) else (lambda nodes, c=float(data): np.full(len(nodes), c))
+    on_mask, done = mask.ravel(), 0
+
+    def values(nodes: np.ndarray) -> np.ndarray:
+        nonlocal done
+        rows = slice(done, done + len(nodes))
+        done = rows.stop
+        return np.where(on_mask[rows], fixed(nodes), init(nodes))
+
+    f = GridFunction.from_callable(spec, fixed if init is None else values)
+    f.dirichlet_mask = mask
+    return DirichletProblem(f)
 
 
 @dataclass

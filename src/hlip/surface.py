@@ -21,6 +21,7 @@ from .graph import (
     _gradient_slab,
     _node_block,
     _norm_sq_into,
+    _slab_planes,
     _twice_coordinates,
     intrinsic_gradient,
 )
@@ -114,11 +115,10 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     Burgers component in the Y_1 slot of the frame; the weight is the area
     element sqrt(1 + |grad|^2) times (stride h)^(2n).
 
-    The intrinsic gradient runs one x_2-slab of whole axis-0 rows at a
-    time, into component, dt and scratch planes of at most _BLOCK_BYTES
-    each that this call makes once and every slab reuses; the slab's
-    samples follow before the next slab's pass.  So no array of the whole
-    grid is built but the caller's.
+    The intrinsic gradient runs one graph._slab_planes x_2-slab of whole
+    axis-0 rows at a time, into that call's slab planes of at most
+    _BLOCK_BYTES each; the slab's samples follow before the next slab's
+    pass.  So no array of the whole grid is built but the caller's.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -126,18 +126,14 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     vals, cell = f.flat, (stride * spec.h) ** (2 * n)
-    row, rest = spec.size // spec.counts[0], tuple(slice(0, c) for c in spec.counts[1:])
-    # a slab's samples fill at most one block of (2n + 1)-column points
-    slabs = list(core._row_blocks(spec.counts[0], (2 * n + 1) * row))
-    shape = (slabs[0].stop,) + spec.counts[1:]  # the first slab is the longest
-    comps, dt, tmp = np.empty((2 * n - 1,) + shape), np.empty(shape), np.empty(shape)
+    row = spec.size // spec.counts[0]
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def blocks():
-        for slab in slabs:
+        for box, (c, dt, tmp) in _slab_planes(spec):
+            slab = box[0]
             k, base = slab.stop - slab.start, slab.start * row
-            c = comps[:, :k]
-            _gradient_slab(f, (slab,) + rest, c, dt[:k], tmp[:k], ys, xs)
+            _gradient_slab(f, box, c, dt, tmp, ys, xs)
             c = c.reshape(2 * n - 1, -1)
             for loc in core._row_blocks(k * row, 2 * n + 1):
                 rows = slice(base + loc.start, base + loc.stop)

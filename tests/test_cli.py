@@ -242,6 +242,33 @@ def test_minimize_reports_certificate(tmp_path):
     assert np.all(np.isfinite(phi.values))
 
 
+@pytest.mark.parametrize("rows", [None, 1000])  # node rows per block; None: the default budget
+def test_minimize_start_is_the_whole_grid_draw(monkeypatch, rows):
+    # the random start is drawn per block of nodes in node order, and the
+    # blocks' draws are one draw of a normal per node: the problem's values
+    # are those of the whole-grid draw, bit for bit
+    from hlip import cli, optimize
+
+    spec = generators.default_grid(2, 0.25)
+    if rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 2 * spec.n * rows)
+        assert len(list(core._row_blocks(spec.size, 2 * spec.n))) > 2
+    problems = []
+
+    def recording(*args, **kwargs):
+        problems.append(optimize.dirichlet_problem(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(cli, "dirichlet_problem", recording)
+    argv = ["--h", "0.25", "--eps", "0.1", "--height", "0.3", "--noise", "0.05", "--seed", "2"]
+    assert main(["minimize", *argv, "--max-iter", "2"]) == 0
+    (prob,) = problems
+    nodes, fixed = spec.nodes(), spec.boundary_mask(3).ravel()
+    draw = 0.3 + 0.05 * np.random.default_rng(2).standard_normal(spec.size)
+    want = np.where(fixed, 0.3 + 0.1 * nodes[:, spec.n - 1], draw)
+    assert prob.initial.values.ravel().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("noise", ["-1", "nan"])
 def test_minimize_rejects_a_noise_that_is_no_stddev(capsys, noise):
     assert main(["minimize", "--h", "0.25", "--noise", noise]) == 1

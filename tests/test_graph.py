@@ -314,6 +314,47 @@ def test_intrinsic_gradient_in_slabs_bitwise_matches_np_gradient(f, rows, worker
     np.testing.assert_array_equal(g.dt, dt)
 
 
+def _box_pass_cases():
+    """(spec, box) pairs: n = 2 and 3, with boxes that reach the grid edge
+    on some axes (where the one-sided end stencils run) and boxes inside it."""
+    spec2 = graph.GridSpec(2, (-0.35, -0.3, -0.4, -0.45), 0.1, (8, 7, 9, 10))
+    spec3 = graph.GridSpec(3, (-0.2,) * 6, 0.1, (5, 6, 5, 4, 6, 5))
+    return [
+        (spec2, (slice(0, 3), slice(4, 7), slice(0, 9), slice(2, 10))),
+        (spec2, (slice(2, 6), slice(1, 5), slice(3, 6), slice(1, 9))),
+        (spec3, (slice(0, 5), slice(2, 6), slice(1, 3), slice(0, 4), slice(0, 2), slice(0, 5))),
+        (spec3, (slice(1, 4), slice(2, 4), slice(1, 4), slice(1, 3), slice(2, 5), slice(1, 4))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["n2-edge", "n2-inner", "n3-edge", "n3-inner"])
+@pytest.mark.parametrize("rows", [1, None])  # x_2 rows per slab; None: the default budget
+@pytest.mark.parametrize("workers", [1, 2])
+def test_intrinsic_gradient_box_planes_match_the_whole_grid_pass(monkeypatch, case, rows, workers):
+    # components, dt and tmp shaped like the box, the area like the grid:
+    # inside the box they hold the whole-grid pass's bits, and the area
+    # outside it is left alone
+    spec, box = _box_pass_cases()[case]
+    f = graph.GridFunction(spec, np.random.default_rng(case).normal(size=spec.counts))
+    whole = graph.intrinsic_gradient(f)
+    shape = tuple(s.stop - s.start for s in box)
+    comps, dt, tmp = np.empty((2 * spec.n - 1,) + shape), np.empty(shape), np.empty(shape)
+    area = np.full(spec.counts, -1.0)
+    if rows:
+        cols = math.prod(shape[1:])
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * cols * rows)
+        assert len(list(core._row_blocks(shape[0], cols))) == shape[0] // rows
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    g = graph.intrinsic_gradient(f, box, (comps, dt, tmp, area))
+    assert g.components is comps and g.dt is dt
+    np.testing.assert_array_equal(comps, whole.components[(slice(None),) + box])
+    np.testing.assert_array_equal(dt, whole.dt[box])
+    inside = np.zeros(spec.counts, dtype=bool)
+    inside[box] = True
+    np.testing.assert_array_equal(area[box], np.sqrt(1.0 + whole.norm_sq())[box])
+    assert np.all(area[~inside] == -1.0)
+
+
 def test_intrinsic_gradient_rejects_short_axis():
     spec = graph.GridSpec(2, (0.0,) * 4, 0.2, (4, 4, 2, 4))
     with pytest.raises(ValueError):

@@ -52,6 +52,29 @@ def test_axis_adjoint_identity():
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("axis", range(4))
+@pytest.mark.parametrize("kind", ["low", "high", "inner", "whole"])
+def test_axis_adjoint_on_a_box_plane_matches_the_grid_plane(axis, kind):
+    # a plane holding grid nodes lo..hi-1 along `axis` (and a box of the
+    # others), adjointed over the box one node inside it wherever the
+    # plane stops short of the grid's end: the one-sided end terms fire
+    # where the box meets the grid's end layers, not the plane's
+    rng = np.random.default_rng(axis)
+    u = rng.normal(size=(7, 8, 7, 9))
+    h, c = 0.13, u.shape[axis]
+    lo, hi = {"low": (0, 4), "high": (c - 4, c), "inner": (2, c - 2), "whole": (0, c)}[kind]
+    plane = tuple(slice(lo, hi) if ax == axis else slice(1, m - 1) for ax, m in enumerate(u.shape))
+    box = tuple(slice(s.start + (s.start > 0), s.stop - (s.stop < m)) for s, m in zip(plane, u.shape))
+    rel = tuple(slice(b.start - p.start, b.stop - p.start) for b, p in zip(box, plane))
+    shape = tuple(b.stop - b.start for b in box)
+    want = _adjoint_axis(u, axis, h, np.empty(shape), box)
+    got = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, lo, c)
+    np.testing.assert_array_equal(got, want)
+    if kind == "high":  # a plane-relative length puts the end layers in the wrong place
+        wrong = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, lo)
+        assert not np.array_equal(wrong, want)
+
+
 def test_gradient_vanishes_at_constant(spec):
     g = optimize.energy_gradient(GridFunction.constant(spec, 0.7))
     assert np.max(np.abs(g)) == 0.0
@@ -395,20 +418,50 @@ def test_energy_of_a_plain_function_allocates_only_its_pass_planes():
     assert peak <= (2 * spec.n + 2.5) * plane
 
 
+def test_energy_of_a_plain_function_streams_its_pass_in_slabs():
+    # the area plane is the one grid-sized array; the components, dt and
+    # tmp are x_2-slab planes of at most one block each
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    f = GridFunction.from_callable(spec, smooth)
+    plane = 8 * spec.size
+    assert plane > core._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        optimize.energy(f)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < plane + (2 * spec.n + 1) * core._BLOCK_BYTES
+
+
+def test_energy_equals_hperimeter_on_a_grid_of_many_slabs():
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    assert 8 * spec.size > core._BLOCK_BYTES
+    assert len(list(graph._slab_planes(spec))) > 1
+    f = GridFunction.from_callable(spec, smooth)
+    assert optimize.energy(f) == surface.hperimeter(f)
+
+
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
-    # one intrinsic-gradient pass per energy; the first covers the grid,
-    # every later one only the energy box, and the area element outside
-    # it stays the first pass's, bit for bit, also after every gradient,
-    # whose adjoints take the area plane as scratch
+    # the first energy streams the grid's pass in x_2-slabs, then fills the
+    # box planes over the energy box; every later energy runs one pass
+    # over the energy box, and the area element outside it stays the
+    # first energy's, bit for bit, also after every gradient, whose
+    # adjoints take the area plane as scratch
     calls = {"energy": 0, "energy_gradient": 0}
     passes = []  # (box, area plane) after every intrinsic-gradient call
+    per_energy = []  # the passes of each energy call
     gradient_areas = []  # area plane after every energy_gradient call
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            before = len(passes)
             result = fn(*args, **kwargs)
-            if name == "energy_gradient":
+            if name == "energy":
+                per_energy.append(passes[before:])
+            else:
                 gradient_areas.append(args[0].planes[3].copy())
             return result
         return wrapped
@@ -427,14 +480,25 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     assert rep.iterations == 20
     assert calls["energy_gradient"] == rep.iterations + 1
     assert calls["energy"] > calls["energy_gradient"]
-    assert len(passes) == calls["energy"]
+    assert len(per_energy) == calls["energy"]
+    assert len(passes) == sum(len(p) for p in per_energy)
     energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
     outside = np.ones(spec.counts, dtype=bool)
     outside[energy_box] = False
     assert outside.any() and not outside.all()
-    first_box, first_area = passes[0]
-    assert first_box is None
-    for box, area in passes[1:]:
+    # the first energy: slabs of whole axis-0 rows that tile the grid in
+    # order, then the box pass, which rewrites the area's bits unchanged
+    *slabs, (first_box, first_area) = per_energy[0]
+    assert len(slabs) > 1 and first_box == energy_box
+    whole = tuple(slice(0, c) for c in spec.counts)
+    assert [box[1:] for box, _ in slabs] == [whole[1:]] * len(slabs)
+    edges = [box[0] for box, _ in slabs]
+    assert edges[0].start == 0 and edges[-1].stop == spec.counts[0]
+    assert all(a.stop == b.start for a, b in zip(edges, edges[1:]))
+    np.testing.assert_array_equal(slabs[-1][1], first_area)
+    for later in per_energy[1:]:
+        assert len(later) == 1
+        box, area = later[0]
         assert box == energy_box
         np.testing.assert_array_equal(area[outside], first_area[outside])
     assert len(gradient_areas) == calls["energy_gradient"]
@@ -443,13 +507,17 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
 
 
 def test_solve_runs_in_a_fixed_working_set():
-    # solve allocates its four vectors (x, g and two spares) and the 2n + 2
-    # planes of a stencil pass once; no step allocates a grid-sized array,
-    # so the traced peak stays under 2n + 7 planes and does not grow with
-    # the number of steps
+    # solve allocates its four vectors (x, g and two spares), the area
+    # plane and the 2n + 1 box planes of a stencil pass (components, dt and
+    # tmp, shaped like the energy box) once; no step allocates a
+    # grid-sized array, so the traced peak stays within one plane of those
+    # and does not grow with the number of steps
     spec = GridSpec.centered(2, 0.8, 0.1)  # 65,536 nodes
     plane = 8 * spec.size
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
+    energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
+    box_share = math.prod(s.stop - s.start for s in energy_box) / spec.size
+    assert box_share < 0.6
     peaks = {}
     for steps in (5, 40):
         tracemalloc.start()
@@ -460,7 +528,7 @@ def test_solve_runs_in_a_fixed_working_set():
         finally:
             tracemalloc.stop()
         assert rep.iterations == steps
-    assert max(peaks.values()) <= (2 * spec.n + 7) * plane
+    assert max(peaks.values()) <= (4 + 1 + (2 * spec.n + 1) * box_share + 1) * plane
     assert peaks[40] <= peaks[5] + plane
 
 
@@ -471,6 +539,51 @@ def test_dirichlet_problem_leaves_no_node_array_cached(spec):
     nodes = spec.nodes()
     mask = prob.initial.dirichlet_mask.ravel()
     expected = np.where(mask, 0.3 + 0.05 * nodes[:, 1], _wavy(nodes))
+    np.testing.assert_array_equal(prob.initial.values.ravel(), expected)
+
+
+def test_dirichlet_problem_holds_under_two_planes():
+    # the values, the mask and, per block of nodes, its coordinates and the
+    # data and init values: no node array of the whole grid.  The data and
+    # the random start are hlip minimize's
+    spec = GridSpec.centered(2, 1.0, 0.1)
+    plane = 8 * spec.size
+    assert 8 * 2 * spec.n * spec.size > core._BLOCK_BYTES
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        prob = optimize.dirichlet_problem(
+            spec,
+            data=lambda w: 0.3 + 0.05 * w[:, spec.n - 1],
+            init=lambda w: 0.3 + 0.05 * rng.standard_normal(len(w)),
+        )
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert prob.initial.values.shape == spec.counts
+    assert peak < 2 * plane
+
+
+@pytest.mark.parametrize("rows", [1, 37, None])  # node rows per block; None: the default budget
+def test_dirichlet_problem_calls_data_and_init_per_block_in_node_order(monkeypatch, spec, rows):
+    # init draws len(nodes) normals from one stream per call, as hlip
+    # minimize's does: the blocks' draws are one draw over the whole grid
+    if rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 2 * spec.n * rows)
+    rng = np.random.default_rng(4)
+    seen = []
+
+    def init(w):
+        seen.append(len(w))
+        return 0.3 + 0.05 * rng.standard_normal(len(w))
+
+    prob = optimize.dirichlet_problem(spec, data=0.3, init=init)
+    assert sum(seen) == spec.size
+    assert len(seen) == len(list(core._row_blocks(spec.size, 2 * spec.n)))
+    draw = 0.3 + 0.05 * np.random.default_rng(4).standard_normal(spec.size)
+    mask = prob.initial.dirichlet_mask.ravel()
+    expected = np.where(mask, 0.3, draw)
     np.testing.assert_array_equal(prob.initial.values.ravel(), expected)
 
 
