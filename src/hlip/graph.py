@@ -202,11 +202,11 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        """phi = fn(nodes), evaluated one core._row_blocks block of nodes at a time, in node order.
+        """phi = fn(nodes), evaluated one core._row_blocks block of nodes at a time.
 
         fn must be row-wise: it maps an (m, 2n) array of node coordinates
         to the m values at those nodes, whatever m is, so no array of all
-        the grid's nodes is built.
+        the grid's nodes is built.  The blocks come in node order.
         """
         values = np.empty(spec.size)
         for blk in core._row_blocks(spec.size, 2 * spec.n):

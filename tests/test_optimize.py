@@ -403,24 +403,9 @@ def test_energy_and_gradient_leave_inputs_alone(spec):
 
 
 def test_energy_of_a_plain_function_allocates_only_its_pass_planes():
-    # a plain GridFunction's energy holds the 2n + 2 planes of one stencil
-    # pass (components, dt, tmp, area), not the adjoints' plane as well
-    spec = GridSpec.centered(2, 1.0, 0.1)
-    f = GridFunction.from_callable(spec, smooth)
-    plane = 8 * spec.size
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        optimize.energy(f)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 * spec.n + 2.5) * plane
-
-
-def test_energy_of_a_plain_function_streams_its_pass_in_slabs():
-    # the area plane is the one grid-sized array; the components, dt and
-    # tmp are x_2-slab planes of at most one block each
+    # a plain GridFunction's energy holds one grid-sized plane, the area,
+    # and streams its pass in x_2-slabs: the components, dt and tmp are
+    # slab planes of at most one block each
     spec = GridSpec.centered(2, 1.0, 0.1)
     f = GridFunction.from_callable(spec, smooth)
     plane = 8 * spec.size
