@@ -277,11 +277,11 @@ def cmd_excess(cfg: RunConfig) -> tuple[dict, int]:
     center = cfg.params.get("center")
     if center is not None:
         center = np.asarray([float(v) for v in center.split(",")], dtype=float)
-        if center.shape != (2 * cloud.n + 1,):
-            raise PreconditionError(f"center needs {2 * cloud.n + 1} comma-separated entries")
+        if center.shape != (2 * cloud.n + 1,) or not np.all(np.isfinite(center)):
+            raise PreconditionError(f"center needs {2 * cloud.n + 1} finite comma-separated entries")
     scales = tuple(float(s) for s in cfg.params["scales"].split(","))
-    if not scales or any(s <= 0 for s in scales):
-        raise PreconditionError(f"scales must be positive, got {cfg.params['scales']!r}")
+    if not all(0 < s < math.inf for s in scales):
+        raise PreconditionError(f"scales must be finite and positive, got {cfg.params['scales']!r}")
     rows = []
     for rep in surface.excess_profile(cloud, center, scales, cfg.params["orientation"]):
         rows.append(

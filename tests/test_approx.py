@@ -71,6 +71,17 @@ def test_config_validation():
     assert max(cfg.scales) <= cfg.outer_scale
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name",
+    ["delta1", "scales", "alpha", "tau", "outer_scale", "inner_radius", "maximal_scale",
+     "eta_override", "extension_l"],
+)
+def test_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError):
+        PipelineConfig(**{name: (0.5, bad) if name == "scales" else bad})
+
+
 def test_reference_ratios_recorded():
     # the continuum statements order their scales inner < scan < outer; the
     # desk-scale defaults keep that order, and every report records the layout
@@ -91,18 +102,20 @@ def test_select_m0_flat_all(spec, cfg, flat_result):
     assert np.array_equal(np.sort(m0), np.arange(len(cloud)))
 
 
+def max_excess(cloud, center, scales, orientation):
+    """max(0, max over scales of excess_cloud): the excess selection thresholds."""
+    return max([0.0] + [excess_cloud(cloud, center, s, orientation).excess for s in scales])
+
+
 def test_sup_excess_matches_per_center_excess(spec, cfg):
     # the fused selection profile must agree with the public per-center
     # excess evaluated at each sample of a small mixed cloud
     cloud = generators.corrupted_cluster_cloud(spec, 2**-4, eps=0.1, displacement=0.3)
     keep = np.arange(0, len(cloud), 23)
     small = cloud.subset(keep)
-    prof = approx.sup_excess(small, small.points, cfg.scales)
+    prof = approx._excess_above(small, small.points, cfg.scales, cfg.orientation, 0.0)
     for i in range(len(small)):
-        oracle = max(
-            excess_cloud(small, small.points[i], s, cfg.orientation).excess for s in cfg.scales
-        )
-        assert math.isclose(prof[i], oracle, rel_tol=1e-12, abs_tol=1e-15)
+        assert prof[i] == max_excess(small, small.points[i], cfg.scales, cfg.orientation)
 
 
 def test_select_m0_cluster_excluded_and_monotone(spec):
@@ -199,10 +212,15 @@ def test_select_m0_matches_all_pairs(spec_cloud, scales, delta1, seed):
     )
     # off-grid centers, some outside the cloud
     centers = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(40, 2 * spec.n + 1))
+    oracle = np.array([max_excess(cloud, c, scales, orientation) for c in centers])
     np.testing.assert_array_equal(
-        approx.sup_excess(cloud, centers, scales, orientation),
-        sup_excess_reference(cloud, centers, scales, orientation),
+        approx._excess_above(cloud, centers, scales, orientation, 0.0), oracle
     )
+    # above delta1 the exact excess; at or below it only a value in [0, delta1]
+    got = approx._excess_above(cloud, centers, scales, orientation, delta1)
+    above = got > delta1
+    np.testing.assert_array_equal(got[above], oracle[above])
+    assert np.all((got[~above] >= 0.0) & (oracle[~above] <= delta1))
 
 
 @given(cut_clouds(), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.integers(0, 2**32 - 1))

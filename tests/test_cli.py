@@ -106,6 +106,20 @@ def test_excess_bad_center_exits_1(tmp_path, capsys):
     assert "center" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--scales", "nan"), ("--scales", "inf"), ("--scales", "0.5,-inf"),
+     ("--center", "nan,0,0,0,0"), ("--center", "0,0,inf,0,0")],
+)
+def test_excess_non_finite_input_exits_1(tmp_path, capsys, flag, value):
+    _, _, out = run(tmp_path, "gen", "flat", "--h", "0.5")
+    capsys.readouterr()
+    assert main(["excess", str(out / "flat.cloud"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag[2:] in err
+
+
 # ------------------------------------------------------------------ approx
 
 
@@ -169,6 +183,14 @@ def test_approx_malformed_config_exits_1(tmp_path, linear_cloud_file, capsys):
 
     bad.write_text(json.dumps([1, 2]))
     assert main(["approx", str(linear_cloud_file), "--config", str(bad)]) == 1
+
+
+def test_truncate_non_finite_config_exits_1(tmp_path, linear_cloud_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"tau": math.nan}))
+    assert main(["truncate", str(linear_cloud_file), "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed pipeline config") and err.count("\n") == 1
 
 
 def test_approx_cloud_without_count_exits_1(tmp_path, linear_cloud_file, capsys):

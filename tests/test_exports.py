@@ -20,9 +20,6 @@ MODULES = ["hlip"] + [f"hlip.{m.name}" for m in pkgutil.iter_modules(hlip.__path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hlip"
-# public without such a caller on purpose: approx.sup_excess is the exact
-# excess that the selection tests compare select_m0 against
-REFERENCE_ONLY = {"sup_excess"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -82,7 +79,7 @@ def callers():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_exported_names_have_callers(name, callers):
-    assert [n for n in _public_names(name) if n not in callers | REFERENCE_ONLY] == []
+    assert [n for n in _public_names(name) if n not in callers] == []
 
 
 # defaulted parameters kept without such a caller on purpose
@@ -96,7 +93,6 @@ UNCALLED_DEFAULTS = {
     "estimate_ball_constants.r_bounds": SWEPT + "; whether its default fits small grids is open",
     "gradient_check.step": "the step that shows the check degrading at a crude difference",
     "height_bound_ratio.orientation": "the orientation every excess function takes",
-    "sup_excess.orientation": "the orientation every excess function takes",
     "solver_cloud.tol": IN_META,
     "solver_cloud.max_iter": IN_META,
     "corrupted_cluster_cloud.flip_normals": IN_META,
