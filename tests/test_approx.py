@@ -108,8 +108,8 @@ def max_excess(cloud, center, scales, orientation):
 
 
 def test_sup_excess_matches_per_center_excess(spec, cfg):
-    # the fused selection profile must agree with the public per-center
-    # excess evaluated at each sample of a small mixed cloud
+    # selection's excess must equal the public per-center excess bit for
+    # bit at each sample of a small mixed cloud
     cloud = generators.corrupted_cluster_cloud(spec, 2**-4, eps=0.1, displacement=0.3)
     keep = np.arange(0, len(cloud), 23)
     small = cloud.subset(keep)
