@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,13 @@ class PipelineConfig:
             raise ValueError(f"unknown extension policy {self.extension_policy!r}")
         if not 0 < self.extension_l < math.inf:
             raise ValueError("extension_l must be positive and finite")
+        if not 0 < self.gamma2 < math.inf:
+            raise ValueError(f"gamma2 must be positive and finite, got {self.gamma2}")
+        # bool is an int, but true is no count and no seed
+        if type(self.pair_budget) is not int or self.pair_budget < 1:
+            raise ValueError(f"pair_budget must be an integer >= 1, got {self.pair_budget!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def resolved_tau(self, spec: GridSpec) -> float:
         return 2.0 * spec.h if self.tau is None else self.tau
@@ -149,7 +156,6 @@ class ApproxResult:
     symdiff: SymDiffReport | None
     m0_matched: bool
     degenerate: bool = False
-    extension: ExtensionReport | None = None
 
     def __post_init__(self) -> None:
         if self.lip_estimate > 1.0 + 1e-9:
@@ -183,7 +189,6 @@ class TruncationResult:
     maximal_scale: float
     trivial: bool
     phi_lemma_path: str
-    mu: DiscreteMeasure = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if np.any(self.k_mask & ~self.d1_mask):
@@ -427,7 +432,7 @@ def lipschitz_approximation(
             degenerate=True,
         )
     cells, values = heights_on_projection(cloud, m0, spec)
-    f, ext = _extend(spec, cells, values, config)
+    f, _ = _extend(spec, cells, values, config)
     lip = lipschitz_estimate(f, pair_budget=config.pair_budget, seed=config.seed)
     d1 = disk_mask(spec, config.inner_radius)
     sym = sym_diff_measure(cloud, f, tau, region=d1)
@@ -442,7 +447,6 @@ def lipschitz_approximation(
         l2_gradient=l2,
         symdiff=sym,
         m0_matched=m0_matched,
-        extension=ext,
     )
 
 
@@ -503,7 +507,7 @@ def truncate(
         eta = e_outer ** (2.0 * config.alpha) if config.eta_override is None else config.eta_override
         theta = e_outer**config.alpha
         fld = maximal.disk_maximal(mu, s, centers=np.flatnonzero(d1))
-        k_mask = d1 & ~(fld.values > eta)
+        k_mask = d1 & ~(fld > eta)
     outside = float(np.count_nonzero(d1 & ~k_mask)) * spec.cell_volume
 
     k_idx = np.flatnonzero(k_mask)
@@ -552,7 +556,6 @@ def truncate(
         maximal_scale=s,
         trivial=trivial,
         phi_lemma_path=path,
-        mu=mu,
     )
 
 

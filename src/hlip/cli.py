@@ -552,7 +552,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON file of pipeline thresholds")
     common.add_argument("--out", default=None, help="directory for reports and artifacts")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     common.add_argument("--n", type=int, default=2, help="Heisenberg dimension (>= 2)")
@@ -586,13 +585,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--center", default=None, help="comma-separated cylinder center")
     p.add_argument("--orientation", type=int, default=1, choices=(1, -1))
 
-    p = sub.add_parser("approx", parents=[common], help="run the approximation pipeline")
-    p.add_argument("cloud", help="cloud file")
-    p.add_argument("--h", type=float, default=None, help="grid spacing if the cloud has no provenance")
-
-    p = sub.add_parser("truncate", parents=[common], help="approximation plus maximal truncation")
-    p.add_argument("cloud", help="cloud file")
-    p.add_argument("--h", type=float, default=None, help="grid spacing if the cloud has no provenance")
+    for name, text in (
+        ("approx", "run the approximation pipeline"),
+        ("truncate", "approximation plus maximal truncation"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("cloud", help="cloud file")
+        p.add_argument("--h", type=float, default=None, help="grid spacing if the cloud has no provenance")
+        p.add_argument("--config", default=None, help="JSON file of pipeline thresholds")
 
     p = sub.add_parser("verify", parents=[common], help="run the lemma battery")
     p.add_argument("--cases", type=int, default=50, help="random fields / measures per suite")

@@ -63,8 +63,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
-        if self.h <= 0:
-            raise ValueError(f"spacing must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:  # NaN fails too
+            raise ValueError(f"spacing must be positive and finite, got {self.h}")
         if len(self.origin) != 2 * self.n or len(self.counts) != 2 * self.n:
             raise ValueError("origin/counts must have 2n entries")
         if any(c < 1 for c in self.counts):
@@ -80,6 +80,8 @@ class GridSpec:
         centers at half-integer multiples of h on every axis; grids built
         this way share cell centers regardless of extent.
         """
+        if not 0 < h < math.inf:  # before the division below
+            raise ValueError(f"spacing must be positive and finite, got {h}")
         if np.isscalar(half):
             half = (float(half),) * (2 * n)
         counts = tuple(max(2, 2 * round(hw / h)) for hw in half)

@@ -1,4 +1,4 @@
-"""Local maximal functions, superlevel sets, and covering arguments.
+"""Local maximal functions, their lemmas, and covering arguments.
 
 Two maximal operators act on cell measures over W: one over group-
 translated disks D_r(x) = x * D_r normalized by kappa_n r^{2n+1}, and one
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,10 @@ __all__ = [
     "PhiLemmaError",
     "cell_diameter",
     "DiscreteMeasure",
-    "MaximalField",
-    "PhiMaximalField",
     "DiskLemmaReport",
     "BallConstants",
     "radius_ladder",
     "disk_maximal",
-    "superlevel",
     "check_disk_lemma",
     "vitali_5r",
     "measure_from_gradient",
@@ -111,34 +108,6 @@ def radius_ladder(r_min: float, r_max: float) -> np.ndarray:
     return rungs[rungs < r_max]
 
 
-@dataclass
-class MaximalField:
-    """Disk maximal function M mu on cell centers, sup over the ladder."""
-
-    spec: GridSpec
-    values: np.ndarray
-    s: float
-    evaluated: np.ndarray
-    ladder: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.values < 0):
-            raise ValueError("maximal field must be nonnegative")
-
-
-@dataclass
-class PhiMaximalField:
-    spec: GridSpec
-    values: np.ndarray
-    s: float
-    evaluated: np.ndarray
-    constants: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if np.any(self.values < 0):
-            raise ValueError("maximal field must be nonnegative")
-
-
 def _ladder_bins(dist: np.ndarray, rungs: np.ndarray) -> np.ndarray:
     """Ladder bin of each entry of dist (centers, support), offset per row.
 
@@ -169,19 +138,35 @@ def _ladder_masses(bins: np.ndarray, nr: int, masses: np.ndarray | None = None) 
     return np.cumsum(acc, axis=1, out=acc)
 
 
+def _cut_ladder(
+    dist: np.ndarray, rungs: np.ndarray, masses: np.ndarray, plane: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rungs up to the first that holds every column of dist, the bins
+    of dist on them, and the cumulative masses per rung (_ladder_masses).
+
+    From that rung on, every ball of a row holds all of its columns, so its
+    mass stays the same while its normalization (kappa r^Q, or the count of
+    points it holds) does not fall: no later rung can raise a ratio.  The
+    masses are copied into plane, which may be dist's own: dist is spent
+    once the bins are taken.
+    """
+    r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
+    bins = _ladder_bins(dist, r)
+    np.copyto(plane, masses)
+    return r, bins, _ladder_masses(bins, r.size, plane)
+
+
 def disk_maximal(
     mu: DiscreteMeasure,
     s: float,
     centers: np.ndarray | None = None,
-) -> MaximalField:
-    """Local maximal function sup_{0 < r < 4s - |x|} mu(D_r(x)) / (k r^Q).
+) -> np.ndarray:
+    """Local maximal function sup_{0 < r < 4s - |x|} mu(D_r(x)) / (k r^Q)
+    at the centers (all cells by default), one value per cell.
 
     Disks are group translates x * D_r; the measure must be supported in
-    D_{4s}.  Cells with no admissible radius get value 0.
-
-    A block stops its ladder at the first rung that holds every support
-    point of its centres: past it the mass is constant and the norm
-    grows, so no later rung can raise the maximum.
+    D_{4s}.  Cells off centers, and cells with no admissible radius, get
+    value 0.  A block's ladder is cut as _cut_ladder says.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
@@ -195,8 +180,6 @@ def disk_maximal(
     rungs = radius_ladder(cell_diameter(spec), 4 * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
-    evaluated = np.zeros(spec.size, dtype=bool)
-    evaluated[eval_idx] = True
     if supp.size and rungs.size:
         norm = kappa * rungs**hom
         sup_nodes = nodes[supp]
@@ -207,24 +190,14 @@ def disk_maximal(
             x = nodes[idx]
             planes = core._planes(3, (idx.size, supp.size))
             dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :], planes=planes)
-            r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
-            bins = _ladder_bins(dist, r)
-            masses = planes[0]  # dist is spent, so any plane takes the masses
-            np.copyto(masses, sup_mass)
-            ratios = _ladder_masses(bins, r.size, masses)
+            r, _, ratios = _cut_ladder(dist, rungs, sup_mass, planes[0])
             ratios /= norm[: r.size]
             np.copyto(ratios, 0.0, where=r >= 4 * s - core.box(x)[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
         # a block's ladder tables are up to rungs.size + 1 columns wide
         core._map_blocks(block, eval_idx.size, max(supp.size, rungs.size + 1))
-    return MaximalField(spec, values, float(s), evaluated, rungs)
-
-
-def superlevel(fld: MaximalField | PhiMaximalField, theta: float) -> tuple[np.ndarray, float]:
-    """Evaluated cells with field value > theta, and their measure."""
-    mask = fld.evaluated & (fld.values > theta)
-    return mask, float(np.count_nonzero(mask)) * fld.spec.cell_volume
+    return values
 
 
 @dataclass(frozen=True)
@@ -232,8 +205,6 @@ class DiskLemmaReport:
     lhs: float
     rhs: float
     theta: float
-    r: float
-    s: float
     slack: float
     hypothesis_ok: bool
     passed: bool
@@ -261,12 +232,11 @@ def check_disk_lemma(
     hypothesis_ok = bool(mu.total() <= (theta / 5**hom) * kappa * s**hom)
     fld = disk_maximal(mu, s)
     box = core.box(spec.nodes())
-    j_theta, _ = superlevel(fld, theta)
-    lhs = float(np.count_nonzero(j_theta & (box < r))) * spec.cell_volume
-    j_small, _ = superlevel(fld, theta / 2**hom)
+    lhs = float(np.count_nonzero((fld > theta) & (box < r))) * spec.cell_volume
+    j_small = fld > theta / 2**hom
     rhs = (5**hom / theta) * float(np.sum(mu.flat[j_small & (box < r + s / 5)]))
     passed = bool(hypothesis_ok and lhs <= rhs * (1 + _DISK_LEMMA_SLACK))
-    return DiskLemmaReport(lhs, rhs, theta, r, s, _DISK_LEMMA_SLACK, hypothesis_ok, passed)
+    return DiskLemmaReport(lhs, rhs, theta, _DISK_LEMMA_SLACK, hypothesis_ok, passed)
 
 
 def vitali_5r(
@@ -334,17 +304,16 @@ def phi_maximal(
     c_hat_l: float | None = None,
     centers: np.ndarray | None = None,
     _exact_above: float = -math.inf,
-) -> PhiMaximalField:
-    """Maximal function of mu_phi over graph-distance balls.
+) -> np.ndarray:
+    """Maximal function of mu_phi over graph-distance balls at the centers
+    (all cells by default), one value per cell, 0 off centers.
 
     Radii run over the ladder below r_phi(x, s) = (rho / c_L) s - d_phi(x, 0)
     with rho = 64 gamma2 + 2; c_L is estimated from the graph when not
     given (floored at 1).  A graph whose sampled Lipschitz constant exceeds
     _SMALL_SLOPE_LIP is outside the small-slope regime and raises.
 
-    A block stops its ladder as disk_maximal's do: past the first rung
-    that holds every node, each ball holds the whole grid, so the ratio
-    stays the same.
+    A block's ladder is cut as _cut_ladder says.
 
     Values are exact where they exceed _exact_above, elsewhere in [0,
     _exact_above]: every ratio is a ball's mean density, so the ladder is
@@ -366,8 +335,6 @@ def phi_maximal(
     rungs = radius_ladder(cell_diameter(spec), (rho / c_hat_l) * s)
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
-    evaluated = np.zeros(spec.size, dtype=bool)
-    evaluated[eval_idx] = True
     mflat = mu_phi.flat
     # the margin covers a sum of spec.size nonnegative masses and two divisions
     bound = float(np.max(mflat) / spec.cell_volume * (1 + 4 * spec.size * np.finfo(float).eps))
@@ -381,14 +348,10 @@ def phi_maximal(
             idx = eval_idx[blk]
             planes = core._planes(4, (idx.size, spec.size))
             dist = _sym_dist(pall[idx][:, None, :], pall[None, :, :], planes=planes)
-            r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
-            bins = _ladder_bins(dist, r)
-            masses = planes[0]  # dist is spent, so any plane takes the masses
-            np.copyto(masses, mflat)
+            r, bins, ratios = _cut_ladder(dist, rungs, mflat, planes[0])
             # a rung that holds no point holds no mass either, so its
             # ratio 0 / max(count, 1) is the 0 an empty ball scores
             count = _ladder_masses(bins, r.size)
-            ratios = _ladder_masses(bins, r.size, masses)
             ratios /= np.maximum(count, 1, out=count)
             ratios /= spec.cell_volume
             caps = (rho / c_hat_l) * s - d_origin[idx]
@@ -396,18 +359,7 @@ def phi_maximal(
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
         core._map_blocks(block, eval_idx.size, max(spec.size, rungs.size + 1))
-    return PhiMaximalField(
-        spec,
-        values,
-        float(s),
-        evaluated,
-        constants={
-            "c_hat_l": float(c_hat_l),
-            "rho": rho,
-            "gamma2": float(gamma2),
-            "lip_estimate": lip,
-        },
-    )
+    return values
 
 
 def check_phi_lemma(
@@ -437,7 +389,7 @@ def check_phi_lemma(
         centers=np.flatnonzero(in_ball),
         _exact_above=theta,
     )
-    good = np.flatnonzero(in_ball & ~(fld.values > theta))
+    good = np.flatnonzero(in_ball & ~(fld > theta))
     if good.size < 2:
         raise PhiLemmaError("no pairs available off the superlevel set")
     nodes = f.spec.nodes()[good]

@@ -71,12 +71,21 @@ def test_config_validation():
     assert max(cfg.scales) <= cfg.outer_scale
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize(
-    "name",
-    ["delta1", "scales", "alpha", "tau", "outer_scale", "inner_radius", "maximal_scale",
-     "eta_override", "extension_l"],
-)
+# NaN and inf in every checked field; and the integer fields and gamma2
+# at values that raised deep in a stage, or ran on as a negative rho
+BAD_CONFIG = [
+    *((name, bad)
+      for name in ["delta1", "scales", "alpha", "tau", "outer_scale", "inner_radius",
+                   "maximal_scale", "eta_override", "extension_l", "gamma2", "pair_budget",
+                   "seed"]
+      for bad in (math.nan, math.inf)),
+    ("gamma2", -1.0), ("gamma2", 0.0),
+    ("pair_budget", 2.5), ("pair_budget", 0), ("pair_budget", True),
+    ("seed", 1.5), ("seed", -1), ("seed", 2**64),
+]
+
+
+@pytest.mark.parametrize("name, bad", BAD_CONFIG, ids=[f"{n}-{b}" for n, b in BAD_CONFIG])
 def test_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError):
         PipelineConfig(**{name: (0.5, bad) if name == "scales" else bad})

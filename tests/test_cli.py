@@ -74,6 +74,16 @@ def test_gen_missing_parameter_exits_1(capsys):
     assert "--mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["0", "nan", "inf"])
+@pytest.mark.parametrize("command", [["gen", "flat"], ["minimize"]], ids=["gen", "minimize"])
+def test_spacing_that_is_not_positive_and_finite_exits_1(capsys, command, h):
+    # checked before the grid divides by it
+    assert main([*command, "--h", h]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spacing must be positive and finite") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_gen_deterministic_bytes(tmp_path):
     args = ["gen", "corrupted-cluster", "--h", "0.5", "--mass", "0.02", "--seed", "11"]
     main([*args, "--out", str(tmp_path / "a")])
@@ -184,12 +194,16 @@ def test_approx_malformed_config_exits_1(tmp_path, linear_cloud_file, capsys):
     bad.write_text(json.dumps([1, 2]))
     assert main(["approx", str(linear_cloud_file), "--config", str(bad)]) == 1
 
-    # a NaN tolerance fails the config checks, before any stage runs
-    bad.write_text(json.dumps({"tau": math.nan}))
+    # a NaN tolerance, a fractional or empty pair budget, a fractional seed
+    # and a negative gamma2 fail the config checks, before any stage runs
     capsys.readouterr()
-    assert main(["truncate", str(linear_cloud_file), "--config", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed pipeline config") and err.count("\n") == 1
+    for data in ({"tau": math.nan}, {"pair_budget": 2.5}, {"pair_budget": 0}, {"seed": 1.5},
+                 {"gamma2": -1}):
+        bad.write_text(json.dumps(data))
+        for command in ("approx", "truncate"):
+            assert main([command, str(linear_cloud_file), "--config", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed pipeline config") and err.count("\n") == 1
 
 
 def test_approx_cloud_without_count_exits_1(tmp_path, linear_cloud_file, capsys):
@@ -384,6 +398,13 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["approx"])  # missing the cloud argument
     assert exc.value.code == 1
+
+
+def test_config_is_offered_only_where_a_pipeline_runs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", "x"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

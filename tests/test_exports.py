@@ -4,7 +4,8 @@ imports and any tool that walks the public names, such as a tracer.
 Every exported name also has a caller outside the tests that pin its
 behaviour: source code outside its own definition, the acceptance tests or
 the benchmark.  A name that only unit tests reach is dead weight, and so is
-a defaulted parameter of a public function that no such caller passes."""
+a defaulted parameter of a public function that no such caller passes, or
+a dataclass field that no such caller reads."""
 
 import ast
 import importlib
@@ -146,3 +147,60 @@ def test_defaulted_parameters_have_callers():
     assert sorted(set(uncalled) - UNCALLED_DEFAULTS.keys()) == []
     # an allow-list entry whose parameter found a caller, or went, goes too
     assert sorted(UNCALLED_DEFAULTS.keys() - set(uncalled)) == []
+
+
+# dataclass fields kept without a reader outside the unit tests on purpose
+COMPARED = "its reference test compares it"
+TEST_READ_FIELDS = {
+    "BallConstants.c1": COMPARED,
+    "BallConstants.c2": COMPARED,
+    "BallConstants.samples": COMPARED,
+    "ExtensionReport.residual": "the record of how far the fixed point got; its tests compare runs",
+    "ExtensionReport.m_const": "the bound its tests hold the sampled Lipschitz constant to",
+    "DiscreteMeasure.masses": "read through flat and total",
+    "IntrinsicGradient.dt": "the descent reads it through its plane",
+    "SolveReport.gradient_trace": "the per-step record next to energy_trace; its test compares it",
+    "ExcessReport.center": "echoes the cylinder the excess was taken in; its test compares it",
+}
+
+
+def _dataclass_fields() -> dict[str, list[str]]:
+    """Annotated field names of each dataclass in src, by class name."""
+    out = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                out[node.name] = [
+                    st.target.id for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                ]
+    return out
+
+
+def _attribute_readers(paths) -> dict[str, set[str | None]]:
+    """Each attribute name read in the files, with the top-level classes
+    that read it (None for a read outside any class)."""
+    out: dict[str, set[str | None]] = {}
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    out.setdefault(node.attr, set()).add(owner)
+    return out
+
+
+def test_record_fields_have_readers():
+    readers = _attribute_readers(_caller_files())
+    unread = [
+        f"{cls}.{name}"
+        for cls, names in _dataclass_fields().items()
+        for name in names
+        if not readers.get(name, set()) - {cls}
+    ]
+    assert sorted(set(unread) - TEST_READ_FIELDS.keys()) == []
+    # an allow-list entry whose field found a reader, or went, goes too
+    assert sorted(TEST_READ_FIELDS.keys() - set(unread)) == []
