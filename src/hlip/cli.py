@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,32 +34,11 @@ from .graph import (
 from .optimize import STENCIL_REACH, dirichlet_problem, solve
 from .surface import BoundaryCloud
 
-__all__ = ["RunConfig", "PreconditionError", "main"]
+__all__ = ["PreconditionError", "main"]
 
 
 class PreconditionError(ValueError):
     """Bad input or configuration; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one invocation: command, inputs, dimension, seed, knobs."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    out: str | None = None
-    n: int = 2
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise PreconditionError(
-                f"the construction needs n >= 2 (H^1 lacks the x_2 direction "
-                f"the selection argument pivots on), got n={self.n}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise PreconditionError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 def _ineq(check: str, lhs: float, rhs: float) -> dict:
@@ -77,8 +55,8 @@ def _empirical(value) -> dict:
     return {"value": value, "label": "empirical"}
 
 
-def _out_dir(cfg: RunConfig, default: str | None = None) -> Path | None:
-    target = cfg.out if cfg.out is not None else default
+def _out_dir(args: argparse.Namespace, default: str | None = None) -> Path | None:
+    target = args.out if args.out is not None else default
     if target is None:
         return None
     path = Path(target)
@@ -86,17 +64,15 @@ def _out_dir(cfg: RunConfig, default: str | None = None) -> Path | None:
     return path
 
 
-def _require(params: dict, key: str, kind: str):
-    value = params.get(key)
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
     if value is None:
-        raise PreconditionError(f"generator kind {kind!r} needs --{key}")
+        raise PreconditionError(f"generator kind {args.kind!r} needs --{key}")
     return value
 
 
-def _read_cloud(cfg: RunConfig) -> BoundaryCloud:
-    if not cfg.inputs:
-        raise PreconditionError(f"{cfg.command} needs a cloud file argument")
-    path = Path(cfg.inputs[0])
+def _read_cloud(args: argparse.Namespace) -> BoundaryCloud:
+    path = Path(args.cloud)
     if not path.exists():
         raise PreconditionError(f"no such cloud file: {path}")
     return fileio.read_cloud(path)
@@ -121,17 +97,16 @@ def _cloud_spec(cloud: BoundaryCloud, h: float | None) -> GridSpec:
     return generators.default_grid(cloud.n, h)
 
 
-def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     data: dict = {}
-    path = cfg.params.get("config")
-    if path is not None:
-        p = Path(path)
+    if args.config is not None:
+        p = Path(args.config)
         if not p.exists():
             raise PreconditionError(f"no such config file: {p}")
         data = json.loads(p.read_text(encoding="ascii"))
         if not isinstance(data, dict):
             raise PreconditionError("config file must hold a JSON object")
-    data.setdefault("seed", cfg.seed)
+    data.setdefault("seed", args.seed)
     try:
         return PipelineConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
@@ -141,25 +116,25 @@ def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
-    kappa, delta, om_low, om_high = core.constants(cfg.n)
+def cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
+    kappa, delta, om_low, om_high = core.constants(args.n)
     table = []
     for k in range(1, 11):
         big_l = k / 100.0
         m = extension_constant(big_l)
         table.append(dict(_ineq(f"M({big_l:.2f}) <= 2L", m, 2.0 * big_l), L=big_l, M=m))
     results = {
-        "n": cfg.n,
+        "n": args.n,
         "kappa": kappa,
         "delta": delta,
-        f"omega_{2 * cfg.n - 1}": om_low,
-        f"omega_{2 * cfg.n + 1}": om_high,
+        f"omega_{2 * args.n - 1}": om_low,
+        f"omega_{2 * args.n + 1}": om_high,
         "extension_table": _empirical(table),
     }
-    print(f"n = {cfg.n}")
-    print(f"kappa_{cfg.n} = {kappa:.15g}   (vertical-plane perimeter of the unit cylinder)")
-    print(f"delta({cfg.n}) = {delta:.15g}   (spherical-to-cylindrical measure ratio)")
-    print(f"omega_{2 * cfg.n - 1} = {om_low:.15g}, omega_{2 * cfg.n + 1} = {om_high:.15g}")
+    print(f"n = {args.n}")
+    print(f"kappa_{args.n} = {kappa:.15g}   (vertical-plane perimeter of the unit cylinder)")
+    print(f"delta({args.n}) = {delta:.15g}   (spherical-to-cylindrical measure ratio)")
+    print(f"omega_{2 * args.n - 1} = {om_low:.15g}, omega_{2 * args.n + 1} = {om_high:.15g}")
     print("extension constant M(L) against the 2L budget (empirical):")
     for row in table:
         tag = "pass" if row["passed"] else "FAIL"
@@ -170,53 +145,51 @@ def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
 _GEN_KINDS = ("flat", "linear", "solver", "corrupted-cluster", "deleted-patch")
 
 
-def _make_cloud(cfg: RunConfig, spec: GridSpec) -> BoundaryCloud:
-    p = cfg.params
-    kind = p["kind"]
-    stride, orientation = int(p["stride"]), int(p["orientation"])
+def _make_cloud(args: argparse.Namespace, spec: GridSpec) -> BoundaryCloud:
+    kind, stride, orientation = args.kind, args.stride, args.orientation
     if kind == "flat":
         return generators.flat_cloud(spec, stride=stride, orientation=orientation)
     if kind == "linear":
         return generators.linear_cloud(
-            spec, _require(p, "eps", kind), stride=stride, orientation=orientation
+            spec, _require(args, "eps"), stride=stride, orientation=orientation
         )
     if kind == "solver":
-        eps = _require(p, "eps", kind)
+        eps = _require(args, "eps")
         return generators.solver_cloud(
             spec,
             lambda w: eps * w[:, spec.n - 1],
-            seed=cfg.seed,
+            seed=args.seed,
             stride=stride,
             orientation=orientation,
         )
     if kind == "corrupted-cluster":
         return generators.corrupted_cluster_cloud(
             spec,
-            _require(p, "mass", kind),
-            eps=p["eps"] or 0.0,
-            displacement=p["displacement"],
-            seed=cfg.seed,
+            _require(args, "mass"),
+            eps=args.eps or 0.0,
+            displacement=args.displacement,
+            seed=args.seed,
             stride=stride,
             orientation=orientation,
         )
     if kind == "deleted-patch":
         return generators.deleted_patch_cloud(
             spec,
-            _require(p, "radius", kind),
-            eps=p["eps"] or 0.0,
+            _require(args, "radius"),
+            eps=args.eps or 0.0,
             stride=stride,
             orientation=orientation,
         )
     raise PreconditionError(f"unknown generator kind {kind!r}; expected one of {_GEN_KINDS}")
 
 
-def cmd_gen(cfg: RunConfig) -> tuple[dict, int]:
-    spec = generators.default_grid(cfg.n, cfg.params["h"])
-    cloud = _make_cloud(cfg, spec)
-    dest = _out_dir(cfg, default=".") / f"{cfg.params['kind']}.cloud"
+def cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
+    spec = generators.default_grid(args.n, args.h)
+    cloud = _make_cloud(args, spec)
+    dest = _out_dir(args, default=".") / f"{args.kind}.cloud"
     fileio.write_cloud(dest, cloud)
     results = {
-        "kind": cfg.params["kind"],
+        "kind": args.kind,
         "count": len(cloud),
         "total_weight": float(np.sum(cloud.weights)),
         "meta": cloud.meta,
@@ -225,29 +198,28 @@ def cmd_gen(cfg: RunConfig) -> tuple[dict, int]:
     return results, 0
 
 
-def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
-    p = cfg.params
-    spec = generators.default_grid(cfg.n, p["h"])
-    eps, height = p["eps"], p["height"]
-    if not p["noise"] >= 0.0:
-        raise PreconditionError(f"noise must be a stddev >= 0, got {p['noise']}")
+def cmd_minimize(args: argparse.Namespace) -> tuple[dict, int]:
+    spec = generators.default_grid(args.n, args.h)
+    eps, height, noise = args.eps, args.height, args.noise
+    if not noise >= 0.0:
+        raise PreconditionError(f"noise must be a stddev >= 0, got {noise}")
     if min(spec.counts) <= 2 * STENCIL_REACH:
         raise PreconditionError(
             f"grid {spec.counts} has no free nodes: its {STENCIL_REACH} fixed rim layers "
             f"cover it; pick a smaller --h"
         )
     init = None
-    if p["noise"] > 0.0:
-        rng = np.random.default_rng(cfg.seed)
+    if noise > 0.0:
+        rng = np.random.default_rng(args.seed)
 
         def init(nodes: np.ndarray) -> np.ndarray:
             # called once per block in node order, so the blocks' draws
             # are one draw of a normal per node, in node order
-            return height + p["noise"] * rng.standard_normal(len(nodes))
+            return height + noise * rng.standard_normal(len(nodes))
 
     problem = dirichlet_problem(spec, lambda w: height + eps * w[:, spec.n - 1], init=init)
     try:
-        report = solve(problem, tol=p["tol"], max_iter=p["max_iter"])
+        report = solve(problem, tol=args.tol, max_iter=args.max_iter)
     except FloatingPointError as exc:
         raise PreconditionError(str(exc)) from None
     trace = np.asarray(report.energy_trace)
@@ -258,9 +230,9 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
         "line_search_failed": bool(report.line_search_failed),
         "calibration_gap": report.calibration_gap,
         "trace_monotone": bool(np.all(np.diff(trace) <= 0.0)),
-        "datum": {"eps": eps, "height": height, "noise": p["noise"]},
+        "datum": {"eps": eps, "height": height, "noise": noise},
     }
-    dest = _out_dir(cfg)
+    dest = _out_dir(args)
     if dest is not None:
         fileio.write_grid(dest / "phi.grid", report.phi)
         print(f"wrote minimizer to {dest / 'phi.grid'}")
@@ -272,18 +244,18 @@ def cmd_minimize(cfg: RunConfig) -> tuple[dict, int]:
     return results, 0
 
 
-def cmd_excess(cfg: RunConfig) -> tuple[dict, int]:
-    cloud = _read_cloud(cfg)
-    center = cfg.params.get("center")
+def cmd_excess(args: argparse.Namespace) -> tuple[dict, int]:
+    cloud = _read_cloud(args)
+    center = args.center
     if center is not None:
         center = np.asarray([float(v) for v in center.split(",")], dtype=float)
         if center.shape != (2 * cloud.n + 1,) or not np.all(np.isfinite(center)):
             raise PreconditionError(f"center needs {2 * cloud.n + 1} finite comma-separated entries")
-    scales = tuple(float(s) for s in cfg.params["scales"].split(","))
+    scales = tuple(float(s) for s in args.scales.split(","))
     if not all(0 < s < math.inf for s in scales):
-        raise PreconditionError(f"scales must be finite and positive, got {cfg.params['scales']!r}")
+        raise PreconditionError(f"scales must be finite and positive, got {args.scales!r}")
     rows = []
-    for rep in surface.excess_profile(cloud, center, scales, cfg.params["orientation"]):
+    for rep in surface.excess_profile(cloud, center, scales, args.orientation):
         rows.append(
             {
                 "radius": rep.radius,
@@ -293,7 +265,7 @@ def cmd_excess(cfg: RunConfig) -> tuple[dict, int]:
             }
         )
         print(f"r={rep.radius:<8g} excess={rep.excess:.12g}  ({rep.count} samples)")
-    results = {"scales": rows, "orientation": cfg.params["orientation"], "meta": cloud.meta}
+    results = {"scales": rows, "orientation": args.orientation, "meta": cloud.meta}
     return results, 0
 
 
@@ -307,10 +279,10 @@ def _symdiff_results(sym) -> dict:
     }
 
 
-def cmd_approx(cfg: RunConfig) -> tuple[dict, int]:
-    cloud = _read_cloud(cfg)
-    spec = _cloud_spec(cloud, cfg.params.get("h"))
-    pcfg = _pipeline_config(cfg)
+def cmd_approx(args: argparse.Namespace) -> tuple[dict, int]:
+    cloud = _read_cloud(args)
+    spec = _cloud_spec(cloud, args.h)
+    pcfg = _pipeline_config(args)
     result = approx.lipschitz_approximation(cloud, spec, pcfg)
     results = {
         "config": pcfg.to_dict(),
@@ -325,7 +297,7 @@ def cmd_approx(cfg: RunConfig) -> tuple[dict, int]:
     }
     if result.symdiff is not None:
         results["symdiff"] = _symdiff_results(result.symdiff)
-    dest = _out_dir(cfg)
+    dest = _out_dir(args)
     if dest is not None:
         fileio.write_grid(dest / "phi_hat.grid", result.phi)
         print(f"wrote approximation to {dest / 'phi_hat.grid'}")
@@ -337,10 +309,10 @@ def cmd_approx(cfg: RunConfig) -> tuple[dict, int]:
     return results, 0
 
 
-def cmd_truncate(cfg: RunConfig) -> tuple[dict, int]:
-    cloud = _read_cloud(cfg)
-    spec = _cloud_spec(cloud, cfg.params.get("h"))
-    pcfg = _pipeline_config(cfg)
+def cmd_truncate(args: argparse.Namespace) -> tuple[dict, int]:
+    cloud = _read_cloud(args)
+    spec = _cloud_spec(cloud, args.h)
+    pcfg = _pipeline_config(args)
     result = approx.lipschitz_approximation(cloud, spec, pcfg)
     if result.degenerate:
         raise PreconditionError(
@@ -369,7 +341,7 @@ def cmd_truncate(cfg: RunConfig) -> tuple[dict, int]:
         ),
         "meta": cloud.meta,
     }
-    dest = _out_dir(cfg)
+    dest = _out_dir(args)
     if dest is not None:
         mask = GridFunction(spec, trunc.k_mask.reshape(spec.counts).astype(float))
         fileio.write_grid(dest / "k_mask.grid", mask)
@@ -407,15 +379,15 @@ def _vitali_exact(centers: np.ndarray, radii: np.ndarray) -> bool:
     return bool(np.all(d + radii <= 5.0 * radii[asg] + 1e-12))
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     # the randomized battery is pinned to n=2: the grids below are sized
     # for it and every lemma is dimension-uniform anyway
-    if cfg.n != 2:
+    if args.n != 2:
         raise PreconditionError("the verification battery runs at n=2")
-    cases, balls = cfg.params["cases"], cfg.params["balls"]
+    cases, balls = args.cases, args.balls
     if cases < 1 or balls < 1:
         raise PreconditionError("suite sizes must be positive")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     kappa = core.constants(2)[0]
     rows: list[dict] = []
 
@@ -462,7 +434,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     for eps in (1e-3, 1e-2, 1e-1):
         fld = GridFunction.from_callable(vspec, lambda w, e=eps: e * w[:, 1])
         ratios.append(
-            maximal.check_phi_lemma(fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=cfg.seed)[
+            maximal.check_phi_lemma(fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=args.seed)[
                 "ratio"
             ]
         )
@@ -611,46 +583,36 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
-_PATH_KEYS = {"cloud", "config", "out"}
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "out", "seed", "n", "cloud")
-    }
-    inputs = (args.cloud,) if hasattr(args, "cloud") else ()
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        out=args.out,
-        n=args.n,
-        seed=args.seed,
-        params=params,
-    )
+# the report's config block records n and seed apart and never a path
+_UNREPORTED = ("command", "out", "seed", "n", "cloud", "config")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        cfg = _run_config(args)
-        results, code = _COMMANDS[cfg.command](cfg)
+        if args.n < 2:
+            raise PreconditionError(
+                f"the construction needs n >= 2 (H^1 lacks the x_2 direction "
+                f"the selection argument pivots on), got n={args.n}"
+            )
+        if not 0 <= args.seed < 2**64:
+            raise PreconditionError(f"seed must fit in 64 bits, got {args.seed}")
+        results, code = _COMMANDS[args.command](args)
         report = {
-            "command": cfg.command,
+            "command": args.command,
             "config": {
-                "n": cfg.n,
-                "seed": cfg.seed,
-                "params": {k: v for k, v in cfg.params.items() if k not in _PATH_KEYS},
+                "n": args.n,
+                "seed": args.seed,
+                "params": {k: v for k, v in vars(args).items() if k not in _UNREPORTED},
             },
             "results": results,
             "wall_time_s": time.perf_counter() - start,
         }
         report["hash"] = fileio.report_hash(report)
-        dest = _out_dir(cfg)
+        dest = _out_dir(args)
         if dest is not None:
-            path = dest / f"{cfg.command}_report.json"
+            path = dest / f"{args.command}_report.json"
             fileio.write_report(path, report)
             print(f"wrote report to {path}")
     except (approx.LipContractError, ExtensionConvergenceError) as exc:

@@ -9,6 +9,8 @@ the same cloud bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import core
@@ -137,8 +139,8 @@ def corrupted_cluster_cloud(
     weight into the excess; the displacement controls whether matching
     against the recovered graph can absorb the cluster.
     """
-    if mass <= 0:
-        raise ValueError("cluster mass must be positive")
+    if not 0 < mass < math.inf:
+        raise ValueError(f"cluster mass must be finite and positive, got {mass}")
     base = linear_cloud(spec, eps, stride=stride, orientation=orientation)
     center_w = np.zeros(2 * spec.n) if center is None else np.asarray(center, dtype=float)
     bad = _nearest_mass_indices(base, center_w, mass)
@@ -182,8 +184,8 @@ def deleted_patch_cloud(
     orientation: int = 1,
 ) -> BoundaryCloud:
     """Graph cloud with every sample over a quasi-ball patch removed."""
-    if radius <= 0:
-        raise ValueError("patch radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"patch radius must be finite and positive, got {radius}")
     base = linear_cloud(spec, eps, stride=stride, orientation=orientation)
     center_w = np.zeros(2 * spec.n) if center is None else np.asarray(center, dtype=float)
     d = core.w_dinf(center_w[None, :], base.projections())

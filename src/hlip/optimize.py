@@ -293,8 +293,12 @@ def solve(
     Accepted steps satisfy the sufficient-decrease condition, so the energy
     trace is non-increasing.  A failed line search stops early and reports
     the last iterate with converged=False.  A start whose energy is not
-    finite raises FloatingPointError before any step.
+    finite raises FloatingPointError before any step; a NaN tol or a
+    negative max_iter raises ValueError (a negative tol is legal: it never
+    stops on the gradient).
     """
+    if math.isnan(tol) or max_iter < 0:
+        raise ValueError(f"need a tol that is not NaN and max_iter >= 0, got {tol}, {max_iter}")
     spec = problem.spec
     mask = problem.initial.dirichlet_mask
     fixed = mask.ravel()

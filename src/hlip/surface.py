@@ -268,19 +268,15 @@ def height_bound_ratio(
     Returns the pieces as a dict; by convention the ratio is 0 when the
     cylinder holds no height, and inf when the excess vanishes under a
     nonzero height (the bound degenerates in that direction).  A
-    GridFunction stands for its graph's cloud at stride 1, streamed.
+    GridFunction stands for its graph's cloud at stride 1, streamed from
+    the graph without the cloud and bit for bit the same.
     """
     if isinstance(cloud, GridFunction):
-        return _graph_height_bound(cloud, r0, orientation)
+        blocks = _graph_blocks(cloud, orientation)
+        return _height_bound(blocks, cloud.spec.n, cloud.spec.size, r0, orientation)
     rows = core._row_blocks(len(cloud), 2 * cloud.n + 1)
     blocks = ((cloud.points[b], cloud.normals[b], cloud.weights[b]) for b in rows)
     return _height_bound(blocks, cloud.n, len(cloud), r0, orientation)
-
-
-def _graph_height_bound(f: GridFunction, r0: float, orientation: int = 1) -> dict:
-    """height_bound_ratio(sample_graph_boundary(f, orientation=orientation), r0,
-    orientation) bit for bit, streamed from the graph without the cloud."""
-    return _height_bound(_graph_blocks(f, orientation), f.spec.n, f.spec.size, r0, orientation)
 
 
 def _height_bound(blocks, n: int, size: int, r0: float, orientation: int) -> dict:

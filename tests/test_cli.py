@@ -74,6 +74,37 @@ def test_gen_missing_parameter_exits_1(capsys):
     assert "--mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-0.01"])
+@pytest.mark.parametrize(
+    "kind, flag", [("corrupted-cluster", "--mass"), ("deleted-patch", "--radius")]
+)
+def test_gen_size_that_is_not_positive_and_finite_exits_1(tmp_path, capsys, kind, flag, value):
+    # a NaN mass fails no `mass <= 0` test and would corrupt the whole cloud
+    assert main(["gen", kind, "--h", "0.5", flag, value, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite and positive" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_report_config_is_the_flags_but_paths(tmp_path):
+    _, report, _ = run(tmp_path, "gen", "corrupted-cluster", "--h", "0.5", "--mass", "0.02")
+    assert report["config"] == {
+        "n": 2,
+        "seed": 0,
+        "params": {
+            "kind": "corrupted-cluster",
+            "h": 0.5,
+            "eps": None,
+            "mass": 0.02,
+            "displacement": 1.0,
+            "radius": None,
+            "stride": 1,
+            "orientation": 1,
+        },
+    }
+
+
 @pytest.mark.parametrize("h", ["0", "nan", "inf"])
 @pytest.mark.parametrize("command", [["gen", "flat"], ["minimize"]], ids=["gen", "minimize"])
 def test_spacing_that_is_not_positive_and_finite_exits_1(capsys, command, h):
@@ -180,6 +211,13 @@ def test_approx_config_file_roundtrip(tmp_path, linear_cloud_file):
     assert echoed["delta1"] == 0.5
     assert echoed["pair_budget"] == 500
     assert echoed["seed"] == 4  # --seed flows into the pipeline default
+
+
+def test_approx_report_config_holds_no_path(tmp_path, linear_cloud_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"delta1": 0.5}))
+    _, report, _ = run(tmp_path, "approx", str(linear_cloud_file), "--config", str(cfg_path))
+    assert report["config"] == {"n": 2, "seed": 0, "params": {"h": None}}
 
 
 def test_approx_malformed_config_exits_1(tmp_path, linear_cloud_file, capsys):
@@ -308,6 +346,14 @@ def test_minimize_start_is_the_whole_grid_draw(monkeypatch, rows):
 def test_minimize_rejects_a_noise_that_is_no_stddev(capsys, noise):
     assert main(["minimize", "--h", "0.25", "--noise", noise]) == 1
     assert "noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--max-iter", "-3")])
+def test_minimize_rejects_a_stopping_rule_that_never_runs(capsys, flag, value):
+    # either would stop after 0 iterations and report success
+    assert main(["minimize", "--h", "0.25", "--noise", "0.1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("noise", ["1e200", "1e150"])

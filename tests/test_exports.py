@@ -182,14 +182,18 @@ def _dataclass_fields() -> dict[str, list[str]]:
 
 def _attribute_readers(paths) -> dict[str, set[str | None]]:
     """Each attribute name read in the files, with the top-level classes
-    that read it (None for a read outside any class)."""
+    that read it (None for a read outside any class).  A read of a parsed
+    command line flag (`args.center`) reads no record field."""
     out: dict[str, set[str | None]] = {}
     for path in paths:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    out.setdefault(node.attr, set()).add(owner)
+                if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                    continue
+                if isinstance(node.value, ast.Name) and node.value.id == "args":
+                    continue
+                out.setdefault(node.attr, set()).add(owner)
     return out
 
 

@@ -316,7 +316,6 @@ def test_streamed_height_bound_matches_the_cloud(n, orientation, kind, a, cover,
             0 if not inside.any() else 2 if inside.all() else 1
         )
         want = surface.height_bound_ratio(cloud, r0, orientation)
-        assert surface._graph_height_bound(f, r0, orientation) == want
         assert surface.height_bound_ratio(f, r0, orientation) == want
     # both are the whole-cloud formulas, bit for bit
     sup_h = float(np.max(np.abs(cloud.heights[inside]))) if inside.any() else 0.0
@@ -330,7 +329,7 @@ def test_streamed_height_bound_builds_no_node_array():
     spec = GridSpec.centered(2, 1.0, 0.1)
     before = graph.grid_nodes.cache_info()
     f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
-    surface._graph_height_bound(f, 0.5)
+    surface.height_bound_ratio(f, 0.5)
     after = graph.grid_nodes.cache_info()
     assert after == before  # no call at all, so no entry either
 
@@ -355,7 +354,7 @@ def test_streamed_height_bound_holds_no_cloud():
         finally:
             tracemalloc.stop()
 
-    streamed, rep = peak(lambda: surface._graph_height_bound(f, 0.5))
+    streamed, rep = peak(lambda: surface.height_bound_ratio(f, 0.5))
     whole, want = peak(lambda: surface.height_bound_ratio(surface.sample_graph_boundary(f), 0.5))
     assert rep == want
     assert streamed <= bound < whole
