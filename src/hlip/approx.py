@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .graph import (
     ExtensionReport,
     GridFunction,
     GridSpec,
+    _area,
     _cone_ratio,
     _graph_point,
     _sym_dist,
@@ -94,22 +95,7 @@ class PipelineConfig:
         return self.outer_scale / 4.0 if self.maximal_scale is None else self.maximal_scale
 
     def to_dict(self) -> dict:
-        return {
-            "delta1": self.delta1,
-            "scales": list(self.scales),
-            "outer_scale": self.outer_scale,
-            "inner_radius": self.inner_radius,
-            "tau": self.tau,
-            "orientation": self.orientation,
-            "alpha": self.alpha,
-            "gamma2": self.gamma2,
-            "maximal_scale": self.maximal_scale,
-            "eta_override": self.eta_override,
-            "extension_policy": self.extension_policy,
-            "extension_l": self.extension_l,
-            "pair_budget": self.pair_budget,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "scales": list(self.scales)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -385,7 +371,7 @@ def sym_diff_measure(
     cells = np.flatnonzero(region)
     cell_min_dist[cells] = _nearest_dinf(f.graph()[cells], cloud.points, spec.h)
     cell_matched = cell_min_dist <= tau
-    area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
+    area = _area(f).ravel()
     off_cells = region & ~cell_matched
     graph_mass = float(np.sum(area[off_cells]) * spec.cell_volume)
 
@@ -437,7 +423,10 @@ def lipschitz_approximation(
     d1 = disk_mask(spec, config.inner_radius)
     sym = sym_diff_measure(cloud, f, tau, region=d1)
     l2 = float(np.sum(intrinsic_gradient(f).norm_sq().ravel()[d1]) * spec.cell_volume)
-    gap = np.abs(cloud.heights[m0] - f.interp(cloud.projections()[m0]))
+    # over the selected samples on the grid, the ones heights_on_projection deposits
+    w = cloud.projections()[m0]
+    on_grid = spec.locate(w)[1]
+    gap = np.abs(cloud.heights[m0][on_grid] - f.interp(w[on_grid]))
     m0_matched = bool(np.all(gap <= sym.height_threshold))
     return ApproxResult(
         phi=f,
@@ -656,12 +645,6 @@ def check_sandwich(
     }
 
 
-def _ratio(value: float, excess: float, power: float) -> float:
-    if excess <= 0.0:
-        return 0.0
-    return value / excess**power
-
-
 def corollary_report(
     cloud: BoundaryCloud,
     spec: GridSpec,
@@ -689,35 +672,18 @@ def corollary_report(
     l2 = float(np.sum(g2[trunc.d1_mask]) * spec.cell_volume)
     lip = lipschitz_estimate(refit, pair_budget=config.pair_budget, seed=config.seed)
     e = trunc.excess_outer
-    n = spec.n
-    height_power = 1.0 / (2.0 * (2 * n + 1))
-    sup_height = float(np.max(np.abs(refit.flat)))
+
+    def quantity(value: float, power: float) -> dict:
+        ratio = 0.0 if e <= 0.0 else value / e**power  # a NaN excess gives NaN
+        return {"value": value, "excess_power": power, "ratio": ratio}
+
+    sym_power = 1.0 - 2.0 * config.alpha
     quantities = {
-        "symdiff_spherical": {
-            "value": sym.spherical,
-            "excess_power": 1.0 - 2.0 * config.alpha,
-            "ratio": _ratio(sym.spherical, e, 1.0 - 2.0 * config.alpha),
-        },
-        "l2_gradient": {
-            "value": l2,
-            "excess_power": 1.0,
-            "ratio": _ratio(l2, e, 1.0),
-        },
-        "outside_measure": {
-            "value": trunc.outside_measure,
-            "excess_power": 1.0 - 2.0 * config.alpha,
-            "ratio": _ratio(trunc.outside_measure, e, 1.0 - 2.0 * config.alpha),
-        },
-        "lip_graph": {
-            "value": lip,
-            "excess_power": config.alpha,
-            "ratio": _ratio(lip, e, config.alpha),
-        },
-        "sup_height": {
-            "value": sup_height,
-            "excess_power": height_power,
-            "ratio": _ratio(sup_height, e, height_power),
-        },
+        "symdiff_spherical": quantity(sym.spherical, sym_power),
+        "l2_gradient": quantity(l2, 1.0),
+        "outside_measure": quantity(trunc.outside_measure, sym_power),
+        "lip_graph": quantity(lip, config.alpha),
+        "sup_height": quantity(float(np.max(np.abs(refit.flat))), 1.0 / (2.0 * (2 * spec.n + 1))),
     }
     return {
         "degenerate": False,

@@ -152,27 +152,23 @@ def corrupted_cluster_cloud(
     if flip_normals:
         nrm[bad] = 0.0
         nrm[bad, 0] = -1.0
-    cluster_mass = float(np.sum(base.weights[bad]))
-    meta = {"grid": _grid_meta(spec)}
-    meta.update(
-        {
-            "kind": "corrupted-cluster",
-            "params": {
-                "mass": mass,
-                "eps": eps,
-                "center": list(center_w),
-                "displacement": displacement,
-                "flip_normals": flip_normals,
-                "stride": stride,
-                "orientation": orientation,
-            },
-            "seed": seed,
-            "cluster_mass": cluster_mass,
-            "cluster_count": int(len(bad)),
-            "cluster_indices": [int(i) for i in bad],
-        }
+    params = {
+        "mass": mass,
+        "eps": eps,
+        "center": list(center_w),
+        "displacement": displacement,
+        "flip_normals": flip_normals,
+        "stride": stride,
+        "orientation": orientation,
+    }
+    cloud = BoundaryCloud(spec.n, pts, nrm, base.weights)
+    cloud = _finish(cloud, spec, "corrupted-cluster", params, seed)
+    cloud.meta.update(
+        cluster_mass=float(np.sum(base.weights[bad])),
+        cluster_count=int(len(bad)),
+        cluster_indices=[int(i) for i in bad],
     )
-    return BoundaryCloud(spec.n, pts, nrm, base.weights.copy(), meta)
+    return cloud
 
 
 def deleted_patch_cloud(
@@ -192,22 +188,15 @@ def deleted_patch_cloud(
     keep = d >= radius
     if not np.any(keep):
         raise ValueError("patch deletes the whole cloud")
-    deleted_mass = float(np.sum(base.weights[~keep]))
-    cloud = base.subset(keep)
-    meta = dict(cloud.meta)
-    meta.update(
-        {
-            "kind": "deleted-patch",
-            "params": {
-                "radius": radius,
-                "eps": eps,
-                "center": list(center_w),
-                "stride": stride,
-                "orientation": orientation,
-            },
-            "seed": None,
-            "deleted_mass": deleted_mass,
-            "deleted_count": int(np.sum(~keep)),
-        }
+    params = {
+        "radius": radius,
+        "eps": eps,
+        "center": list(center_w),
+        "stride": stride,
+        "orientation": orientation,
+    }
+    cloud = _finish(base.subset(keep), spec, "deleted-patch", params, None)
+    cloud.meta.update(
+        deleted_mass=float(np.sum(base.weights[~keep])), deleted_count=int(np.sum(~keep))
     )
-    return BoundaryCloud(cloud.n, cloud.points, cloud.normals, cloud.weights, meta)
+    return cloud

@@ -139,26 +139,20 @@ def grid_nodes(spec: GridSpec) -> np.ndarray:
     return out
 
 
-def _node_block(spec: GridSpec, rows) -> np.ndarray:
+def _node_block(spec: GridSpec, rows: slice) -> np.ndarray:
     """grid_nodes(spec)[rows] bit for bit, without the whole-grid array.
 
-    `rows` is a slice or an array of flat node indices; each coordinate
-    is spec.axis_values(k) at the unravelled index, as in the meshgrid.
-    A slice writes each axis's coordinates as runs: axis k holds each
-    value for prod(counts[k + 1:]) consecutive nodes, so its column is one
-    np.repeat of the runs the slice meets or, where the slice holds a
-    whole period of the axis, that period written over it.  A grid whose
-    node array fits one _BLOCK_BYTES block reads it from grid_nodes' cache
-    instead, so callers that revisit a small grid (the verify battery
-    builds 50 fields on one) rebuild nothing.
+    `rows` is a slice of flat node indices; each coordinate is
+    spec.axis_values(k) at the unravelled index, as in the meshgrid.
+    Axis k holds each value for prod(counts[k + 1:]) consecutive nodes,
+    so its column is one np.repeat of the runs the slice meets or, where
+    the slice holds a whole period of the axis, that period written over
+    it.  A grid whose node array fits one _BLOCK_BYTES block reads it
+    from grid_nodes' cache instead, so callers that revisit a small grid
+    (the verify battery builds 50 fields on one) rebuild nothing.
     """
     if 8 * 2 * spec.n * spec.size <= core._BLOCK_BYTES:
         return grid_nodes(spec)[rows]
-    if not isinstance(rows, slice):
-        out = np.empty((len(rows), 2 * spec.n))
-        for k, i in enumerate(np.unravel_index(rows, spec.counts)):
-            out[:, k] = spec.axis_values(k)[i]
-        return out
     a, b, _ = rows.indices(spec.size)
     m = max(b - a, 0)
     out, run = np.empty((m, 2 * spec.n)), spec.size
@@ -224,12 +218,15 @@ class GridFunction:
         return self.values.ravel()
 
     def interp(self, w: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; raises off the grid beyond 1e-9 of a spacing."""
+        """Multilinear interpolation, extended by the edge values over the
+        outer half of the edge cells; raises on a point that spec.locate
+        puts outside the grid."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
         u = (w - np.array(self.spec.origin)) / self.spec.h
-        hi = np.array(self.spec.counts, dtype=float) - 1.0
-        if np.any(u < -1e-9) or np.any(u > hi + 1e-9):
+        cell = np.floor(u + 0.5)  # spec.locate's rounding
+        if not np.all((cell >= 0) & (cell < np.array(self.spec.counts))):
             raise ValueError("interpolation point outside grid domain")
+        hi = np.array(self.spec.counts, dtype=float) - 1.0
         u = np.clip(u, 0.0, hi)
         i0 = np.minimum(np.floor(u).astype(int), np.maximum(np.array(self.spec.counts) - 2, 0))
         frac = u - i0
@@ -429,6 +426,16 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
 
     _map_slabs(block, spec, box)
     return IntrinsicGradient(spec, comps, dt)
+
+
+def _area(f: GridFunction) -> np.ndarray:
+    """The area element sqrt(1 + |grad phi|^2) over the whole grid, one
+    _slab_planes slab at a time on the caller, into that call's slab
+    planes: the only grid-sized array it makes is the area."""
+    area = np.empty(f.spec.counts)
+    for box, planes in _slab_planes(f.spec):
+        intrinsic_gradient(f, box, planes + (area,))
+    return area
 
 
 def _sym_dist(p: np.ndarray, q: np.ndarray, planes=None) -> np.ndarray:

@@ -19,11 +19,11 @@ import numpy as np
 from .graph import (
     GridFunction,
     GridSpec,
+    _area,
     _map_slabs,
     _relative,
     _sl,
     _slab,
-    _slab_planes,
     _twice_coordinates,
     intrinsic_gradient,
 )
@@ -125,16 +125,6 @@ def _box_planes(spec: GridSpec, box: tuple | None = None) -> tuple:
     whole grid by default), shaped like it."""
     shape = spec.counts if box is None else tuple(s.stop - s.start for s in box)
     return np.empty((2 * spec.n - 1,) + shape), np.empty(shape), np.empty(shape)
-
-
-def _area(f: GridFunction) -> np.ndarray:
-    """The area element over the whole grid, one graph._slab_planes slab at
-    a time on the caller, into that call's slab planes: the only
-    grid-sized array it makes is the area."""
-    area = np.empty(f.spec.counts)
-    for box, planes in _slab_planes(f.spec):
-        intrinsic_gradient(f, box, planes + (area,))
-    return area
 
 
 def energy(f: GridFunction) -> float:
@@ -371,8 +361,7 @@ def solve(
 
 
 def _local_area_sum(spec: GridSpec, vals: np.ndarray, box: tuple) -> float:
-    S = np.sqrt(1.0 + intrinsic_gradient(GridFunction(spec, vals)).norm_sq())
-    return float(np.sum(S[box]))
+    return float(np.sum(_area(GridFunction(spec, vals))[box]))
 
 
 def gradient_check(

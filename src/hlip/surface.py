@@ -18,12 +18,12 @@ from . import core
 from .graph import (
     GridFunction,
     GridSpec,
+    _area,
     _gradient_slab,
     _node_block,
     _norm_sq_into,
     _slab_planes,
     _twice_coordinates,
-    intrinsic_gradient,
 )
 
 __all__ = [
@@ -118,7 +118,8 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     The intrinsic gradient runs one graph._slab_planes x_2-slab of whole
     axis-0 rows at a time, into that call's slab planes of at most
     _BLOCK_BYTES each; the slab's samples follow before the next slab's
-    pass.  So no array of the whole grid is built but the caller's.
+    pass.  So no array of the whole grid is built but the caller's.  Each
+    block's node coordinates come by slice, and then its sel rows.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -137,13 +138,14 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
             c = c.reshape(2 * n - 1, -1)
             for loc in core._row_blocks(k * row, 2 * n + 1):
                 rows = slice(base + loc.start, base + loc.stop)
+                w, z = _node_block(spec, rows), vals[rows]
                 if sel is not None:
-                    loc = loc.start + np.flatnonzero(sel[rows])
-                    rows = base + loc
+                    keep = sel[rows]
+                    w, z, loc = w[keep], z[keep], loc.start + np.flatnonzero(keep)
                 g = c[:, loc]
                 a = np.sqrt(1.0 + _norm_sq_into(g, np.empty(g.shape[1]), np.empty(g.shape[1])))
                 nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
-                yield core.graph_points(_node_block(spec, rows), vals[rows]), nu, a * cell
+                yield core.graph_points(w, z), nu, a * cell
 
     return blocks()
 
@@ -172,7 +174,7 @@ def cylinder_mask(cloud: BoundaryCloud, center: np.ndarray, r: float) -> np.ndar
 def hperimeter(f: GridFunction, region: np.ndarray | None = None) -> float:
     """Midpoint-rule H-perimeter of the graph over the nodes of a region mask
     of W (the whole grid without one)."""
-    area = np.sqrt(1.0 + intrinsic_gradient(f).norm_sq()).ravel()
+    area = _area(f).ravel()
     if region is not None:
         region = np.asarray(region, dtype=bool).ravel()
         if region.size != f.spec.size:

@@ -299,6 +299,29 @@ def test_truncate_prints_phi_lemma_path(tmp_path, linear_cloud_file, capsys):
     assert "phi_lemma_path" not in report["results"]
 
 
+@pytest.mark.parametrize("command", ["approx", "truncate"])
+@pytest.mark.parametrize("edge", ["wider_than_the_grid", "in_the_outer_half_of_edge_cells"])
+def test_samples_at_the_grid_edge_exit_0(tmp_path, command, edge):
+    # a sample spec.locate puts outside the grid is left out of the fit,
+    # and one in the outer half of an edge cell interpolates to the edge
+    # value, where both once raised "interpolation point outside grid domain"
+    if edge == "wider_than_the_grid":
+        wide = graph.GridSpec.centered(2, (1.4, 1.4, 1.4, 1.8), 0.25)
+        cloud = generators.linear_cloud(wide, 0.05)
+        del cloud.meta["grid"]
+        argv = ["--h", "0.25"]
+    else:
+        cloud = generators.linear_cloud(generators.default_grid(2, 0.25), 0.05)
+        cloud.points += 0.06
+        argv = []
+    path = tmp_path / "edge.cloud"
+    fileio.write_cloud(path, cloud)
+    code, report, _ = run(tmp_path, command, str(path), *argv)
+    assert code == 0
+    if command == "approx":
+        assert report["results"]["m0_matched"]
+
+
 # ---------------------------------------------------------------- minimize
 
 

@@ -73,13 +73,11 @@ NODE_SPECS = [graph.GridSpec.centered(2, 0.6, 0.2), graph.GridSpec.centered(3, 0
 @pytest.mark.parametrize("cached", [False, True])  # a small budget, or the default
 def test_node_block_matches_grid_nodes_bitwise(monkeypatch, spec, cached):
     nodes = graph.grid_nodes(spec)
-    rng = np.random.default_rng(5)
     size = spec.size
     cases = [slice(0, size), slice(0, 1), slice(size - 1, size), slice(7, 7), slice(3, size - 5)]
-    cases += [rng.integers(0, size, 50), np.sort(rng.choice(size, 40, replace=False)), np.empty(0, int)]
-    # the blocks from_callable and the graph samples ask for, and index
-    # arrays that straddle their edges; under the default budget these
-    # grids' node arrays fit one block and come from grid_nodes' cache
+    # the blocks from_callable and the graph samples ask for, and slices
+    # that straddle their edges; under the default budget these grids'
+    # node arrays fit one block and come from grid_nodes' cache
     assert 8 * 2 * spec.n * size <= core._BLOCK_BYTES
     budget = 8 * 2 * spec.n * 37
     with pytest.MonkeyPatch.context() as mp:
@@ -89,7 +87,7 @@ def test_node_block_matches_grid_nodes_bitwise(monkeypatch, spec, cached):
     if not cached:
         monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     cases += blocks
-    cases += [np.arange(b.stop - 3, min(b.stop + 3, size)) for b in blocks[:-1]]
+    cases += [slice(b.stop - 3, min(b.stop + 3, size)) for b in blocks[:-1]]
     hits = graph.grid_nodes.cache_info().hits
     for rows in cases:
         got = graph._node_block(spec, rows)
@@ -141,6 +139,22 @@ def test_interp_outside_raises(small_spec):
     f = graph.GridFunction.constant(small_spec, 0.0)
     with pytest.raises(ValueError):
         f.interp(np.array([[0.0, 0.0, 0.0, 3.0]]))
+
+
+def test_interp_takes_the_points_locate_puts_inside(small_spec):
+    # cells tile [-1, 1) per axis with edge nodes at +-0.875; the outer half
+    # of an edge cell takes the edge node's value
+    f = graph.GridFunction.from_callable(small_spec, lambda w: w[:, 0] - 2.0 * w[:, 3])
+    pts = np.array([[-1.0, 0.0, 0.0, 0.99], [0.95, 0.3, 0.0, -0.93]])
+    assert np.all(small_spec.locate(pts)[1])
+    edge = np.clip(pts, -0.875, 0.875)
+    np.testing.assert_allclose(f.interp(pts), edge[:, 0] - 2.0 * edge[:, 3], rtol=0, atol=1e-12)
+    for k in range(4):
+        out = np.zeros((1, 4))
+        out[0, k] = 1.0
+        assert not small_spec.locate(out)[1][0]
+        with pytest.raises(ValueError, match="outside grid domain"):
+            f.interp(out)
 
 
 # --- graph map ---------------------------------------------------------------

@@ -460,6 +460,8 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
         monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
     intrinsic = optimize.intrinsic_gradient
     monkeypatch.setattr(optimize, "intrinsic_gradient", recording)
+    # the first energy's slab passes run in graph._area
+    monkeypatch.setattr(graph, "intrinsic_gradient", recording)
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
     rep = optimize.solve(prob, max_iter=20)
     assert rep.iterations == 20

@@ -252,6 +252,9 @@ def test_graph_samples_match_the_two_pass_reference(monkeypatch, n, half, h, ori
     f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
     if rows:
         monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * rows)
+        # the node array spans many blocks, so each block's coordinates
+        # are built by graph._node_block, not read from grid_nodes' cache
+        assert 8 * 2 * n * spec.size > core._BLOCK_BYTES
     for stride in (1, 2):
         cloud = surface.sample_graph_boundary(f, stride=stride, orientation=orientation)
         want = two_pass_cloud(f, stride, orientation)
