@@ -201,7 +201,7 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # allocate nothing per block.  graph._slab_planes cuts a whole grid into
 # x_2-slabs of at most one block each for the passes that run on the
 # caller, one slab at a time, into slab planes every slab reuses: the
-# graph samples of surface._graph_blocks and the area of optimize.energy.
+# graph samples of surface._graph_blocks and the area of graph._area.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at
