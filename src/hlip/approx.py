@@ -240,10 +240,14 @@ def _excess_above(
     return out
 
 
-def select_m0(cloud: BoundaryCloud, config: PipelineConfig) -> np.ndarray:
-    """Indices whose sup-excess over the scan scales stays below delta1."""
-    e = _excess_above(cloud, cloud.points, config.scales, config.orientation, config.delta1)
-    return np.flatnonzero(e <= config.delta1)
+def select_m0(cloud: BoundaryCloud, spec: GridSpec, config: PipelineConfig) -> np.ndarray:
+    """Indices of the samples spec.locate puts on the grid whose sup-excess
+    over the scan scales stays below delta1; the cylinders hold the whole
+    cloud's mass."""
+    on_grid = np.flatnonzero(spec.locate(cloud.projections())[1])
+    centers = cloud.points[on_grid]
+    e = _excess_above(cloud, centers, config.scales, config.orientation, config.delta1)
+    return on_grid[e <= config.delta1]
 
 
 def heights_on_projection(
@@ -404,7 +408,7 @@ def lipschitz_approximation(
     """
     config = PipelineConfig() if config is None else config
     tau = config.resolved_tau(spec)
-    m0 = select_m0(cloud, config)
+    m0 = select_m0(cloud, spec, config)
     if m0.size == 0:
         zero = GridFunction.constant(spec, 0.0)
         return ApproxResult(
@@ -423,10 +427,7 @@ def lipschitz_approximation(
     d1 = disk_mask(spec, config.inner_radius)
     sym = sym_diff_measure(cloud, f, tau, region=d1)
     l2 = float(np.sum(intrinsic_gradient(f).norm_sq().ravel()[d1]) * spec.cell_volume)
-    # over the selected samples on the grid, the ones heights_on_projection deposits
-    w = cloud.projections()[m0]
-    on_grid = spec.locate(w)[1]
-    gap = np.abs(cloud.heights[m0][on_grid] - f.interp(w[on_grid]))
+    gap = np.abs(cloud.heights[m0] - f.interp(cloud.projections()[m0]))
     m0_matched = bool(np.all(gap <= sym.height_threshold))
     return ApproxResult(
         phi=f,

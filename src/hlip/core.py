@@ -192,16 +192,16 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # maximal functions' ladder bins and ladder tables, each within one plane,
 # because those loops count the ladder's columns in their block width) and
 # a few bool masks of an eighth of a plane still allocate.
-# The grid stencil passes (graph.intrinsic_gradient, with the area
-# element folded in, and optimize.energy_gradient) block a box of a grid
-# along axis 0 instead, sized by the box's columns: each block reads the
-# whole-grid inputs and writes one slab of the box into each output and
-# scratch plane, planes shaped like the box that a descent allocates once
-# and reuses from point to point, so they ask for no arena planes and
-# allocate nothing per block.  graph._slab_planes cuts a whole grid into
-# x_2-slabs of at most one block each for the passes that run on the
-# caller, one slab at a time, into slab planes every slab reuses: the
-# graph samples of surface._graph_blocks and the area of graph._area.
+# The grid stencil passes (graph.intrinsic_gradient, the one driver of
+# the stencils, with the area element folded in, and
+# optimize.energy_gradient) block a box of a grid along axis 0 instead,
+# sized by the box's columns: each block reads the whole-grid inputs and
+# writes one slab of the box into each output and scratch plane, all
+# shaped like the box, which a descent allocates once and reuses from
+# point to point, so they ask for no arena planes and allocate nothing
+# per block.  graph._slab_planes cuts a whole grid into x_2-slabs of at
+# most one block each, with four slab planes every slab reuses, for one
+# pass per slab on the caller: surface._graph_blocks and graph._area.
 _BLOCK_BYTES = 1 << 19
 
 # threads that run the blocks of one _map_blocks call: the caller and at

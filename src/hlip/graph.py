@@ -351,43 +351,25 @@ def _relative(slab: tuple, box: tuple | None) -> tuple:
     return tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(slab, box))
 
 
-def _gradient_slab(f: GridFunction, slab: tuple, comps, dt, tmp, ys, xs) -> None:
-    """intrinsic_gradient's pass over the box `slab`: its components into
-    comps and d(phi)/dt into dt, planes shaped like the box (comps with a
-    leading component axis), with tmp of the box's shape as scratch.  The
-    stencils read f's neighbours outside the box; ys and xs are the
-    grid's _twice_coordinates from axes n and 0."""
-    spec, v = f.spec, f.values
-    n, h = spec.n, spec.h
-    d = _partial(v, h, 2 * n - 1, dt, slab)
-    for i in range(2, n + 1):
-        x_comp = _partial(v, h, i - 2, comps[i - 2], slab)
-        x_comp += np.multiply(ys[i - 2][slab], d, out=tmp)
-    b_comp = _partial(v, h, n - 1, comps[n - 1], slab)
-    np.multiply(4.0, v[slab], out=tmp)
-    b_comp -= np.multiply(tmp, d, out=tmp)
-    for i in range(2, n + 1):
-        y_comp = _partial(v, h, n + i - 2, comps[n + i - 2], slab)
-        y_comp -= np.multiply(xs[i - 2][slab], d, out=tmp)
-
-
-def _slab_planes(spec: GridSpec):
+def _slab_planes(spec: GridSpec, area: np.ndarray | None = None):
     """The grid as x_2-slabs of whole axis-0 rows, each with the
-    (components, dt, tmp) planes of a stencil pass shaped like it.
+    (components, dt, tmp, area) planes of a stencil pass shaped like it.
 
     A slab's nodes fill at most one core._row_blocks block at 2n + 1
     floats a node (a graph sample's width), so each plane fits
     _BLOCK_BYTES.  The planes are made once, for the first (longest) slab,
-    and every slab reuses their leading rows.  Yields (slab box, planes).
+    and every slab reuses their leading rows; a grid-shaped `area` gives
+    each slab its box view of that plane instead.  Yields (slab box, planes).
     """
     n, counts = spec.n, spec.counts
     slabs = list(core._row_blocks(counts[0], (2 * n + 1) * (spec.size // counts[0])))
     shape = (slabs[0].stop,) + counts[1:]
     comps, dt, tmp = np.empty((2 * n - 1,) + shape), np.empty(shape), np.empty(shape)
+    own = np.empty(shape) if area is None else None
     rest = tuple(slice(0, c) for c in counts[1:])
     for slab in slabs:
-        k = slab.stop - slab.start
-        yield (slab,) + rest, (comps[:, :k], dt[:k], tmp[:k])
+        k, box = slab.stop - slab.start, (slab,) + rest
+        yield box, (comps[:, :k], dt[:k], tmp[:k], area[box] if own is None else own[:k])
 
 
 def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient:
@@ -396,31 +378,41 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     X_i phi = d/dx_i + 2 y_i d/dt, Y_i phi = d/dy_i - 2 x_i d/dt for
     i = 2..n, and the Burgers component B phi = d/dy_1 - 4 phi d/dt.
     The result also carries d(phi)/dt.  The stencils run in row slabs
-    along axis 0 (x_2) on core._map_blocks.
+    along axis 0 (x_2) on core._map_blocks; every stencil pass of the
+    package runs here.
 
     `out` = (components, dt, tmp, area) makes the pass write into those
     planes (tmp is scratch) and also write the area element
     sqrt(1 + |grad phi|^2) into area.  With it, `box` (one slice per axis
     with explicit bounds, the whole grid by default) limits the pass to
-    those nodes.  components, dt and tmp are then shaped like the box,
-    grid node i at i - box start, and the result holds them as they are;
-    area keeps the grid's shape and is left alone outside the box.
+    those nodes.  All four planes are shaped like the box, grid node i at
+    i - box start, and the result holds the first two as they are.
     """
-    spec = f.spec
+    spec, v = f.spec, f.values
+    n, h = spec.n, spec.h
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     if out is None:  # dt first: the other order raised verify's peak RSS by ~1 MB
         dt = np.empty(spec.counts)
-        out = np.empty((2 * spec.n - 1,) + spec.counts), dt, np.empty(spec.counts), None
+        out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
     comps, dt, tmp, area = out
-    ys, xs = _twice_coordinates(spec, spec.n), _twice_coordinates(spec, 0)
+    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def block(slab: tuple) -> None:
         r = _relative(slab, box)
         c, t = comps[(slice(None),) + r], tmp[r]
-        _gradient_slab(f, slab, c, dt[r], t, ys, xs)
+        d = _partial(v, h, 2 * n - 1, dt[r], slab)
+        for i in range(2, n + 1):
+            x_comp = _partial(v, h, i - 2, c[i - 2], slab)
+            x_comp += np.multiply(ys[i - 2][slab], d, out=t)
+        b_comp = _partial(v, h, n - 1, c[n - 1], slab)
+        np.multiply(4.0, v[slab], out=t)
+        b_comp -= np.multiply(t, d, out=t)
+        for i in range(2, n + 1):
+            y_comp = _partial(v, h, n + i - 2, c[n + i - 2], slab)
+            y_comp -= np.multiply(xs[i - 2][slab], d, out=t)
         if area is not None:
-            a = _norm_sq_into(c, area[slab], t)
+            a = _norm_sq_into(c, area[r], t)
             a += 1.0
             np.sqrt(a, out=a)
 
@@ -430,11 +422,12 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
 
 def _area(f: GridFunction) -> np.ndarray:
     """The area element sqrt(1 + |grad phi|^2) over the whole grid, one
-    _slab_planes slab at a time on the caller, into that call's slab
-    planes: the only grid-sized array it makes is the area."""
+    _slab_planes slab at a time on the caller, each pass writing its
+    slab's box view of the area: the only grid-sized array it makes is
+    the area."""
     area = np.empty(f.spec.counts)
-    for box, planes in _slab_planes(f.spec):
-        intrinsic_gradient(f, box, planes + (area,))
+    for box, planes in _slab_planes(f.spec, area):
+        intrinsic_gradient(f, box, planes)
     return area
 
 

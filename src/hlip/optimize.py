@@ -84,14 +84,15 @@ class _Iterate(GridFunction):
     """Descent point whose stencil passes run only where values can change.
 
     `boxes` = (energy box, gradient box) of _free_boxes.  The `planes`
-    (components, dt, tmp, area) pass from each point to the next: the
-    first three are shaped like the energy box and the area like the
-    grid.  The first energy fills the area over the whole grid in slabs,
-    then makes the box planes; it and every later energy run one pass over
-    the energy box, outside which no value, so no area element, changes.
-    energy_gradient reads the pass of the energy just before it and writes
-    W and V / area over it, then adjoints into the area plane inside the
-    gradient box; the next energy recomputes all of it.
+    (components, dt, tmp, area) pass from each point to the next, all
+    shaped like the energy box; the area is the energy box's view of a
+    grid-shaped area plane.  The first energy fills that plane over the
+    whole grid in slabs, then makes the box planes; it and every later
+    energy run one pass over the energy box, outside which no value, so no
+    area element, changes.  energy_gradient reads the pass of the energy
+    just before it and writes W and V / area over it, then adjoints into
+    the area plane inside the gradient box; the next energy recomputes all
+    of it.
     """
 
     boxes: tuple = ()
@@ -136,12 +137,12 @@ def energy(f: GridFunction) -> float:
     if not isinstance(f, _Iterate):
         area = _area(f)
     elif f.planes is None:
-        area = _area(f)
-        f.planes = _box_planes(f.spec, f.boxes[0]) + (area,)
+        area = _area(f)  # before the box planes, so the slab planes are gone
+        f.planes = _box_planes(f.spec, f.boxes[0]) + (area[f.boxes[0]],)
         intrinsic_gradient(f, f.boxes[0], f.planes)
     else:
         intrinsic_gradient(f, f.boxes[0], f.planes)
-        area = f.planes[3]
+        area = f.planes[3].base
     return float(np.sum(area.ravel()) * f.spec.cell_volume)
 
 
@@ -159,12 +160,13 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     else:
         planes, scaled, box = _box_planes(spec) + (np.empty(spec.counts),), None, None
         intrinsic_gradient(f, None, planes)
-    # W, dt and tmp are shaped like the energy box `scaled`, the area like the grid
+    # W, dt, tmp and the area are shaped like the energy box `scaled`
     W, dt, tmp, area = planes
     offsets = (0,) * (2 * n) if scaled is None else tuple(s.start for s in scaled)
 
     def scale(slab: tuple) -> None:
-        W[(slice(None),) + _relative(slab, scaled)] *= np.divide(V, area[slab], out=area[slab])
+        r = _relative(slab, scaled)
+        W[(slice(None),) + r] *= np.divide(V, area[r], out=area[r])
 
     # W = G * (V / area), written over G and the area, over the whole
     # energy box before any adjoint: an axis-0 adjoint reads the
@@ -176,12 +178,11 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     # the area plane is spent over the energy box once scaled, and the
     # adjoints write only inside the gradient box, so it is their scratch;
     # the area outside the energy box stays the first pass's
-    adj = area
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def adjoints(slab: tuple) -> None:
         r = _relative(slab, scaled)
-        g, t, a = grad[slab], tmp[r], adj[slab]
+        g, t, a = grad[slab], tmp[r], area[r]
 
         def adjoint(u: np.ndarray, axis: int) -> np.ndarray:
             return _adjoint_axis(u, axis, h, a, r, offsets[axis], spec.counts[axis])

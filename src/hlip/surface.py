@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .graph import (
-    GridFunction,
-    GridSpec,
-    _area,
-    _gradient_slab,
-    _node_block,
-    _norm_sq_into,
-    _slab_planes,
-    _twice_coordinates,
-)
+from .graph import GridFunction, GridSpec, _area, _node_block, _slab_planes, intrinsic_gradient
 
 __all__ = [
     "BoundaryCloud",
@@ -115,39 +106,32 @@ def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
     Burgers component in the Y_1 slot of the frame; the weight is the area
     element sqrt(1 + |grad|^2) times (stride h)^(2n).
 
-    The intrinsic gradient runs one graph._slab_planes x_2-slab of whole
-    axis-0 rows at a time, into that call's slab planes of at most
-    _BLOCK_BYTES each; the slab's samples follow before the next slab's
-    pass.  So no array of the whole grid is built but the caller's.  Each
-    block's node coordinates come by slice, and then its sel rows.
+    One intrinsic_gradient pass runs per graph._slab_planes x_2-slab of
+    whole axis-0 rows, into that generator's four slab planes of at most
+    _BLOCK_BYTES each, area element included; the slab's samples follow
+    before the next slab's pass.  So no array of the whole grid is built
+    but the caller's.  Each block's node coordinates come by slice, and
+    then its sel rows.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     spec, n = f.spec, f.spec.n
-    if min(spec.counts) < 3:
-        raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     vals, cell = f.flat, (stride * spec.h) ** (2 * n)
     row = spec.size // spec.counts[0]
-    ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
-
-    def blocks():
-        for box, (c, dt, tmp) in _slab_planes(spec):
-            slab = box[0]
-            k, base = slab.stop - slab.start, slab.start * row
-            _gradient_slab(f, box, c, dt, tmp, ys, xs)
-            c = c.reshape(2 * n - 1, -1)
-            for loc in core._row_blocks(k * row, 2 * n + 1):
-                rows = slice(base + loc.start, base + loc.stop)
-                w, z = _node_block(spec, rows), vals[rows]
-                if sel is not None:
-                    keep = sel[rows]
-                    w, z, loc = w[keep], z[keep], loc.start + np.flatnonzero(keep)
-                g = c[:, loc]
-                a = np.sqrt(1.0 + _norm_sq_into(g, np.empty(g.shape[1]), np.empty(g.shape[1])))
-                nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
-                yield core.graph_points(w, z), nu, a * cell
-
-    return blocks()
+    for box, planes in _slab_planes(spec):
+        slab = box[0]
+        k, base = slab.stop - slab.start, slab.start * row
+        intrinsic_gradient(f, box, planes)
+        c, area = planes[0].reshape(2 * n - 1, -1), planes[3].reshape(-1)
+        for loc in core._row_blocks(k * row, 2 * n + 1):
+            rows = slice(base + loc.start, base + loc.stop)
+            w, z = _node_block(spec, rows), vals[rows]
+            if sel is not None:
+                keep = sel[rows]
+                w, z, loc = w[keep], z[keep], loc.start + np.flatnonzero(keep)
+            g, a = c[:, loc], area[loc]
+            nu = np.column_stack((np.ones(len(a)), -g.T)) * (orientation / a)[:, None]
+            yield core.graph_points(w, z), nu, a * cell
 
 
 def disk_mask(spec: GridSpec, r: float) -> np.ndarray:

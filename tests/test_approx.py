@@ -107,7 +107,7 @@ def test_reference_ratios_recorded():
 
 def test_select_m0_flat_all(spec, cfg, flat_result):
     cloud, _ = flat_result
-    m0 = approx.select_m0(cloud, cfg)
+    m0 = approx.select_m0(cloud, spec, cfg)
     assert np.array_equal(np.sort(m0), np.arange(len(cloud)))
 
 
@@ -132,7 +132,7 @@ def test_select_m0_cluster_excluded_and_monotone(spec):
     bad = np.asarray(cloud.meta["cluster_indices"])
     sizes = []
     for d1 in (0.01, 0.1, 40.0, 1e4):
-        m0 = approx.select_m0(cloud, PipelineConfig(delta1=d1))
+        m0 = approx.select_m0(cloud, spec, PipelineConfig(delta1=d1))
         sizes.append(len(m0))
         if d1 <= 0.1:
             assert np.array_equal(np.sort(m0), np.setdiff1d(np.arange(len(cloud)), bad))
@@ -217,7 +217,7 @@ def test_select_m0_matches_all_pairs(spec_cloud, scales, delta1, seed):
     cfg = PipelineConfig(scales=scales, delta1=delta1, orientation=orientation)
     ref = sup_excess_reference(cloud, cloud.points, scales, orientation)
     np.testing.assert_array_equal(
-        approx.select_m0(cloud, cfg), np.flatnonzero(ref <= delta1)
+        approx.select_m0(cloud, spec, cfg), np.flatnonzero(ref <= delta1)
     )
     # off-grid centers, some outside the cloud
     centers = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(40, 2 * spec.n + 1))

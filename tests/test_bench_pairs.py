@@ -97,3 +97,13 @@ def test_machine_records_cores_and_two_process_throughput(monkeypatch):
     ratio = section["two_process_throughput"]
     assert isinstance(ratio, float) and ratio > 0.0
     assert section["seed"] == 3 and len(pairs) == 2 and section["digests_equal"]
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "hlip"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

@@ -302,9 +302,10 @@ def test_truncate_prints_phi_lemma_path(tmp_path, linear_cloud_file, capsys):
 @pytest.mark.parametrize("command", ["approx", "truncate"])
 @pytest.mark.parametrize("edge", ["wider_than_the_grid", "in_the_outer_half_of_edge_cells"])
 def test_samples_at_the_grid_edge_exit_0(tmp_path, command, edge):
-    # a sample spec.locate puts outside the grid is left out of the fit,
-    # and one in the outer half of an edge cell interpolates to the edge
-    # value, where both once raised "interpolation point outside grid domain"
+    # a sample spec.locate puts outside the grid is left out of the fit
+    # and of the selection, and one in the outer half of an edge cell
+    # interpolates to the edge value, where both once raised
+    # "interpolation point outside grid domain"
     if edge == "wider_than_the_grid":
         wide = graph.GridSpec.centered(2, (1.4, 1.4, 1.4, 1.8), 0.25)
         cloud = generators.linear_cloud(wide, 0.05)
@@ -320,6 +321,8 @@ def test_samples_at_the_grid_edge_exit_0(tmp_path, command, edge):
     assert code == 0
     if command == "approx":
         assert report["results"]["m0_matched"]
+        if edge == "wider_than_the_grid":  # the 6,144 of 24,192 samples on the --h grid
+            assert report["results"]["m0_count"] == 6144
 
 
 # ---------------------------------------------------------------- minimize

@@ -345,9 +345,9 @@ def _box_pass_cases():
 @pytest.mark.parametrize("rows", [1, None])  # x_2 rows per slab; None: the default budget
 @pytest.mark.parametrize("workers", [1, 2])
 def test_intrinsic_gradient_box_planes_match_the_whole_grid_pass(monkeypatch, case, rows, workers):
-    # components, dt and tmp shaped like the box, the area like the grid:
-    # inside the box they hold the whole-grid pass's bits, and the area
-    # outside it is left alone
+    # every plane shaped like the box, the area a box view of a grid
+    # plane: inside the box they hold the whole-grid pass's bits, and the
+    # area outside it is left alone
     spec, box = _box_pass_cases()[case]
     f = graph.GridFunction(spec, np.random.default_rng(case).normal(size=spec.counts))
     whole = graph.intrinsic_gradient(f)
@@ -359,7 +359,7 @@ def test_intrinsic_gradient_box_planes_match_the_whole_grid_pass(monkeypatch, ca
         monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * cols * rows)
         assert len(list(core._row_blocks(shape[0], cols))) == shape[0] // rows
     monkeypatch.setattr(core, "_WORKERS", workers)
-    g = graph.intrinsic_gradient(f, box, (comps, dt, tmp, area))
+    g = graph.intrinsic_gradient(f, box, (comps, dt, tmp, area[box]))
     assert g.components is comps and g.dt is dt
     np.testing.assert_array_equal(comps, whole.components[(slice(None),) + box])
     np.testing.assert_array_equal(dt, whole.dt[box])

@@ -447,13 +447,13 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
             if name == "energy":
                 per_energy.append(passes[before:])
             else:
-                gradient_areas.append(args[0].planes[3].copy())
+                gradient_areas.append(args[0].planes[3].base.copy())
             return result
         return wrapped
 
     def recording(f, box=None, out=None):
         result = intrinsic(f, box, out)
-        passes.append((box, out[3].copy()))
+        passes.append((box, out[3].base.copy()))  # the grid plane of the box view
         return result
 
     for name in calls:

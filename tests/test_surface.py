@@ -286,6 +286,29 @@ def test_graph_samples_in_slabs_match_a_whole_grid_pass(
         assert [bits(a) for a in got] == [bits(a) for a in want[stride]]
 
 
+@pytest.mark.parametrize("n,half,h", [(2, 0.6, 0.2), (3, 0.5, 0.25)])
+def test_graph_sample_weights_are_the_area_element(monkeypatch, n, half, h):
+    # the samples and graph._area read the area element of one stencil
+    # pass, here on a grid of one axis-0 row per slab
+    spec = GridSpec.centered(n, half, h)
+    f = GridFunction.from_callable(spec, lambda w: 0.3 * np.sin(3.0 * w[:, 0]) + w[:, n - 1] ** 2)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * (2 * n + 1) * (spec.size // spec.counts[0]))
+    assert len(list(graph._slab_planes(spec))) == spec.counts[0] > 1
+    weights = surface.sample_graph_boundary(f).weights
+    assert bits(weights) == bits(graph._area(f).ravel() * spec.cell_volume)
+
+
+@pytest.mark.parametrize("axis", [0, 3])
+def test_graph_samples_need_three_nodes_per_axis(axis):
+    counts = [5, 4, 5, 6]
+    counts[axis] = 2
+    f = GridFunction.constant(GridSpec(2, (0.0,) * 4, 0.25, tuple(counts)), 0.1)
+    with pytest.raises(ValueError, match="at least 3 nodes per axis"):
+        surface.sample_graph_boundary(f)
+    with pytest.raises(ValueError, match="at least 3 nodes per axis"):
+        surface.height_bound_ratio(f, 0.5)
+
+
 HEIGHT_SPECS = {2: GridSpec.centered(2, 0.6, 0.2), 3: GridSpec.centered(3, 0.5, 0.25)}
 HEIGHT_GRAPHS = {
     "linear": lambda a: lambda w: a * (w[:, 1] - 0.5 * w[:, 0]),

@@ -11,7 +11,8 @@ there.  The two sides alternate which goes first from pair to pair.
 uses seed 0, and no --workloads means every workload of BENCHMARK.json.
 
 BENCH_<label>.json, written at the repository root, holds both
-revisions, the machine, per workload a two-process throughput reading
+revisions, each side's src line count (`wc -l src/hlip/*.py`), the
+machine, per workload a two-process throughput reading
 taken just before its first pair (about 2 when two cores are free),
 every run's end-to-end metrics and per-op digests, and per metric each
 side's median and quartiles, the parent's interquartile range, the
@@ -57,6 +58,11 @@ def _unpack(sha: str, dest: Path) -> None:
         ["git", "-C", str(ROOT), "archive", "--format=tar", sha], check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(checkout: Path) -> int:
+    """`wc -l src/hlip/*.py` of one checkout: the newlines of its modules."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "hlip").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -205,6 +211,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
         "--trace 0, each side in its own directory unpacked with git archive; "
         "the pairs alternate which side runs first",
+        "src_lines": None,
         "machine": None,
         "workloads": {},
     }
@@ -213,6 +220,7 @@ def main(argv=None) -> int:
         dirs = {s: Path(tmp) / s for s in SIDES}
         for s in SIDES:
             _unpack(shas[s], dirs[s])
+        out["src_lines"] = {s: src_lines(dirs[s]) for s in SIDES}
         for key in names:
             section, pairs = run_workload(dirs, key, args.pairs, args.seconds)
             out["workloads"][key] = section
