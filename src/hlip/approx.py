@@ -13,9 +13,10 @@ sandwiches) live here as well.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,7 +119,6 @@ class SymDiffReport:
     total: float
     spherical: float
     tau: float
-    height_threshold: float
     sample_in_region: np.ndarray
     sample_matched: np.ndarray
     cell_region: np.ndarray
@@ -132,24 +132,51 @@ class LipContractError(ValueError):
 
 @dataclass
 class ApproxResult:
-    """Output of the selection/extension pipeline."""
+    """Output of the selection/extension pipeline.
+
+    symdiff, l2_gradient and m0_matched measure how well phi fits the
+    cloud over the inner disk: the symmetric difference (a nearest-distance
+    pass), the energy there, and whether every selected sample lies on the
+    graph.  Each is computed on its first read, because the truncation and
+    the corollary read none of them.  fit_inputs holds (cloud, tau, disk
+    mask) for that; None, as for the degenerate zero graph, gives no
+    symmetric difference, zero energy and no match.
+    """
 
     phi: GridFunction
     m0: np.ndarray
     sup_abs: float
     lip_estimate: float
-    l2_gradient: float
-    symdiff: SymDiffReport | None
-    m0_matched: bool
     degenerate: bool = False
+    fit_inputs: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.lip_estimate > 1.0 + 1e-9:
             raise LipContractError(
                 f"output graph violates the unit Lipschitz contract: {self.lip_estimate:.6g}"
             )
-        if self.l2_gradient < 0:
-            raise ValueError("energy cannot be negative")
+
+    @functools.cached_property
+    def symdiff(self) -> SymDiffReport | None:
+        if self.fit_inputs is None:
+            return None
+        cloud, tau, d1 = self.fit_inputs
+        return sym_diff_measure(cloud, self.phi, tau, region=d1)
+
+    @functools.cached_property
+    def l2_gradient(self) -> float:
+        if self.fit_inputs is None:
+            return 0.0
+        g2 = intrinsic_gradient(self.phi).norm_sq().ravel()
+        return float(np.sum(g2[self.fit_inputs[2]]) * self.phi.spec.cell_volume)
+
+    @functools.cached_property
+    def m0_matched(self) -> bool:
+        if self.fit_inputs is None:
+            return False
+        cloud, tau = self.fit_inputs[:2]
+        gap = np.abs(cloud.heights[self.m0] - self.phi.interp(cloud.projections()[self.m0]))
+        return bool(np.all(gap <= _height_threshold(self.phi.spec, tau)))
 
 
 @dataclass
@@ -159,10 +186,13 @@ class TruncationResult:
     phi_lemma_path names the c_L behind lip_certified: "estimated" from
     sampled balls, "pinned" to 1 after the estimate failed, or "none"
     when the lemma did not run (trivial truncation) or failed both ways.
+    symdiff is the match of the cloud and the graph over the support of
+    the defect measure, from which the measure was built.
     """
 
     k_mask: np.ndarray
     d1_mask: np.ndarray
+    symdiff: SymDiffReport
     outside_measure: float
     lip_on_k: float
     lip_certified: float
@@ -195,15 +225,21 @@ def _excess_above(
     Centers are taken cell by cell.  Defect weights are nonnegative up to
     rounding, so a scale s whose cylinders from a cell can reach defect mass
     at most delta1 s^q keeps every center of that cell within delta1 and is
-    skipped there.  The other scales are evaluated on the samples in reach:
-    each excess is np.sum of the in-cylinder defect terms in sample order,
+    skipped there; that mass is read from a table of the positive masses
+    within reach of each cell, made once per scale.  The other scales are evaluated on the samples in reach: each
+    excess is np.sum of the in-cylinder defect terms in sample order,
     divided by s^q, which is the expression excess_cloud evaluates.  The
     cylinder tests agree with excess_cloud's for n <= 3, where the fused
     kernels equal their broadcast formulas (see core's kernel comment).
+
+    The in-cylinder terms of every row go row by row into one buffer of a
+    _BLOCK_BYTES plane, each row's in sample order.  A full buffer is
+    summed with one np.sum(..., axis=1) per distinct row length, over C
+    rows that each hold one row's terms: numpy sums each such row as np.sum
+    of that row alone (tests/test_approx.py pins it).
     """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
-    positive = np.maximum(defect, 0.0)
     # cells a hair wider than the smallest scale, so that a scale of a
     # whole number of cells keeps that reach under the 1e-9 margin
     cells = core._CellList(cloud.points, min(scales) * (1.0 + 1e-6))
@@ -211,17 +247,32 @@ def _excess_above(
     def reach(s: float) -> int:
         return math.ceil(s * (1.0 + 1e-9) / cells.width)
 
+    positive = np.maximum(defect, 0.0)
+    mass = {r: cells.mass_within(positive, r) for r in {reach(s) for s in scales}}
+
     out = np.zeros(len(centers))
+    # an eighth of a plane holds a few hundred rows' terms and keeps the
+    # gathers of a flush small
+    buf, used, rows_in = np.empty(core._BLOCK_BYTES // 64), 0, []
+
+    def flush(vals, batch):
+        """out = max(out, row sum / s^q) for the rows (count, center, s^q) of batch."""
+        count, dest, norm = (np.concatenate(col) for col in zip(*batch))
+        start = np.cumsum(count) - count
+        for length in np.flatnonzero(np.bincount(count)):  # np.unique would import numpy.ma
+            k = np.flatnonzero(count == length)
+            sums = np.sum(vals[start[k, None] + np.arange(length)], axis=1)
+            np.maximum.at(out, dest[k], sums / norm[k])
+
     for key, rows in cells.groups(centers):
-        near = {r: cells.near(key, r) for r in {reach(s) for s in scales}}
         live = [
             s for s in scales
-            if np.sum(positive[near[reach(s)]]) > delta1 * float(s) ** q * (1.0 - 1e-9)
+            if mass[reach(s)](key) > delta1 * float(s) ** q * (1.0 - 1e-9)
         ]
         if not live:
             continue
         # in sample order, so that each row sums its terms as excess_cloud does
-        cand = np.sort(near[max(reach(s) for s in live)])
+        cand = np.sort(cells.near(key, max(reach(s) for s in live)))
         terms = defect[cand]
         # column-major, so the kernels read each coordinate contiguously
         pts = np.asfortranarray(cloud.points[cand])
@@ -232,11 +283,23 @@ def _excess_above(
                 core.pi_rel_norm(c[:, None, :], pts[None, :, :]),
                 np.abs(pts[None, :, 0] - c[:, None, 0]),
             )
-            best = np.zeros(len(c))
             for s in live:
-                sums = np.array([np.sum(terms[row]) for row in dist < s])
-                np.maximum(best, sums / float(s) ** q, out=best)
-            out[rows[blk]] = best
+                inside = dist < s
+                count = np.count_nonzero(inside, axis=1)
+                hit = count > 0  # an empty row sums to 0, which out already holds
+                row = (count[hit], rows[blk][hit], np.full(np.count_nonzero(hit), float(s) ** q))
+                vals = np.broadcast_to(terms, inside.shape)[inside]  # row-major: rows in order
+                if rows_in and used + vals.size > buf.size:
+                    flush(buf[:used], rows_in)
+                    used, rows_in = 0, []
+                if vals.size > buf.size:  # a block larger than the buffer goes alone
+                    flush(vals, [row])
+                    continue
+                buf[used : used + vals.size] = vals
+                used += vals.size
+                rows_in.append(row)
+    if rows_in:
+        flush(buf[:used], rows_in)
     return out
 
 
@@ -342,11 +405,18 @@ def _nearest_dinf(targets: np.ndarray, points: np.ndarray, width: float) -> np.n
     return best
 
 
+def _height_threshold(spec: GridSpec, tau: float) -> float:
+    """The height gap within which a sample matches the graph: tau with one
+    homogeneous cell diameter of slack."""
+    return tau * (1.0 + maximal.cell_diameter(spec))
+
+
 def sym_diff_measure(
     cloud: BoundaryCloud,
     f: GridFunction,
     tau: float,
     region: np.ndarray,
+    known: tuple[GridFunction, SymDiffReport] | None = None,
 ) -> SymDiffReport:
     """Two-sided symmetric difference between the cloud and the graph.
 
@@ -355,6 +425,12 @@ def sym_diff_measure(
     region cell counts as off-cloud when no sample lies within tau of its
     graph point.  Masses are the perimeter weights on the cloud side and
     the area-formula mass on the graph side.
+
+    `known` = (g, report of this cloud against g on f's grid) reuses the
+    report's cell distances: a cell of both regions where f has g's bits
+    has g's graph point there, so the same nearest distance, and only the
+    other cells take the nearest-distance pass.  The bits are compared,
+    not the values, because -0.0 and 0.0 give different graph points.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -363,7 +439,7 @@ def sym_diff_measure(
     proj = cloud.projections()
     flat, inside = spec.locate(proj)
     sample_in_region = inside & region[flat]
-    threshold = tau * (1.0 + maximal.cell_diameter(spec))
+    threshold = _height_threshold(spec, tau)
     sample_matched = np.zeros(len(cloud), dtype=bool)
     if np.any(sample_in_region):
         sel = np.flatnonzero(sample_in_region)
@@ -372,8 +448,15 @@ def sym_diff_measure(
     cloud_mass = float(np.sum(cloud.weights[sample_in_region & ~sample_matched]))
 
     cell_min_dist = np.full(spec.size, np.inf)
-    cells = np.flatnonzero(region)
-    cell_min_dist[cells] = _nearest_dinf(f.graph()[cells], cloud.points, spec.h)
+    todo = region
+    if known is not None:
+        g, rep = known
+        same = region & rep.cell_region & (f.flat.view(np.int64) == g.flat.view(np.int64))
+        cell_min_dist[same] = rep.cell_min_dist[same]
+        todo = region & ~same
+    cells = np.flatnonzero(todo)
+    targets = core.graph_points(spec.nodes()[cells], f.flat[cells])
+    cell_min_dist[cells] = _nearest_dinf(targets, cloud.points, spec.h)
     cell_matched = cell_min_dist <= tau
     area = _area(f).ravel()
     off_cells = region & ~cell_matched
@@ -387,7 +470,6 @@ def sym_diff_measure(
         total=total,
         spherical=total / delta,
         tau=tau,
-        height_threshold=threshold,
         sample_in_region=sample_in_region,
         sample_matched=sample_matched,
         cell_region=region,
@@ -401,42 +483,24 @@ def lipschitz_approximation(
     spec: GridSpec,
     config: PipelineConfig | None = None,
 ) -> ApproxResult:
-    """Select, deposit, extend; then measure how well the graph fits.
+    """Select, deposit, extend; the fit measures come on first read.
 
     With no admissible sample the result is the zero graph flagged
     degenerate rather than an error.
     """
     config = PipelineConfig() if config is None else config
-    tau = config.resolved_tau(spec)
     m0 = select_m0(cloud, spec, config)
     if m0.size == 0:
         zero = GridFunction.constant(spec, 0.0)
-        return ApproxResult(
-            phi=zero,
-            m0=m0,
-            sup_abs=0.0,
-            lip_estimate=0.0,
-            l2_gradient=0.0,
-            symdiff=None,
-            m0_matched=False,
-            degenerate=True,
-        )
+        return ApproxResult(phi=zero, m0=m0, sup_abs=0.0, lip_estimate=0.0, degenerate=True)
     cells, values = heights_on_projection(cloud, m0, spec)
     f, _ = _extend(spec, cells, values, config)
-    lip = lipschitz_estimate(f, pair_budget=config.pair_budget, seed=config.seed)
-    d1 = disk_mask(spec, config.inner_radius)
-    sym = sym_diff_measure(cloud, f, tau, region=d1)
-    l2 = float(np.sum(intrinsic_gradient(f).norm_sq().ravel()[d1]) * spec.cell_volume)
-    gap = np.abs(cloud.heights[m0] - f.interp(cloud.projections()[m0]))
-    m0_matched = bool(np.all(gap <= sym.height_threshold))
     return ApproxResult(
         phi=f,
         m0=m0,
         sup_abs=float(np.max(np.abs(f.flat))),
-        lip_estimate=lip,
-        l2_gradient=l2,
-        symdiff=sym,
-        m0_matched=m0_matched,
+        lip_estimate=lipschitz_estimate(f, pair_budget=config.pair_budget, seed=config.seed),
+        fit_inputs=(cloud, config.resolved_tau(spec), disk_mask(spec, config.inner_radius)),
     )
 
 
@@ -496,7 +560,7 @@ def truncate(
     else:
         eta = e_outer ** (2.0 * config.alpha) if config.eta_override is None else config.eta_override
         theta = e_outer**config.alpha
-        fld = maximal.disk_maximal(mu, s, centers=np.flatnonzero(d1))
+        fld = maximal.disk_maximal(mu, s, centers=np.flatnonzero(d1), _exact_above=eta)
         k_mask = d1 & ~(fld > eta)
     outside = float(np.count_nonzero(d1 & ~k_mask)) * spec.cell_volume
 
@@ -534,6 +598,7 @@ def truncate(
     return TruncationResult(
         k_mask=k_mask,
         d1_mask=d1,
+        symdiff=sym,
         outside_measure=outside,
         lip_on_k=lip_on_k,
         lip_certified=lip_certified,
@@ -668,7 +733,9 @@ def corollary_report(
     else:
         refit, ext = _extend(spec, k_idx, res.phi.flat[k_idx], config)
     tau = config.resolved_tau(spec)
-    sym = sym_diff_measure(cloud, refit, tau, region=trunc.d1_mask)
+    # the refit keeps phi's bits on K and often elsewhere: those cells keep
+    # truncate's nearest distances
+    sym = sym_diff_measure(cloud, refit, tau, region=trunc.d1_mask, known=(res.phi, trunc.symdiff))
     g2 = intrinsic_gradient(refit).norm_sq().ravel()
     l2 = float(np.sum(g2[trunc.d1_mask]) * spec.cell_volume)
     lip = lipschitz_estimate(refit, pair_budget=config.pair_budget, seed=config.seed)

@@ -169,8 +169,9 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # exactly, because IEEE rounding is symmetric in sign; the squares and the
 # shear 2 dx_1 dy_1 stay the same.  So tau of (q, p) is -(twist + shear),
 # and pi_rel_norm(both=True) pays for the second order with one add, abs,
-# sqrt and max.  It keeps four planes: z^2 into A (B and C scratch), the
-# twist into D (B and C scratch), then the shear into B, twist + shear
+# max and sqrt: each order takes its one sqrt after the max (_box_of), so
+# z^2 serves both.  It keeps four planes: z^2 into A (B and C scratch),
+# the twist into D (B and C scratch), then the shear into B, twist + shear
 # into C and tau into D.
 #
 # A block of a _map_blocks loop passes `planes`: the kernel's planes of
@@ -225,8 +226,22 @@ def _row_blocks(rows: int, cols: int):
         yield slice(a, min(a + step, rows))
 
 
-def _map_blocks(fn, rows: int, cols: int) -> list:
-    """[fn(blk) for blk in _row_blocks(rows, cols)], in block order.
+def _triangle_blocks(m: int):
+    """Consecutive row slices [a, b) covering range(m) whose (b - a) x
+    (m - a) plane fits the first block's plane of _row_blocks(m, m): the
+    blocks of the upper triangle of an m x m matrix, each as tall as its
+    own width allows, so no block's plane outgrows the first one's."""
+    cap = max(1, _BLOCK_BYTES // (8 * max(m, 1))) * m
+    a = 0
+    while a < m:
+        b = min(m, a + max(1, cap // (m - a)))
+        yield slice(a, b)
+        a = b
+
+
+def _map_blocks(fn, rows: int, cols: int, blocks=None) -> list:
+    """[fn(blk) for blk in _row_blocks(rows, cols)], in block order, or
+    for blk in `blocks` when given.
 
     With _WORKERS = 2 and more than one block, the caller and one helper
     thread run the same loop, each taking the next block from a shared
@@ -247,7 +262,7 @@ def _map_blocks(fn, rows: int, cols: int) -> list:
     wrote (optimize.energy_gradient scales every row before its axis-0
     adjoint reads neighbour rows).
     """
-    blocks = list(_row_blocks(rows, cols))
+    blocks = list(_row_blocks(rows, cols) if blocks is None else blocks)
     out = [None] * len(blocks)
     todo = enumerate(blocks)
     lock = threading.Lock()
@@ -352,15 +367,11 @@ def _square_sum(P, Q, ks, out, tmp):
 
 
 def _box_of(z2, t):
-    """max(sqrt(z2), sqrt(|t|)) in plane t; a numpy scalar for a single pair."""
-    np.sqrt(z2, out=z2)
-    return _max_root(z2, t)
-
-
-def _max_root(root, t):
-    """max(root, sqrt(|t|)) in plane t; a numpy scalar for a single pair."""
-    np.sqrt(np.abs(t, out=t), out=t)
-    np.maximum(root, t, out=t)
+    """max(sqrt(z2), sqrt(|t|)) in plane t, taken as sqrt(max(z2, |t|)):
+    sqrt is correctly rounded and monotone, so that is the same bits.  z2
+    is left as it is; a numpy scalar for a single pair."""
+    np.abs(t, out=t)
+    np.sqrt(np.maximum(z2, t, out=t), out=t)
     return t if t.ndim else t[()]
 
 
@@ -400,8 +411,7 @@ def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False, planes=None):
         return _box_of(z2, tau)
     back = np.add(tau, b, out=c)  # -(tau of q^-1 * p)
     tau -= b
-    np.sqrt(z2, out=z2)
-    return _max_root(z2, tau), _max_root(z2, back)
+    return _box_of(z2, tau), _box_of(z2, back)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +448,11 @@ class _CellList:
             self.width *= 2.0
         self.lo, self.hi = lo.tolist(), hi.tolist()
         self.dims = [j - i + 1 for i, j in zip(self.lo, self.hi)]
-        cell = np.ravel_multi_index(tuple((keys - lo).T), self.dims)
-        self.order = np.argsort(cell, kind="stable")
+        self.cell = np.ravel_multi_index(tuple((keys - lo).T), self.dims)
+        self.order = np.argsort(self.cell, kind="stable")
         # the points of cell c are order[start[c]:start[c + 1]]
         cells = np.arange(math.prod(self.dims) + 1)
-        self.start = np.searchsorted(cell[self.order], cells).tolist()
+        self.start = np.searchsorted(self.cell[self.order], cells).tolist()
 
     def keys(self, p: np.ndarray) -> np.ndarray:
         n = p.shape[-1] // 2
@@ -472,3 +482,26 @@ class _CellList:
         start, last, span = self.start, self.dims[-1], b[-1] - a[-1] + 1
         runs = (f * last + a[-1] for f in first)
         return np.concatenate([self.order[start[c] : start[c + span]] for c in runs])
+
+    def mass_within(self, weights: np.ndarray, reach: int):
+        """A function key -> the sum of the nonnegative weights (one per
+        point) of the points whose cell is within `reach` of key in every
+        column.  The weights are summed per cell, then over windows of
+        2 reach + 1 cells one column at a time, so the sums agree with
+        np.sum over those points only to rounding.  A key outside the cells'
+        range reads the nearest key inside it, whose window holds every
+        cell of its own: an upper bound."""
+        table = np.bincount(self.cell, weights, math.prod(self.dims)).reshape(self.dims)
+        for axis in range(table.ndim):
+            t = np.moveaxis(table, axis, 0)
+            out = t.copy()
+            for d in range(1, min(reach, len(t) - 1) + 1):
+                out[d:] += t[:-d]
+                out[:-d] += t[d:]
+            table = np.moveaxis(out, 0, axis)
+
+        def at(key: tuple) -> float:
+            return float(table[tuple(min(max(k - lo, 0), m - 1)
+                                     for k, lo, m in zip(key, self.lo, self.dims))])
+
+        return at

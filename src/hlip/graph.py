@@ -530,30 +530,38 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     values at zero graph distance raise ConeViolationError.
 
     The ratio is symmetric bit for bit, so row block [a, b) only meets
-    columns a: .  The row-major first maximum of the full matrix lies in
-    the upper triangle, which every block covers, so the witness is the
-    one the full matrix would give.
+    columns a: , and takes as many rows as core._triangle_blocks fits at
+    that width.  The row-major first maximum of the full matrix lies in
+    the upper triangle, which every block covers whatever its bounds, so
+    the witness is the one the full matrix would give.
     """
     pts = np.asfortranarray(core.graph_points(nodes, vals))  # contiguous columns
     m = len(vals)
+    blocks = list(core._triangle_blocks(m))
+    first = blocks[0].stop * m if m else 0  # the largest plane
 
     def block(blk):
         a = blk.start
-        planes = core._planes(4, (blk.stop - a, m - a))
+        shape = (blk.stop - a, m - a)
+        # every block asks for the first block's planes, so no arena regrows
+        planes = [p.ravel()[: shape[0] * shape[1]].reshape(shape) for p in core._planes(4, (first,))]
         den, back = core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :], both=True, planes=planes)
         np.minimum(den, back, out=den)
         num = np.abs(np.subtract(vals[blk, None], vals[None, a:], out=back), out=back)
-        ok = den >= 1e-15
-        if np.any(~ok & (num > 1e-12)):
-            raise ConeViolationError("distinct values at zero graph distance in partial data")
-        ratio = np.divide(num, np.maximum(den, 1e-300, out=den), out=den)
-        np.copyto(ratio, 0.0, where=~ok)
+        if den.min() >= 1e-15:  # no pair at zero graph distance: nothing to floor
+            ratio = np.divide(num, den, out=den)
+        else:
+            ok = den >= 1e-15
+            if np.any(~ok & (num > 1e-12)):
+                raise ConeViolationError("distinct values at zero graph distance in partial data")
+            ratio = np.divide(num, np.maximum(den, 1e-300, out=den), out=den)
+            np.copyto(ratio, 0.0, where=~ok)
         k = int(np.argmax(ratio))
         return a, float(ratio.flat[k]), k
 
     # blocks reduced in block order with a strict >, as one serial pass would
     worst, pair = 0.0, (-1, -1)
-    for a, best, k in core._map_blocks(block, m, m):
+    for a, best, k in core._map_blocks(block, m, m, blocks=blocks):
         if best > worst:
             worst, pair = best, (a + k // (m - a), a + k % (m - a))
     return worst, pair

@@ -160,6 +160,7 @@ def disk_maximal(
     mu: DiscreteMeasure,
     s: float,
     centers: np.ndarray | None = None,
+    _exact_above: float = -math.inf,
 ) -> np.ndarray:
     """Local maximal function sup_{0 < r < 4s - |x|} mu(D_r(x)) / (k r^Q)
     at the centers (all cells by default), one value per cell.
@@ -167,6 +168,16 @@ def disk_maximal(
     Disks are group translates x * D_r; the measure must be supported in
     D_{4s}.  Cells off centers, and cells with no admissible radius, get
     value 0.  A block's ladder is cut as _cut_ladder says.
+
+    Values are exact where they exceed _exact_above = thr, elsewhere in
+    [0, thr].  No disk holds more than mu's total mass, so no rung at or
+    above R* = (mu_total / (k thr))^(1/Q) scores above thr: those rungs are
+    dropped, and a block keeps only the support columns that can lie within
+    w_dinf < R* of one of its centers, in support order.  Every column it
+    drops lies beyond every rung it keeps, and each bin's bincount sum runs
+    over the same columns in the same order, so every kept rung's ratio has
+    the full ladder's bits.  A thr that is not positive and finite runs the
+    full ladder.
     """
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
@@ -178,6 +189,13 @@ def disk_maximal(
     kappa = core.constants(spec.n)[0]
     hom = 2 * spec.n + 1
     rungs = radius_ladder(cell_diameter(spec), 4 * s)
+    reach = math.inf
+    if supp.size and 0 < _exact_above < math.inf:
+        # the margin covers a sum of spec.size nonnegative masses, the
+        # normalization, the division and the root
+        mass = mu.total() * (1 + 4 * (spec.size + 4) * np.finfo(float).eps)
+        reach = (mass / (kappa * _exact_above)) ** (1 / hom) * (1 + 1e-9)
+        rungs = rungs[rungs < reach]
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
     if supp.size and rungs.size:
@@ -188,9 +206,13 @@ def disk_maximal(
         def block(blk):
             idx = eval_idx[blk]
             x = nodes[idx]
-            planes = core._planes(3, (idx.size, supp.size))
-            dist = core.w_dinf(x[:, None, :], sup_nodes[None, :, :], planes=planes)
-            r, _, ratios = _cut_ladder(dist, rungs, sup_mass, planes[0])
+            cols = slice(None) if reach == math.inf else _within_reach(x, sup_nodes, reach)
+            pts, mass = sup_nodes[cols], sup_mass[cols]
+            if not mass.size:
+                return  # no support within R*: every value stays 0
+            planes = core._planes(3, (idx.size, mass.size))
+            dist = core.w_dinf(x[:, None, :], pts[None, :, :], planes=planes)
+            r, _, ratios = _cut_ladder(dist, rungs, mass, planes[0])
             ratios /= norm[: r.size]
             np.copyto(ratios, 0.0, where=r >= 4 * s - core.box(x)[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
@@ -198,6 +220,28 @@ def disk_maximal(
         # a block's ladder tables are up to rungs.size + 1 columns wide
         core._map_blocks(block, eval_idx.size, max(supp.size, rungs.size + 1))
     return values
+
+
+def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray:
+    """The indices, in order, of the W points that can lie within w_dinf <
+    reach of some row of x.
+
+    w_dinf(a, b) is at least every spatial |b_k - a_k| and sqrt(|t_b - t_a
+    - 2 omega(a, b)|), with |omega(a, b)| <= sum over the twisted pairs of
+    |a_y| |b_x - a_x| + |a_x| |b_y - a_y| < reach * sum (|a_x| + |a_y|).
+    So such a point lies within reach of the rows' box in every spatial
+    column, and its t within reach^2 + 2 reach max_a sum (|a_x| + |a_y|) of
+    their t range.  The 1e-9 margin absorbs the rounding, as in core's cell
+    lists.
+    """
+    n = x.shape[-1] // 2
+    twisted = [*range(n - 1), *range(n, 2 * n - 1)]
+    lever = float(np.max(np.sum(np.abs(x[:, twisted]), axis=1)))
+    pad = np.full(2 * n, reach)
+    pad[-1] = reach * reach + 2.0 * reach * lever
+    pad *= 1 + 1e-9
+    lo, hi = x.min(axis=0) - pad, x.max(axis=0) + pad
+    return np.flatnonzero(np.all((points > lo) & (points < hi), axis=1))
 
 
 @dataclass(frozen=True)
@@ -230,7 +274,8 @@ def check_disk_lemma(
     hom = 2 * spec.n + 1
     kappa = core.constants(spec.n)[0]
     hypothesis_ok = bool(mu.total() <= (theta / 5**hom) * kappa * s**hom)
-    fld = disk_maximal(mu, s)
+    # theta / 2^Q is the lowest level read below
+    fld = disk_maximal(mu, s, _exact_above=theta / 2**hom)
     box = core.box(spec.nodes())
     lhs = float(np.count_nonzero((fld > theta) & (box < r))) * spec.cell_volume
     j_small = fld > theta / 2**hom

@@ -232,6 +232,55 @@ def test_select_m0_matches_all_pairs(spec_cloud, scales, delta1, seed):
     assert np.all((got[~above] >= 0.0) & (oracle[~above] <= delta1))
 
 
+@pytest.mark.parametrize("length", [*range(21), 63, 64, 65, 127, 128, 129, 257, 1000])
+def test_row_sums_of_a_c_contiguous_plane_are_one_row_sums(length):
+    # _excess_above sums the in-cylinder terms of many rows at once with
+    # np.sum(..., axis=1); that keeps the bits of excess_cloud's one-row
+    # np.sum only while numpy sums each C-contiguous row as it sums that
+    # row alone.  A numpy that reorders its reductions fails here first
+    rng = np.random.default_rng(length)
+    for rows in (1, 7, 2000 if length <= 257 else 300):
+        x = rng.standard_normal((rows, length)) * 10.0 ** rng.uniform(-8, 8, (rows, length))
+        assert x.flags.c_contiguous
+        np.testing.assert_array_equal(np.sum(x, axis=1), [np.sum(r) for r in x])
+
+
+@given(
+    cut_clouds(),
+    st.sampled_from(((0.25, 1.5), (0.5, 2.0), (2.0,))),
+    st.sampled_from((0.0, 0.003, 0.1)),
+    st.sampled_from((1, 64, None)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_excess_above_batched_row_sums_match_excess_cloud(spec_cloud, scales, delta1, rows, seed):
+    # random centres, far centres whose cylinders hold no sample, and
+    # samples whose largest cylinder holds more than 128 (where np.sum
+    # turns pairwise); the row-sum buffer flushed every 1 or 64 terms
+    # (a block larger than it goes alone) or at its default size
+    spec, cloud = spec_cloud
+    orientation = int(cloud.meta["params"]["orientation"])
+    rng = np.random.default_rng(seed)
+    centers = np.concatenate([
+        cloud.points[rng.permutation(len(cloud))[:15]],
+        rng.uniform(-1.5, 1.5, size=(15, 2 * spec.n + 1)),
+        rng.uniform(-1.0, 1.0, size=(5, 2 * spec.n + 1)) + np.array([10.0] * (2 * spec.n) + [0.0]),
+    ])
+    counts = [excess_cloud(cloud, c, s, orientation).count for c in centers for s in scales]
+    assert min(counts) == 0 and max(counts) > 128
+    oracle = np.array([max_excess(cloud, c, scales, orientation) for c in centers])
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(core, "_BLOCK_BYTES", 8 * rows)
+        got = approx._excess_above(cloud, centers, scales, orientation, delta1)
+    above = got > delta1
+    np.testing.assert_array_equal(above, oracle > delta1)
+    np.testing.assert_array_equal(got[above], oracle[above])
+    assert np.all((got[~above] >= 0.0) & (got[~above] <= delta1))
+    if delta1 == 0.0:
+        np.testing.assert_array_equal(got, oracle)
+
+
 @given(cut_clouds(), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_cell_min_dist_matches_all_pairs(spec_cloud, level, slope, seed):
@@ -256,6 +305,42 @@ def test_cell_min_dist_matches_all_pairs(spec_cloud, level, slope, seed):
             approx._nearest_dinf(targets, points, spec.h),
             nearest_dinf_reference(targets, points),
         )
+
+
+# the cut golden clouds of tests/test_golden.py, as `hlip gen` arguments
+CUT_CLOUDS = {
+    "cluster-0.02": ["corrupted-cluster", "--mass", "0.02", "--eps", "0.05", "--displacement", "0.3"],
+    "cluster-0.05": ["corrupted-cluster", "--mass", "0.05", "--eps", "0.05", "--displacement", "0.3"],
+    "cluster-0.02-far": ["corrupted-cluster", "--mass", "0.02", "--eps", "0.05", "--displacement", "1.0"],
+    "deleted-patch": ["deleted-patch", "--eps", "0.05", "--radius", "0.4"],
+    "deleted-patch-0.9": ["deleted-patch", "--eps", "0.05", "--radius", "0.9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_CLOUDS))
+def test_refit_symdiff_reusing_truncate_distances_matches_a_fresh_pass(tmp_path, name):
+    # corollary_report's refit takes truncate's nearest distance at every
+    # cell where it kept phi's bits; the report must be the fresh pass's
+    from hlip import cli, fileio
+
+    args = CUT_CLOUDS[name]
+    assert cli.main(["gen", *args, "--h", "0.3", "--seed", "7", "--out", str(tmp_path)]) == 0
+    cloud = fileio.read_cloud(tmp_path / f"{args[0]}.cloud")
+    spec = generators.default_grid(2, 0.3)
+    cfg = PipelineConfig(seed=7)
+    res = approx.lipschitz_approximation(cloud, spec, cfg)
+    trunc = approx.truncate(cloud, res.phi, cfg)
+    k_idx = np.flatnonzero(trunc.k_mask)
+    refit, _ = approx._extend(spec, k_idx, res.phi.flat[k_idx], cfg)
+    tau = cfg.resolved_tau(spec)
+    fresh = approx.sym_diff_measure(cloud, refit, tau, trunc.d1_mask)
+    reused = approx.sym_diff_measure(
+        cloud, refit, tau, trunc.d1_mask, known=(res.phi, trunc.symdiff)
+    )
+    for key, want in vars(fresh).items():
+        np.testing.assert_array_equal(getattr(reused, key), want, err_msg=key)
+    same = trunc.d1_mask & (refit.flat.view(np.int64) == res.phi.flat.view(np.int64))
+    assert np.count_nonzero(same) >= k_idx.size > 0
 
 
 # -------------------------------------------------------------- deposits
@@ -361,16 +446,13 @@ def test_pipeline_eps_graph(spec, cfg, eps_result):
 
 def test_pipeline_lip_cap(spec):
     f = GridFunction.constant(spec, 0.0)
-    sym = approx.sym_diff_measure(generators.flat_cloud(spec), f, 0.5, disk_mask(spec, 1.0))
     with pytest.raises(ValueError):
         approx.ApproxResult(
             phi=f,
             m0=np.array([0]),
             sup_abs=0.0,
             lip_estimate=1.5,
-            l2_gradient=0.0,
-            symdiff=sym,
-            m0_matched=True,
+            fit_inputs=(generators.flat_cloud(spec), 0.5, disk_mask(spec, 1.0)),
         )
 
 

@@ -54,6 +54,43 @@ def test_a_median_shift_within_the_parent_iqr_is_unresolved(change, resolved):
     assert line.endswith("unresolved: the medians differ by no more than the parent IQR 1.5") != resolved
 
 
+@pytest.mark.parametrize("change,lower,gain", [
+    ([9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 9.5], 10, True),
+    ([9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 12.5], 9, True),  # 9 of 10 pairs
+    ([9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 12.0, 12.5], 8, False),  # 8 of 10
+    ([9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 12.0], 9, True),  # a tie counts for neither
+    # lower in every pair, but the median moves 11.5 -> 11.0, inside the IQR of 1.25
+    ([9.5, 11.5, 10.5, 12.5, 9.5, 11.5, 10.5, 12.5, 10.5, 11.5], 10, False),
+])
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_resolved_median(change, lower, gain):
+    parent = [10.0, 12.0, 11.0, 13.0, 10.0, 12.0, 11.0, 13.0, 11.0, 12.0]
+    wall = bench_pairs.summarize(_pairs(parent, change), {"wall_s": 0.25})["summary"]["wall_s"]
+    assert wall["change_lower_in_pairs"] == lower and wall["gain"] is gain
+    assert wall["worse_than_bound"] is False
+    assert bench_pairs.gain_line("w", "wall_s", wall) == (
+        f"w: wall_s gain {'yes' if gain else 'no'}, worse than its bound no"
+    )
+
+
+@pytest.mark.parametrize("change,worse", [
+    ([14.0, 14.0, 14.0, 14.0], False),  # 11.5 -> 14.0: 21.7% over, inside 25%
+    ([14.375, 14.375, 14.375, 14.375], False),  # exactly 25% over
+    ([14.5, 14.5, 14.5, 14.5], True),  # 26% over
+])
+def test_worse_than_bound_reads_the_bound_as_a_fraction_of_the_parent_median(change, worse):
+    pairs = _pairs([10.0, 12.0, 11.0, 13.0], change)
+    wall = bench_pairs.summarize(pairs, {"wall_s": 0.25})["summary"]["wall_s"]
+    assert wall["worse_than_bound"] is worse and wall["gain"] is False
+    assert bench_pairs.summarize(pairs)["summary"]["wall_s"]["worse_than_bound"] is None
+    assert bench_pairs.gain_line("w", "wall_s", wall).endswith(
+        f"worse than its bound {'yes' if worse else 'no'}"
+    )
+
+
+def test_bounds_are_the_benchmark_end_to_end_bounds():
+    assert bench_pairs.bounds() == {"wall_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+
+
 @pytest.mark.parametrize("change_kw,digests_equal,all_correct", [
     ({"digests": ("aa", "bc")}, False, True),
     ({"correct": False}, True, False),

@@ -363,6 +363,25 @@ def test_row_blocks_cover_rows_once_within_budget():
         assert all((b.stop - b.start) * cols * 8 <= budget for b in blocks)
 
 
+def test_triangle_blocks_cover_rows_once_within_the_first_plane():
+    # block [a, b) of an m x m upper triangle spans m - a columns: it takes
+    # as many rows as fit the first block's plane at that width
+    for m in (0, 1, 7, 1000, 5000, core._BLOCK_BYTES // 8 + 3):
+        blocks, rows = list(core._triangle_blocks(m)), np.arange(m)
+        covered = np.concatenate([rows[b] for b in blocks] + [np.empty(0, int)])
+        np.testing.assert_array_equal(covered, rows)
+        if not m:
+            continue
+        first = (blocks[0].stop - blocks[0].start) * m
+        assert first * 8 <= max(core._BLOCK_BYTES, 8 * m)
+        for b in blocks:
+            rows = b.stop - b.start
+            assert rows >= 1 and rows * (m - b.start) <= first
+            # one more row would not fit, unless the triangle ended
+            assert b.stop == m or (rows + 1) * (m - b.start) > first
+    assert len(list(core._triangle_blocks(5000))) < len(list(core._row_blocks(5000, 5000)))
+
+
 def test_row_blocks_yield_single_rows_over_budget():
     cols = core._BLOCK_BYTES // 8 + 1
     blocks = list(core._row_blocks(5, cols))

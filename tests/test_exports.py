@@ -158,6 +158,7 @@ TEST_READ_FIELDS = {
     "ExtensionReport.residual": "the record of how far the fixed point got; its tests compare runs",
     "ExtensionReport.m_const": "the bound its tests hold the sampled Lipschitz constant to",
     "DiscreteMeasure.masses": "read through flat and total",
+    "ApproxResult.fit_inputs": "read through symdiff, l2_gradient and m0_matched, on first read",
     "IntrinsicGradient.dt": "the descent reads it through its plane",
     "SolveReport.gradient_trace": "the per-step record next to energy_trace; its test compares it",
     "ExcessReport.center": "echoes the cylinder the excess was taken in; its test compares it",

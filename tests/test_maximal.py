@@ -182,6 +182,51 @@ def test_phi_maximal_on_single_rows_matches_one_block(spec, monkeypatch):
         np.testing.assert_array_equal(got, whole)
 
 
+@st.composite
+def disk_cutoff_cases(draw):
+    """A measure supported in D_{4s} on a small n = 2 or 3 grid, sparse or
+    dense, with some centres, a threshold and the block layout to run."""
+    n = draw(st.sampled_from((2, 3)))
+    spec = GridSpec.centered(2, 0.6, 0.2) if n == 2 else GridSpec.centered(3, 0.6, 0.3)
+    s = draw(st.sampled_from((0.3, 0.5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = np.flatnonzero(core.box(spec.nodes()) < 4 * s)
+    masses = np.zeros(spec.size)
+    if draw(st.booleans()):  # sparse: a few atoms
+        masses[rng.choice(inside, size=min(5, inside.size), replace=False)] = rng.random(5)[: min(5, inside.size)]
+    else:  # dense: every node of D_{4s}
+        masses[inside] = rng.random(inside.size)
+    masses *= draw(st.sampled_from((1e-4, 1e-2, 1.0))) * spec.cell_volume
+    centers = np.sort(rng.choice(spec.size, size=min(200, spec.size), replace=False))
+    thr = draw(st.sampled_from(("value", 0.0, -1.0, math.nan, 1e-300, 1e300, math.inf)))
+    q = draw(st.floats(0.0, 1.0))
+    return maximal.DiscreteMeasure(spec, masses), s, centers, thr, q, draw(st.booleans()), draw(st.sampled_from((1, 2)))
+
+
+@given(disk_cutoff_cases())
+@settings(max_examples=40, deadline=None)
+def test_disk_maximal_cut_at_its_threshold_matches_the_full_ladder(case):
+    # above the threshold the values of the full ladder, bit for bit, and
+    # the same superlevel set; elsewhere values in [0, thr].  A threshold
+    # that is not positive and finite runs the full ladder
+    mu, s, centers, thr, q, one_row, workers = case
+    full = maximal.disk_maximal(mu, s, centers=centers)
+    if thr == "value":  # a level among the field's own values
+        thr = float(np.quantile(full[centers], q))
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row:
+            mp.setattr(core, "_BLOCK_BYTES", 8)
+        mp.setattr(core, "_WORKERS", workers)
+        cut = maximal.disk_maximal(mu, s, centers=centers, _exact_above=thr)
+    if not 0 < thr < math.inf:
+        np.testing.assert_array_equal(cut, full)
+        return
+    above = full > thr
+    np.testing.assert_array_equal(cut > thr, above)
+    np.testing.assert_array_equal(cut[above], full[above])
+    assert np.all((cut[~above] >= 0.0) & (cut[~above] <= thr))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("loop", ["disk_maximal", "cone_ratio"])
 def test_block_loops_stay_within_the_arena_bound(spec, monkeypatch, workers, loop):

@@ -17,7 +17,13 @@ taken just before its first pair (about 2 when two cores are free),
 every run's end-to-end metrics and per-op digests, and per metric each
 side's median and quartiles, the parent's interquartile range, the
 change's wins and the pair ratios.  A metric whose medians differ by no
-more than that range is unresolved.  The script exits 1 when a run
+more than that range is unresolved.  Each metric also gets two verdicts
+(every end-to-end metric of BENCHMARK.json is better lower): `gain`, when
+the change's median is lower, resolved, and lower in at least nine tenths
+of the pairs (ties count for neither side); and `worse_than_bound`, when
+the change's median exceeds the parent's by more than the metric's
+BENCHMARK.json `bound`, read as a fraction of the parent's median (the 25%
+of wall_s).  The script exits 1 when a run
 reports `correct: false`, when an op failed, when run.py itself failed,
 or when the per-op digests differ between runs; the file is written
 anyway.
@@ -92,12 +98,20 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def bounds() -> dict:
+    """{metric: bound} of the end-to-end metrics of BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def summarize(pairs: list[dict], bound: dict | None = None) -> dict:
     """The section of one workload: summary per metric, verdicts and runs.
 
     Each pair is {"first": side, "parent": run, "change": run} with runs
-    as run_once returns them.
+    as run_once returns them; `bound` maps a metric to its bound (a
+    metric without one has worse_than_bound None).
     """
+    bound = bound or {}
     runs = [pair[side] for pair in pairs for side in SIDES]
     ok = [r for r in runs if "error" not in r]
     section = {
@@ -118,16 +132,23 @@ def summarize(pairs: list[dict]) -> dict:
         ratios = [c / p for p, c in zip(vals["parent"], vals["change"])]
         side = {s: _quartiles(vals[s]) for s in SIDES}
         iqr = side["parent"]["q3"] - side["parent"]["q1"]
+        parent, change = side["parent"]["median"], side["change"]["median"]
+        # a shift of the median within the parent's own spread tells nothing
+        resolved = abs(change - parent) > iqr
+        lower = sum(r < 1.0 for r in ratios)
         section["summary"][name] = {
             **side,
             "parent_iqr": round(iqr, 4),
-            # a shift of the median within the parent's own spread tells nothing
-            "resolved": abs(side["change"]["median"] - side["parent"]["median"]) > iqr,
-            "median_ratio": round(side["change"]["median"] / side["parent"]["median"], 4),
-            "change_lower_in_pairs": sum(r < 1.0 for r in ratios),
+            "resolved": resolved,
+            "median_ratio": round(change / parent, 4),
+            "change_lower_in_pairs": lower,
             "change_higher_in_pairs": sum(r > 1.0 for r in ratios),
             "pairs": len(ratios),
             "pair_ratios": [round(r, 4) for r in ratios],
+            "gain": change < parent and resolved and 10 * lower >= 9 * len(ratios),
+            "worse_than_bound": (
+                change > parent * (1.0 + bound[name]) if name in bound else None
+            ),
         }
     return section
 
@@ -139,6 +160,12 @@ def verdict_line(key: str, name: str, m: dict) -> str:
     if not m["resolved"]:
         line += f"; unresolved: the medians differ by no more than the parent IQR {m['parent_iqr']}"
     return line
+
+
+def gain_line(key: str, name: str, m: dict) -> str:
+    """One metric's printed gain and bound verdicts, from its summary entry."""
+    yes = {True: "yes", False: "no", None: "no bound"}
+    return f"{key}: {name} gain {yes[m['gain']]}, worse than its bound {yes[m['worse_than_bound']]}"
 
 
 def _spin_s(procs: int, blocks: int) -> float:
@@ -171,7 +198,9 @@ def _machine(env: dict | None) -> dict:
             "env_reported_by_worker": env}
 
 
-def run_workload(dirs: dict, key: str, pairs: int, seconds: float) -> tuple[dict, list[dict]]:
+def run_workload(
+    dirs: dict, key: str, pairs: int, seconds: float, bound: dict | None = None
+) -> tuple[dict, list[dict]]:
     """One workload's section and its pairs.  The two-process throughput
     is read just before the first pair, so it says whether two cores were
     free next to these runs; the pairs alternate which side goes first."""
@@ -187,7 +216,7 @@ def run_workload(dirs: dict, key: str, pairs: int, seconds: float) -> tuple[dict
         runs.append(pair)
         print(f"{key} pair {i + 1}/{pairs}: "
               + "  ".join(f"{s} {pair[s].get('metrics', pair[s])}" for s in SIDES), flush=True)
-    return {"seed": seed, "two_process_throughput": throughput, **summarize(runs)}, runs
+    return {"seed": seed, "two_process_throughput": throughput, **summarize(runs, bound)}, runs
 
 
 def main(argv=None) -> int:
@@ -222,7 +251,7 @@ def main(argv=None) -> int:
             _unpack(shas[s], dirs[s])
         out["src_lines"] = {s: src_lines(dirs[s]) for s in SIDES}
         for key in names:
-            section, pairs = run_workload(dirs, key, args.pairs, args.seconds)
+            section, pairs = run_workload(dirs, key, args.pairs, args.seconds, bounds())
             out["workloads"][key] = section
             if out["machine"] is None:
                 out["machine"] = _machine(next((p[s]["env"] for p in pairs for s in SIDES
@@ -234,6 +263,7 @@ def main(argv=None) -> int:
     for key, section in out["workloads"].items():
         for name, m in section["summary"].items():
             print(verdict_line(key, name, m))
+            print(gain_line(key, name, m))
     verdict = f"FAILED: {', '.join(bad)}" if bad else "all runs correct, digests equal"
     print(f"wrote {path.name}; {verdict}")
     return 1 if bad else 0
