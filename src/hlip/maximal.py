@@ -193,21 +193,22 @@ def disk_maximal(
     if supp.size and 0 < _exact_above < math.inf:
         # the margin covers a sum of spec.size nonnegative masses, the
         # normalization, the division and the root
-        mass = mu.total() * (1 + 4 * (spec.size + 4) * np.finfo(float).eps)
-        reach = (mass / (kappa * _exact_above)) ** (1 / hom) * (1 + 1e-9)
+        total = mu.total() * (1 + 4 * (spec.size + 4) * np.finfo(float).eps)
+        reach = (total / (kappa * _exact_above)) ** (1 / hom) * (1 + 1e-9)
         rungs = rungs[rungs < reach]
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
     if supp.size and rungs.size:
         norm = kappa * rungs**hom
-        sup_nodes = nodes[supp]
+        sup_nodes = np.asfortranarray(nodes[supp])  # contiguous columns: see core's pair kernels
         sup_mass = mu.flat[supp]
 
         def block(blk):
             idx = eval_idx[blk]
             x = nodes[idx]
             cols = slice(None) if reach == math.inf else _within_reach(x, sup_nodes, reach)
-            pts, mass = sup_nodes[cols], sup_mass[cols]
+            # taken from the transpose, so that pts keeps contiguous columns
+            pts, mass = sup_nodes.T[:, cols].T, sup_mass[cols]
             if not mass.size:
                 return  # no support within R*: every value stays 0
             planes = core._planes(3, (idx.size, mass.size))
@@ -223,8 +224,9 @@ def disk_maximal(
 
 
 def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray:
-    """The indices, in order, of the W points that can lie within w_dinf <
-    reach of some row of x.
+    """The indices, in order, of the W points (sorted on their first
+    coordinate, as grid nodes in flat order are) that can lie within
+    w_dinf < reach of some row of x.
 
     w_dinf(a, b) is at least every spatial |b_k - a_k| and sqrt(|t_b - t_a
     - 2 omega(a, b)|), with |omega(a, b)| <= sum over the twisted pairs of
@@ -241,7 +243,14 @@ def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray
     pad[-1] = reach * reach + 2.0 * reach * lever
     pad *= 1 + 1e-9
     lo, hi = x.min(axis=0) - pad, x.max(axis=0) + pad
-    return np.flatnonzero(np.all((points > lo) & (points < hi), axis=1))
+    # the points are sorted on their first coordinate, so the points that
+    # can pass that test are one slice, and the other tests run on it alone
+    a, b = np.searchsorted(points[:, 0], [lo[0], hi[0]])
+    keep = np.ones(b - a, dtype=bool)
+    for k in range(1, 2 * n):
+        keep &= points[a:b, k] > lo[k]
+        keep &= points[a:b, k] < hi[k]
+    return a + np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)
