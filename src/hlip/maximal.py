@@ -188,14 +188,17 @@ def disk_maximal(
         raise ValueError("measure must be supported in D_{4s}")
     kappa = core.constants(spec.n)[0]
     hom = 2 * spec.n + 1
-    rungs = radius_ladder(cell_diameter(spec), 4 * s)
-    reach = math.inf
+    rungs = ladder = radius_ladder(cell_diameter(spec), 4 * s)
+    reach = math.inf  # of the columns' filter; inf keeps every column
     if supp.size and 0 < _exact_above < math.inf:
         # the margin covers a sum of spec.size nonnegative masses, the
         # normalization, the division and the root
         total = mu.total() * (1 + 4 * (spec.size + 4) * np.finfo(float).eps)
         reach = (total / (kappa * _exact_above)) ** (1 / hom) * (1 + 1e-9)
         rungs = rungs[rungs < reach]
+        extent = (np.array(spec.counts) - 1) * spec.h
+        if np.all(extent[:-1] < reach) and extent[-1] < reach * reach:
+            reach = math.inf  # a grid this narrow leaves no column to drop
     eval_idx = np.arange(spec.size) if centers is None else np.asarray(centers)
     values = np.zeros(spec.size)
     if supp.size and rungs.size:
@@ -218,8 +221,10 @@ def disk_maximal(
             np.copyto(ratios, 0.0, where=r >= 4 * s - core.box(x)[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
-        # a block's ladder tables are up to rungs.size + 1 columns wide
-        core._map_blocks(block, eval_idx.size, max(supp.size, rungs.size + 1))
+        # a block's ladder tables are up to rungs.size + 1 columns wide; the
+        # blocks are those of the whole ladder, which keeps the two workers'
+        # shares of a few short blocks as even as they were
+        core._map_blocks(block, eval_idx.size, max(supp.size, ladder.size + 1))
     return values
 
 
@@ -230,19 +235,20 @@ def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray
 
     w_dinf(a, b) is at least every spatial |b_k - a_k| and sqrt(|t_b - t_a
     - 2 omega(a, b)|), with |omega(a, b)| <= sum over the twisted pairs of
-    |a_y| |b_x - a_x| + |a_x| |b_y - a_y| < reach * sum (|a_x| + |a_y|).
+    |a_y| |b_x - a_x| + |a_x| |b_y - a_y| < reach * sum (|a_x| + |a_y|),
+    and that sum is at most the lever, its largest value on the rows' box.
     So such a point lies within reach of the rows' box in every spatial
-    column, and its t within reach^2 + 2 reach max_a sum (|a_x| + |a_y|) of
-    their t range.  The 1e-9 margin absorbs the rounding, as in core's cell
-    lists.
+    column, and its t within reach^2 + 2 reach lever of their t range.  The
+    1e-9 margin absorbs the rounding, as in core's cell lists.
     """
     n = x.shape[-1] // 2
     twisted = [*range(n - 1), *range(n, 2 * n - 1)]
-    lever = float(np.max(np.sum(np.abs(x[:, twisted]), axis=1)))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    lever = float(np.sum(np.maximum(np.abs(lo[twisted]), np.abs(hi[twisted]))))
     pad = np.full(2 * n, reach)
     pad[-1] = reach * reach + 2.0 * reach * lever
     pad *= 1 + 1e-9
-    lo, hi = x.min(axis=0) - pad, x.max(axis=0) + pad
+    lo, hi = lo - pad, hi + pad
     # the points are sorted on their first coordinate, so the points that
     # can pass that test are one slice, and the other tests run on it alone
     a, b = np.searchsorted(points[:, 0], [lo[0], hi[0]])

@@ -317,17 +317,19 @@ CUT_CLOUDS = {
 }
 
 
+@pytest.mark.parametrize("maximal_scale", [None, 0.2])
 @pytest.mark.parametrize("name", sorted(CUT_CLOUDS))
-def test_refit_symdiff_reusing_truncate_distances_matches_a_fresh_pass(tmp_path, name):
+def test_refit_symdiff_reusing_truncate_distances_matches_a_fresh_pass(tmp_path, name, maximal_scale):
     # corollary_report's refit takes truncate's nearest distance at every
-    # cell where it kept phi's bits; the report must be the fresh pass's
+    # cell where it kept phi's bits; the report must be the fresh pass's.
+    # At maximal scale 0.2 truncate's region D_{0.8} leaves part of the disk
     from hlip import cli, fileio
 
     args = CUT_CLOUDS[name]
     assert cli.main(["gen", *args, "--h", "0.3", "--seed", "7", "--out", str(tmp_path)]) == 0
     cloud = fileio.read_cloud(tmp_path / f"{args[0]}.cloud")
     spec = generators.default_grid(2, 0.3)
-    cfg = PipelineConfig(seed=7)
+    cfg = PipelineConfig(seed=7, maximal_scale=maximal_scale)
     res = approx.lipschitz_approximation(cloud, spec, cfg)
     trunc = approx.truncate(cloud, res.phi, cfg)
     k_idx = np.flatnonzero(trunc.k_mask)
@@ -341,6 +343,7 @@ def test_refit_symdiff_reusing_truncate_distances_matches_a_fresh_pass(tmp_path,
         np.testing.assert_array_equal(getattr(reused, key), want, err_msg=key)
     same = trunc.d1_mask & (refit.flat.view(np.int64) == res.phi.flat.view(np.int64))
     assert np.count_nonzero(same) >= k_idx.size > 0
+    assert np.any(trunc.d1_mask & ~trunc.symdiff.cell_region) == (maximal_scale is not None)
 
 
 # -------------------------------------------------------------- deposits

@@ -187,7 +187,7 @@ def disk_cutoff_cases(draw):
     """A measure supported in D_{4s} on a small n = 2 or 3 grid, sparse or
     dense, with some centres, a threshold and the block layout to run."""
     n = draw(st.sampled_from((2, 3)))
-    spec = GridSpec.centered(2, 0.6, 0.2) if n == 2 else GridSpec.centered(3, 0.6, 0.3)
+    spec = GridSpec.centered(2, 1.2, 0.3) if n == 2 else GridSpec.centered(3, 0.6, 0.3)
     s = draw(st.sampled_from((0.3, 0.5, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     inside = np.flatnonzero(core.box(spec.nodes()) < 4 * s)
@@ -198,17 +198,22 @@ def disk_cutoff_cases(draw):
         masses[inside] = rng.random(inside.size)
     masses *= draw(st.sampled_from((1e-4, 1e-2, 1.0))) * spec.cell_volume
     centers = np.sort(rng.choice(spec.size, size=min(200, spec.size), replace=False))
-    thr = draw(st.sampled_from(("value", 0.0, -1.0, math.nan, 1e-300, 1e300, math.inf)))
+    thr = draw(st.just("reach") | st.sampled_from(("value", 0.0, -1.0, math.nan, 1e-300, 1e300, math.inf)))
     q = draw(st.floats(0.0, 1.0))
+    if thr == "reach":  # a cutoff R* inside the grid, so the column filter drops some
+        low, high = maximal.cell_diameter(spec), (spec.counts[0] - 1) * spec.h
+        r = low + q * (high - low)
+        thr = float(np.sum(masses)) / (core.constants(n)[0] * r ** (2 * n + 1)) if masses.any() else 1.0
     return maximal.DiscreteMeasure(spec, masses), s, centers, thr, q, draw(st.booleans()), draw(st.sampled_from((1, 2)))
 
 
 @given(disk_cutoff_cases())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_disk_maximal_cut_at_its_threshold_matches_the_full_ladder(case):
     # above the threshold the values of the full ladder, bit for bit, and
     # the same superlevel set; elsewhere values in [0, thr].  A threshold
-    # that is not positive and finite runs the full ladder
+    # that is not positive and finite runs the full ladder.  Thresholds
+    # whose cutoff lies inside the grid drop rungs and support columns
     mu, s, centers, thr, q, one_row, workers = case
     full = maximal.disk_maximal(mu, s, centers=centers)
     if thr == "value":  # a level among the field's own values
