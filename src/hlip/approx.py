@@ -226,17 +226,18 @@ def _excess_above(
     rounding, so a scale s whose cylinders from a cell can reach defect mass
     at most delta1 s^q keeps every center of that cell within delta1 and is
     skipped there; that mass is read from a table of the positive masses
-    within reach of each cell, made once per scale.  The other scales are evaluated on the samples in reach: each
-    excess is np.sum of the in-cylinder defect terms in sample order,
-    divided by s^q, which is the expression excess_cloud evaluates.  The
-    cylinder tests agree with excess_cloud's for n <= 3, where the fused
-    kernels equal their broadcast formulas (see core's kernel comment).
+    within reach of each cell, made once per scale.  The other scales are
+    evaluated on the samples in reach: each excess is np.sum of the
+    in-cylinder defect terms in sample order, divided by s^q, which is the
+    expression excess_cloud evaluates.  The cylinder tests agree with
+    excess_cloud's for n <= 3, where the fused kernels equal their
+    broadcast formulas (see core's kernel comment).
 
-    The in-cylinder terms of every row go row by row into one buffer of a
-    _BLOCK_BYTES plane, each row's in sample order.  A full buffer is
-    summed with one np.sum(..., axis=1) per distinct row length, over C
-    rows that each hold one row's terms: numpy sums each such row as np.sum
-    of that row alone (tests/test_approx.py pins it).
+    The in-cylinder terms of every row go row by row into one buffer of an
+    eighth of a _BLOCK_BYTES plane, each row's in sample order.  A full
+    buffer is summed with one np.sum(..., axis=1) per distinct row length,
+    over C rows that each hold one row's terms: numpy sums each such row as
+    np.sum of that row alone (tests/test_approx.py pins it).
     """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
