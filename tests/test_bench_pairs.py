@@ -72,6 +72,13 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_resolved_median(change, low
     )
 
 
+def test_a_gain_needs_ten_pairs():
+    # lower in 4 of 4 pairs and resolved, but fewer pairs than the rule asks
+    wall = bench_pairs.summarize(_pairs([10.0, 12.0, 11.0, 13.0], [6.0, 7.0, 6.0, 7.0]))
+    assert wall["summary"]["wall_s"]["resolved"] is True
+    assert wall["summary"]["wall_s"]["gain"] is False
+
+
 @pytest.mark.parametrize("change,worse", [
     ([14.0, 14.0, 14.0, 14.0], False),  # 11.5 -> 14.0: 21.7% over, inside 25%
     ([14.375, 14.375, 14.375, 14.375], False),  # exactly 25% over

@@ -19,11 +19,11 @@ side's median and quartiles, the parent's interquartile range, the
 change's wins and the pair ratios.  A metric whose medians differ by no
 more than that range is unresolved.  Each metric also gets two verdicts
 (every end-to-end metric of BENCHMARK.json is better lower): `gain`, when
-the change's median is lower, resolved, and lower in at least nine tenths
-of the pairs (ties count for neither side); and `worse_than_bound`, when
-the change's median exceeds the parent's by more than the metric's
-BENCHMARK.json `bound`, read as a fraction of the parent's median (the 25%
-of wall_s).  The script exits 1 when a run
+at least ten pairs ran, the change's median is lower, resolved, and lower
+in at least nine tenths of the pairs (ties count for neither side); and
+`worse_than_bound`, when the change's median exceeds the parent's by more
+than the metric's BENCHMARK.json `bound`, read as a fraction of the
+parent's median (the 25% of wall_s).  The script exits 1 when a run
 reports `correct: false`, when an op failed, when run.py itself failed,
 or when the per-op digests differ between runs; the file is written
 anyway.
@@ -145,7 +145,8 @@ def summarize(pairs: list[dict], bound: dict | None = None) -> dict:
             "change_higher_in_pairs": sum(r > 1.0 for r in ratios),
             "pairs": len(ratios),
             "pair_ratios": [round(r, 4) for r in ratios],
-            "gain": change < parent and resolved and 10 * lower >= 9 * len(ratios),
+            "gain": (change < parent and resolved
+                     and len(ratios) >= 10 and 10 * lower >= 9 * len(ratios)),
             "worse_than_bound": (
                 change > parent * (1.0 + bound[name]) if name in bound else None
             ),
