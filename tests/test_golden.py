@@ -21,8 +21,17 @@ tests/golden/verify-seed-<S>.json holds the `results` block of
 the lemma battery (the c_L estimate behind the phi lemma, the sandwich
 inclusions, the Vitali cover).  A refactor must leave them as they are:
 floats agree to 1e-12 relative, everything else is equal.
+
+tests/golden/baseline-h0.2.json pins `corollary_report` bit for bit on
+the baseline cloud, corrupted_cluster_cloud(default_grid(2, 0.2), 0.02,
+eps=0.05, displacement=0.3) under the default PipelineConfig: its report
+hash, and a sha256 of the bits of each intermediate array in pipeline
+order.  At h = 0.2 the searches that prune all-pairs passes (selection,
+the nearest-sample distances, the disk maximal function's columns) drop
+most of their pairs, which the h = 0.3 grid is too narrow to show.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -31,7 +40,7 @@ import pytest
 
 import numpy as np
 
-from hlip import approx, fileio
+from hlip import approx, fileio, generators, maximal
 from hlip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,3 +125,56 @@ def test_golden_verify_reports(tmp_path, seed):
 def test_golden_cut_reports(tmp_path, name):
     golden = json.loads((GOLDEN / f"cut-{name}.json").read_text(encoding="ascii"))
     assert _mismatches(golden, cut_record(tmp_path, name), name) == []
+
+
+def _bits(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def baseline_record() -> dict:
+    """The record of tests/golden/baseline-h0.2.json, computed afresh from
+    one `corollary_report` call whose stages are wrapped to hash what they
+    return."""
+    spec = generators.default_grid(2, 0.2)
+    cloud = generators.corrupted_cluster_cloud(spec, 0.02, eps=0.05, displacement=0.3)
+    stages = []
+
+    def record(module, name, labels, bits):
+        """Wrap module.name to hash each call's result under the next label."""
+        fn, calls = getattr(module, name), iter(labels)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            stages.append([next(calls, name), bits(out, *args, **kwargs)])
+            return out
+
+        mp.setattr(module, name, wrapped)
+
+    def above(fld, *args, _exact_above, **kwargs):
+        keep = np.flatnonzero(fld > _exact_above)
+        return _bits(keep.astype(np.int64)) + _bits(fld[keep])
+
+    with pytest.MonkeyPatch.context() as mp:
+        record(approx, "select_m0", ["m0"], lambda m0, *a: _bits(m0.astype(np.int64)))
+        record(approx, "_extend", ["phi", "refit"], lambda out, *a: _bits(out[0].flat))
+        record(approx, "sym_diff_measure", ["cell_min_dist", "refit_cell_min_dist"],
+               lambda rep, *a, **k: _bits(rep.cell_min_dist))
+        record(maximal, "disk_maximal", ["disk_maximal_above_eta"], above)
+        record(approx, "truncate", ["k_mask"], lambda res, *a: _bits(res.k_mask))
+        report = approx.corollary_report(cloud, spec, approx.PipelineConfig())
+    return {
+        "digest": fileio.report_hash(report),
+        "m0_count": report["m0_count"],
+        "kept_cells": report["kept_cells"],
+        "extension_iterations": report["extension_iterations"],
+        "stages": stages,
+    }
+
+
+def test_golden_baseline_h02_is_bit_for_bit():
+    golden = json.loads((GOLDEN / "baseline-h0.2.json").read_text(encoding="ascii"))
+    got = baseline_record()
+    # the first stage that moved names where the bits changed
+    for want, have in zip(golden["stages"], got["stages"]):
+        assert have == want, f"stage {want[0]} moved"
+    assert _mismatches(golden, got, "baseline") == []
