@@ -222,16 +222,18 @@ def _excess_above(
     at each center wherever that exceeds delta1, bit for bit; elsewhere a
     value in [0, delta1].
 
-    Centers are taken cell by cell.  Defect weights are nonnegative up to
-    rounding, so a scale s whose cylinders from a cell can reach defect mass
-    at most delta1 s^q keeps every center of that cell within delta1 and is
-    skipped there; that mass is read from a table of the positive masses
-    within reach of each cell, made once per scale.  The other scales are
-    evaluated on the samples in reach: each excess is np.sum of the
-    in-cylinder defect terms in sample order, divided by s^q, which is the
-    expression excess_cloud evaluates.  The cylinder tests agree with
-    excess_cloud's for n <= 3, where the fused kernels equal their
-    broadcast formulas (see core's kernel comment).
+    Centers are taken in groups, by their cell of width min(scales) on
+    x_2..x_n, y_1..y_n.  The cylinder norm bounds every coordinate
+    difference but t's (see core's box search), so the cylinders of radius
+    s from a group hold only samples inside the group's box padded by s.
+    Defect weights are nonnegative up to rounding, so a scale whose box
+    holds positive defect mass at most delta1 s^q keeps every center of
+    the group within delta1 and is skipped there.  The other scales are
+    evaluated on the samples in the box of the largest of them: each
+    excess is np.sum of the in-cylinder defect terms in sample order,
+    divided by s^q, which is the expression excess_cloud evaluates.  The
+    cylinder tests agree with excess_cloud's for n <= 3, where the fused
+    kernels equal their broadcast formulas (see core's kernel comment).
 
     The in-cylinder terms of every row go row by row into one buffer of an
     eighth of a _BLOCK_BYTES plane, each row's in sample order.  A full
@@ -241,15 +243,11 @@ def _excess_above(
     """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
-    # cells a hair wider than the smallest scale, so that a scale of a
-    # whole number of cells keeps that reach under the 1e-9 margin
-    cells = core._CellList(cloud.points, min(scales) * (1.0 + 1e-6))
-
-    def reach(s: float) -> int:
-        return math.ceil(s * (1.0 + 1e-9) / cells.width)
-
-    positive = np.maximum(defect, 0.0)
-    mass = {r: cells.mass_within(positive, r) for r in {reach(s) for s in scales}}
+    # the samples sorted on x_2, in column-major order for the box tests
+    by_x2 = np.argsort(cloud.points[:, 1], kind="stable")
+    sorted_pts = np.asfortranarray(cloud.points[by_x2])
+    positive = np.maximum(defect[by_x2], 0.0)
+    cols = [1, 0, *range(2, 2 * cloud.n)]
 
     out = np.zeros(len(centers))
     # an eighth of a plane holds a few hundred rows' terms and keeps the
@@ -265,15 +263,16 @@ def _excess_above(
             sums = np.sum(vals[start[k, None] + np.arange(length)], axis=1)
             np.maximum.at(out, dest[k], sums / norm[k])
 
-    for key, rows in cells.groups(centers):
-        live = [
-            s for s in scales
-            if mass[reach(s)](key) > delta1 * float(s) ** q * (1.0 - 1e-9)
-        ]
+    for rows in core._groups(centers, range(1, 2 * cloud.n), min(scales)):
+        lo, hi = centers[rows].min(axis=0), centers[rows].max(axis=0)
+        box = {s: core._in_box(sorted_pts, cols, lo - s * (1.0 + 1e-9), hi + s * (1.0 + 1e-9))
+               for s in scales}
+        live = [s for s in scales
+                if np.sum(positive[box[s]]) > delta1 * float(s) ** q * (1.0 - 1e-9)]
         if not live:
             continue
         # in sample order, so that each row sums its terms as excess_cloud does
-        cand = np.sort(cells.near(key, max(reach(s) for s in live)))
+        cand = np.sort(by_x2[box[max(live)]])
         terms = defect[cand]
         # column-major, so the kernels read each coordinate contiguously
         pts = np.asfortranarray(cloud.points[cand])
@@ -381,28 +380,39 @@ def _extend(
 def _nearest_dinf(targets: np.ndarray, points: np.ndarray, width: float) -> np.ndarray:
     """min over points of dinf(target, point) for each target, bit for bit.
 
-    Targets are taken cell by cell and search the points within r cells,
-    from r = 1 up.  A point beyond that ring lies more than r cell widths
-    away, so a target whose best distance is at most that is settled; the
-    minimum over a superset of the minimizers is the exact minimum.  The
-    others search again within the ring that holds their best distance.
+    Targets are taken in groups, by their cell of width `width` on
+    x_2..x_n, y_1..y_n, and search the points inside the group's box padded
+    by r.  dinf bounds every spatial coordinate difference (see core's box
+    search), so a point outside that box lies more than r from each target
+    of the group, and a target whose best distance is at most r is
+    settled; the minimum over a superset of the minimizers is the exact
+    minimum.  The others search again with r the larger of r + width and
+    their largest best distance.  The first r is width / 2: nearly every
+    graph point on a cloud's own grid has a sample that close, and the box
+    of a group of one node's graph points then holds one node layer in each
+    of x_2..x_n, y_1..y_n, where a pad of one width holds three.
     """
-    cells = core._CellList(points, width)
+    n = points.shape[-1] // 2
+    by_x2 = np.argsort(points[:, 1], kind="stable")
+    sorted_pts = np.asfortranarray(points[by_x2])
+    cols = [1, 0, *range(2, 2 * n)]
     best = np.full(len(targets), np.inf)
-    for key, rows in cells.groups(targets):
-        r = 1
+    for rows in core._groups(targets, range(1, 2 * n), width):
+        r = 0.5 * width
         while rows.size:
-            cand = cells.near(key, r)
+            pad = r * (1.0 + 1e-9)
+            lo, hi = targets[rows].min(axis=0) - pad, targets[rows].max(axis=0) + pad
+            cand = by_x2[core._in_box(sorted_pts, cols, lo, hi)]
             # column-major, so the kernel reads each coordinate contiguously
             pts = np.asfortranarray(points[cand])
             for blk in core._row_blocks(rows.size, cand.size):
                 d = core.dinf(targets[rows[blk], None, :], pts[None, :, :])
                 best[rows[blk]] = np.min(d, axis=1, initial=np.inf)
-            if cand.size == cells.size:
+            if cand.size == len(points):
                 break
-            rows = rows[best[rows] > r * cells.width * (1.0 - 1e-9)]
+            rows = rows[best[rows] > r * (1.0 - 1e-9)]
             far = np.max(best[rows], initial=0.0)
-            r = r + 1 if math.isinf(far) else max(r + 1, math.ceil(far / cells.width))
+            r = r + width if math.isinf(far) else max(r + width, far)
     return best
 
 
@@ -668,14 +678,11 @@ def check_sandwich(
     # every result below depends only on the nodes of the balls and disks
     # of radius r or Cr (the counts, the exit flag and the left side of
     # each inclusion), and every distance is at least each spatial W
-    # coordinate difference (see core's cell lists): so only the nodes
-    # within that reach of x in each of those coordinates are measured
+    # coordinate difference (see core's box search): so only the nodes in
+    # that box around x are measured; in flat order they are sorted on x_2
     nodes = spec.nodes()
     reach = max(C * r, r) * (1.0 + 1e-9)
-    near = np.abs(nodes[:, 0] - x[0]) < reach
-    for k in range(1, 2 * spec.n - 1):
-        near &= np.abs(nodes[:, k] - x[k]) < reach
-    near = np.flatnonzero(near)
+    near = core._in_box(nodes, range(2 * spec.n - 1), x - reach, x + reach)
     # one graph-distance row from x serves every graph ball below
     px, pnear = _graph_point(f, x), core.graph_points(nodes[near], f.flat[near])
     d = _sym_dist(px, pnear)

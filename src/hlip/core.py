@@ -175,8 +175,9 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # into C and tau into D.
 #
 # A block of a _map_blocks loop passes `planes`: the kernel's planes of
-# the pair shape (four for pi_rel_norm, three for dinf and w_dinf) from
-# _planes, and gets its result in some of them.  Without it a call
+# the pair shape (four for pi_rel_norm, three for w_dinf) from _planes,
+# and gets its result in some of them; dinf runs on the caller only, in
+# the nearest-sample search, and always allocates.  Without it a call
 # allocates fresh planes, so a public caller owns its result.  A block
 # loop also hands its long side (the columns of every block) over in
 # Fortran order, so each coordinate column the kernel reads is contiguous;
@@ -375,10 +376,10 @@ def _box_of(z2, t):
     return t if t.ndim else t[()]
 
 
-def dinf(p: np.ndarray, q: np.ndarray, planes=None) -> np.ndarray:
+def dinf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Box norm of p^-1 * q, without forming the product."""
     P, Q, n, shape = _pair_columns(p, q, 1)
-    s, u, v = planes or [np.empty(shape) for _ in range(3)]
+    s, u, v = (np.empty(shape) for _ in range(3))
     t = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, s, u, v)
     return _box_of(_square_sum(P, Q, range(2 * n), s, v), t)
 
@@ -415,93 +416,39 @@ def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False, planes=None):
 
 
 # ---------------------------------------------------------------------------
-# cell lists
+# box search
 #
-# Both distances bound each spatial coordinate difference from below:
-# dinf(p, q) >= |q_k - p_k| for every k < 2n, because its z part is their
-# Euclidean norm, and pi_rel_norm(p, q) >= |q_k - p_k| for the W
-# coordinates x_2..x_n, y_1..y_n.  So two points whose cells of width w on
-# those 2n - 1 columns differ by more than r in some column lie more than
-# r w apart under both, and a search within a known cutoff only needs the
-# cells in reach (Allen & Tildesley's cell lists).  Keys are floors of
-# coordinate / w; a cutoff tested with a relative margin of 1e-9 absorbs
-# their rounding for coordinates up to about 10^6 cell widths.
+# Each distance is at least the spatial coordinate differences it holds in
+# its z part: dinf(p, q) >= |q_k - p_k| for every k < 2n, and so is the
+# cylinder norm max(pi_rel_norm(p, q), |q_0 - p_0|), since pi_rel_norm
+# holds columns 1..2n - 1; w_dinf(a, b) >= |b_k - a_k| for every k < 2n - 1.
+# So every point within r of some row of a set lies inside the rows'
+# bounding box on those columns, padded by r, and a search within a known
+# cutoff takes only the points in that box.  A pad with a relative margin
+# of 1e-9 absorbs the rounding of the coordinates and of the kernels for
+# coordinates up to about 10^6 pads.
 
 
-class _CellList:
-    """H-points bucketed into cells of width `width` on x_2..x_n, y_1..y_n.
+def _groups(p: np.ndarray, cols, width: float) -> list:
+    """The row indices of p grouped by the cell of width `width` each row
+    falls in on the columns cols: a partition of range(len(p)), one
+    ascending index array per occupied cell, in the order of the cells."""
+    keys = np.floor(p[:, cols] / width).astype(np.int64)
+    cell = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(cell, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(cell[order])) + 1) if order.size else []
 
-    Cell keys are tuples of ints; the bookkeeping runs on Python ints
-    because a search visits a few dozen cells at a time.
-    """
 
-    def __init__(self, points: np.ndarray, width: float):
-        self.size = len(points)
-        self.width = width
-        # cells much finer than the point spacing would make the cell table
-        # outgrow the points; any width keeps a search exact, so widen them
-        while True:
-            keys = self.keys(points)
-            lo, hi = keys.min(axis=0), keys.max(axis=0)
-            if math.prod((hi - lo + 1).tolist()) <= 4 * self.size + 64:
-                break
-            self.width *= 2.0
-        self.lo, self.hi = lo.tolist(), hi.tolist()
-        self.dims = [j - i + 1 for i, j in zip(self.lo, self.hi)]
-        self.cell = np.ravel_multi_index(tuple((keys - lo).T), self.dims)
-        self.order = np.argsort(self.cell, kind="stable")
-        # the points of cell c are order[start[c]:start[c + 1]]
-        cells = np.arange(math.prod(self.dims) + 1)
-        self.start = np.searchsorted(self.cell[self.order], cells).tolist()
-
-    def keys(self, p: np.ndarray) -> np.ndarray:
-        n = p.shape[-1] // 2
-        return np.floor(p[:, 1 : 2 * n] / self.width).astype(np.int64)
-
-    def groups(self, p: np.ndarray):
-        """(cell key, row indices) of the points p, one pair per occupied cell."""
-        keys, inv = np.unique(self.keys(p), axis=0, return_inverse=True)
-        order = np.argsort(inv.reshape(-1), kind="stable")
-        bounds = np.searchsorted(inv.reshape(-1)[order], np.arange(len(keys) + 1)).tolist()
-        for k, key in enumerate(keys.tolist()):
-            yield tuple(key), order[bounds[k] : bounds[k + 1]]
-
-    def near(self, key: tuple, reach: int) -> np.ndarray:
-        """Indices of the points whose cell is within `reach` of key in every column."""
-        a = [max(k - reach, lo) - lo for k, lo in zip(key, self.lo)]
-        b = [min(k + reach, hi) - lo for k, lo, hi in zip(key, self.lo, self.hi)]
-        if any(i > j for i, j in zip(a, b)):
-            return np.empty(0, dtype=np.int64)
-        if not any(a) and all(j == dim - 1 for j, dim in zip(b, self.dims)):
-            return self.order
-        # the cells that share all columns but the last are consecutive, so
-        # each choice of the leading columns is one run of the sorted points
-        first = [0]
-        for dim, i, j in zip(self.dims, a[:-1], b[:-1]):
-            first = [f * dim + c for f in first for c in range(i, j + 1)]
-        start, last, span = self.start, self.dims[-1], b[-1] - a[-1] + 1
-        runs = (f * last + a[-1] for f in first)
-        return np.concatenate([self.order[start[c] : start[c + span]] for c in runs])
-
-    def mass_within(self, weights: np.ndarray, reach: int):
-        """A function key -> the sum of the nonnegative weights (one per
-        point) of the points whose cell is within `reach` of key in every
-        column.  The weights are summed per cell, then over windows of
-        2 reach + 1 cells one column at a time, so the sums agree with
-        np.sum over those points only to rounding.  A key outside the cells'
-        range reads the nearest key inside it, whose window holds every
-        cell of its own: an upper bound."""
-        table = np.bincount(self.cell, weights, math.prod(self.dims)).reshape(self.dims)
-        for axis in range(table.ndim):
-            t = np.moveaxis(table, axis, 0)
-            out = t.copy()
-            for d in range(1, min(reach, len(t) - 1) + 1):
-                out[d:] += t[:-d]
-                out[:-d] += t[d:]
-            table = np.moveaxis(out, 0, axis)
-
-        def at(key: tuple) -> float:
-            return float(table[tuple(min(max(k - lo, 0), m - 1)
-                                     for k, lo, m in zip(key, self.lo, self.dims))])
-
-        return at
+def _in_box(points: np.ndarray, cols, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices, ascending, of a superset of the points strictly inside
+    the box lo[k] < p_k < hi[k] for k in cols (lo and hi are indexed by
+    column).  The points are sorted on column cols[0], so that column
+    allows one slice, and the other columns are tested on that slice alone;
+    Fortran-ordered points make each of those tests one contiguous pass."""
+    a, b = np.searchsorted(points[:, cols[0]], [lo[cols[0]], hi[cols[0]]])
+    b = max(a, b)  # a box with lo above hi is empty
+    keep = np.ones(b - a, dtype=bool)
+    for k in cols[1:]:
+        keep &= points[a:b, k] > lo[k]
+        keep &= points[a:b, k] < hi[k]
+    return a + np.flatnonzero(keep)

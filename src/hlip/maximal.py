@@ -234,7 +234,7 @@ def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray
     and that sum is at most the lever, its largest value on the rows' box.
     So such a point lies within reach of the rows' box in every spatial
     column, and its t within reach^2 + 2 reach lever of their t range.  The
-    1e-9 margin absorbs the rounding, as in core's cell lists.
+    1e-9 margin absorbs the rounding, as in core's box search.
     """
     n = x.shape[-1] // 2
     twisted = [*range(n - 1), *range(n, 2 * n - 1)]
@@ -246,15 +246,7 @@ def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray
     pad = np.full(2 * n, reach)
     pad[-1] = reach * reach + 2.0 * reach * lever
     pad *= 1 + 1e-9
-    lo, hi = lo - pad, hi + pad
-    # the points are sorted on their first coordinate, so the points that
-    # can pass that test are one slice, and the other tests run on it alone
-    a, b = np.searchsorted(points[:, 0], [lo[0], hi[0]])
-    keep = np.ones(b - a, dtype=bool)
-    for k in range(1, 2 * n):
-        keep &= points[a:b, k] > lo[k]
-        keep &= points[a:b, k] < hi[k]
-    return a + np.flatnonzero(keep)
+    return core._in_box(points, range(2 * n), lo - pad, hi + pad)
 
 
 @dataclass(frozen=True)

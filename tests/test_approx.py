@@ -200,7 +200,7 @@ def cut_clouds(draw):
     return spec, cloud
 
 
-SCALE_SETS = ((0.25, 0.5, 1.0), (0.3, 0.6, 0.9), (0.2, 0.7), (0.5,))
+SCALE_SETS = ((0.25, 0.5, 1.0), (0.3, 0.6, 0.9), (0.2, 0.7), (0.5,), (0.05, 0.3))
 
 
 @given(

@@ -471,31 +471,53 @@ def test_box_bitwise(pq, ab):
         np.testing.assert_array_equal(core.box(p), _ref_box(p))
 
 
-# --- cell lists ---------------------------------------------------------------
+# --- box search ---------------------------------------------------------------
 
 
 @given(
     st.sampled_from((2, 3)),
-    st.integers(1, 60),
+    st.integers(0, 60),
     st.sampled_from((1e-3, 0.1, 0.3, 0.5, 2.0)),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_cell_list_matches_key_filter(n, size, width, seed):
-    # near() against a filter of every point's cell, for query cells inside
-    # and outside the occupied range; width 1e-3 exercises the widening
+def test_box_search_matches_brute_force(n, size, width, ties, seed):
+    # _in_box against a test of every point, and _groups against every
+    # point's cell; coordinates on a quarter grid give ties on the sorted
+    # column and box faces through points, width 1e-3 gives a cell per point
     rng = np.random.default_rng(seed)
     pts = random_points(n, size, scale=1.0, rng=rng)
-    cells = core._CellList(pts, width)
-    assert cells.width >= width
-    assert math.prod(cells.dims) <= 4 * size + 64
-    keys = cells.keys(pts)
-    queries = random_points(n, 8, scale=2.0, rng=rng)
-    seen = []
-    for key, rows in cells.groups(np.concatenate([pts, queries])):
-        seen.append(rows)
-        for r in range(4):
-            want = np.flatnonzero(np.all(np.abs(keys - np.asarray(key)) <= r, axis=1))
-            np.testing.assert_array_equal(np.sort(cells.near(key, r)), want)
-    rows = np.sort(np.concatenate(seen))
-    np.testing.assert_array_equal(rows, np.arange(size + 8))
+    if ties:
+        pts = np.round(pts * 4.0) / 4.0
+    for cols in (range(2 * n), range(2 * n - 1), [1, 0, *range(2, 2 * n)]):
+        cols = list(cols)
+        srt = np.asfortranarray(pts[np.argsort(pts[:, cols[0]], kind="stable")])
+        corners = random_points(n, 2, scale=1.5, rng=rng)
+        faces = srt[rng.integers(0, size, 2)] if size else corners
+        # boxes inside, across and outside the points' range, empty ones
+        # (lo above hi), and boxes whose faces pass through points
+        for lo, hi in (
+            (corners.min(axis=0), corners.max(axis=0)),
+            (corners.max(axis=0), corners.min(axis=0)),
+            (corners.min(axis=0) + 3.0, corners.max(axis=0) + 3.0),
+            (faces.min(axis=0), faces.max(axis=0)),
+            (np.full(2 * n + 1, -np.inf), np.full(2 * n + 1, np.inf)),
+        ):
+            got = core._in_box(srt, cols, lo, hi)
+            inside = np.all((srt[:, cols] > lo[cols]) & (srt[:, cols] < hi[cols]), axis=1)
+            closed = np.all((srt[:, cols] >= lo[cols]) & (srt[:, cols] <= hi[cols]), axis=1)
+            assert np.all(np.diff(got) > 0)
+            assert set(np.flatnonzero(inside)) <= set(got.tolist())
+            assert np.all(closed[got])
+        keys = np.floor(pts[:, cols] / width)
+        groups = core._groups(pts, cols, width)
+        # a partition of the rows, each group ascending and of one cell,
+        # the cells distinct and in order
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *groups])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(size))
+        firsts = [tuple(keys[g[0]]) for g in groups]
+        assert firsts == sorted(set(firsts))
+        for g in groups:
+            assert np.all(np.diff(g) > 0)
+            assert np.all(keys[g] == keys[g[0]])

@@ -88,7 +88,6 @@ IN_META = "recorded in the cloud's meta, so in goldens and report hashes"
 SWEPT = "its reference test sweeps it"
 UNCALLED_DEFAULTS = {
     "corollary_report.config": "the default PipelineConfig, as truncate takes it",
-    "dinf.planes": "the scratch arena every pair kernel takes; no block loop calls dinf yet",
     "estimate_ball_constants.samples": SWEPT,
     "estimate_ball_constants.seed": SWEPT,
     "estimate_ball_constants.r_bounds": SWEPT + "; whether its default fits small grids is open",
