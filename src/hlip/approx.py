@@ -235,11 +235,11 @@ def _excess_above(
     cylinder tests agree with excess_cloud's for n <= 3, where the fused
     kernels equal their broadcast formulas (see core's kernel comment).
 
-    The in-cylinder terms of every row go row by row into one buffer of an
-    eighth of a _BLOCK_BYTES plane, each row's in sample order.  A full
-    buffer is summed with one np.sum(..., axis=1) per distinct row length,
-    over C rows that each hold one row's terms: numpy sums each such row as
-    np.sum of that row alone (tests/test_approx.py pins it).
+    Each block's in-cylinder terms at a live scale are gathered row by
+    row, each row's in sample order, and summed with one
+    np.sum(..., axis=1) per distinct row length, over C rows that each
+    hold one row's terms: numpy sums each such row as np.sum of that row
+    alone (tests/test_approx.py pins it).
     """
     q = 2 * cloud.n + 1
     defect = cloud.weights * (1.0 - orientation * cloud.normals[:, 0])
@@ -250,19 +250,6 @@ def _excess_above(
     cols = [1, 0, *range(2, 2 * cloud.n)]
 
     out = np.zeros(len(centers))
-    # an eighth of a plane holds a few hundred rows' terms and keeps the
-    # gathers of a flush small
-    buf, used, rows_in = np.empty(core._BLOCK_BYTES // 64), 0, []
-
-    def flush(vals, batch):
-        """out = max(out, row sum / s^q) for the rows (count, center, s^q) of batch."""
-        count, dest, norm = (np.concatenate(col) for col in zip(*batch))
-        start = np.cumsum(count) - count
-        for length in np.flatnonzero(np.bincount(count)):  # np.unique would import numpy.ma
-            k = np.flatnonzero(count == length)
-            sums = np.sum(vals[start[k, None] + np.arange(length)], axis=1)
-            np.maximum.at(out, dest[k], sums / norm[k])
-
     for rows in core._groups(centers, range(1, 2 * cloud.n), min(scales)):
         lo, hi = centers[rows].min(axis=0), centers[rows].max(axis=0)
         box = {s: core._in_box(sorted_pts, cols, lo - s * (1.0 + 1e-9), hi + s * (1.0 + 1e-9))
@@ -286,20 +273,14 @@ def _excess_above(
             for s in live:
                 inside = dist < s
                 count = np.count_nonzero(inside, axis=1)
-                hit = count > 0  # an empty row sums to 0, which out already holds
-                row = (count[hit], rows[blk][hit], np.full(np.count_nonzero(hit), float(s) ** q))
                 vals = np.broadcast_to(terms, inside.shape)[inside]  # row-major: rows in order
-                if rows_in and used + vals.size > buf.size:
-                    flush(buf[:used], rows_in)
-                    used, rows_in = 0, []
-                if vals.size > buf.size:  # a block larger than the buffer goes alone
-                    flush(vals, [row])
-                    continue
-                buf[used : used + vals.size] = vals
-                used += vals.size
-                rows_in.append(row)
-    if rows_in:
-        flush(buf[:used], rows_in)
+                start = np.cumsum(count) - count
+                # lengths of the nonempty rows (np.unique would import numpy.ma);
+                # an empty row sums to 0, which out already holds
+                for length in np.flatnonzero(np.bincount(count)[1:]) + 1:
+                    k = np.flatnonzero(count == length)
+                    sums = np.sum(vals[start[k, None] + np.arange(length)], axis=1)
+                    np.maximum.at(out, rows[blk][k], sums / float(s) ** q)
     return out
 
 

@@ -75,7 +75,9 @@ def _read_cloud(args: argparse.Namespace) -> BoundaryCloud:
     path = Path(args.cloud)
     if not path.exists():
         raise PreconditionError(f"no such cloud file: {path}")
-    return fileio.read_cloud(path)
+    cloud = fileio.read_cloud(path)
+    args.n = cloud.n  # the cloud commands take no --n: the report records the cloud's
+    return cloud
 
 
 def _cloud_spec(cloud: BoundaryCloud, h: float | None) -> GridSpec:
@@ -526,14 +528,15 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=None, help="directory for reports and artifacts")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    common.add_argument("--n", type=int, default=2, help="Heisenberg dimension (>= 2)")
+    dim = _Parser(add_help=False, parents=[common])
+    dim.add_argument("--n", type=int, default=2, help="Heisenberg dimension (>= 2)")
 
     ap = _Parser(prog="hlip", description="intrinsic Lipschitz approximation toolkit")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    sub.add_parser("constants", parents=[common], help="closed-form and empirical constants")
+    sub.add_parser("constants", parents=[dim], help="closed-form and empirical constants")
 
-    p = sub.add_parser("gen", parents=[common], help="write a synthetic boundary cloud")
+    p = sub.add_parser("gen", parents=[dim], help="write a synthetic boundary cloud")
     p.add_argument("kind", help=" | ".join(_GEN_KINDS))
     p.add_argument("--h", type=float, default=0.1, help="grid spacing")
     p.add_argument("--eps", type=float, default=None, help="graph slope along y_1")
@@ -543,7 +546,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--stride", type=int, default=1, help="sample every k-th node")
     p.add_argument("--orientation", type=int, default=1, choices=(1, -1))
 
-    p = sub.add_parser("minimize", parents=[common], help="solve a graph Dirichlet problem")
+    p = sub.add_parser("minimize", parents=[dim], help="solve a graph Dirichlet problem")
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.0, help="boundary datum slope along y_1")
     p.add_argument("--height", type=float, default=0.0, help="boundary datum constant part")
@@ -566,7 +569,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--h", type=float, default=None, help="grid spacing if the cloud has no provenance")
         p.add_argument("--config", default=None, help="JSON file of pipeline thresholds")
 
-    p = sub.add_parser("verify", parents=[common], help="run the lemma battery")
+    p = sub.add_parser("verify", parents=[dim], help="run the lemma battery")
     p.add_argument("--cases", type=int, default=50, help="random fields / measures per suite")
     p.add_argument("--balls", type=int, default=100, help="random (x, r) and Vitali families")
 
@@ -591,7 +594,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.n < 2:
+        if getattr(args, "n", 2) < 2:  # a cloud command's n is the cloud's
             raise PreconditionError(
                 f"the construction needs n >= 2 (H^1 lacks the x_2 direction "
                 f"the selection argument pivots on), got n={args.n}"

@@ -145,35 +145,18 @@ def _node_block(spec: GridSpec, rows: slice) -> np.ndarray:
     `rows` is a slice of flat node indices; each coordinate is
     spec.axis_values(k) at the unravelled index, as in the meshgrid.
     Axis k holds each value for prod(counts[k + 1:]) consecutive nodes,
-    so its column is one np.repeat of the runs the slice meets or, where
-    the slice holds a whole period of the axis, that period written over
-    it.  A grid whose node array fits one _BLOCK_BYTES block reads it
-    from grid_nodes' cache instead, so callers that revisit a small grid
-    (the verify battery builds 50 fields on one) rebuild nothing.
+    so its column gathers axis_values(k) at flat // run % counts[k].  A
+    grid whose node array fits one _BLOCK_BYTES block reads it from
+    grid_nodes' cache instead, so callers that revisit a small grid (the
+    verify battery builds 50 fields on one) rebuild nothing.
     """
     if 8 * 2 * spec.n * spec.size <= core._BLOCK_BYTES:
         return grid_nodes(spec)[rows]
-    a, b, _ = rows.indices(spec.size)
-    m = max(b - a, 0)
-    out, run = np.empty((m, 2 * spec.n)), spec.size
-    for k, c in enumerate(spec.counts if m else ()):
+    flat = np.arange(*rows.indices(spec.size))
+    out, run = np.empty((len(flat), 2 * spec.n)), spec.size
+    for k, c in enumerate(spec.counts):
         run //= c
-        period, vals = c * run, spec.axis_values(k)
-        if period > m:  # few runs: repeat the values of the runs a..b-1 meet
-            first, stop = a // run, (b - 1) // run + 1
-            reps = np.full(stop - first, run)
-            reps[0] -= a - first * run
-            reps[-1] -= stop * run - b
-            out[:, k] = np.repeat(vals[np.arange(first, stop) % c], reps)
-            continue
-        # many runs: a head up to the next whole period, whole periods, a tail
-        pat = np.repeat(vals, run)
-        head = -a % period
-        whole = (m - head) // period
-        cut = head + whole * period
-        out[:head, k] = pat[period - head:]
-        out[head:cut].reshape(whole, period, 2 * spec.n)[:, :, k] = pat
-        out[cut:, k] = pat[: m - cut]
+        np.take(spec.axis_values(k), flat // run % c, out=out[:, k])
     return out
 
 
@@ -485,8 +468,9 @@ def lipschitz_estimate(
     """Sampled lower bound for the intrinsic Lipschitz constant of f.
 
     Ratios |phi(w) - phi(w')| / ||proj(Phi(w')^-1 Phi(w))|| over random node
-    pairs, both orderings.  A pair at zero graph distance with differing
-    values is not a graph and raises.
+    pairs, both orderings.  Distinct nodes lie at a positive graph distance,
+    since proj(Phi(w)) = w; pairs at zero distance (a `subset` index
+    repeated) carry equal values and are skipped.
     """
     nodes = f.spec.nodes()
     vals = f.flat
@@ -504,9 +488,6 @@ def lipschitz_estimate(
     num = np.abs(vals[i] - vals[j])
     den, back = core.pi_rel_norm(pj, pi_, both=True)
     np.minimum(den, back, out=den)
-    bad = (den < 1e-15) & (num > 1e-12)
-    if np.any(bad):
-        raise ValueError("distinct values at zero graph distance: not an intrinsic graph")
     ok = den >= 1e-15
     if not np.any(ok):
         return 0.0
@@ -527,7 +508,9 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
     """Exact max |dphi| / d_phi over all pairs of partial data, and a pair attaining it.
 
     d_phi is the smaller of the two projected quasi-distances; distinct
-    values at zero graph distance raise ConeViolationError.
+    values at zero graph distance raise ConeViolationError.  Each block
+    holds the pairs (i, i) of its own rows, so pairs at zero distance are
+    floored to ratio 0 in every block.
 
     The ratio is symmetric bit for bit, so row block [a, b) only meets
     columns a: , and takes as many rows as core._triangle_blocks fits at
@@ -548,14 +531,11 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
         den, back = core.pi_rel_norm(pts[None, a:, :], pts[blk, None, :], both=True, planes=planes)
         np.minimum(den, back, out=den)
         num = np.abs(np.subtract(vals[blk, None], vals[None, a:], out=back), out=back)
-        if den.min() >= 1e-15:  # no pair at zero graph distance: nothing to floor
-            ratio = np.divide(num, den, out=den)
-        else:
-            ok = den >= 1e-15
-            if np.any(~ok & (num > 1e-12)):
-                raise ConeViolationError("distinct values at zero graph distance in partial data")
-            ratio = np.divide(num, np.maximum(den, 1e-300, out=den), out=den)
-            np.copyto(ratio, 0.0, where=~ok)
+        ok = den >= 1e-15
+        if np.any(~ok & (num > 1e-12)):
+            raise ConeViolationError("distinct values at zero graph distance in partial data")
+        ratio = np.divide(num, np.maximum(den, 1e-300, out=den), out=den)
+        np.copyto(ratio, 0.0, where=~ok)
         k = int(np.argmax(ratio))
         return a, float(ratio.flat[k]), k
 

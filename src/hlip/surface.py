@@ -244,36 +244,22 @@ def excess_profile(
     return [excess_cloud(cloud, center, s, orientation) for s in sorted(scales)]
 
 
-def height_bound_ratio(
-    cloud: BoundaryCloud | GridFunction,
-    r0: float,
-    orientation: int = 1,
-) -> dict:
-    """Ratio sup{|h|/r0 over C_r0} / e(16 r0)^(1/(2(2n+1))).
+def height_bound_ratio(f: GridFunction, r0: float, orientation: int = 1) -> dict:
+    """Ratio sup{|h|/r0 over C_r0} / e(16 r0)^(1/(2(2n+1))) of f's graph.
 
     Returns the pieces as a dict; by convention the ratio is 0 when the
     cylinder holds no height, and inf when the excess vanishes under a
-    nonzero height (the bound degenerates in that direction).  A
-    GridFunction stands for its graph's cloud at stride 1, streamed from
-    the graph without the cloud and bit for bit the same.
+    nonzero height (the bound degenerates in that direction).  The graph's
+    cloud at stride 1 is streamed from f without the cloud: the C_16r0
+    summands w (1 - <nu, nu_0>) go into one compact buffer in sample
+    order, so its one np.sum is excess_cloud's on that cloud, bit for bit.
     """
-    if isinstance(cloud, GridFunction):
-        blocks = _graph_blocks(cloud, orientation)
-        return _height_bound(blocks, cloud.spec.n, cloud.spec.size, r0, orientation)
-    rows = core._row_blocks(len(cloud), 2 * cloud.n + 1)
-    blocks = ((cloud.points[b], cloud.normals[b], cloud.weights[b]) for b in rows)
-    return _height_bound(blocks, cloud.n, len(cloud), r0, orientation)
-
-
-def _height_bound(blocks, n: int, size: int, r0: float, orientation: int) -> dict:
-    """height_bound_ratio's dict from (points, normals, weights) blocks of
-    at most `size` samples in all.  The C_16r0 summands w (1 - <nu, nu_0>)
-    go into one compact buffer in sample order, so its one np.sum is
-    excess_cloud's, bit for bit."""
     if orientation not in (1, -1) or r0 <= 0:
         raise ValueError(f"need orientation +1 or -1 and r0 > 0, got {orientation}, {r0}")
-    origin, outer, sup_h, k, terms = np.zeros(2 * n + 1), 16.0 * r0, 0.0, 0, np.empty(size)
-    for pts, nu, w in blocks:
+    n = f.spec.n
+    origin, outer, sup_h, k = np.zeros(2 * n + 1), 16.0 * r0, 0.0, 0
+    terms = np.empty(f.spec.size)
+    for pts, nu, w in _graph_blocks(f, orientation):
         norm = _cyl_norm(pts, origin)
         sup_h = max(sup_h, float(np.max(np.abs(pts[norm < r0, 0]), initial=0.0)))
         inside = norm < outer

@@ -256,8 +256,9 @@ def test_row_sums_of_a_c_contiguous_plane_are_one_row_sums(length):
 def test_excess_above_batched_row_sums_match_excess_cloud(spec_cloud, scales, delta1, rows, seed):
     # random centres, far centres whose cylinders hold no sample, and
     # samples whose largest cylinder holds more than 128 (where np.sum
-    # turns pairwise); the row-sum buffer flushed every 1 or 64 terms
-    # (a block larger than it goes alone) or at its default size
+    # turns pairwise); each block's rows summed at once, in blocks of one
+    # row or of at most 64 terms (a _BLOCK_BYTES of 1 or 64 floats) or of
+    # the default size
     spec, cloud = spec_cloud
     orientation = int(cloud.meta["params"]["orientation"])
     rng = np.random.default_rng(seed)

@@ -220,6 +220,21 @@ def test_approx_report_config_holds_no_path(tmp_path, linear_cloud_file):
     assert report["config"] == {"n": 2, "seed": 0, "params": {"h": None}}
 
 
+def test_cloud_commands_record_the_cloud_dimension(tmp_path, capsys):
+    # the cloud fixes n, so the cloud commands take no --n and report the cloud's
+    _, _, out = run(tmp_path / "gen", "gen", "linear", "--n", "3", "--h", "0.5", "--eps", "0.05")
+    cloud = str(out / "linear.cloud")
+    for command in ("approx", "excess"):
+        code, report, _ = run(tmp_path / command, command, cloud)
+        assert code == 0
+        assert report["config"]["n"] == 3
+    for command in ("approx", "truncate", "excess"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, cloud, "--n", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --n 2" in capsys.readouterr().err
+
+
 def test_approx_malformed_config_exits_1(tmp_path, linear_cloud_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"delta1": -1.0}))

@@ -189,17 +189,15 @@ def test_excess_translated_center():
 
 def test_height_bound_ratio_conventions():
     spec = GridSpec.centered(2, 1.0, 0.1)
-    flat = surface.sample_graph_boundary(GridFunction.constant(spec, 0.0))
+    flat = GridFunction.constant(spec, 0.0)
     assert surface.height_bound_ratio(flat, 0.5)["ratio"] == 0.0
 
-    lifted = surface.sample_graph_boundary(GridFunction.constant(spec, 0.3))
+    lifted = GridFunction.constant(spec, 0.3)
     rep = surface.height_bound_ratio(lifted, 0.5)
     assert rep["sup_height"] == pytest.approx(0.3)
     assert rep["ratio"] == math.inf
 
-    tilted = surface.sample_graph_boundary(
-        GridFunction.from_callable(spec, lambda w: 0.2 * w[:, 2])
-    )
+    tilted = GridFunction.from_callable(spec, lambda w: 0.2 * w[:, 2])
     rep = surface.height_bound_ratio(tilted, 0.5)
     assert rep["outer_radius"] == 8.0
     assert 0 < rep["ratio"] < math.inf
@@ -317,6 +315,26 @@ HEIGHT_GRAPHS = {
 }
 
 
+def height_bound_of_cloud(cloud, r0, orientation):
+    """height_bound_ratio's dict from the whole-cloud formulas."""
+    inside = surface.cylinder_mask(cloud, np.zeros(2 * cloud.n + 1), r0)
+    sup_h = float(np.max(np.abs(cloud.heights[inside]))) if inside.any() else 0.0
+    excess = surface.excess_cloud(cloud, None, 16.0 * r0, orientation).excess
+    if sup_h == 0.0:
+        ratio = 0.0
+    elif excess <= 0.0:
+        ratio = math.inf
+    else:
+        ratio = (sup_h / r0) / excess ** (1.0 / (2 * (2 * cloud.n + 1)))
+    return {
+        "sup_height": sup_h,
+        "r0": r0,
+        "excess_at_outer": excess,
+        "outer_radius": 16.0 * r0,
+        "ratio": ratio,
+    }
+
+
 @given(
     st.sampled_from((2, 3)),
     st.sampled_from((1, -1)),
@@ -341,12 +359,8 @@ def test_streamed_height_bound_matches_the_cloud(n, orientation, kind, a, cover,
         assert {"empty": 0, "partial": 1, "whole": 2}[cover] == (
             0 if not inside.any() else 2 if inside.all() else 1
         )
-        want = surface.height_bound_ratio(cloud, r0, orientation)
-        assert surface.height_bound_ratio(f, r0, orientation) == want
-    # both are the whole-cloud formulas, bit for bit
-    sup_h = float(np.max(np.abs(cloud.heights[inside]))) if inside.any() else 0.0
-    excess = surface.excess_cloud(cloud, None, 16.0 * r0, orientation).excess
-    assert (want["sup_height"], want["excess_at_outer"]) == (sup_h, excess)
+        got = surface.height_bound_ratio(f, r0, orientation)
+    assert got == height_bound_of_cloud(cloud, r0, orientation)
 
 
 def test_streamed_height_bound_builds_no_node_array():
@@ -364,9 +378,8 @@ def test_streamed_height_bound_holds_no_cloud():
     # the streamed check holds the compact excess buffer (one float per
     # node), the gradient planes of one x_2-slab (within one _BLOCK_BYTES
     # block of samples together) and one block of samples with its
-    # temporaries: under 2 floats per node plus a few _BLOCK_BYTES planes;
-    # the cloud path holds every sample's point, normal and weight as well
-    # (about 17 floats per node)
+    # temporaries: under 2 floats per node plus a few _BLOCK_BYTES planes,
+    # where the graph's cloud would hold about 17 floats per node
     spec = GridSpec.centered(2, 1.0, 0.1)
     f = GridFunction.from_callable(spec, lambda w: 0.1 * w[:, 1])
     bound = 2 * 8 * spec.size + 4 * core._BLOCK_BYTES
@@ -381,6 +394,5 @@ def test_streamed_height_bound_holds_no_cloud():
             tracemalloc.stop()
 
     streamed, rep = peak(lambda: surface.height_bound_ratio(f, 0.5))
-    whole, want = peak(lambda: surface.height_bound_ratio(surface.sample_graph_boundary(f), 0.5))
-    assert rep == want
-    assert streamed <= bound < whole
+    assert streamed <= bound
+    assert rep == height_bound_of_cloud(surface.sample_graph_boundary(f), 0.5, 1)
