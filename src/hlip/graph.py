@@ -273,6 +273,20 @@ def _slab(v: np.ndarray, axis: int, box: tuple):
     return v[cut], box[axis].start, box[axis].stop
 
 
+def _tail_rows(x: np.ndarray) -> np.ndarray:
+    """x as (..., L): its last three axes merged, one contiguous run per
+    leading index.  x is a stencil slab, or a plane shaped like one, of a
+    box that keeps (y_n, t) whole, so those axes and the box's last cut
+    axis are one run of rows in memory and the merge is a view."""
+    return x.reshape(x.shape[:-3] + (-1,), copy=False)
+
+
+def _layer_blocks(rows: np.ndarray, m: int, s: int) -> np.ndarray:
+    """Runs of _tail_rows as (..., blocks, m, s): layer k of an m-node axis
+    whose layers are s nodes apart is [..., k, :]."""
+    return rows.reshape(rows.shape[:-1] + (-1, m, s), copy=False)
+
+
 def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) -> np.ndarray:
     """np.gradient(v, h, axis=axis, edge_order=2) over `box`, written into out.
 
@@ -281,17 +295,32 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) ->
     order.  `box` holds one slice with explicit bounds per axis and `out`
     is shaped like it (a view of a whole-grid plane cut to the box, or a
     plane of its own); returns out.
+
+    Along y_n and t, which `box` keeps whole, the centered differences
+    run over each contiguous run of _tail_rows at once, as subtracts of
+    the run shifted by one layer (counts[-1] nodes for y_n, 1 for t).
+    That wraps across the axis' ends, and the end layers, written last,
+    overwrite every wrapped value.
     """
     nd = v.ndim
-    v, a, b = _slab(v, axis, box)
-    last = v.shape[axis] - 1
-    lo = max(a, 1)
-    hi = max(min(b, last), lo)
-    mid = out[_sl(nd, axis, slice(lo - a, hi - a))]
-    np.subtract(
-        v[_sl(nd, axis, slice(lo + 1, hi + 1))], v[_sl(nd, axis, slice(lo - 1, hi - 1))], out=mid
-    )
+    if axis >= nd - 2:
+        m, s = v.shape[axis], math.prod(v.shape[axis + 1:])
+        v, res = _tail_rows(v[box]), _tail_rows(out)
+        mid = res[..., s:-s]
+        np.subtract(v[..., 2 * s:], v[..., :-2 * s], out=mid)
+        v, res = _layer_blocks(v, m, s), _layer_blocks(res, m, s)
+        nd, axis, a, b = v.ndim, v.ndim - 2, 0, m
+    else:
+        v, a, b = _slab(v, axis, box)
+        lo = max(a, 1)
+        hi = max(min(b, v.shape[axis] - 1), lo)
+        res, mid = out, out[_sl(nd, axis, slice(lo - a, hi - a))]
+        np.subtract(
+            v[_sl(nd, axis, slice(lo + 1, hi + 1))], v[_sl(nd, axis, slice(lo - 1, hi - 1))],
+            out=mid,
+        )
     np.divide(mid, 2.0 * h, out=mid)
+    last = v.shape[axis] - 1
     for end, layers, coefs in (
         (0, (0, 1, 2), (-1.5, 2.0, -0.5)),
         (last, (-3, -2, -1), (0.5, -2.0, 1.5)),
@@ -299,7 +328,7 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) ->
         if a <= end < b:
             c0, c1, c2 = (k / h for k in coefs)
             fi, fj, fk = (v[_sl(nd, axis, layer)] for layer in layers)
-            out[_sl(nd, axis, end - a)] = c0 * fi + c1 * fj + c2 * fk
+            res[_sl(nd, axis, end - a)] = c0 * fi + c1 * fj + c2 * fk
     return out
 
 
@@ -316,14 +345,31 @@ def _map_slabs(fn, spec: GridSpec, box: tuple | None = None) -> None:
     core._map_blocks(slab, box[0].stop - start, math.prod(s.stop - s.start for s in rest))
 
 
-def _twice_coordinates(spec: GridSpec, first: int) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _twice_coordinates(spec: GridSpec, first: int) -> tuple[np.ndarray, ...]:
     """2 * the coordinate of axes first..first+n-2, each over the full grid
     shape, so a slab's box slices it: (2 y_2..2 y_n) for first = n and
-    (2 x_2..2 x_n) for first = 0."""
-    return [
-        np.broadcast_to(2.0 * spec.coordinate_field(first + k), spec.counts)
-        for k in range(spec.n - 1)
-    ]
+    (2 x_2..2 x_n) for first = 0.
+
+    A field of one of the tail axes 2n-3..2n-1 (a stencil box's last cut
+    axis, y_n and t; see _tail_rows) is stored whole over the tail, so its
+    products with a slab's planes run over each contiguous run at once;
+    the other fields are constant along the tail.  Made once per spec and
+    read-only.
+    """
+    tail = 2 * spec.n - 3
+    fields = []
+    for k in range(first, first + spec.n - 1):
+        c = 2.0 * spec.coordinate_field(k)
+        if k >= tail:
+            c = np.broadcast_to(c.reshape(c.shape[tail:]), spec.counts[tail:]).copy()
+        fields.append(np.broadcast_to(c, spec.counts))
+    return tuple(fields)
+
+
+def _cuts_tail(box: tuple, counts: tuple) -> bool:
+    """Whether `box` cuts y_n or t, the last two of the axes `counts` sizes."""
+    return any((s.start, s.stop) != (0, c) for s, c in zip(box[-2:], counts[-2:]))
 
 
 def _relative(slab: tuple, box: tuple | None) -> tuple:
@@ -368,13 +414,17 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     planes (tmp is scratch) and also write the area element
     sqrt(1 + |grad phi|^2) into area.  With it, `box` (one slice per axis
     with explicit bounds, the whole grid by default) limits the pass to
-    those nodes.  All four planes are shaped like the box, grid node i at
-    i - box start, and the result holds the first two as they are.
+    those nodes; it keeps y_n and t whole (see _partial) and raises
+    ValueError if it cuts either.  All four planes are shaped like the
+    box, grid node i at i - box start, and the result holds the first two
+    as they are.
     """
     spec, v = f.spec, f.values
     n, h = spec.n, spec.h
     if min(spec.counts) < 3:
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
+    if box is not None and _cuts_tail(box, spec.counts):
+        raise ValueError(f"a stencil box keeps y_n and t whole, got {box[-2:]}")
     if out is None:  # dt first: the other order raised verify's peak RSS by ~1 MB
         dt = np.empty(spec.counts)
         out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
@@ -403,14 +453,26 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     return IntrinsicGradient(spec, comps, dt)
 
 
-def _area(f: GridFunction) -> np.ndarray:
+def _area(f: GridFunction, keep: tuple | None = None) -> np.ndarray:
     """The area element sqrt(1 + |grad phi|^2) over the whole grid, one
     _slab_planes slab at a time on the caller, each pass writing its
     slab's box view of the area: the only grid-sized array it makes is
-    the area."""
+    the area.
+
+    `keep` = (box, components, dt), with planes shaped like a stencil box,
+    also receives each slab's components and dt inside the box, the bits
+    a pass over the box would write.
+    """
     area = np.empty(f.spec.counts)
-    for box, planes in _slab_planes(f.spec, area):
-        intrinsic_gradient(f, box, planes)
+    for slab, planes in _slab_planes(f.spec, area):
+        intrinsic_gradient(f, slab, planes)
+        if keep is not None:
+            box = keep[0]
+            rows = slice(max(slab[0].start, box[0].start), min(slab[0].stop, box[0].stop))
+            if rows.start < rows.stop:
+                part = (rows,) + box[1:]
+                for src, dst in zip(planes[:2], keep[1:]):
+                    dst[(Ellipsis,) + _relative(part, box)] = src[(Ellipsis,) + _relative(part, slab)]
     return area
 
 

@@ -20,10 +20,13 @@ from .graph import (
     GridFunction,
     GridSpec,
     _area,
+    _cuts_tail,
+    _layer_blocks,
     _map_slabs,
     _relative,
     _sl,
     _slab,
+    _tail_rows,
     _twice_coordinates,
     intrinsic_gradient,
 )
@@ -61,22 +64,47 @@ def _adjoint_axis(
     length by default): the one-sided end terms belong to the grid's end
     layers, so u must hold those wherever the box reaches within three
     nodes of them.  Returns out.
+
+    Along y_n and t (the last two axes) the box keeps both whole and u
+    holds the whole axis (offset 0), or ValueError is raised.  The
+    centered terms there run over each contiguous run of
+    graph._tail_rows at once, shifted by one layer, as graph._partial's
+    do.  That wraps across the axis' ends, and layers 0, 1, m - 2 and
+    m - 1 then get their centered terms alone before the end terms.
     """
-    nd = u.ndim
-    u, a, b = _slab(u, axis, box)
-    size = u.shape[axis] if size is None else size
-    out.fill(0.0)
-    # the bounds lo, hi and the end layers j are grid indices shifted to u's
-    lo, hi = max(a + offset, 2) - offset, max(min(b + offset, size - 2) - offset, a)
-    out[_sl(nd, axis, slice(lo - a, b - a))] += u[_sl(nd, axis, slice(lo - 1, b - 1))]
-    out[_sl(nd, axis, slice(0, hi - a))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
+    nd, res = u.ndim, out
+    if axis >= nd - 2:
+        if offset or size not in (None, u.shape[axis]) or _cuts_tail(box, u.shape):
+            raise ValueError("a y_n or t adjoint needs the whole axis: offset 0, box uncut")
+        m, s = u.shape[axis], math.prod(u.shape[axis + 1:])
+        u, out = _tail_rows(u[box]), _tail_rows(out)
+        np.add(0.0, u[..., s:-s], out=out[..., 2 * s:])  # grid index >= 2
+        out[..., 2 * s:-2 * s] -= u[..., 3 * s:-s]  # <= m - 3, below index 2 left to the ends
+        u, out = _layer_blocks(u, m, s), _layer_blocks(out, m, s)
+        nd, axis, size, a, b = u.ndim, u.ndim - 2, m, 0, m
+        for j in sorted({0, 1, m - 2, m - 1}):  # at most one centered term each
+            o = out[_sl(nd, axis, j)]
+            if j >= 2:
+                np.add(0.0, u[_sl(nd, axis, j - 1)], out=o)
+            elif j <= m - 3:
+                np.subtract(0.0, u[_sl(nd, axis, j + 1)], out=o)
+            else:
+                o.fill(0.0)
+    else:
+        u, a, b = _slab(u, axis, box)
+        size = u.shape[axis] if size is None else size
+        # the bounds lo, hi and the end layers j are grid indices shifted to u's
+        lo, hi = max(a + offset, 2) - offset, max(min(b + offset, size - 2) - offset, a)
+        np.add(0.0, u[_sl(nd, axis, slice(lo - 1, b - 1))], out=out[_sl(nd, axis, slice(lo - a, b - a))])
+        out[_sl(nd, axis, slice(0, lo - a))] = 0.0
+        out[_sl(nd, axis, slice(0, hi - a))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
         j, i = j % size - offset, i % size - offset
         if a <= j < b:
             out[_sl(nd, axis, j - a)] += c * u[_sl(nd, axis, i)]
-    out /= 2.0 * h
-    return out
+    res /= 2.0 * h
+    return res
 
 
 @dataclass
@@ -87,9 +115,10 @@ class _Iterate(GridFunction):
     (components, dt, tmp, area) pass from each point to the next, all
     shaped like the energy box; the area is the energy box's view of a
     grid-shaped area plane.  The first energy fills that plane over the
-    whole grid in slabs, then makes the box planes; it and every later
-    energy run one pass over the energy box, outside which no value, so no
-    area element, changes.  energy_gradient reads the pass of the energy
+    whole grid in slabs, copying each slab's components and dt inside the
+    energy box into the box planes as it passes; every later energy runs
+    one pass over the energy box, outside which no value, so no area
+    element, changes.  energy_gradient reads the pass of the energy
     just before it and writes W and V / area over it, then adjoints into
     the area plane inside the gradient box; the next energy recomputes all
     of it.
@@ -105,9 +134,10 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
     The gradient box bounds the free nodes; the energy box grows it by the
     one node a centered stencil reaches, and stays in the grid because
     free nodes keep STENCIL_REACH layers from its edge.  Both cut only the
-    leading 2n - 2 axes and keep (y_n, t) whole, so every numpy inner loop
-    of a pass runs over one contiguous (y_n, t) plane.  Without free nodes
-    both are empty.
+    leading 2n - 2 axes and keep (y_n, t) whole, as every stencil pass
+    requires: a slab of a pass is then one contiguous run of rows per
+    leading index (graph._tail_rows), and the y_n and t stencils run over
+    each run at once.  Without free nodes both are empty.
     """
     free = ~mask
     whole = tuple(slice(0, c) for c in mask.shape)
@@ -122,10 +152,10 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
 
 
 def _box_planes(spec: GridSpec, box: tuple | None = None) -> tuple:
-    """(components, dt, tmp): the planes of a stencil pass over `box` (the
-    whole grid by default), shaped like it."""
+    """(components, dt): the planes a stencil pass over `box` (the whole
+    grid by default) keeps, shaped like it."""
     shape = spec.counts if box is None else tuple(s.stop - s.start for s in box)
-    return np.empty((2 * spec.n - 1,) + shape), np.empty(shape), np.empty(shape)
+    return np.empty((2 * spec.n - 1,) + shape), np.empty(shape)
 
 
 def energy(f: GridFunction) -> float:
@@ -137,9 +167,11 @@ def energy(f: GridFunction) -> float:
     if not isinstance(f, _Iterate):
         area = _area(f)
     elif f.planes is None:
-        area = _area(f)  # before the box planes, so the slab planes are gone
-        f.planes = _box_planes(f.spec, f.boxes[0]) + (area[f.boxes[0]],)
-        intrinsic_gradient(f, f.boxes[0], f.planes)
+        # the slab stream fills the box's components and dt as it passes;
+        # tmp comes after it, once the slab planes are gone
+        comps, dt = _box_planes(f.spec, f.boxes[0])
+        area = _area(f, (f.boxes[0], comps, dt))
+        f.planes = comps, dt, np.empty(dt.shape), area[f.boxes[0]]
     else:
         intrinsic_gradient(f, f.boxes[0], f.planes)
         area = f.planes[3].base
@@ -158,7 +190,8 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     if isinstance(f, _Iterate) and f.planes is not None:
         planes, (scaled, box) = f.planes, f.boxes
     else:
-        planes, scaled, box = _box_planes(spec) + (np.empty(spec.counts),), None, None
+        planes = _box_planes(spec) + (np.empty(spec.counts), np.empty(spec.counts))
+        scaled = box = None
         intrinsic_gradient(f, None, planes)
     # W, dt, tmp and the area are shaped like the energy box `scaled`
     W, dt, tmp, area = planes

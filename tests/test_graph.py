@@ -330,14 +330,16 @@ def test_intrinsic_gradient_in_slabs_bitwise_matches_np_gradient(f, rows, worker
 
 def _box_pass_cases():
     """(spec, box) pairs: n = 2 and 3, with boxes that reach the grid edge
-    on some axes (where the one-sided end stencils run) and boxes inside it."""
+    on some leading axes (where the one-sided end stencils run) and boxes
+    inside it on every leading axis.  Every box keeps y_n and t whole, as
+    intrinsic_gradient requires."""
     spec2 = graph.GridSpec(2, (-0.35, -0.3, -0.4, -0.45), 0.1, (8, 7, 9, 10))
     spec3 = graph.GridSpec(3, (-0.2,) * 6, 0.1, (5, 6, 5, 4, 6, 5))
     return [
-        (spec2, (slice(0, 3), slice(4, 7), slice(0, 9), slice(2, 10))),
-        (spec2, (slice(2, 6), slice(1, 5), slice(3, 6), slice(1, 9))),
-        (spec3, (slice(0, 5), slice(2, 6), slice(1, 3), slice(0, 4), slice(0, 2), slice(0, 5))),
-        (spec3, (slice(1, 4), slice(2, 4), slice(1, 4), slice(1, 3), slice(2, 5), slice(1, 4))),
+        (spec2, (slice(0, 3), slice(4, 7), slice(0, 9), slice(0, 10))),
+        (spec2, (slice(2, 6), slice(1, 5), slice(0, 9), slice(0, 10))),
+        (spec3, (slice(0, 5), slice(2, 6), slice(1, 3), slice(0, 4), slice(0, 6), slice(0, 5))),
+        (spec3, (slice(1, 4), slice(2, 4), slice(1, 4), slice(1, 3), slice(0, 6), slice(0, 5))),
     ]
 
 
@@ -367,6 +369,18 @@ def test_intrinsic_gradient_box_planes_match_the_whole_grid_pass(monkeypatch, ca
     inside[box] = True
     np.testing.assert_array_equal(area[box], np.sqrt(1.0 + whole.norm_sq())[box])
     assert np.all(area[~inside] == -1.0)
+
+
+@pytest.mark.parametrize("cut", [-2, -1])  # y_n, t
+def test_intrinsic_gradient_rejects_a_box_that_cuts_y_n_or_t(cut):
+    spec = graph.GridSpec(2, (0.0,) * 4, 0.1, (6, 6, 7, 8))
+    f = graph.GridFunction(spec, np.random.default_rng(0).normal(size=spec.counts))
+    box = [slice(1, 5), slice(1, 5), slice(0, 7), slice(0, 8)]
+    box[cut] = slice(1, spec.counts[cut])
+    shape = tuple(s.stop - s.start for s in box)
+    planes = np.empty((3,) + shape), np.empty(shape), np.empty(shape), np.empty(shape)
+    with pytest.raises(ValueError, match="keeps y_n and t whole"):
+        graph.intrinsic_gradient(f, tuple(box), planes)
 
 
 def test_intrinsic_gradient_rejects_short_axis():

@@ -58,21 +58,43 @@ def test_axis_adjoint_on_a_box_plane_matches_the_grid_plane(axis, kind):
     # a plane holding grid nodes lo..hi-1 along `axis` (and a box of the
     # others), adjointed over the box one node inside it wherever the
     # plane stops short of the grid's end: the one-sided end terms fire
-    # where the box meets the grid's end layers, not the plane's
+    # where the box meets the grid's end layers, not the plane's.  A box
+    # keeps y_n and t (axes 2 and 3) whole, so for those the plane holds
+    # both whole and is cut the same way along axis - 2 instead
     rng = np.random.default_rng(axis)
     u = rng.normal(size=(7, 8, 7, 9))
-    h, c = 0.13, u.shape[axis]
+    h, cut = 0.13, axis % 2
+    c = u.shape[cut]
     lo, hi = {"low": (0, 4), "high": (c - 4, c), "inner": (2, c - 2), "whole": (0, c)}[kind]
-    plane = tuple(slice(lo, hi) if ax == axis else slice(1, m - 1) for ax, m in enumerate(u.shape))
+    plane = tuple(
+        slice(lo, hi) if ax == cut else slice(0, m) if ax >= 2 and axis >= 2 else slice(1, m - 1)
+        for ax, m in enumerate(u.shape)
+    )
     box = tuple(slice(s.start + (s.start > 0), s.stop - (s.stop < m)) for s, m in zip(plane, u.shape))
     rel = tuple(slice(b.start - p.start, b.stop - p.start) for b, p in zip(box, plane))
     shape = tuple(b.stop - b.start for b in box)
     want = _adjoint_axis(u, axis, h, np.empty(shape), box)
-    got = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, lo, c)
+    got = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, *((lo, c) if axis < 2 else ()))
     np.testing.assert_array_equal(got, want)
-    if kind == "high":  # a plane-relative length puts the end layers in the wrong place
+    if kind == "high" and axis < 2:  # a plane-relative length puts the end layers in the wrong place
         wrong = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, lo)
         assert not np.array_equal(wrong, want)
+
+
+@pytest.mark.parametrize("axis", [2, 3])
+@pytest.mark.parametrize("case", ["offset", "cut y_n", "cut t"])
+def test_axis_adjoint_along_y_n_or_t_rejects_a_partial_axis(axis, case):
+    u = np.random.default_rng(axis).normal(size=(7, 8, 7, 9))
+    box = [slice(1, 6), slice(1, 7), slice(0, 7), slice(0, 9)]
+    offset = 0
+    if case == "offset":
+        offset = 1
+    else:
+        ax = 2 if case == "cut y_n" else 3
+        box[ax] = slice(1, u.shape[ax])
+    shape = tuple(b.stop - b.start for b in box)
+    with pytest.raises(ValueError, match="whole axis"):
+        _adjoint_axis(u, axis, 0.13, np.empty(shape), tuple(box), offset)
 
 
 def test_gradient_vanishes_at_constant(spec):
@@ -429,9 +451,9 @@ def test_energy_equals_hperimeter_on_a_grid_of_many_slabs():
 
 
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
-    # the first energy streams the grid's pass in x_2-slabs, then fills the
-    # box planes over the energy box; every later energy runs one pass
-    # over the energy box, and the area element outside it stays the
+    # the first energy streams the grid's pass in x_2-slabs, which also
+    # fill the box planes over the energy box; every later energy runs one
+    # pass over the energy box, and the area element outside it stays the
     # first energy's, bit for bit, also after every gradient, whose
     # adjoints take the area plane as scratch
     calls = {"energy": 0, "energy_gradient": 0}
@@ -474,15 +496,15 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     outside[energy_box] = False
     assert outside.any() and not outside.all()
     # the first energy: slabs of whole axis-0 rows that tile the grid in
-    # order, then the box pass, which rewrites the area's bits unchanged
-    *slabs, (first_box, first_area) = per_energy[0]
-    assert len(slabs) > 1 and first_box == energy_box
+    # order, and no pass over the energy box
+    slabs = per_energy[0]
+    first_area = slabs[-1][1]
+    assert len(slabs) > 1
     whole = tuple(slice(0, c) for c in spec.counts)
     assert [box[1:] for box, _ in slabs] == [whole[1:]] * len(slabs)
     edges = [box[0] for box, _ in slabs]
     assert edges[0].start == 0 and edges[-1].stop == spec.counts[0]
     assert all(a.stop == b.start for a, b in zip(edges, edges[1:]))
-    np.testing.assert_array_equal(slabs[-1][1], first_area)
     for later in per_energy[1:]:
         assert len(later) == 1
         box, area = later[0]
@@ -707,3 +729,55 @@ def test_gradient_in_slabs_under_fast_thread_switches(spec, monkeypatch):
             np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
     finally:
         sys.setswitchinterval(interval)
+
+
+@st.composite
+def small_points(draw):
+    """(f, boxes): random values on grids of 3-7 nodes per axis, n = 2 or
+    3, and either no boxes (a plain function) or the descent boxes of a
+    mask that fixes the 3-layer rim of the leading axes and drawn blobs.
+    The y_n and t stencils wrap across those short axes' ends, where the
+    wrapped layers meet, and on axes under 6 nodes overlap, the end
+    layers.  A descent point's leading axes take 7-8 nodes, the fewest
+    that leave free nodes inside the rim."""
+    n = draw(st.sampled_from((2, 3)))
+    descent = draw(st.booleans())
+    lead = [draw(st.integers(7, 8) if descent else st.integers(3, 7)) for _ in range(2 * n - 2)]
+    counts = tuple(lead + [draw(st.integers(3, 7)) for _ in range(2)])
+    spec = GridSpec(n, tuple(-(c - 1) * 0.05 for c in counts), 0.1, counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(spec, 0.3 + draw(st.sampled_from((0.05, 1.0))) * rng.normal(size=counts))
+    if not descent:
+        return f, None
+    mask = np.zeros(counts, dtype=bool)
+    for ax in range(2 * n - 2):
+        mask[graph._sl(2 * n, ax, slice(0, optimize.STENCIL_REACH))] = True
+        mask[graph._sl(2 * n, ax, slice(counts[ax] - optimize.STENCIL_REACH, None))] = True
+    for _ in range(draw(st.integers(0, 3))):
+        corner = [draw(st.integers(0, c - 1)) for c in counts]
+        sides = draw(st.lists(st.integers(1, 3), min_size=2 * n, max_size=2 * n))
+        mask[tuple(slice(a, a + w) for a, w in zip(corner, sides))] = True
+    return f, optimize._free_boxes(mask, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_points(), st.integers(1, 3), st.sampled_from((1, 2)))
+def test_energy_and_gradient_on_short_axes_match_reference_bitwise(point, rows, workers):
+    # slabs of 1-3 x_2 rows on one thread or two; a descent point's first
+    # energy streams the grid and fills its box planes, a later one runs
+    # the box pass, and the gradient after either is the reference's
+    # inside the gradient box and zero outside
+    f, boxes = point
+    spec = f.spec
+    e_want, g_want = energy_reference(f), energy_gradient_reference(f)
+    if boxes is not None:
+        inside = np.zeros(spec.counts, dtype=bool)
+        inside[boxes[1]] = True
+        g_want = np.where(inside.ravel(), g_want, 0.0)
+        f = optimize._Iterate(spec, f.values, boxes=boxes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", 8 * (spec.size // spec.counts[0]) * rows)
+        mp.setattr(core, "_WORKERS", workers)
+        for _ in range(1 if boxes is None else 2):
+            assert optimize.energy(f) == e_want
+            np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
