@@ -197,7 +197,8 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # The grid stencil passes (graph.intrinsic_gradient, the one driver of
 # the stencils, with the area element folded in, and
 # optimize.energy_gradient) block a box of a grid along axis 0 instead,
-# sized by the box's columns: each block reads the whole-grid inputs and
+# sized by the box's columns and evened out across the workers
+# (graph._map_slabs): each block reads the whole-grid inputs and
 # writes one slab of the box into each output and scratch plane, all
 # shaped like the box, which a descent allocates once and reuses from
 # point to point, so they ask for no arena planes and allocate nothing

@@ -328,6 +328,26 @@ def test_intrinsic_gradient_in_slabs_bitwise_matches_np_gradient(f, rows, worker
     np.testing.assert_array_equal(g.dt, dt)
 
 
+@pytest.mark.parametrize("workers,budget,want", [
+    (2, 6, [8, 8]),  # the budget's 6 + 6 + 4 rounds down to two equal blocks
+    (2, 5, [4, 4, 4, 4]),  # 5 + 5 + 5 + 1 keeps its count, evened out
+    (2, 16, [16]),
+    (1, 6, [5, 5, 6]),
+])
+def test_map_slabs_splits_the_rows_evenly_among_the_workers(monkeypatch, workers, budget, want):
+    spec = graph.GridSpec(2, (0.0,) * 4, 0.1, (20, 6, 5, 4))
+    box = (slice(2, 18), slice(1, 5), slice(0, 5), slice(0, 4))
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 4 * 5 * 4 * budget)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    seen = []
+    graph._map_slabs(seen.append, spec, box)
+    seen.sort(key=lambda slab: slab[0].start)
+    assert [s[0].stop - s[0].start for s in seen] == want
+    assert seen[0][0].start == 2 and seen[-1][0].stop == 18
+    assert all(a[0].stop == b[0].start for a, b in zip(seen, seen[1:]))
+    assert all(s[1:] == box[1:] for s in seen)
+
+
 def _box_pass_cases():
     """(spec, box) pairs: n = 2 and 3, with boxes that reach the grid edge
     on some leading axes (where the one-sided end stencils run) and boxes
