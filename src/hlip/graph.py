@@ -273,18 +273,18 @@ def _slab(v: np.ndarray, axis: int, box: tuple):
     return v[cut], box[axis].start, box[axis].stop
 
 
-def _tail_rows(x: np.ndarray) -> np.ndarray:
-    """x as (..., L): its last three axes merged, one contiguous run per
-    leading index.  x is a stencil slab, or a plane shaped like one, of a
-    box that keeps (y_n, t) whole, so those axes and the box's last cut
-    axis are one run of rows in memory and the merge is a view."""
-    return x.reshape(x.shape[:-3] + (-1,), copy=False)
+def _tail_rows(x: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (rows, layers) of x for a stencil along an m-node axis whose
+    layers lie s nodes apart, y_n (s = counts[-1]) or t (s = 1).
 
-
-def _layer_blocks(rows: np.ndarray, m: int, s: int) -> np.ndarray:
-    """Runs of _tail_rows as (..., blocks, m, s): layer k of an m-node axis
-    whose layers are s nodes apart is [..., k, :]."""
-    return rows.reshape(rows.shape[:-1] + (-1, m, s), copy=False)
+    rows is x as (..., L), its last three axes merged into one contiguous
+    run per leading index: x is a stencil slab, or a plane shaped like
+    one, of a box that keeps (y_n, t) whole, so those axes and the box's
+    last cut axis are one run of rows in memory.  layers is rows as
+    (..., blocks, m, s), layer k of the axis being [..., k, :].
+    """
+    rows = x.reshape(x.shape[:-3] + (-1,), copy=False)
+    return rows, rows.reshape(rows.shape[:-1] + (-1, m, s), copy=False)
 
 
 def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) -> np.ndarray:
@@ -298,17 +298,16 @@ def _partial(v: np.ndarray, h: float, axis: int, out: np.ndarray, box: tuple) ->
 
     Along y_n and t, which `box` keeps whole, the centered differences
     run over each contiguous run of _tail_rows at once, as subtracts of
-    the run shifted by one layer (counts[-1] nodes for y_n, 1 for t).
+    the run shifted by one layer.
     That wraps across the axis' ends, and the end layers, written last,
     overwrite every wrapped value.
     """
     nd = v.ndim
     if axis >= nd - 2:
         m, s = v.shape[axis], math.prod(v.shape[axis + 1:])
-        v, res = _tail_rows(v[box]), _tail_rows(out)
-        mid = res[..., s:-s]
-        np.subtract(v[..., 2 * s:], v[..., :-2 * s], out=mid)
-        v, res = _layer_blocks(v, m, s), _layer_blocks(res, m, s)
+        (rows, v), (res_rows, res) = _tail_rows(v[box], m, s), _tail_rows(out, m, s)
+        mid = res_rows[..., s:-s]
+        np.subtract(rows[..., 2 * s:], rows[..., :-2 * s], out=mid)
         nd, axis, a, b = v.ndim, v.ndim - 2, 0, m
     else:
         v, a, b = _slab(v, axis, box)
@@ -484,8 +483,9 @@ def _area(f: GridFunction, keep: tuple | None = None) -> np.ndarray:
             rows = slice(max(slab[0].start, box[0].start), min(slab[0].stop, box[0].stop))
             if rows.start < rows.stop:
                 part = (rows,) + box[1:]
+                to, at = (Ellipsis,) + _relative(part, box), (Ellipsis,) + _relative(part, slab)
                 for src, dst in zip(planes[:2], keep[1:]):
-                    dst[(Ellipsis,) + _relative(part, box)] = src[(Ellipsis,) + _relative(part, slab)]
+                    dst[to] = src[at]
     return area
 
 

@@ -21,7 +21,6 @@ from .graph import (
     GridSpec,
     _area,
     _cuts_tail,
-    _layer_blocks,
     _map_slabs,
     _relative,
     _sl,
@@ -72,18 +71,18 @@ def _adjoint_axis(
     do.  That wraps across the axis' ends, and layers 0, 1, m - 2 and
     m - 1 then get their centered terms alone before the end terms.
     """
-    nd, res = u.ndim, out
+    nd = u.ndim
     if axis >= nd - 2:
         if offset or size not in (None, u.shape[axis]) or _cuts_tail(box, u.shape):
             raise ValueError("a y_n or t adjoint needs the whole axis: offset 0, box uncut")
         m, s = u.shape[axis], math.prod(u.shape[axis + 1:])
-        u, out = _tail_rows(u[box]), _tail_rows(out)
-        np.add(0.0, u[..., s:-s], out=out[..., 2 * s:])  # grid index >= 2
-        out[..., 2 * s:-2 * s] -= u[..., 3 * s:-s]  # <= m - 3, below index 2 left to the ends
-        u, out = _layer_blocks(u, m, s), _layer_blocks(out, m, s)
+        (rows, u), (res_rows, res) = _tail_rows(u[box], m, s), _tail_rows(out, m, s)
+        # + u[j - 1] for grid index j >= 2, - u[j + 1] for 2 <= j <= m - 3
+        np.add(0.0, rows[..., s:-s], out=res_rows[..., 2 * s:])
+        res_rows[..., 2 * s:-2 * s] -= rows[..., 3 * s:-s]
         nd, axis, size, a, b = u.ndim, u.ndim - 2, m, 0, m
         for j in sorted({0, 1, m - 2, m - 1}):  # at most one centered term each
-            o = out[_sl(nd, axis, j)]
+            o = res[_sl(nd, axis, j)]
             if j >= 2:
                 np.add(0.0, u[_sl(nd, axis, j - 1)], out=o)
             elif j <= m - 3:
@@ -92,19 +91,20 @@ def _adjoint_axis(
                 o.fill(0.0)
     else:
         u, a, b = _slab(u, axis, box)
-        size = u.shape[axis] if size is None else size
+        size, res = u.shape[axis] if size is None else size, out
         # the bounds lo, hi and the end layers j are grid indices shifted to u's
         lo, hi = max(a + offset, 2) - offset, max(min(b + offset, size - 2) - offset, a)
-        np.add(0.0, u[_sl(nd, axis, slice(lo - 1, b - 1))], out=out[_sl(nd, axis, slice(lo - a, b - a))])
+        inner = out[_sl(nd, axis, slice(lo - a, b - a))]
+        np.add(0.0, u[_sl(nd, axis, slice(lo - 1, b - 1))], out=inner)
         out[_sl(nd, axis, slice(0, lo - a))] = 0.0
         out[_sl(nd, axis, slice(0, hi - a))] -= u[_sl(nd, axis, slice(a + 1, hi + 1))]
     for j, i, c in ((0, 0, -3.0), (1, 0, 4.0), (2, 0, -1.0),
                     (-1, -1, 3.0), (-2, -1, -4.0), (-3, -1, 1.0)):
         j, i = j % size - offset, i % size - offset
         if a <= j < b:
-            out[_sl(nd, axis, j - a)] += c * u[_sl(nd, axis, i)]
-    res /= 2.0 * h
-    return res
+            res[_sl(nd, axis, j - a)] += c * u[_sl(nd, axis, i)]
+    out /= 2.0 * h
+    return out
 
 
 @dataclass

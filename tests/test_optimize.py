@@ -76,7 +76,8 @@ def test_axis_adjoint_on_a_box_plane_matches_the_grid_plane(axis, kind):
     want = _adjoint_axis(u, axis, h, np.empty(shape), box)
     got = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, *((lo, c) if axis < 2 else ()))
     np.testing.assert_array_equal(got, want)
-    if kind == "high" and axis < 2:  # a plane-relative length puts the end layers in the wrong place
+    # a plane-relative length puts the end layers in the wrong place
+    if kind == "high" and axis < 2:
         wrong = _adjoint_axis(u[plane], axis, h, np.empty(shape), rel, lo)
         assert not np.array_equal(wrong, want)
 
