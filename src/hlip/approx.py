@@ -185,7 +185,7 @@ class TruncationResult:
 
     phi_lemma_path names the c_L behind lip_certified: "estimated" from
     sampled balls, "pinned" to 1 after the estimate failed, or "none"
-    when the lemma did not run (trivial truncation) or failed both ways.
+    when the lemma did not run (trivial truncation) or failed.
     symdiff is the match of the cloud and the graph over the support of
     the defect measure, from which the measure was built.
     """
@@ -567,23 +567,19 @@ def truncate(
         lip_certified = 0.0
     else:
         try:
+            c_l, path = maximal.estimate_ball_constants(f).c_l, "estimated"
+        except PhiLemmaError as exc:
+            log.info("phi lemma: c_L estimate failed (%s); c_L pinned to 1", exc)
+            c_l, path = 1.0, "pinned"
+        try:
             rep = check_phi_lemma(
                 f, s=s, theta=theta, gamma2=config.gamma2,
-                pair_budget=config.pair_budget, seed=config.seed,
+                pair_budget=config.pair_budget, seed=config.seed, c_hat_l=c_l,
             )
-            path = "estimated"
+            lip_certified = rep["ratio"] * theta
         except PhiLemmaError as exc:
-            log.info("phi lemma: c_L estimate failed (%s); retrying with c_L pinned to 1", exc)
-            try:
-                rep = check_phi_lemma(
-                    f, s=s, theta=theta, gamma2=config.gamma2,
-                    pair_budget=config.pair_budget, seed=config.seed, c_hat_l=1.0,
-                )
-                path = "pinned"
-            except PhiLemmaError as exc:
-                log.warning("phi lemma failed with c_L pinned to 1 (%s); no certificate", exc)
-                rep = None
-        lip_certified = math.inf if rep is None else rep["ratio"] * theta
+            log.warning("phi lemma failed with c_L = %r (%s); no certificate", c_l, exc)
+            lip_certified, path = math.inf, "none"
 
     dists = sym.cell_min_dist[k_idx]
     residual = float(np.max(dists[np.isfinite(dists)], initial=0.0))

@@ -435,11 +435,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     ratios = []
     for eps in (1e-3, 1e-2, 1e-1):
         fld = GridFunction.from_callable(vspec, lambda w, e=eps: e * w[:, 1])
-        ratios.append(
-            maximal.check_phi_lemma(fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=args.seed)[
-                "ratio"
-            ]
+        c_l = maximal.estimate_ball_constants(fld).c_l
+        rep = maximal.check_phi_lemma(
+            fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=args.seed, c_hat_l=c_l
         )
+        ratios.append(rep["ratio"])
     rows.append(
         {
             "check": "phi_lemma_constant",

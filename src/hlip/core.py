@@ -241,9 +241,9 @@ def _triangle_blocks(m: int):
         a = b
 
 
-def _map_blocks(fn, rows: int, cols: int, blocks=None) -> list:
-    """[fn(blk) for blk in _row_blocks(rows, cols)], in block order, or
-    for blk in `blocks` when given.
+def _map_blocks(fn, blocks) -> list:
+    """[fn(blk) for blk in blocks], in block order: the row slices of
+    _row_blocks, _triangle_blocks or graph._map_slabs' even split.
 
     With _WORKERS = 2 and more than one block, the caller and one helper
     thread run the same loop, each taking the next block from a shared
@@ -256,7 +256,7 @@ def _map_blocks(fn, rows: int, cols: int, blocks=None) -> list:
     from _planes, the arena grows at the first request and is reused by
     every later block that thread runs, and it is freed when the call
     returns.  So the live scratch is at most _WORKERS arenas of a few
-    (rows x cols) planes (see _BLOCK_BYTES), and fn must copy out whatever
+    planes of one block (see _BLOCK_BYTES), and fn must copy out whatever
     it keeps of a plane before it returns.
 
     Consecutive calls are a barrier: every block of one call has finished
@@ -264,7 +264,7 @@ def _map_blocks(fn, rows: int, cols: int, blocks=None) -> list:
     wrote (optimize.energy_gradient scales every row before its axis-0
     adjoint reads neighbour rows).
     """
-    blocks = list(_row_blocks(rows, cols) if blocks is None else blocks)
+    blocks = list(blocks)
     out = [None] * len(blocks)
     todo = enumerate(blocks)
     lock = threading.Lock()

@@ -354,7 +354,7 @@ def _map_slabs(fn, spec: GridSpec, box: tuple | None = None) -> None:
     def slab(blk: slice) -> None:
         fn((slice(start + blk.start, start + blk.stop),) + rest)
 
-    core._map_blocks(slab, rows, cols, blocks)
+    core._map_blocks(slab, blocks)
 
 
 @functools.lru_cache(maxsize=8)
@@ -429,7 +429,7 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     those nodes; it keeps y_n and t whole (see _partial) and raises
     ValueError if it cuts either.  All four planes are shaped like the
     box, grid node i at i - box start, and the result holds the first two
-    as they are.
+    as they are.  A box without `out` raises ValueError.
     """
     spec, v = f.spec, f.values
     n, h = spec.n, spec.h
@@ -437,6 +437,8 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
         raise ValueError("intrinsic gradient needs at least 3 nodes per axis")
     if box is not None and _cuts_tail(box, spec.counts):
         raise ValueError(f"a stencil box keeps y_n and t whole, got {box[-2:]}")
+    if box is not None and out is None:
+        raise ValueError("a pass over a box writes into planes shaped like it: pass out")
     if out is None:  # dt first: the other order raised verify's peak RSS by ~1 MB
         dt = np.empty(spec.counts)
         out = np.empty((2 * n - 1,) + spec.counts), dt, np.empty(spec.counts), None
@@ -465,27 +467,15 @@ def intrinsic_gradient(f: GridFunction, box=None, out=None) -> IntrinsicGradient
     return IntrinsicGradient(spec, comps, dt)
 
 
-def _area(f: GridFunction, keep: tuple | None = None) -> np.ndarray:
+def _area(f: GridFunction) -> np.ndarray:
     """The area element sqrt(1 + |grad phi|^2) over the whole grid, one
     _slab_planes slab at a time on the caller, each pass writing its
     slab's box view of the area: the only grid-sized array it makes is
     the area.
-
-    `keep` = (box, components, dt), with planes shaped like a stencil box,
-    also receives each slab's components and dt inside the box, the bits
-    a pass over the box would write.
     """
     area = np.empty(f.spec.counts)
     for slab, planes in _slab_planes(f.spec, area):
         intrinsic_gradient(f, slab, planes)
-        if keep is not None:
-            box = keep[0]
-            rows = slice(max(slab[0].start, box[0].start), min(slab[0].stop, box[0].stop))
-            if rows.start < rows.stop:
-                part = (rows,) + box[1:]
-                to, at = (Ellipsis,) + _relative(part, box), (Ellipsis,) + _relative(part, slab)
-                for src, dst in zip(planes[:2], keep[1:]):
-                    dst[to] = src[at]
     return area
 
 
@@ -616,7 +606,7 @@ def _cone_ratio(nodes: np.ndarray, vals: np.ndarray) -> tuple[float, tuple[int, 
 
     # blocks reduced in block order with a strict >, as one serial pass would
     worst, pair = 0.0, (-1, -1)
-    for a, best, k in core._map_blocks(block, m, m, blocks=blocks):
+    for a, best, k in core._map_blocks(block, blocks):
         if best > worst:
             worst, pair = best, (a + k // (m - a), a + k % (m - a))
     return worst, pair
@@ -640,8 +630,8 @@ def extend_lipschitz(
     indices: np.ndarray,
     values: np.ndarray,
     L: float,
-    sup_bound: float | None = None,
-    m_const: float | None = None,
+    sup_bound: float,
+    m_const: float,
     verify: bool = True,
 ) -> tuple[GridFunction, ExtensionReport]:
     """Extend partial graph data to the whole grid by iterated cone infima.
@@ -649,8 +639,10 @@ def extend_lipschitz(
     The data on node subset K must satisfy the cone condition with
     constant L (verified exactly first).  Off K the value is the fixed
     point of psi(w) = min_q [phi(q) + M ||proj(Phi(q)^-1 (w * psi(w) e_1))||]
-    with M = extension_constant(L), seeded from nearest-sample values.
-    With sup_bound given, iterates are clamped so the sup norm is preserved.
+    with cone opening M = m_const (extension_constant(L) in the theory),
+    seeded from nearest-sample values.  Iterates are clamped to
+    [-sup_bound, sup_bound], so a sup_bound at the data's sup norm
+    preserves it; math.inf clamps nothing.
     """
     indices = np.asarray(indices, dtype=int)
     values = np.asarray(values, dtype=float)
@@ -660,7 +652,7 @@ def extend_lipschitz(
         raise ValueError("duplicate node indices in partial data")
     nodes = spec.nodes()
     kn = nodes[indices]
-    if sup_bound is not None and np.max(np.abs(values)) > sup_bound * (1 + 1e-12):
+    if np.max(np.abs(values)) > sup_bound * (1 + 1e-12):
         raise ValueError("partial data exceeds the requested sup bound")
     if verify:
         ratio, (i, j) = _cone_ratio(kn, values)
@@ -668,7 +660,6 @@ def extend_lipschitz(
             raise ConeViolationError(
                 f"partial data has cone ratio {ratio:.6g} > L = {L:.6g} (pair {i}, {j})"
             )
-    M = extension_constant(L) if m_const is None else float(m_const)
 
     out = np.empty(spec.size)
     out[indices] = values
@@ -690,15 +681,14 @@ def extend_lipschitz(
             pw = core.graph_points(wf[blk], psi[blk])
             planes = core._planes(4, (blk.stop - blk.start, len(kn)))
             cand = core.pi_rel_norm(pk[None, :, :], pw[:, None, :], planes=planes)
-            cand *= M
+            cand *= m_const
             new[blk] = np.min(np.add(values, cand, out=cand), axis=1)
 
-        core._map_blocks(seed, len(fill), len(kn))
+        core._map_blocks(seed, core._row_blocks(len(fill), len(kn)))
         for it in range(1, _EXTENSION_MAX_ITER + 1):
             new = np.empty_like(psi)
-            core._map_blocks(sweep, len(fill), len(kn))
-            if sup_bound is not None:
-                np.clip(new, -sup_bound, sup_bound, out=new)
+            core._map_blocks(sweep, core._row_blocks(len(fill), len(kn)))
+            np.clip(new, -sup_bound, sup_bound, out=new)
             residual = float(np.max(np.abs(new - psi)))
             psi = new
             report_iters = it
@@ -707,4 +697,4 @@ def extend_lipschitz(
         else:
             raise ExtensionConvergenceError(residual, _EXTENSION_MAX_ITER)
         out[fill] = psi
-    return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual, M)
+    return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual, m_const)

@@ -219,7 +219,7 @@ def disk_maximal(
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
         # a block's ladder tables are up to rungs.size + 1 columns wide
-        core._map_blocks(block, eval_idx.size, max(supp.size, rungs.size + 1))
+        core._map_blocks(block, core._row_blocks(eval_idx.size, max(supp.size, rungs.size + 1)))
     return values
 
 
@@ -351,7 +351,8 @@ def phi_maximal(
     mu_phi: DiscreteMeasure,
     s: float,
     gamma2: float = 1.0,
-    c_hat_l: float | None = None,
+    *,
+    c_hat_l: float,
     centers: np.ndarray | None = None,
     _exact_above: float = -math.inf,
 ) -> np.ndarray:
@@ -359,9 +360,11 @@ def phi_maximal(
     (all cells by default), one value per cell, 0 off centers.
 
     Radii run over the ladder below r_phi(x, s) = (rho / c_L) s - d_phi(x, 0)
-    with rho = 64 gamma2 + 2; c_L is estimated from the graph when not
-    given (floored at 1).  A graph whose sampled Lipschitz constant exceeds
-    _SMALL_SLOPE_LIP is outside the small-slope regime and raises.
+    with rho = 64 gamma2 + 2 and c_L = c_hat_l, the caller's quasi-ball
+    constant (estimate_ball_constants(f).c_l, or 1 where that cannot be
+    estimated).  A graph whose sampled Lipschitz constant exceeds
+    _SMALL_SLOPE_LIP is outside the small-slope regime and raises before
+    c_L is read.
 
     A block's ladder is cut as _cut_ladder says.
 
@@ -378,8 +381,6 @@ def phi_maximal(
         raise PhiLemmaError(
             f"graph too steep for the small-slope regime: {lip:.3g} > {_SMALL_SLOPE_LIP:.3g}"
         )
-    if c_hat_l is None:
-        c_hat_l = estimate_ball_constants(f).c_l
     rho = 64.0 * gamma2 + 2.0
     spec = f.spec
     rungs = radius_ladder(cell_diameter(spec), (rho / c_hat_l) * s)
@@ -408,7 +409,7 @@ def phi_maximal(
             np.copyto(ratios, 0.0, where=r >= caps[:, None])
             values[idx] = np.max(ratios, axis=1, initial=0.0)
 
-        core._map_blocks(block, eval_idx.size, max(spec.size, rungs.size + 1))
+        core._map_blocks(block, core._row_blocks(eval_idx.size, max(spec.size, rungs.size + 1)))
     return values
 
 
@@ -419,13 +420,14 @@ def check_phi_lemma(
     gamma2: float = 1.0,
     pair_budget: int = 20000,
     seed: int = 0,
-    c_hat_l: float | None = None,
+    *,
+    c_hat_l: float,
 ) -> dict:
     """Empirical constant in the off-superlevel Lipschitz bound.
 
     Over pairs outside J_theta = {[mu_phi] > theta} within U_phi(0, s),
-    returns max |phi(x) - phi(y)| / (theta d_phi(x, y)).  Pass c_hat_l
-    to pin the quasi-ball constant on grids too coarse to estimate it.
+    returns max |phi(x) - phi(y)| / (theta d_phi(x, y)).  c_hat_l is
+    phi_maximal's quasi-ball constant.
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -546,7 +548,7 @@ def estimate_ball_constants(
             planes = core._planes(4, (pc.shape[0], cols.shape[0]))
             out[blk] = reduce(_sym_dist(pc[:, None, :], cols[None, :, :], planes=planes), blk)
 
-        core._map_blocks(block, rows.size, cols.shape[0])
+        core._map_blocks(block, core._row_blocks(rows.size, cols.shape[0]))
         return out
 
     # each candidate centre's distance to the boundary nodes, NaN until drawn

@@ -107,25 +107,23 @@ def _adjoint_axis(
     return out
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _Iterate(GridFunction):
     """Descent point whose stencil passes run only where values can change.
 
     `boxes` = (energy box, gradient box) of _free_boxes.  The `planes`
-    (components, dt, tmp, area) pass from each point to the next, all
-    shaped like the energy box; the area is the energy box's view of a
-    grid-shaped area plane.  The first energy fills that plane over the
-    whole grid in slabs, copying each slab's components and dt inside the
-    energy box into the box planes as it passes; every later energy runs
-    one pass over the energy box, outside which no value, so no area
-    element, changes.  energy_gradient reads the pass of the energy
-    just before it and writes W and V / area over it, then adjoints into
-    the area plane inside the gradient box; the next energy recomputes all
-    of it.
+    (components, dt, tmp, area) of _descent_planes pass from each point to
+    the next, all shaped like the energy box; the area is the energy box's
+    view of a grid-shaped area plane, filled over the whole grid before
+    the descent's first energy.  Every energy runs one pass over the
+    energy box, outside which no value, so no area element, changes.
+    energy_gradient reads the pass of the energy just before it and writes
+    W and V / area over it, then adjoints into the area plane inside the
+    gradient box; the next energy recomputes all of it.
     """
 
-    boxes: tuple = ()
-    planes: tuple | None = field(default=None, repr=False)
+    boxes: tuple
+    planes: tuple = field(repr=False)
 
 
 def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
@@ -152,29 +150,32 @@ def _free_boxes(mask: np.ndarray, n: int) -> tuple[tuple, tuple]:
 
 
 def _box_planes(spec: GridSpec, box: tuple | None = None) -> tuple:
-    """(components, dt): the planes a stencil pass over `box` (the whole
-    grid by default) keeps, shaped like it."""
+    """(components, dt, tmp): the planes of a stencil pass over `box` (the
+    whole grid by default) but the area, shaped like it."""
     shape = spec.counts if box is None else tuple(s.stop - s.start for s in box)
-    return np.empty((2 * spec.n - 1,) + shape), np.empty(shape)
+    return np.empty((2 * spec.n - 1,) + shape), np.empty(shape), np.empty(shape)
+
+
+def _descent_planes(f: GridFunction, box: tuple) -> tuple:
+    """The (components, dt, tmp, area) planes of a descent from f whose
+    energy box is `box`: the area is the box's view of f's area element,
+    streamed over the whole grid in slabs (graph._area), which no energy
+    of the descent rewrites outside the box."""
+    area = _area(f)
+    return _box_planes(f.spec, box) + (area[box],)
 
 
 def energy(f: GridFunction) -> float:
     """Area of the graph over the grid; always >= L^{2n}(grid).
 
-    Equal to surface.hperimeter(f) bit for bit.  A descent point's first
-    energy also makes its box planes and fills them for the gradient.
+    Equal to surface.hperimeter(f) bit for bit.  A descent point's energy
+    runs one pass over its energy box into its planes, for the gradient.
     """
-    if not isinstance(f, _Iterate):
-        area = _area(f)
-    elif f.planes is None:
-        # the slab stream fills the box's components and dt as it passes;
-        # tmp comes after it, once the slab planes are gone
-        comps, dt = _box_planes(f.spec, f.boxes[0])
-        area = _area(f, (f.boxes[0], comps, dt))
-        f.planes = comps, dt, np.empty(dt.shape), area[f.boxes[0]]
-    else:
+    if isinstance(f, _Iterate):
         intrinsic_gradient(f, f.boxes[0], f.planes)
         area = f.planes[3].base
+    else:
+        area = _area(f)
     return float(np.sum(area.ravel()) * f.spec.cell_volume)
 
 
@@ -187,10 +188,10 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     spec = f.spec
     n, h, V = spec.n, spec.h, spec.cell_volume
     t_ax = 2 * n - 1
-    if isinstance(f, _Iterate) and f.planes is not None:
+    if isinstance(f, _Iterate):
         planes, (scaled, box) = f.planes, f.boxes
     else:
-        planes = _box_planes(spec) + (np.empty(spec.counts), np.empty(spec.counts))
+        planes = _box_planes(spec) + (np.empty(spec.counts),)
         scaled = box = None
         intrinsic_gradient(f, None, planes)
     # W, dt, tmp and the area are shaped like the energy box `scaled`
@@ -210,7 +211,7 @@ def energy_gradient(f: GridFunction, out=None) -> np.ndarray:
     grad.fill(0.0)
     # the area plane is spent over the energy box once scaled, and the
     # adjoints write only inside the gradient box, so it is their scratch;
-    # the area outside the energy box stays the first pass's
+    # the area outside the energy box stays the one _descent_planes streamed
     ys, xs = _twice_coordinates(spec, n), _twice_coordinates(spec, 0)
 
     def adjoints(slab: tuple) -> None:
@@ -338,8 +339,9 @@ def solve(
     # next gradient, and each swaps with x or g on acceptance
     x = problem.initial.values.ravel().copy()
     g, spare_x, spare_g = (np.empty_like(x) for _ in range(3))
-    point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes)
     with np.errstate(over="ignore", invalid="ignore"):
+        planes = _descent_planes(problem.initial, boxes[0])
+        point = _Iterate(spec, x.reshape(spec.counts), boxes=boxes, planes=planes)
         e = energy(point)
     if not math.isfinite(e):
         raise FloatingPointError(f"start energy is {e}: the initial values overflow the area")

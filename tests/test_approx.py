@@ -822,24 +822,61 @@ def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, ca
     cloud = generators.corrupted_cluster_cloud(spec, 2**-2, displacement=0.3)
     res = approx.lipschitz_approximation(cloud, spec, cfg)
 
-    def lemma(estimate_fails, pinned_fails):
-        def check(f, s, theta, c_hat_l=None, **kw):
-            if pinned_fails if c_hat_l == 1.0 else estimate_fails:
+    def estimate(fails):
+        def constants(f):
+            if fails:
                 raise maximal.PhiLemmaError("every sampled ball left the grid")
+            return maximal.BallConstants(0.5, 2.0, 1.25, 50)
+        return constants
+
+    def lemma(fails, seen):
+        def check(f, s, theta, *, c_hat_l, **kw):
+            seen.append(c_hat_l)
+            if fails:
+                raise maximal.PhiLemmaError("no pairs available off the superlevel set")
             return {"ratio": 0.5}
         return check
 
     caplog.set_level(logging.INFO, logger="hlip.approx")
-    for fails, path in [((False, False), "estimated"), ((True, False), "pinned"),
-                        ((True, True), "none")]:
+    for (estimate_fails, lemma_fails), path in [
+        ((False, False), "estimated"), ((True, False), "pinned"),
+        ((True, True), "none"), ((False, True), "none"),
+    ]:
         caplog.clear()
-        monkeypatch.setattr(approx, "check_phi_lemma", lemma(*fails))
+        seen = []
+        monkeypatch.setattr(maximal, "estimate_ball_constants", estimate(estimate_fails))
+        monkeypatch.setattr(approx, "check_phi_lemma", lemma(lemma_fails, seen))
         tr = approx.truncate(cloud, res.phi, cfg)
         assert not tr.trivial
         assert tr.phi_lemma_path == path
-        assert tr.lip_certified == (math.inf if path == "none" else 0.5 * tr.theta)
+        assert tr.lip_certified == (math.inf if lemma_fails else 0.5 * tr.theta)
+        assert seen == [1.0 if estimate_fails else 1.25]
         logged = [r.getMessage() for r in caplog.records if r.name == "hlip.approx"]
-        assert any("pinned to 1" in m for m in logged) == (path != "estimated")
+        assert any("pinned to 1" in m for m in logged) == estimate_fails
+
+
+def test_truncate_runs_one_phi_lemma_certificate(cfg, monkeypatch):
+    # on the h = 0.3 pipeline cloud every c_L ball leaves the grid: the
+    # estimate fails once and the certificate runs once, with c_L pinned
+    spec = generators.default_grid(2, 0.3)
+    cloud = generators.corrupted_cluster_cloud(spec, 0.02, eps=0.05, displacement=0.3)
+    res = approx.lipschitz_approximation(cloud, spec, cfg)
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(maximal, "estimate_ball_constants")
+    counted(approx, "check_phi_lemma")
+    tr = approx.truncate(cloud, res.phi, cfg)
+    assert sorted(calls) == ["check_phi_lemma", "estimate_ball_constants"]
+    assert tr.phi_lemma_path == "pinned" and math.isfinite(tr.lip_certified)
 
 
 def test_truncate_lets_other_value_errors_propagate(spec, cfg, monkeypatch):

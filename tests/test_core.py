@@ -406,7 +406,7 @@ def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
                 time.sleep(0)  # let the other thread take a block
                 return blk
 
-            assert core._map_blocks(fn, rows, 1) == expected
+            assert core._map_blocks(fn, core._row_blocks(rows, 1)) == expected
             assert runs == [1] * len(expected)
     finally:
         sys.setswitchinterval(switch)
@@ -425,7 +425,7 @@ def test_map_blocks_run_under_the_callers_errstate(monkeypatch):
         time.sleep(0.01)  # let the other thread take a block
 
     with np.errstate(over="ignore"):
-        core._map_blocks(fn, 6, 1)
+        core._map_blocks(fn, core._row_blocks(6, 1))
     assert {mode for _, mode in seen} == {"ignore"}
     assert len({thread for thread, _ in seen}) == 2
 
@@ -453,10 +453,10 @@ def test_map_blocks_reraises_after_the_helper_stops(monkeypatch, raiser):
         return blk.start
 
     with pytest.raises(ConeViolationError) as info:
-        core._map_blocks(fn, 6, 1)
+        core._map_blocks(fn, core._row_blocks(6, 1))
     assert info.value is error
     assert len(finished) == 1 and len(ran) == 2
-    assert core._map_blocks(lambda blk: blk.start, 6, 1) == list(range(6))
+    assert core._map_blocks(lambda blk: blk.start, core._row_blocks(6, 1)) == list(range(6))
 
 
 def _ref_box(p):

@@ -403,6 +403,16 @@ def test_intrinsic_gradient_rejects_a_box_that_cuts_y_n_or_t(cut):
         graph.intrinsic_gradient(f, tuple(box), planes)
 
 
+def test_intrinsic_gradient_rejects_a_box_without_out():
+    # a box pass writes planes shaped like the box; without them it would
+    # land in the first rows of grid-shaped planes and leave the rest unset
+    spec = graph.GridSpec(2, (0.0,) * 4, 0.1, (10, 10, 10, 10))
+    f = graph.GridFunction(spec, np.random.default_rng(0).normal(size=spec.counts))
+    box = (slice(2, 5), slice(0, 10), slice(0, 10), slice(0, 10))
+    with pytest.raises(ValueError, match="pass out"):
+        graph.intrinsic_gradient(f, box)
+
+
 def test_intrinsic_gradient_rejects_short_axis():
     spec = graph.GridSpec(2, (0.0,) * 4, 0.2, (4, 4, 2, 4))
     with pytest.raises(ValueError):
@@ -576,7 +586,8 @@ def test_extension_constant_values():
 
 def test_extension_single_node_is_constant(small_spec):
     f, rep = graph.extend_lipschitz(
-        small_spec, np.array([100]), np.array([0.7]), L=0.5, sup_bound=0.7
+        small_spec, np.array([100]), np.array([0.7]), L=0.5, sup_bound=0.7,
+        m_const=graph.extension_constant(0.5),
     )
     assert np.all(f.values == 0.7)
     assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) == 0.0
@@ -585,7 +596,8 @@ def test_extension_single_node_is_constant(small_spec):
 def test_extension_full_data_is_identity(small_spec):
     base = graph.GridFunction.from_callable(small_spec, linear_fn(0.05))
     f, rep = graph.extend_lipschitz(
-        small_spec, np.arange(small_spec.size), base.flat, L=0.05
+        small_spec, np.arange(small_spec.size), base.flat, L=0.05, sup_bound=math.inf,
+        m_const=graph.extension_constant(0.05),
     )
     assert np.array_equal(f.values, base.values)
     assert rep.iterations == 0
@@ -598,7 +610,8 @@ def test_extension_recovers_linear_graph():
     rng = np.random.default_rng(3)
     K = np.sort(rng.choice(spec.size, size=spec.size // 2, replace=False))
     f, rep = graph.extend_lipschitz(
-        spec, K, base.flat[K], L=eps, sup_bound=float(np.abs(base.flat[K]).max())
+        spec, K, base.flat[K], L=eps, sup_bound=float(np.abs(base.flat[K]).max()),
+        m_const=graph.extension_constant(eps),
     )
     in_d1 = core.box(spec.nodes()) < 1.0
     assert np.max(np.abs(f.flat - base.flat)[in_d1]) <= 2 * eps * h
@@ -610,7 +623,9 @@ def test_extension_preserves_sup_norm(small_spec):
     base = graph.GridFunction.from_callable(small_spec, linear_fn(0.05))
     K = np.arange(0, small_spec.size, 7)
     sup = float(np.abs(base.flat[K]).max())
-    f, _ = graph.extend_lipschitz(small_spec, K, base.flat[K], L=0.05, sup_bound=sup)
+    f, _ = graph.extend_lipschitz(
+        small_spec, K, base.flat[K], L=0.05, sup_bound=sup, m_const=graph.extension_constant(0.05)
+    )
     assert np.abs(f.values).max() == pytest.approx(sup)
 
 
@@ -618,7 +633,10 @@ def test_extension_a_posteriori_bound(small_spec):
     for eps in (0.01, 0.05):
         base = graph.GridFunction.from_callable(small_spec, linear_fn(eps))
         K = np.arange(0, small_spec.size, 5)
-        f, rep = graph.extend_lipschitz(small_spec, K, base.flat[K], L=eps)
+        f, rep = graph.extend_lipschitz(
+            small_spec, K, base.flat[K], L=eps, sup_bound=math.inf,
+            m_const=graph.extension_constant(eps),
+        )
         assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1
 
 
@@ -634,7 +652,9 @@ def test_extension_same_on_one_and_two_workers(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(core, "_WORKERS", workers)
         ratio = graph._cone_ratio(spec.nodes()[K], base.flat[K])
-        f, rep = graph.extend_lipschitz(spec, K, base.flat[K], L=0.1)
+        f, rep = graph.extend_lipschitz(
+            spec, K, base.flat[K], L=0.1, sup_bound=math.inf, m_const=graph.extension_constant(0.1)
+        )
         runs.append((ratio, f.flat, rep.iterations, rep.residual))
     (ratio1, flat1, it1, res1), (ratio2, flat2, it2, res2) = runs
     assert ratio1 == ratio2
@@ -655,8 +675,10 @@ def test_block_loops_on_single_rows_match_one_block(monkeypatch, workers):
     def outcome():
         ratio = graph._cone_ratio(spec.nodes()[K], base.flat[K])
         runs = []
-        for sup in (None, 0.05):
-            f, rep = graph.extend_lipschitz(spec, K, base.flat[K], L=0.1, sup_bound=sup)
+        for sup in (math.inf, 0.05):
+            f, rep = graph.extend_lipschitz(
+                spec, K, base.flat[K], L=0.1, sup_bound=sup, m_const=graph.extension_constant(0.1)
+            )
             runs.append((f.flat, rep.iterations, rep.residual))
         return ratio, runs
 
@@ -688,7 +710,10 @@ def test_kernel_result_held_by_caller_survives_block_loops(monkeypatch):
 
 def test_extension_rejects_bad_cone(small_spec):
     with pytest.raises(graph.ConeViolationError):
-        graph.extend_lipschitz(small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1)
+        graph.extend_lipschitz(
+            small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1, sup_bound=math.inf,
+            m_const=graph.extension_constant(0.1),
+        )
 
 
 def test_cone_ratio_exact_pair_and_zero_distance(small_spec):
@@ -707,14 +732,17 @@ def test_cone_ratio_exact_pair_and_zero_distance(small_spec):
 
 
 def test_extension_rejects_bad_input(small_spec):
-    with pytest.raises(ValueError):
-        graph.extend_lipschitz(small_spec, np.array([], dtype=int), np.array([]), L=0.1)
-    with pytest.raises(ValueError):
-        graph.extend_lipschitz(small_spec, np.array([3, 3]), np.array([0.0, 0.0]), L=0.1)
+    kw = {"L": 0.1, "m_const": graph.extension_constant(0.1)}
     with pytest.raises(ValueError):
         graph.extend_lipschitz(
-            small_spec, np.array([3]), np.array([2.0]), L=0.1, sup_bound=1.0
+            small_spec, np.array([], dtype=int), np.array([]), sup_bound=math.inf, **kw
         )
+    with pytest.raises(ValueError):
+        graph.extend_lipschitz(
+            small_spec, np.array([3, 3]), np.array([0.0, 0.0]), sup_bound=math.inf, **kw
+        )
+    with pytest.raises(ValueError):
+        graph.extend_lipschitz(small_spec, np.array([3]), np.array([2.0]), sup_bound=1.0, **kw)
 
 
 def cone_ratio_reference(nodes, vals):

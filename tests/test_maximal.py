@@ -448,7 +448,8 @@ def test_vitali_matches_per_candidate_reference(family):
 def test_phi_maximal_flat_constant_is_zero(spec):
     f = GridFunction.constant(spec, 0.3)
     fld = maximal.phi_maximal(
-        f, maximal.measure_from_gradient(f), 0.5, centers=np.arange(0, spec.size, 7)
+        f, maximal.measure_from_gradient(f), 0.5, c_hat_l=estimated_c_l(f),
+        centers=np.arange(0, spec.size, 7),
     )
     assert np.all(fld == 0)
 
@@ -457,7 +458,9 @@ def test_phi_maximal_linear_graph_is_slope(spec):
     eps = 0.05
     f = GridFunction.from_callable(spec, lambda w: eps * w[:, 1])
     centers = np.arange(0, spec.size, 7)
-    fld = maximal.phi_maximal(f, maximal.measure_from_gradient(f), 0.1, centers=centers)
+    fld = maximal.phi_maximal(
+        f, maximal.measure_from_gradient(f), 0.1, c_hat_l=estimated_c_l(f), centers=centers
+    )
     vals = fld[centers]
     assert np.all(vals > 0)
     assert np.allclose(vals, eps, rtol=1e-9)
@@ -467,19 +470,23 @@ def test_phi_maximal_homogeneous_in_measure(spec):
     f = GridFunction.from_callable(spec, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0])
     mu = maximal.measure_from_gradient(f)
     centers = np.arange(0, spec.size, 97)
-    a = maximal.phi_maximal(f, mu, 0.2, centers=centers)
+    c_l = estimated_c_l(f)
+    a = maximal.phi_maximal(f, mu, 0.2, c_hat_l=c_l, centers=centers)
     tripled = maximal.DiscreteMeasure(spec, 3.0 * mu.masses)
-    b = maximal.phi_maximal(f, tripled, 0.2, centers=centers)
+    b = maximal.phi_maximal(f, tripled, 0.2, c_hat_l=c_l, centers=centers)
     assert np.allclose(b, 3.0 * a, rtol=1e-12)
 
 
 def test_phi_maximal_rejects_steep_graphs(spec):
+    # the slope check runs before c_L is read
     f = GridFunction.from_callable(spec, lambda w: 0.5 * w[:, 1])
     with pytest.raises(ValueError, match="steep"):
-        maximal.phi_maximal(f, maximal.measure_from_gradient(f), 0.5)
+        maximal.phi_maximal(f, maximal.measure_from_gradient(f), 0.5, c_hat_l=1.0)
     # also where the density bound alone would decide the superlevel set
     with pytest.raises(maximal.PhiLemmaError, match="steep"):
-        maximal.check_phi_lemma(f, s=0.45, theta=10.0 * largest_density(f), pair_budget=500)
+        maximal.check_phi_lemma(
+            f, s=0.45, theta=10.0 * largest_density(f), pair_budget=500, c_hat_l=1.0
+        )
 
 
 def test_phi_maximal_matches_disk_maximal_for_flat_graph(spec):
@@ -513,7 +520,9 @@ def test_phi_lemma_bounded_constant_across_slopes(spec, monkeypatch):
     ratios = []
     for eps in (1e-3, 1e-2, 1e-1):
         f = GridFunction.from_callable(spec, lambda w: eps * w[:, 1])
-        rep = maximal.check_phi_lemma(f, s=0.45, theta=2 * eps, pair_budget=4000, seed=5)
+        rep = maximal.check_phi_lemma(
+            f, s=0.45, theta=2 * eps, pair_budget=4000, seed=5, c_hat_l=estimated_c_l(f)
+        )
         assert rep["off_level_cells"] == np.count_nonzero(phi_ball(f, np.zeros(4), 0.45)[0]) > 0
         ratios.append(rep["ratio"])
     assert ladders == []
@@ -537,7 +546,9 @@ def test_phi_lemma_constant_stable_under_refinement():
 
 def test_phi_lemma_flat_graph_zero(spec):
     f = GridFunction.constant(spec, 1.0)
-    rep = maximal.check_phi_lemma(f, s=0.45, theta=0.5, pair_budget=2000)
+    rep = maximal.check_phi_lemma(
+        f, s=0.45, theta=0.5, pair_budget=2000, c_hat_l=estimated_c_l(f)
+    )
     assert rep["ratio"] == 0.0
 
 
@@ -553,6 +564,11 @@ def phi_lemma_reference(f, **kw):
         return ball_constants_outcome(maximal.check_phi_lemma, f, **kw)
 
 
+def estimated_c_l(f):
+    """The quasi-ball constant the lemma's callers pass, sampled from f."""
+    return maximal.estimate_ball_constants(f).c_l
+
+
 def largest_density(f):
     return float(np.max(maximal.measure_from_gradient(f).flat)) / f.spec.cell_volume
 
@@ -561,10 +577,10 @@ def count_ladder_loops(monkeypatch):
     """A list that gains one entry per phi_maximal block loop run from now on."""
     calls, map_blocks = [], core._map_blocks
 
-    def counted(fn, *a, **k):
+    def counted(fn, blocks):
         if fn.__qualname__ == "phi_maximal.<locals>.block":
             calls.append("phi_maximal")
-        return map_blocks(fn, *a, **k)
+        return map_blocks(fn, blocks)
 
     monkeypatch.setattr(core, "_map_blocks", counted)
     return calls
@@ -662,12 +678,13 @@ def test_phi_lemma_logs_which_branch_decided(caplog):
 
 
 def test_phi_lemma_unestimable_c_l_raises_before_the_bound():
-    # at h = 0.3 every c_L ball leaves the grid; the bound would decide
+    # at h = 0.3 every c_L ball leaves the grid, so the estimate raises on
+    # its own; the lemma with c_L pinned to 1 lets the bound decide
     g = generators.default_grid(2, 0.3)
     f = GridFunction.from_callable(g, lambda w: 0.05 * w[:, 1] + 0.02 * w[:, 0] * w[:, 3])
     theta = 10.0 * largest_density(f)
     with pytest.raises(maximal.PhiLemmaError, match="every sampled ball left the grid"):
-        maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500)
+        maximal.estimate_ball_constants(f)
     rep = maximal.check_phi_lemma(f, s=0.45, theta=theta, pair_budget=500, c_hat_l=1.0)
     assert rep == phi_lemma_reference(f, s=0.45, theta=theta, pair_budget=500, c_hat_l=1.0)
 

@@ -452,25 +452,24 @@ def test_energy_equals_hperimeter_on_a_grid_of_many_slabs():
 
 
 def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
-    # the first energy streams the grid's pass in x_2-slabs, which also
-    # fill the box planes over the energy box; every later energy runs one
-    # pass over the energy box, and the area element outside it stays the
-    # first energy's, bit for bit, also after every gradient, whose
+    # solve streams the grid's pass in x_2-slabs once, in one graph._area
+    # call before its first energy; every energy, the first one included,
+    # runs one pass over the energy box, and the area element outside it
+    # stays the stream's, bit for bit, also after every gradient, whose
     # adjoints take the area plane as scratch
-    calls = {"energy": 0, "energy_gradient": 0}
-    passes = []  # (box, area plane) after every intrinsic-gradient call
-    per_energy = []  # the passes of each energy call
-    gradient_areas = []  # area plane after every energy_gradient call
+    calls = {"_area": 0, "energy": 0, "energy_gradient": 0}
+    passes = []  # (box, grid area plane) after every intrinsic-gradient call
+    per_call = []  # (name, the passes it ran) of every counted call
+    areas = []  # grid area plane after every energy and energy_gradient call
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
             before = len(passes)
             result = fn(*args, **kwargs)
-            if name == "energy":
-                per_energy.append(passes[before:])
-            else:
-                gradient_areas.append(args[0].planes[3].base.copy())
+            per_call.append((name, passes[before:]))
+            if name != "_area":
+                areas.append(args[0].planes[3].base.copy())
             return result
         return wrapped
 
@@ -483,37 +482,32 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
         monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
     intrinsic = optimize.intrinsic_gradient
     monkeypatch.setattr(optimize, "intrinsic_gradient", recording)
-    # the first energy's slab passes run in graph._area
+    # the stream's slab passes run in graph._area
     monkeypatch.setattr(graph, "intrinsic_gradient", recording)
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
     rep = optimize.solve(prob, max_iter=20)
     assert rep.iterations == 20
-    assert calls["energy_gradient"] == rep.iterations + 1
-    assert calls["energy"] > calls["energy_gradient"]
-    assert len(per_energy) == calls["energy"]
-    assert len(passes) == sum(len(p) for p in per_energy)
+    assert calls["_area"] == 1
+    assert calls["energy"] > calls["energy_gradient"] == rep.iterations + 1
     energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
     outside = np.ones(spec.counts, dtype=bool)
     outside[energy_box] = False
     assert outside.any() and not outside.all()
-    # the first energy: slabs of whole axis-0 rows that tile the grid in
-    # order, and no pass over the energy box
-    slabs = per_energy[0]
-    first_area = slabs[-1][1]
-    assert len(slabs) > 1
+    # the stream: slabs of whole axis-0 rows that tile the grid in order
+    name, slabs = per_call[0]
+    assert name == "_area" and len(slabs) > 1
     whole = tuple(slice(0, c) for c in spec.counts)
     assert [box[1:] for box, _ in slabs] == [whole[1:]] * len(slabs)
     edges = [box[0] for box, _ in slabs]
     assert edges[0].start == 0 and edges[-1].stop == spec.counts[0]
     assert all(a.stop == b.start for a, b in zip(edges, edges[1:]))
-    for later in per_energy[1:]:
-        assert len(later) == 1
-        box, area = later[0]
-        assert box == energy_box
-        np.testing.assert_array_equal(area[outside], first_area[outside])
-    assert len(gradient_areas) == calls["energy_gradient"]
-    for area in gradient_areas:
-        np.testing.assert_array_equal(area[outside], first_area[outside])
+    stream_area = slabs[-1][1]
+    for name, ran in per_call[1:]:
+        assert [box for box, _ in ran] == ([energy_box] if name == "energy" else [])
+    assert len(passes) == len(slabs) + calls["energy"]
+    assert len(areas) == calls["energy"] + calls["energy_gradient"]
+    for area in areas:
+        np.testing.assert_array_equal(area[outside], stream_area[outside])
 
 
 def test_solve_runs_in_a_fixed_working_set():
@@ -690,8 +684,10 @@ def test_energy_and_gradient_in_slabs_match_reference_bitwise(
         inside[boxes[1]] = True
         assert not inside.all()
         g_want = np.where(inside.ravel(), g_want, 0.0)
-        f = optimize._Iterate(spec, f.values, boxes=boxes)
     _force_slabs(monkeypatch, spec, rows, workers)
+    if descent_point:
+        planes = optimize._descent_planes(f, boxes[0])
+        f = optimize._Iterate(spec, f.values, boxes=boxes, planes=planes)
     assert optimize.energy(f) == energy_reference(f)
     np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
 
@@ -764,10 +760,10 @@ def small_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_points(), st.integers(1, 3), st.sampled_from((1, 2)))
 def test_energy_and_gradient_on_short_axes_match_reference_bitwise(point, rows, workers):
-    # slabs of 1-3 x_2 rows on one thread or two; a descent point's first
-    # energy streams the grid and fills its box planes, a later one runs
-    # the box pass, and the gradient after either is the reference's
-    # inside the gradient box and zero outside
+    # slabs of 1-3 x_2 rows on one thread or two; a descent point's planes
+    # stream the grid, each of its energies runs the box pass, and the
+    # gradient after either is the reference's inside the gradient box and
+    # zero outside
     f, boxes = point
     spec = f.spec
     e_want, g_want = energy_reference(f), energy_gradient_reference(f)
@@ -775,10 +771,12 @@ def test_energy_and_gradient_on_short_axes_match_reference_bitwise(point, rows, 
         inside = np.zeros(spec.counts, dtype=bool)
         inside[boxes[1]] = True
         g_want = np.where(inside.ravel(), g_want, 0.0)
-        f = optimize._Iterate(spec, f.values, boxes=boxes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_BYTES", 8 * (spec.size // spec.counts[0]) * rows)
         mp.setattr(core, "_WORKERS", workers)
+        if boxes is not None:
+            planes = optimize._descent_planes(f, boxes[0])
+            f = optimize._Iterate(spec, f.values, boxes=boxes, planes=planes)
         for _ in range(1 if boxes is None else 2):
             assert optimize.energy(f) == e_want
             np.testing.assert_array_equal(optimize.energy_gradient(f), g_want)
