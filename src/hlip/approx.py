@@ -22,6 +22,7 @@ import numpy as np
 
 from . import core, maximal
 from .graph import (
+    ConeViolationError,
     ExtensionReport,
     GridFunction,
     GridSpec,
@@ -337,25 +338,26 @@ def _extend(
     values: np.ndarray,
     config: PipelineConfig,
 ) -> tuple[GridFunction, ExtensionReport]:
-    if config.extension_policy == "fixed":
-        l_ver = config.extension_l
-    else:
-        # tiny floor only: a fixed floor would pin the cone slope of the
-        # fill region and break proportionality for shallow data
-        l_ver = max(_cone_ratio(spec.nodes()[cells], values)[0], 1e-9)
+    """Extend with cone slope l_ver: the data's measured cone ratio, or
+    the fixed extension_l, which the data must then satisfy."""
+    fixed = config.extension_policy == "fixed"
+    ratio, (i, j) = _cone_ratio(spec.nodes()[cells], values)
+    # tiny floor only: a fixed floor would pin the cone slope of the
+    # fill region and break proportionality for shallow data
+    l_ver = config.extension_l if fixed else max(ratio, 1e-9)
     if l_ver > 1.0 + 1e-9:
         raise ValueError(
             f"selected data has cone ratio {l_ver:.4g} > 1; lower delta1 or the scan scales"
+        )
+    if fixed and ratio > l_ver * (1.0 + 1e-9):
+        raise ConeViolationError(
+            f"partial data has cone ratio {ratio:.6g} > L = {l_ver:.6g} (pair {i}, {j})"
         )
     # the cone opening of the extension is what bounds the output slope,
     # so cap it at the unit contract; clamping preserves the data's sup
     m_const = min(extension_constant(l_ver), 1.0)
     sup_bound = float(np.max(np.abs(values)))
-    # the measured ratio is l_ver itself, so re-verifying it could not fail
-    return extend_lipschitz(
-        spec, cells, values, L=l_ver, m_const=m_const, sup_bound=sup_bound,
-        verify=config.extension_policy == "fixed",
-    )
+    return extend_lipschitz(spec, cells, values, m_const=m_const, sup_bound=sup_bound)
 
 
 def _nearest_dinf(targets: np.ndarray, points: np.ndarray, width: float) -> np.ndarray:
@@ -567,7 +569,7 @@ def truncate(
         lip_certified = 0.0
     else:
         try:
-            c_l, path = maximal.estimate_ball_constants(f).c_l, "estimated"
+            c_l, path = maximal.estimate_ball_constants(f), "estimated"
         except PhiLemmaError as exc:
             log.info("phi lemma: c_L estimate failed (%s); c_L pinned to 1", exc)
             c_l, path = 1.0, "pinned"

@@ -317,6 +317,16 @@ def cmd_truncate(args: argparse.Namespace) -> tuple[dict, int]:
     pcfg = _pipeline_config(args)
     result = approx.lipschitz_approximation(cloud, spec, pcfg)
     if result.degenerate:
+        # no sample passes when one weight outweighs the continuum mass
+        # kappa s^Q of the smallest scan cylinder
+        s, hom = min(pcfg.scales), 2 * cloud.n + 1
+        heavy = float(np.median(cloud.weights)) / (core.constants(cloud.n)[0] * s**hom)
+        if heavy > 1.0:
+            raise PreconditionError(
+                f"selection is empty at delta1={pcfg.delta1}: a sample's weight is {heavy:.3g}x "
+                f"the mass kappa s^{hom} of the smallest scan cylinder (s = {s:g}); "
+                "use larger scales in --config or a finer --h"
+            )
         raise PreconditionError(
             f"selection is empty at delta1={pcfg.delta1}; the cloud is too far from flat"
         )
@@ -435,9 +445,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     ratios = []
     for eps in (1e-3, 1e-2, 1e-1):
         fld = GridFunction.from_callable(vspec, lambda w, e=eps: e * w[:, 1])
-        c_l = maximal.estimate_ball_constants(fld).c_l
         rep = maximal.check_phi_lemma(
-            fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=args.seed, c_hat_l=c_l
+            fld, s=0.45, theta=2 * eps, pair_budget=4000, seed=args.seed,
+            c_hat_l=maximal.estimate_ball_constants(fld),
         )
         ratios.append(rep["ratio"])
     rows.append(

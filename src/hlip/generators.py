@@ -196,6 +196,8 @@ def deleted_patch_cloud(
         "orientation": orientation,
     }
     cloud = _finish(base.subset(keep), spec, "deleted-patch", params, None)
+    # a cloud with a hole bounds no minimizer: linear_cloud's witness goes
+    del cloud.meta["minimality"]
     cloud.meta.update(
         deleted_mass=float(np.sum(base.weights[~keep])), deleted_count=int(np.sum(~keep))
     )

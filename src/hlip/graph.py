@@ -493,19 +493,19 @@ def _graph_point(f: GridFunction, x: np.ndarray) -> np.ndarray:
     return core.graph_points(x, f.interp(x[None, :])[0])
 
 
-def phi_ball(f: GridFunction, x: np.ndarray, r: float) -> tuple[np.ndarray, float, bool]:
+def phi_ball(f: GridFunction, x: np.ndarray, r: float) -> tuple[np.ndarray, bool]:
     """Cells of the grid inside the graph-distance ball U(x, r).
 
-    Returns (flat mask, discrete measure = count * cell volume, exits flag);
-    the flag is set when the ball touches the outermost node layer, meaning
-    the true ball is not fully covered by the grid.
+    Returns (flat mask, exits flag); the flag is set when the ball touches
+    the outermost node layer, meaning the true ball is not fully covered by
+    the grid.
     """
     if r <= 0:
         raise ValueError(f"ball radius must be positive, got {r}")
     x = np.asarray(x, dtype=float)
     mask = _sym_dist(_graph_point(f, x), f.graph()) < r
     exits = bool(np.any(mask & f.spec.boundary_mask().ravel()))
-    return mask, float(np.count_nonzero(mask)) * f.spec.cell_volume, exits
+    return mask, exits
 
 
 def _pair_stream(m: int, budget: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -622,27 +622,24 @@ _EXTENSION_MAX_ITER = 100
 class ExtensionReport:
     iterations: int
     residual: float
-    m_const: float
 
 
 def extend_lipschitz(
     spec: GridSpec,
     indices: np.ndarray,
     values: np.ndarray,
-    L: float,
     sup_bound: float,
     m_const: float,
-    verify: bool = True,
 ) -> tuple[GridFunction, ExtensionReport]:
     """Extend partial graph data to the whole grid by iterated cone infima.
 
-    The data on node subset K must satisfy the cone condition with
-    constant L (verified exactly first).  Off K the value is the fixed
-    point of psi(w) = min_q [phi(q) + M ||proj(Phi(q)^-1 (w * psi(w) e_1))||]
-    with cone opening M = m_const (extension_constant(L) in the theory),
-    seeded from nearest-sample values.  Iterates are clamped to
-    [-sup_bound, sup_bound], so a sup_bound at the data's sup norm
-    preserves it; math.inf clamps nothing.
+    The data on node subset K must satisfy the cone condition with some
+    constant L, which the caller checks (_cone_ratio).  Off K the value is
+    the fixed point of psi(w) = min_q [phi(q) + M ||proj(Phi(q)^-1 (w *
+    psi(w) e_1))||] with cone opening M = m_const (extension_constant(L)
+    in the theory), seeded from nearest-sample values.  Iterates are
+    clamped to [-sup_bound, sup_bound], so a sup_bound at the data's sup
+    norm preserves it; math.inf clamps nothing.
     """
     indices = np.asarray(indices, dtype=int)
     values = np.asarray(values, dtype=float)
@@ -654,12 +651,6 @@ def extend_lipschitz(
     kn = nodes[indices]
     if np.max(np.abs(values)) > sup_bound * (1 + 1e-12):
         raise ValueError("partial data exceeds the requested sup bound")
-    if verify:
-        ratio, (i, j) = _cone_ratio(kn, values)
-        if ratio > L * (1.0 + 1e-9):
-            raise ConeViolationError(
-                f"partial data has cone ratio {ratio:.6g} > L = {L:.6g} (pair {i}, {j})"
-            )
 
     out = np.empty(spec.size)
     out[indices] = values
@@ -697,4 +688,4 @@ def extend_lipschitz(
         else:
             raise ExtensionConvergenceError(residual, _EXTENSION_MAX_ITER)
         out[fill] = psi
-    return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual, m_const)
+    return GridFunction(spec, out.reshape(spec.counts)), ExtensionReport(report_iters, residual)

@@ -33,7 +33,6 @@ __all__ = [
     "cell_diameter",
     "DiscreteMeasure",
     "DiskLemmaReport",
-    "BallConstants",
     "radius_ladder",
     "disk_maximal",
     "check_disk_lemma",
@@ -253,7 +252,6 @@ def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray
 class DiskLemmaReport:
     lhs: float
     rhs: float
-    theta: float
     slack: float
     hypothesis_ok: bool
     passed: bool
@@ -286,7 +284,7 @@ def check_disk_lemma(
     j_small = fld > theta / 2**hom
     rhs = (5**hom / theta) * float(np.sum(mu.flat[j_small & (box < r + s / 5)]))
     passed = bool(hypothesis_ok and lhs <= rhs * (1 + _DISK_LEMMA_SLACK))
-    return DiskLemmaReport(lhs, rhs, theta, _DISK_LEMMA_SLACK, hypothesis_ok, passed)
+    return DiskLemmaReport(lhs, rhs, _DISK_LEMMA_SLACK, hypothesis_ok, passed)
 
 
 def vitali_5r(
@@ -361,7 +359,7 @@ def phi_maximal(
 
     Radii run over the ladder below r_phi(x, s) = (rho / c_L) s - d_phi(x, 0)
     with rho = 64 gamma2 + 2 and c_L = c_hat_l, the caller's quasi-ball
-    constant (estimate_ball_constants(f).c_l, or 1 where that cannot be
+    constant (estimate_ball_constants(f), or 1 where that cannot be
     estimated).  A graph whose sampled Lipschitz constant exceeds
     _SMALL_SLOPE_LIP is outside the small-slope regime and raises before
     c_L is read.
@@ -431,7 +429,7 @@ def check_phi_lemma(
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    in_ball, _, _ = phi_ball(f, np.zeros(2 * f.spec.n), s)
+    in_ball, _ = phi_ball(f, np.zeros(2 * f.spec.n), s)
     fld = phi_maximal(
         f,
         measure_from_gradient(f),
@@ -472,8 +470,8 @@ def check_poincare(f: GridFunction, x: np.ndarray, r: float) -> dict:
     with C2 = _POINCARE_C2.  Both balls must stay inside the grid.
     """
     x = np.asarray(x, dtype=float)
-    inner, _, exits_inner = phi_ball(f, x, r)
-    outer, _, exits_outer = phi_ball(f, x, _POINCARE_C2 * r)
+    inner, exits_inner = phi_ball(f, x, r)
+    outer, exits_outer = phi_ball(f, x, _POINCARE_C2 * r)
     if exits_inner or exits_outer:
         raise ValueError("phi-ball leaves the grid; shrink r or recentre")
     if not np.any(inner):
@@ -494,36 +492,27 @@ def check_poincare(f: GridFunction, x: np.ndarray, r: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BallConstants:
-    c1: float
-    c2: float
-    c_l: float
-    samples: int
-
-
 def estimate_ball_constants(
     f: GridFunction,
     samples: int = 50,
     seed: int = 0,
     r_bounds: tuple[float, float] | None = None,
-) -> BallConstants:
-    """Sampled bounds c1 <= L^{2n}(U_phi(x,r))/r^{2n+1} <= c2 and the
-    quasi-triangle constant of d_phi, floored at 1.
+) -> float:
+    """Sampled quasi-triangle constant c_L of d_phi, floored at 1.
 
-    Balls that leave the grid are skipped; raises if every sample does.
-    A ball leaves the grid exactly when its centre lies closer than r to
-    a boundary node, so each drawn centre costs one row against the
-    boundary nodes, and only a ball that stays inside costs a full row.
+    Balls U_phi(x, r) are drawn until `samples` of them stay inside the
+    grid, or 20 * samples were drawn; raises if every one left it.  A ball
+    leaves the grid exactly when its centre lies closer than r to a
+    boundary node, so each drawn centre costs one row against the boundary
+    nodes.  (A ball inside holds its own centre node, within rounding, so
+    none that counts is empty.)  The triple sample of c_L follows the draws.
 
     No draw depends on a distance, so the balls are drawn in chunks of
     `samples - used` (within the 20 * samples cap): exactly the draws a
     one-ball-at-a-time loop makes before it could next stop.  Each chunk
-    then takes its new centres' boundary rows and its inside balls' full
-    rows in one block loop each.
+    then takes its new centres' boundary rows in one block loop.
     """
     spec = f.spec
-    hom = 2 * spec.n + 1
     nodes = spec.nodes()
     if r_bounds is None:
         spatial = min(c * spec.h for c in spec.counts[:-1]) / 2.0
@@ -538,23 +527,10 @@ def estimate_ball_constants(
     px_boundary = np.asfortranarray(px[spec.boundary_mask().ravel()])
     # graph points of every candidate centre from one interpolation
     centres = core.graph_points(nodes[interior], f.interp(nodes[interior]))
-
-    def row_blocks(rows, cols, reduce):
-        """reduce(d, blk) of each row block d of _sym_dist(centres[rows], cols)."""
-        out = np.empty(rows.size)
-
-        def block(blk):
-            pc = centres[rows[blk]]
-            planes = core._planes(4, (pc.shape[0], cols.shape[0]))
-            out[blk] = reduce(_sym_dist(pc[:, None, :], cols[None, :, :], planes=planes), blk)
-
-        core._map_blocks(block, core._row_blocks(rows.size, cols.shape[0]))
-        return out
-
     # each candidate centre's distance to the boundary nodes, NaN until drawn
     edge = np.full(interior.size, np.nan)
     log_lo, log_hi = math.log(r_bounds[0]), math.log(r_bounds[1])
-    c1, c2, used, drawn = math.inf, 0.0, 0, 0
+    used, drawn = 0, 0
     while used < samples and drawn < 20 * samples:
         k = min(samples - used, 20 * samples - drawn)
         drawn += k
@@ -563,23 +539,19 @@ def estimate_ball_constants(
             rows[j] = rng.integers(interior.size)
             radii[j] = math.exp(rng.uniform(log_lo, log_hi))
         fresh = np.unique(rows[np.isnan(edge[rows])])
-        edge[fresh] = row_blocks(fresh, px_boundary, lambda d, blk: d.min(axis=1))
-        inside = edge[rows] >= radii
-        rows, radii = rows[inside], radii[inside]
-        counts = row_blocks(
-            rows, px, lambda d, blk: np.count_nonzero(d < radii[blk, None], axis=1)
-        )
-        for count, r in zip(counts.tolist(), radii.tolist()):
-            if count == 0:
-                continue
-            ratio = count * spec.cell_volume / r**hom
-            c1, c2 = min(c1, ratio), max(c2, ratio)
-            used += 1
+
+        def block(blk):
+            pc = centres[fresh[blk]]
+            planes = core._planes(4, (pc.shape[0], px_boundary.shape[0]))
+            d = _sym_dist(pc[:, None, :], px_boundary[None, :, :], planes=planes)
+            edge[fresh[blk]] = d.min(axis=1)
+
+        core._map_blocks(block, core._row_blocks(fresh.size, px_boundary.shape[0]))
+        used += int(np.count_nonzero(edge[rows] >= radii))
     if used == 0:
         raise PhiLemmaError("every sampled ball left the grid; shrink r_bounds")
     trip = rng.integers(0, spec.size, size=(samples, 3))
     d = lambda a, b: _sym_dist(px[a], px[b])
     dxy, dxz, dzy = d(trip[:, 0], trip[:, 1]), d(trip[:, 0], trip[:, 2]), d(trip[:, 2], trip[:, 1])
     ok = dxz + dzy > 1e-15
-    c_l = float(np.max(dxy[ok] / (dxz + dzy)[ok], initial=1.0))
-    return BallConstants(c1, c2, max(c_l, 1.0), used)
+    return float(np.max(dxy[ok] / (dxz + dzy)[ok], initial=1.0))

@@ -91,12 +91,10 @@ class BoundaryCloud:
 
 @dataclass(frozen=True)
 class ExcessReport:
-    center: tuple[float, ...]
     radius: float
     excess: float
     mass: float
     count: int
-    orientation: int
 
 
 def _graph_blocks(f: GridFunction, orientation: int, sel=None, stride: int = 1):
@@ -225,14 +223,7 @@ def excess_cloud(
     defect = 1.0 - orientation * cloud.normals[inside, 0]
     mass = float(np.sum(cloud.weights[inside]))
     e = float(np.sum(cloud.weights[inside] * defect) / r ** (2 * cloud.n + 1))
-    return ExcessReport(
-        center=tuple(np.asarray(center, dtype=float)),
-        radius=float(r),
-        excess=e,
-        mass=mass,
-        count=int(np.count_nonzero(inside)),
-        orientation=orientation,
-    )
+    return ExcessReport(radius=float(r), excess=e, mass=mass, count=int(np.count_nonzero(inside)))
 
 
 def excess_profile(

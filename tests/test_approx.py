@@ -756,8 +756,8 @@ def check_sandwich_reference(f, x, r, C):
     spec = f.spec
     x = np.asarray(x, dtype=float)
     lip = graph.lipschitz_estimate(f)
-    inner, _, exits_inner = graph.phi_ball(f, x, C * r)
-    outer, _, exits_outer = graph.phi_ball(f, x, r)
+    inner, exits_inner = graph.phi_ball(f, x, C * r)
+    outer, exits_outer = graph.phi_ball(f, x, r)
     r_slack = r * (1.0 + 0.5 * lip) + 1e-12
     outer_slack = outer if lip == 0.0 else graph.phi_ball(f, x, r_slack)[0]
     px = core.graph_points(x[None, :], f.interp(x[None, :]))[0]
@@ -767,7 +767,7 @@ def check_sandwich_reference(f, x, r, C):
     nodes = spec.nodes()
     disk_r = core.w_dinf(x, nodes) < r
     disk_big = core.w_dinf(x, nodes) < R
-    graph_ball_big, _, _ = graph.phi_ball(f, x, R)
+    graph_ball_big, _ = graph.phi_ball(f, x, R)
     incl = {
         "graph_ball_in_projection": bool(np.all(~inner | ball_proj)),
         "projection_in_graph_ball": bool(np.all(~ball_proj | outer_slack)),
@@ -826,7 +826,7 @@ def test_truncate_reports_phi_lemma_path(spec, cfg, flat_result, monkeypatch, ca
         def constants(f):
             if fails:
                 raise maximal.PhiLemmaError("every sampled ball left the grid")
-            return maximal.BallConstants(0.5, 2.0, 1.25, 50)
+            return 1.25
         return constants
 
     def lemma(fails, seen):

@@ -64,6 +64,18 @@ def test_gen_linear_weights(tmp_path):
     assert np.allclose(cloud.weights, math.sqrt(1.01) * 0.5**4, rtol=1e-12)
 
 
+def test_gen_deleted_patch_claims_no_minimality_witness(tmp_path):
+    # the linear cloud it cuts from is a minimizer's boundary; a cloud with
+    # a hole is not
+    argv = ["gen", "deleted-patch", "--h", "0.5", "--radius", "0.5", "--eps", "0.05"]
+    code, _, out = run(tmp_path, *argv)
+    assert code == 0
+    cloud = fileio.read_cloud(out / "deleted-patch.cloud")
+    assert cloud.meta["deleted_count"] > 0
+    assert "minimality" not in cloud.meta
+    assert generators.linear_cloud(generators.default_grid(2, 0.5), 0.05).meta["minimality"]
+
+
 def test_gen_unknown_kind_exits_1(capsys):
     assert main(["gen", "bogus"]) == 1
     assert "unknown generator kind" in capsys.readouterr().err
@@ -312,6 +324,30 @@ def test_truncate_prints_phi_lemma_path(tmp_path, linear_cloud_file, capsys):
     assert f"c_L {lib.phi_lemma_path})" in capsys.readouterr().out
     # the path is printed only, so report hashes stay as they were
     assert "phi_lemma_path" not in report["results"]
+
+
+@pytest.mark.parametrize(
+    "gen, config, message",
+    [
+        # at n = 3, h = 0.5 one sample weighs 24.3 times kappa s^7 at
+        # s = 0.25, so no sample can pass the smallest scan cylinder
+        (["--n", "3", "--h", "0.5"], {}, "selection is empty at delta1=0.1: a sample's weight is "
+         "24.3x the mass kappa s^7 of the smallest scan cylinder (s = 0.25); use larger scales "
+         "in --config or a finer --h"),
+        # at n = 2, h = 0.25 one weighs 0.48 times kappa s^5: the threshold
+        # alone empties the selection
+        (["--h", "0.25"], {"delta1": 1e-9},
+         "selection is empty at delta1=1e-09; the cloud is too far from flat"),
+    ],
+)
+def test_truncate_empty_selection_names_its_cause(tmp_path, capsys, gen, config, message):
+    assert main(["gen", "linear", *gen, "--eps", "0.05", "--out", str(tmp_path)]) == 0
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    argv = ["truncate", str(tmp_path / "linear.cloud"), "--config", str(tmp_path / "config.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "truncate_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["approx", "truncate"])

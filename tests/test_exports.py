@@ -149,18 +149,12 @@ def test_defaulted_parameters_have_callers():
 
 
 # dataclass fields kept without a reader outside the unit tests on purpose
-COMPARED = "its reference test compares it"
 TEST_READ_FIELDS = {
-    "BallConstants.c1": COMPARED,
-    "BallConstants.c2": COMPARED,
-    "BallConstants.samples": COMPARED,
     "ExtensionReport.residual": "the record of how far the fixed point got; its tests compare runs",
-    "ExtensionReport.m_const": "the bound its tests hold the sampled Lipschitz constant to",
     "DiscreteMeasure.masses": "read through flat and total",
     "ApproxResult.fit_inputs": "read through symdiff, l2_gradient and m0_matched, on first read",
     "IntrinsicGradient.dt": "the descent reads it through its plane",
     "SolveReport.gradient_trace": "the per-step record next to energy_trace; its test compares it",
-    "ExcessReport.center": "echoes the cylinder the excess was taken in; its test compares it",
 }
 
 

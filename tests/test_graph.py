@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlip import core, graph
+from hlip import approx, core, graph
 
 KAPPA = core.constants(2)[0]
 
@@ -512,9 +512,8 @@ def test_graph_distance_quasi_triangle_near_one():
 def test_phi_ball_small_radius_single_cell(small_spec):
     f = graph.GridFunction.from_callable(small_spec, linear_fn(0.05))
     x = small_spec.nodes()[np.ravel_multi_index((4, 4, 4, 4), small_spec.counts)]
-    mask, meas, exits = graph.phi_ball(f, x, 1e-6)
+    mask, exits = graph.phi_ball(f, x, 1e-6)
     assert np.count_nonzero(mask) == 1
-    assert meas == pytest.approx(small_spec.cell_volume)
     assert not exits
 
 
@@ -523,15 +522,16 @@ def test_phi_ball_flat_measure_converges():
     for h in (0.1, 0.05):
         spec = graph.GridSpec.centered(2, 1.25, h)
         f = graph.GridFunction.constant(spec, 0.0)
-        _, meas, exits = graph.phi_ball(f, np.zeros(4), 1.0)
+        mask, exits = graph.phi_ball(f, np.zeros(4), 1.0)
         assert not exits
+        meas = np.count_nonzero(mask) * spec.cell_volume
         rels.append(abs(meas / KAPPA - 1.0))
     assert rels[1] < rels[0] and rels[1] < 0.03
 
 
 def test_phi_ball_exits_flag(small_spec):
     f = graph.GridFunction.constant(small_spec, 0.0)
-    _, _, exits = graph.phi_ball(f, np.zeros(4), 2.5)
+    _, exits = graph.phi_ball(f, np.zeros(4), 2.5)
     assert exits
     with pytest.raises(ValueError):
         graph.phi_ball(f, np.zeros(4), 0.0)
@@ -586,7 +586,7 @@ def test_extension_constant_values():
 
 def test_extension_single_node_is_constant(small_spec):
     f, rep = graph.extend_lipschitz(
-        small_spec, np.array([100]), np.array([0.7]), L=0.5, sup_bound=0.7,
+        small_spec, np.array([100]), np.array([0.7]), sup_bound=0.7,
         m_const=graph.extension_constant(0.5),
     )
     assert np.all(f.values == 0.7)
@@ -596,7 +596,7 @@ def test_extension_single_node_is_constant(small_spec):
 def test_extension_full_data_is_identity(small_spec):
     base = graph.GridFunction.from_callable(small_spec, linear_fn(0.05))
     f, rep = graph.extend_lipschitz(
-        small_spec, np.arange(small_spec.size), base.flat, L=0.05, sup_bound=math.inf,
+        small_spec, np.arange(small_spec.size), base.flat, sup_bound=math.inf,
         m_const=graph.extension_constant(0.05),
     )
     assert np.array_equal(f.values, base.values)
@@ -609,14 +609,14 @@ def test_extension_recovers_linear_graph():
     base = graph.GridFunction.from_callable(spec, linear_fn(eps))
     rng = np.random.default_rng(3)
     K = np.sort(rng.choice(spec.size, size=spec.size // 2, replace=False))
+    m_const = graph.extension_constant(eps)
     f, rep = graph.extend_lipschitz(
-        spec, K, base.flat[K], L=eps, sup_bound=float(np.abs(base.flat[K]).max()),
-        m_const=graph.extension_constant(eps),
+        spec, K, base.flat[K], sup_bound=float(np.abs(base.flat[K]).max()), m_const=m_const
     )
     in_d1 = core.box(spec.nodes()) < 1.0
     assert np.max(np.abs(f.flat - base.flat)[in_d1]) <= 2 * eps * h
     assert np.array_equal(f.flat[K], base.flat[K])
-    assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1 + 1e-12
+    assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= m_const * 1.1 + 1e-12
 
 
 def test_extension_preserves_sup_norm(small_spec):
@@ -624,7 +624,7 @@ def test_extension_preserves_sup_norm(small_spec):
     K = np.arange(0, small_spec.size, 7)
     sup = float(np.abs(base.flat[K]).max())
     f, _ = graph.extend_lipschitz(
-        small_spec, K, base.flat[K], L=0.05, sup_bound=sup, m_const=graph.extension_constant(0.05)
+        small_spec, K, base.flat[K], sup_bound=sup, m_const=graph.extension_constant(0.05)
     )
     assert np.abs(f.values).max() == pytest.approx(sup)
 
@@ -633,11 +633,11 @@ def test_extension_a_posteriori_bound(small_spec):
     for eps in (0.01, 0.05):
         base = graph.GridFunction.from_callable(small_spec, linear_fn(eps))
         K = np.arange(0, small_spec.size, 5)
-        f, rep = graph.extend_lipschitz(
-            small_spec, K, base.flat[K], L=eps, sup_bound=math.inf,
-            m_const=graph.extension_constant(eps),
+        m_const = graph.extension_constant(eps)
+        f, _ = graph.extend_lipschitz(
+            small_spec, K, base.flat[K], sup_bound=math.inf, m_const=m_const
         )
-        assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= rep.m_const * 1.1
+        assert graph.lipschitz_estimate(f, pair_budget=20000, seed=1) <= m_const * 1.1
 
 
 def test_extension_same_on_one_and_two_workers(monkeypatch):
@@ -653,7 +653,7 @@ def test_extension_same_on_one_and_two_workers(monkeypatch):
         monkeypatch.setattr(core, "_WORKERS", workers)
         ratio = graph._cone_ratio(spec.nodes()[K], base.flat[K])
         f, rep = graph.extend_lipschitz(
-            spec, K, base.flat[K], L=0.1, sup_bound=math.inf, m_const=graph.extension_constant(0.1)
+            spec, K, base.flat[K], sup_bound=math.inf, m_const=graph.extension_constant(0.1)
         )
         runs.append((ratio, f.flat, rep.iterations, rep.residual))
     (ratio1, flat1, it1, res1), (ratio2, flat2, it2, res2) = runs
@@ -677,7 +677,7 @@ def test_block_loops_on_single_rows_match_one_block(monkeypatch, workers):
         runs = []
         for sup in (math.inf, 0.05):
             f, rep = graph.extend_lipschitz(
-                spec, K, base.flat[K], L=0.1, sup_bound=sup, m_const=graph.extension_constant(0.1)
+                spec, K, base.flat[K], sup_bound=sup, m_const=graph.extension_constant(0.1)
             )
             runs.append((f.flat, rep.iterations, rep.residual))
         return ratio, runs
@@ -709,11 +709,19 @@ def test_kernel_result_held_by_caller_survives_block_loops(monkeypatch):
 
 
 def test_extension_rejects_bad_cone(small_spec):
-    with pytest.raises(graph.ConeViolationError):
-        graph.extend_lipschitz(
-            small_spec, np.array([0, 1]), np.array([0.0, 10.0]), L=0.1, sup_bound=math.inf,
-            m_const=graph.extension_constant(0.1),
-        )
+    # the caller checks the cone condition: approx._extend, under the fixed
+    # policy, with the witness pair of _cone_ratio
+    cells, vals = np.array([0, 1]), np.array([0.0, 10.0])
+    ratio, pair = graph._cone_ratio(small_spec.nodes()[cells], vals)
+    assert ratio > 0.1 and pair == (0, 1)
+    fixed = approx.PipelineConfig(extension_policy="fixed", extension_l=0.1)
+    with pytest.raises(graph.ConeViolationError) as info:
+        approx._extend(small_spec, cells, vals, fixed)
+    assert str(info.value) == f"partial data has cone ratio {ratio:.6g} > L = 0.1 (pair 0, 1)"
+    # data within the fixed slope, and any data under the measured policy,
+    # extend without a cone violation
+    approx._extend(small_spec, cells, np.array([0.0, 1e-3]), fixed)
+    approx._extend(small_spec, cells, np.array([0.0, 0.05]), approx.PipelineConfig())
 
 
 def test_cone_ratio_exact_pair_and_zero_distance(small_spec):
@@ -732,7 +740,7 @@ def test_cone_ratio_exact_pair_and_zero_distance(small_spec):
 
 
 def test_extension_rejects_bad_input(small_spec):
-    kw = {"L": 0.1, "m_const": graph.extension_constant(0.1)}
+    kw = {"m_const": graph.extension_constant(0.1)}
     with pytest.raises(ValueError):
         graph.extend_lipschitz(
             small_spec, np.array([], dtype=int), np.array([]), sup_bound=math.inf, **kw
