@@ -317,8 +317,8 @@ def cmd_truncate(args: argparse.Namespace) -> tuple[dict, int]:
     pcfg = _pipeline_config(args)
     result = approx.lipschitz_approximation(cloud, spec, pcfg)
     if result.degenerate:
-        # no sample passes when one weight outweighs the continuum mass
-        # kappa s^Q of the smallest scan cylinder
+        # a sample heavier than the continuum mass kappa s^Q of the smallest
+        # scan cylinder means the scan scales do not resolve the grid
         s, hom = min(pcfg.scales), 2 * cloud.n + 1
         heavy = float(np.median(cloud.weights)) / (core.constants(cloud.n)[0] * s**hom)
         if heavy > 1.0:

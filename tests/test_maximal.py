@@ -855,30 +855,18 @@ def test_ball_constants_chunk_ends_match_phi_ball_reference(monkeypatch, case, w
     else:
         assert 0 < used < samples and chunks[-1] == (1, True)
     monkeypatch.setattr(core, "_WORKERS", workers)
-    assert maximal.estimate_ball_constants(f, **kw) == want
-    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block
-    assert maximal.estimate_ball_constants(f, **kw) == want
-
-
-@pytest.mark.parametrize("case", sorted(CHUNK_END_CASES))
-def test_ball_constants_run_one_block_loop_per_chunk(monkeypatch, case):
-    # the boundary rows of a chunk's new centres are its only block loop
-    samples, seed, r_bounds = CHUNK_END_CASES[case]
-    g = GridSpec.centered(2, 0.75, 0.25)
-    f = GridFunction.from_callable(g, lambda w: 0.1 * w[:, 1] + 0.05 * w[:, 0] * w[:, 3])
-    kw = {"samples": samples, "seed": seed, "r_bounds": r_bounds}
-    accepted = []
-    ball_constants_reference(f, **kw, accepted=accepted)
-    chunks, _ = sampler_chunks(accepted, samples)
-    calls, map_blocks = [], core._map_blocks
+    loops, map_blocks = [], core._map_blocks
 
     def counted(fn, blocks):
-        calls.append(fn.__qualname__.split(".")[0])
+        loops.append(fn)
         return map_blocks(fn, blocks)
 
     monkeypatch.setattr(core, "_map_blocks", counted)
-    maximal.estimate_ball_constants(f, **kw)
-    assert calls == ["estimate_ball_constants"] * len(chunks)
+    assert maximal.estimate_ball_constants(f, **kw) == want
+    # one block loop per chunk: the boundary rows of its new centres
+    assert len(loops) == len(chunks)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block
+    assert maximal.estimate_ball_constants(f, **kw) == want
 
 
 def centre_offset(f):
