@@ -281,6 +281,21 @@ def _symdiff_results(sym) -> dict:
     }
 
 
+def _empty_selection_cause(cloud, pcfg) -> str:
+    """Why selection kept no sample of the cloud."""
+    # a sample heavier than the continuum mass kappa s^Q of the smallest
+    # scan cylinder means the scan scales do not resolve the grid
+    s, hom = min(pcfg.scales), 2 * cloud.n + 1
+    heavy = float(np.median(cloud.weights)) / (core.constants(cloud.n)[0] * s**hom)
+    if heavy > 1.0:
+        return (
+            f"selection is empty at delta1={pcfg.delta1}: a sample's weight is {heavy:.3g}x "
+            f"the mass kappa s^{hom} of the smallest scan cylinder (s = {s:g}); "
+            "use larger scales in --config or a finer --h"
+        )
+    return f"selection is empty at delta1={pcfg.delta1}; the cloud is too far from flat"
+
+
 def cmd_approx(args: argparse.Namespace) -> tuple[dict, int]:
     cloud = _read_cloud(args)
     spec = _cloud_spec(cloud, args.h)
@@ -308,6 +323,8 @@ def cmd_approx(args: argparse.Namespace) -> tuple[dict, int]:
         f"Lip {result.lip_estimate:.6g}, energy {result.l2_gradient:.6g}"
         + (f", symdiff {result.symdiff.total:.6g}" if result.symdiff is not None else "")
     )
+    if result.degenerate:
+        print(f"warning: {_empty_selection_cause(cloud, pcfg)}", file=sys.stderr)
     return results, 0
 
 
@@ -317,19 +334,7 @@ def cmd_truncate(args: argparse.Namespace) -> tuple[dict, int]:
     pcfg = _pipeline_config(args)
     result = approx.lipschitz_approximation(cloud, spec, pcfg)
     if result.degenerate:
-        # a sample heavier than the continuum mass kappa s^Q of the smallest
-        # scan cylinder means the scan scales do not resolve the grid
-        s, hom = min(pcfg.scales), 2 * cloud.n + 1
-        heavy = float(np.median(cloud.weights)) / (core.constants(cloud.n)[0] * s**hom)
-        if heavy > 1.0:
-            raise PreconditionError(
-                f"selection is empty at delta1={pcfg.delta1}: a sample's weight is {heavy:.3g}x "
-                f"the mass kappa s^{hom} of the smallest scan cylinder (s = {s:g}); "
-                "use larger scales in --config or a finer --h"
-            )
-        raise PreconditionError(
-            f"selection is empty at delta1={pcfg.delta1}; the cloud is too far from flat"
-        )
+        raise PreconditionError(_empty_selection_cause(cloud, pcfg))
     trunc = approx.truncate(cloud, result.phi, pcfg)
     e = trunc.excess_outer
     results = {

@@ -350,6 +350,22 @@ def test_truncate_empty_selection_names_its_cause(tmp_path, capsys, gen, config,
     assert not (tmp_path / "out" / "truncate_report.json").exists()
 
 
+def test_approx_empty_selection_names_its_cause_and_exits_0(tmp_path, capsys):
+    # the cause truncate raises, printed as a warning: approx still reports
+    # the degenerate zero graph
+    assert main(["gen", "linear", "--n", "3", "--h", "0.5", "--eps", "0.05", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code, report, _ = run(tmp_path, "approx", str(tmp_path / "linear.cloud"))
+    assert code == 0
+    assert report["results"]["degenerate"] and report["results"]["m0_count"] == 0
+    out = capsys.readouterr()
+    assert "selected 0/6144 samples" in out.out
+    assert out.err == (
+        "warning: selection is empty at delta1=0.1: a sample's weight is 24.3x the mass kappa "
+        "s^7 of the smallest scan cylinder (s = 0.25); use larger scales in --config or a finer --h\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["approx", "truncate"])
 @pytest.mark.parametrize("edge", ["wider_than_the_grid", "in_the_outer_half_of_edge_cells"])
 def test_samples_at_the_grid_edge_exit_0(tmp_path, command, edge):

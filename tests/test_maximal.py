@@ -80,13 +80,17 @@ def test_bincount_ladder_matches_add_at(seed, nc, ns):
     # points exactly on a rung sit outside it (strict membership)
     dist.ravel()[:: 7] = rng.choice(rungs, size=dist.ravel()[:: 7].size)
     masses = rng.exponential(1e-3, size=ns)
-    bins = maximal._ladder_bins(dist, rungs)
-    np.testing.assert_array_equal(
-        maximal._ladder_masses(bins, rungs.size, masses), _ref_ladder_masses(dist, masses, rungs)
-    )
-    np.testing.assert_array_equal(
-        maximal._ladder_masses(bins, rungs.size), _ref_ladder_masses(dist, np.ones(ns), rungs)
-    )
+    # the rung-major table of the (support, centres) plane, as a transposed
+    # view (a plane computed along its support) and C-ordered
+    for plane in (dist.T, np.ascontiguousarray(dist.T)):
+        bins = maximal._ladder_bins(plane, rungs)
+        np.testing.assert_array_equal(
+            maximal._ladder_masses(bins, rungs.size, masses[:, None]),
+            _ref_ladder_masses(dist, masses, rungs).T,
+        )
+        np.testing.assert_array_equal(
+            maximal._ladder_masses(bins, rungs.size), _ref_ladder_masses(dist, np.ones(ns), rungs).T
+        )
 
 
 def test_maximal_fields_independent_of_block_size(spec, monkeypatch):
@@ -167,6 +171,44 @@ def test_disk_maximal_on_single_rows_matches_one_block(spec, monkeypatch, case):
     assert whole[centers].max() > 0
     for got in rows:
         np.testing.assert_array_equal(got, whole)
+
+
+def pair_layouts(monkeypatch):
+    """A set that gains the layout of every w_dinf plane from now on: "long"
+    for w_dinf(x[None], pts[:, None]), centres along the plane's rows, and
+    "wide" for w_dinf(x[:, None], pts[None]), support along them."""
+    seen, w_dinf = set(), core.w_dinf
+
+    def recorded(a, b, planes=None):
+        if a.shape[1] * b.shape[0] > 1:
+            seen.add("long")
+        elif a.shape[0] * b.shape[1] > 1:
+            seen.add("wide")
+        return w_dinf(a, b, planes=planes)
+
+    monkeypatch.setattr(core, "w_dinf", recorded)
+    return seen
+
+
+# atoms and centres: more centres than support columns in the one block,
+# and fewer; 1-row blocks hold one centre against every atom
+PAIR_LAYOUT_CASES = {"long": (3, np.arange(0, 10_000, 7)), "wide": (40, np.arange(0, 10_000, 397))}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_LAYOUT_CASES))
+def test_disk_maximal_pair_layouts_match_the_reference(spec, monkeypatch, case):
+    atoms, centers = PAIR_LAYOUT_CASES[case]
+    mu = sparse_measure(spec, 5, atoms=atoms)
+    assert (centers.size > atoms) == (case == "long")
+    want = _ref_disk_maximal(mu, 0.5, centers)
+    assert want.max() > 0
+    layouts = pair_layouts(monkeypatch)
+    whole, rows = _one_block_then_single_rows(
+        monkeypatch, lambda: maximal.disk_maximal(mu, 0.5, centers=centers)
+    )
+    assert layouts == {case, "wide"}  # the one block's, then the single rows'
+    for got in (whole, *rows):
+        np.testing.assert_array_equal(got[centers], want)
 
 
 def test_phi_maximal_on_single_rows_matches_one_block(spec, monkeypatch):
@@ -867,6 +909,21 @@ def test_ball_constants_chunk_ends_match_phi_ball_reference(monkeypatch, case, w
     assert len(loops) == len(chunks)
     monkeypatch.setattr(core, "_BLOCK_BYTES", 8)  # one row per block
     assert maximal.estimate_ball_constants(f, **kw) == want
+
+
+@pytest.mark.parametrize("h", [0.1, 0.2, 0.09])
+def test_ball_constants_radius_on_a_boundary_node_matches_reference(h):
+    # a flat 3^4 grid whose one candidate centre is the origin node: its
+    # nearest boundary nodes lie at d_phi = h exactly, and r_bounds = (h, h)
+    # draws exp(log(h)), which rounds above h at h = 0.1, to h at 0.2 and
+    # below it at 0.09; the ball leaves the grid only in the first case
+    g = GridSpec(2, (-h,) * 4, h, (3,) * 4)
+    f = GridFunction.constant(g, 0.0)
+    assert float(np.min(graph._sym_dist(f.graph()[40], f.graph()[g.boundary_mask().ravel()]))) == h
+    kw = {"samples": 3, "seed": 1, "r_bounds": (h, h)}
+    got = ball_constants_outcome(maximal.estimate_ball_constants, f, **kw)
+    assert got == ball_constants_outcome(ball_constants_reference, f, **kw)
+    assert isinstance(got, str) == (math.exp(math.log(h)) > h)
 
 
 def centre_offset(f):
