@@ -111,10 +111,12 @@ def _ladder_bins(dist: np.ndarray, rungs: np.ndarray) -> np.ndarray:
     """Rung-major ladder bins of dist, a (support, centres) plane: centre i
     of nc owns bins i, i + nc, .., i + nr*nc.  searchsorted ('right') counts
     rungs <= d, i.e. indexes the first rung strictly containing the point;
-    nr is the overflow bin (never inside).  The bins come C-ordered in
-    dist's shape, whatever its layout.
+    nr is the overflow bin (never inside).  The bins keep dist's layout,
+    C- or Fortran-ordered, so every pass runs along its contiguous axis.
     """
-    bins = np.searchsorted(rungs, dist, side="right")
+    c_order = dist.flags.c_contiguous
+    bins = np.searchsorted(rungs, dist if c_order else dist.T, side="right")
+    bins = bins if c_order else bins.T
     bins *= dist.shape[1]
     bins += np.arange(dist.shape[1])
     return bins
@@ -125,16 +127,16 @@ def _ladder_masses(bins: np.ndarray, nr: int, masses: np.ndarray | None = None) 
 
     bins come from _ladder_bins over nr rungs; membership is strict
     (d < r).  Without masses each point counts 1 (integer counts).
-    masses broadcast against bins; passed as a C-ordered plane of bins'
-    shape (a block's plane), they are not copied.  bincount adds each bin
-    in input order, support column by column, so the sums are sequential,
-    and the cumulative sum runs in place one rung at a time, np.cumsum's
-    order, along rows as long as the centres.
+    masses broadcast against bins; passed as a plane of bins' shape and
+    layout (a block's plane), they are not copied.  bincount adds each bin
+    in memory order, which takes a centre's support columns in order in
+    either layout, so the sums are sequential, and the cumulative sum runs
+    in place one rung at a time, np.cumsum's order.
     """
-    nc = bins.shape[1]
+    nc, order = bins.shape[1], "C" if bins.flags.c_contiguous else "F"
     if masses is not None:
-        masses = np.broadcast_to(masses, bins.shape).ravel()
-    acc = np.bincount(bins.ravel(), weights=masses, minlength=(nr + 1) * nc)
+        masses = np.broadcast_to(masses, bins.shape).ravel(order)
+    acc = np.bincount(bins.ravel(order), weights=masses, minlength=(nr + 1) * nc)
     acc = acc.reshape(nr + 1, nc)[:nr]
     for k in range(1, nr):
         acc[k] += acc[k - 1]
@@ -156,18 +158,18 @@ def _cut_ladder(
     way.  From the cut rung on, every ball of a centre holds all of its
     columns, so its mass stays the same while its normalization (kappa r^Q,
     or the count of points it holds) does not fall: no later rung can raise
-    a ratio.  The masses go C-ordered into the kernel's spent first plane.
+    a ratio.  The masses go into the kernel's spent first plane, laid out
+    as the distances are.
     """
     ns, nc = pts.shape[0], x.shape[0]
     if nc >= ns:
         planes = core._planes(k, (ns, nc))
-        dist = kernel(x[None], pts[:, None], planes=planes)
+        dist, plane = kernel(x[None], pts[:, None], planes=planes), planes[0]
     else:
         planes = core._planes(k, (nc, ns))
-        dist = kernel(x[:, None], pts[None], planes=planes).T
+        dist, plane = kernel(x[:, None], pts[None], planes=planes).T, planes[0].T
     r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
     bins = _ladder_bins(dist, r)
-    plane = planes[0].reshape(ns, nc)
     np.copyto(plane, masses[:, None])
     return r, bins, _ladder_masses(bins, r.size, plane)
 
@@ -221,7 +223,7 @@ def disk_maximal(
 
         def block(blk):
             idx = eval_idx[blk]
-            x = np.asfortranarray(nodes[idx])  # contiguous columns for either layout
+            x = np.asfortranarray(nodes[idx])  # contiguous columns: see _cut_ladder
             cols = slice(None) if reach == math.inf else _within_reach(x, sup_nodes, reach)
             # taken from the transpose, so that pts keeps contiguous columns
             pts, mass = sup_nodes.T[:, cols].T, sup_mass[cols]
