@@ -282,9 +282,8 @@ def _symdiff_results(sym) -> dict:
 
 
 def _empty_selection_cause(cloud, pcfg) -> str:
-    """Why selection kept no sample of the cloud."""
-    # a sample heavier than the continuum mass kappa s^Q of the smallest
-    # scan cylinder means the scan scales do not resolve the grid
+    """Why selection kept no sample: one heavier than the continuum mass kappa
+    s^Q of the smallest scan cylinder means the scan scales do not resolve the grid."""
     s, hom = min(pcfg.scales), 2 * cloud.n + 1
     heavy = float(np.median(cloud.weights)) / (core.constants(cloud.n)[0] * s**hom)
     if heavy > 1.0:

@@ -111,8 +111,7 @@ def _ladder_bins(dist: np.ndarray, rungs: np.ndarray) -> np.ndarray:
     """Rung-major ladder bins of dist, a (support, centres) plane: centre i
     of nc owns bins i, i + nc, .., i + nr*nc.  searchsorted ('right') counts
     rungs <= d, i.e. indexes the first rung strictly containing the point;
-    nr is the overflow bin (never inside).  The bins keep dist's layout,
-    C- or Fortran-ordered, so every pass runs along its contiguous axis.
+    nr is the overflow bin (never inside).  The bins keep dist's layout.
     """
     c_order = dist.flags.c_contiguous
     bins = np.searchsorted(rungs, dist if c_order else dist.T, side="right")
@@ -146,27 +145,24 @@ def _ladder_masses(bins: np.ndarray, nr: int, masses: np.ndarray | None = None) 
 def _cut_ladder(
     kernel, k: int, x: np.ndarray, pts: np.ndarray, rungs: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distances kernel(x_i, pts_j) as a (support, centres) plane on a
-    block's k arena planes; the rungs up to the first that holds every
-    support column, the bins of the plane on them, and the cumulative
-    masses per rung (_ladder_masses).
+    """kernel(x_i, pts_j) as a (support, centres) plane on a block's k arena
+    planes; the rungs up to the first that holds every support column, the
+    bins on them, and the cumulative masses per rung (_ladder_masses).
 
-    The plane runs along its longer axis: it is kernel(x[None], pts[:,
-    None]) with at least as many centres as support columns (x should be
-    Fortran-ordered), else kernel(x[:, None], pts[None]).T (pts should be);
-    the kernels are elementwise, so the entries have the same bits either
-    way.  From the cut rung on, every ball of a centre holds all of its
-    columns, so its mass stays the same while its normalization (kappa r^Q,
-    or the count of points it holds) does not fall: no later rung can raise
-    a ratio.  The masses go into the kernel's spent first plane, laid out
-    as the distances are.
+    The plane runs along its longer axis: kernel(x[None], pts[:, None])
+    with at least as many centres as support columns (x Fortran-ordered),
+    else kernel(x[:, None], pts[None]).T (pts Fortran-ordered); the kernels
+    are elementwise, so the entries have the same bits either way.  From
+    the cut rung on, every ball of a centre holds all of its columns, so
+    its mass stays the same while its normalization (kappa r^Q, or the
+    count of points it holds) does not fall: no later rung can raise a
+    ratio.  The masses go into the kernel's spent first plane.
     """
     ns, nc = pts.shape[0], x.shape[0]
+    planes = core._planes(k, (ns, nc) if nc >= ns else (nc, ns))
     if nc >= ns:
-        planes = core._planes(k, (ns, nc))
         dist, plane = kernel(x[None], pts[:, None], planes=planes), planes[0]
     else:
-        planes = core._planes(k, (nc, ns))
         dist, plane = kernel(x[:, None], pts[None], planes=planes).T, planes[0].T
     r = rungs[: np.searchsorted(rungs, dist.max(), side="right") + 1]
     bins = _ladder_bins(dist, r)
@@ -242,9 +238,7 @@ def disk_maximal(
 def _within_reach(x: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray:
     """The indices, in order, of the W points (sorted on their first
     coordinate, as grid nodes in flat order are) that can lie within
-    w_dinf < reach of some row of x (Fortran-ordered, so that each column
-    reduces in one contiguous pass: about a tenth of the time on C-ordered
-    rows).
+    w_dinf < reach of some row of x (Fortran-ordered: one pass per column).
 
     w_dinf(a, b) is at least every spatial |b_k - a_k| and sqrt(|t_b - t_a
     - 2 omega(a, b)|), with |omega(a, b)| <= sum over the twisted pairs of
@@ -517,9 +511,10 @@ def estimate_ball_constants(
     Balls U_phi(x, r) are drawn until `samples` of them stay inside the
     grid, or 20 * samples were drawn; raises if every one left it.  A ball
     leaves the grid exactly when its centre lies closer than r to a
-    boundary node, so each drawn centre costs one row against the boundary
-    nodes.  (A ball inside holds its own centre node, within rounding, so
-    none that counts is empty.)  The triple sample of c_L follows the draws.
+    boundary node, so each drawn centre costs a row against the boundary
+    nodes within r_bounds[1] of it on the spatial columns.  (A ball inside
+    holds its own centre node, within rounding, so none that counts is
+    empty.)  The triple sample of c_L follows the draws.
 
     No draw depends on a distance, so the balls are drawn in chunks of
     `samples - used` (within the 20 * samples cap): exactly the draws a
@@ -543,6 +538,9 @@ def estimate_ball_constants(
     centres = core.graph_points(nodes[interior], f.interp(nodes[interior]))
     # each candidate centre's distance to the boundary nodes, NaN until drawn
     edge = np.full(interior.size, np.nan)
+    # a pair's _sym_dist is at least the root of its squared difference on columns
+    # 1..2n-1, so one at or beyond reach2 cannot make edge < radius: edge skips it
+    reach2 = (r_bounds[1] * (1 + 1e-9)) ** 2
     log_lo, log_hi = math.log(r_bounds[0]), math.log(r_bounds[1])
     used, drawn = 0, 0
     while used < samples and drawn < 20 * samples:
@@ -555,10 +553,14 @@ def estimate_ball_constants(
         fresh = np.unique(rows[np.isnan(edge[rows])])
 
         def block(blk):
-            pc = centres[fresh[blk]]
-            planes = core._planes(4, (pc.shape[0], px_boundary.shape[0]))
-            d = _sym_dist(pc[:, None, :], px_boundary[None, :, :], planes=planes)
-            edge[fresh[blk]] = d.min(axis=1)
+            own, pc = fresh[blk], centres[fresh[blk]]
+            z2, sq = core._planes(2, (own.size, px_boundary.shape[0]))
+            z2.fill(0.0)
+            for c in range(1, 2 * spec.n):
+                z2 += np.square(np.subtract(px_boundary[:, c], pc[:, c, None], out=sq), out=sq)
+            i, j = np.divmod(np.flatnonzero(z2 < reach2), px_boundary.shape[0])
+            edge[own] = math.inf
+            np.minimum.at(edge, own[i], _sym_dist(pc[i], px_boundary[j]))
 
         core._map_blocks(block, core._row_blocks(fresh.size, px_boundary.shape[0]))
         used += int(np.count_nonzero(edge[rows] >= radii))

@@ -911,19 +911,39 @@ def test_ball_constants_chunk_ends_match_phi_ball_reference(monkeypatch, case, w
     assert maximal.estimate_ball_constants(f, **kw) == want
 
 
+def origin_grid(h):
+    """A flat 3^4 grid whose one candidate centre is the origin node: its
+    nearest boundary nodes differ from it by h on one spatial column alone,
+    at d_phi = h exactly."""
+    f = GridFunction.constant(GridSpec(2, (-h,) * 4, h, (3,) * 4), 0.0)
+    boundary = f.graph()[f.spec.boundary_mask().ravel()]
+    assert float(np.min(graph._sym_dist(f.graph()[40], boundary))) == h
+    return f
+
+
 @pytest.mark.parametrize("h", [0.1, 0.2, 0.09])
 def test_ball_constants_radius_on_a_boundary_node_matches_reference(h):
-    # a flat 3^4 grid whose one candidate centre is the origin node: its
-    # nearest boundary nodes lie at d_phi = h exactly, and r_bounds = (h, h)
-    # draws exp(log(h)), which rounds above h at h = 0.1, to h at 0.2 and
-    # below it at 0.09; the ball leaves the grid only in the first case
-    g = GridSpec(2, (-h,) * 4, h, (3,) * 4)
-    f = GridFunction.constant(g, 0.0)
-    assert float(np.min(graph._sym_dist(f.graph()[40], f.graph()[g.boundary_mask().ravel()]))) == h
+    # r_bounds = (h, h) draws exp(log(h)), which rounds above h at h = 0.1,
+    # to h at 0.2 and below it at 0.09; the ball leaves the grid only in the
+    # first case, so the sampler must measure the nodes at exactly h
+    f = origin_grid(h)
     kw = {"samples": 3, "seed": 1, "r_bounds": (h, h)}
     got = ball_constants_outcome(maximal.estimate_ball_constants, f, **kw)
     assert got == ball_constants_outcome(ball_constants_reference, f, **kw)
     assert isinstance(got, str) == (math.exp(math.log(h)) > h)
+
+
+def test_ball_constants_node_just_beyond_reach_matches_reference():
+    # r_bounds[1] a hair below h puts the nearest boundary nodes just outside
+    # the sampler's reach (r_bounds[1] with its 1e-9 margin), where they
+    # cannot hold a ball's radius; every ball stays inside
+    h = 0.1
+    f = origin_grid(h)
+    r_hi = h / (1 + 2e-9)
+    assert (r_hi * (1 + 1e-9)) ** 2 <= h * h < (r_hi * (1 + 1e-8)) ** 2
+    kw = {"samples": 3, "seed": 1, "r_bounds": (0.5 * h, r_hi)}
+    got = ball_constants_outcome(maximal.estimate_ball_constants, f, **kw)
+    assert got == ball_constants_outcome(ball_constants_reference, f, **kw) == 1.0
 
 
 def centre_offset(f):
