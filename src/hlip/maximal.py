@@ -536,10 +536,10 @@ def estimate_ball_constants(
     px_boundary = np.asfortranarray(px[spec.boundary_mask().ravel()])
     # graph points of every candidate centre from one interpolation
     centres = core.graph_points(nodes[interior], f.interp(nodes[interior]))
-    # each candidate centre's distance to the boundary nodes, NaN until drawn
+    # each candidate centre's distance to its nearest boundary node within reach2 (inf
+    # if none), NaN until drawn: a pair's _sym_dist is at least the root of its squared
+    # difference on columns 1..2n-1, so one at or beyond reach2 cannot make edge < radius
     edge = np.full(interior.size, np.nan)
-    # a pair's _sym_dist is at least the root of its squared difference on columns
-    # 1..2n-1, so one at or beyond reach2 cannot make edge < radius: edge skips it
     reach2 = (r_bounds[1] * (1 + 1e-9)) ** 2
     log_lo, log_hi = math.log(r_bounds[0]), math.log(r_bounds[1])
     used, drawn = 0, 0
