@@ -161,7 +161,8 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # broadcast shape, so they never form a (..., 2n+1) product or sum over a
 # trailing axis.  Their sums run left to right, which is how numpy adds a
 # trailing axis of fewer than 8 terms, so for n < 4 each kernel agrees bit
-# for bit with its broadcast formula (box(mul(inv(p), q)) for dinf).
+# for bit with its broadcast formula: box(mul(inv(p), q)) for dinf,
+# box(proj(mul(inv(p), q))[0]) for pi_rel_norm.
 # (-p) + q and q - p are the same IEEE operation, and so are x + 2(-s)
 # and x - 2s, so dinf and w_dinf share the twist of pi_rel_norm.
 #
@@ -170,7 +171,7 @@ def graph_points(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # shear 2 dx_1 dy_1 stay the same.  So tau of (q, p) is -(twist + shear),
 # and pi_rel_norm(both=True) pays for the second order with one add, abs,
 # max and sqrt: each order takes its one sqrt after the max (_box_of), so
-# z^2 serves both.  It keeps four planes: z^2 into A (B and C scratch),
+# z^2 serves both.  It keeps four planes: z^2 into A (B scratch),
 # the twist into D (B and C scratch), then the shear into B, twist + shear
 # into C and tau into D.
 #
@@ -401,8 +402,7 @@ def pi_rel_norm(p: np.ndarray, q: np.ndarray, both: bool = False, planes=None):
     """
     P, Q, n, shape = _pair_columns(p, q, 1)
     a, b, c, d = planes or [np.empty(shape) for _ in range(4)]
-    z2 = _square_sum(P, Q, range(1, n), a, b)
-    z2 += _square_sum(P, Q, range(n, 2 * n), b, c)
+    z2 = _square_sum(P, Q, range(1, 2 * n), a, b)
     tau = _twist_t(P, Q, range(n), range(n, 2 * n), 2 * n, b, d, c)
     # tau = t_rel - (2 dx_1) dy_1 shears the t coordinate onto W
     np.subtract(Q[0], P[0], out=b)

@@ -127,6 +127,18 @@ def test_sup_excess_matches_per_center_excess(spec, cfg):
         assert prof[i] == max_excess(small, small.points[i], cfg.scales, cfg.orientation)
 
 
+def test_sup_excess_matches_per_center_excess_at_n3_ties():
+    # at n = 3 and h = 0.3 four coordinate gaps of h square-sum to 4h^2,
+    # a tie with the scan scale 2h, so cylinder membership depends on the
+    # order pi_rel_norm adds the squares in; it must be box's order
+    counts = (4, 3, 3, 3, 3, 4)
+    spec = GridSpec(3, tuple(-(c - 1) * 0.3 / 2.0 for c in counts), 0.3, counts)
+    cloud = generators.corrupted_cluster_cloud(spec, 0.059049, eps=0.0, displacement=0.3)
+    got = approx._excess_above(cloud, cloud.points, (0.6,), 1, 0.0)
+    want = [max_excess(cloud, c, (0.6,), 1) for c in cloud.points]
+    np.testing.assert_array_equal(got, want)
+
+
 def test_select_m0_cluster_excluded_and_monotone(spec):
     cloud = generators.corrupted_cluster_cloud(spec, 2**-4, displacement=1.0)
     bad = np.asarray(cloud.meta["cluster_indices"])

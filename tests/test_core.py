@@ -262,15 +262,7 @@ def test_homogeneity_property(p, lam):
 
 
 def _ref_pi_rel_norm(p, q):
-    n = (p.shape[-1] - 1) // 2
-    px, py, pt = p[..., :n], p[..., n : 2 * n], p[..., 2 * n]
-    qx, qy, qt = q[..., :n], q[..., n : 2 * n], q[..., 2 * n]
-    dx = qx - px
-    dy = qy - py
-    t_rel = qt - pt - 2.0 * (np.sum(py * qx, axis=-1) - np.sum(px * qy, axis=-1))
-    tau = t_rel - 2.0 * dx[..., 0] * dy[..., 0]
-    z2 = np.sum(dx[..., 1:] ** 2, axis=-1) + np.sum(dy**2, axis=-1)
-    return np.maximum(np.sqrt(z2), np.sqrt(np.abs(tau)))
+    return core.box(core.proj(core.mul(core.inv(p), q))[0])
 
 
 def _ref_dinf(p, q):
