@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +166,6 @@ class GridFunction:
 
     spec: GridSpec
     values: np.ndarray
-    dirichlet_mask: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -176,8 +175,6 @@ class GridFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        if self.dirichlet_mask is not None and self.dirichlet_mask.shape != self.spec.counts:
-            raise ValueError("dirichlet mask shape does not match grid")
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":

@@ -81,10 +81,8 @@ class DiscreteMeasure:
 
     def __post_init__(self) -> None:
         self.masses = np.asarray(self.masses, dtype=float)
-        if self.masses.shape == (self.spec.size,):
-            self.masses = self.masses.reshape(self.spec.counts)
         if self.masses.shape != self.spec.counts:
-            raise ValueError("masses must have one entry per cell")
+            raise ValueError("masses must have the grid's shape, one entry per cell")
         if not np.all(np.isfinite(self.masses)) or np.any(self.masses < 0):
             raise ValueError("masses must be finite and nonnegative")
 
@@ -307,11 +305,11 @@ def vitali_5r(
     by descending radius, ties by input order; disjointness of open balls
     means center distance >= r_i + r_j.
 
-    The distances come in row blocks taken along that order: one w_dinf
-    call within _BLOCK_BYTES puts a block's candidates against the balls
-    selected before it and against the block itself, and the greedy pass
-    reads its rows.  w_dinf is elementwise, so every distance is the one
-    a call per candidate would give.
+    The distances come in the row blocks of core._row_blocks(m, m) taken
+    along that order: one w_dinf call puts a block's balls against every
+    ball up to the block's end, and each ball reads its row before its own
+    position where `chosen` marks a ball selected so far.  w_dinf is
+    elementwise, so every distance is the one a call per ball would give.
     """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -320,33 +318,19 @@ def vitali_5r(
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     order = np.argsort(-radii, kind="stable")
-    selected: list[int] = []
+    c, r = centers[order], radii[order]
+    chosen = np.zeros(order.size, dtype=bool)  # by position in the order
     assignment = np.full(len(radii), -1, dtype=int)
-    budget = max(1, core._BLOCK_BYTES // 8)
-    a = 0
-    while a < order.size:
-        # rows x (selected + rows) entries within the budget, at least one row
-        m = len(selected)
-        rows = max(1, (math.isqrt(m * m + 4 * budget) - m) // 2)
-        blk = order[a : a + rows]
-        a += blk.size
-        cols = np.concatenate([np.asarray(selected, dtype=int), blk])
-        d = core.w_dinf(centers[blk][:, None, :], centers[cols][None, :, :])
-        meets = d < radii[blk][:, None] + radii[cols][None, :]
-        for k, i in enumerate(blk):
-            # the first columns are the balls selected so far, in selection order
-            hit = np.flatnonzero(meets[k, : len(selected)])
-            if hit.size:
-                # the blocking ball is at least as large, so its
-                # 5-enlargement contains this one
-                assignment[i] = selected[hit[0]]
-                continue
-            selected.append(int(i))
-            assignment[i] = i
-            # its column moves next to the selected ones, over the column of
-            # a block ball at or before it that was moved or rejected
-            meets[:, len(selected) - 1] = meets[:, m + k]
-    return np.asarray(selected, dtype=int), assignment
+    for blk in core._row_blocks(order.size, order.size):
+        d = core.w_dinf(c[blk, None, :], c[None, : blk.stop, :])
+        meets = d < r[blk, None] + r[None, : blk.stop]
+        for k, p in enumerate(range(blk.start, blk.stop)):
+            # the first hit is the earliest selected ball; it is at least
+            # as large, so its 5-enlargement contains this one
+            hit = np.flatnonzero(meets[k, :p] & chosen[:p])
+            chosen[p] = not hit.size
+            assignment[order[p]] = order[hit[0] if hit.size else p]
+    return order[chosen], assignment
 
 
 def measure_from_gradient(f: GridFunction) -> DiscreteMeasure:

@@ -247,12 +247,12 @@ class DirichletProblem:
     """Fixed boundary values on the mask, free nodes elsewhere."""
 
     initial: GridFunction
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
-        mask = self.initial.dirichlet_mask
-        if mask is None:
-            raise ValueError("initial guess must carry a dirichlet mask")
-        spec = self.initial.spec
+        spec, mask = self.initial.spec, self.mask
+        if mask.shape != spec.counts:
+            raise ValueError("dirichlet mask shape does not match grid")
         if np.any(spec.boundary_mask(STENCIL_REACH) & ~mask):
             raise ValueError(
                 f"dirichlet mask must cover {STENCIL_REACH} layers at the grid edge"
@@ -285,8 +285,7 @@ def dirichlet_problem(spec: GridSpec, data, init=None) -> DirichletProblem:
         return np.where(on_mask[rows], fixed(nodes), init(nodes))
 
     f = GridFunction.from_callable(spec, fixed if init is None else values)
-    f.dirichlet_mask = mask
-    return DirichletProblem(f)
+    return DirichletProblem(f, mask)
 
 
 @dataclass
@@ -325,7 +324,7 @@ def solve(
     if math.isnan(tol) or max_iter < 0:
         raise ValueError(f"need a tol that is not NaN and max_iter >= 0, got {tol}, {max_iter}")
     spec = problem.spec
-    mask = problem.initial.dirichlet_mask
+    mask = problem.mask
     fixed = mask.ravel()
     boxes = _free_boxes(mask, spec.n)
 
@@ -386,7 +385,7 @@ def solve(
         iterations += 1
 
     return SolveReport(
-        phi=GridFunction(spec, x.reshape(spec.counts), dirichlet_mask=mask),
+        phi=GridFunction(spec, x.reshape(spec.counts)),
         energy_trace=np.asarray(e_trace),
         gradient_trace=np.asarray(g_trace),
         iterations=iterations,

@@ -487,6 +487,16 @@ def test_verify_small_suite_passes(tmp_path):
         "vitali_5r",
         "height_bound_ratio",
     }
+    assert report["config"]["n"] == 2
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_has_no_n_flag(capsys, n):
+    # the battery is pinned to n = 2, so verify offers no --n at all
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", n])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: --n {n}" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_2(monkeypatch):

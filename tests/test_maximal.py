@@ -33,7 +33,9 @@ def test_measure_validation_and_helpers(spec):
         maximal.DiscreteMeasure(spec, -np.ones(spec.counts))
     with pytest.raises(ValueError):
         maximal.DiscreteMeasure(spec, np.ones(7))
-    mu = maximal.DiscreteMeasure(spec, np.full(spec.size, 2.0 * spec.cell_volume))
+    with pytest.raises(ValueError):  # one entry per cell, but flat
+        maximal.DiscreteMeasure(spec, np.ones(spec.size))
+    mu = maximal.DiscreteMeasure(spec, np.full(spec.counts, 2.0 * spec.cell_volume))
     assert mu.masses.shape == spec.counts
     assert math.isclose(mu.total(), 2.0 * spec.size * spec.cell_volume, rel_tol=1e-12)
 
@@ -44,7 +46,7 @@ def test_deposits_land_in_cells(spec):
     assert inside.tolist() == [True, True, True, False]
     masses = np.zeros(spec.size)
     np.add.at(masses, flat[inside], np.array([1.0, 2.0, 4.0]))
-    mu = maximal.DiscreteMeasure(spec, masses)
+    mu = maximal.DiscreteMeasure(spec, masses.reshape(spec.counts))
     assert mu.flat[10] == 3.0 and mu.flat[77] == 4.0
     assert mu.total() == 7.0
     # group-translated ball membership
@@ -152,7 +154,7 @@ def test_disk_maximal_on_single_rows_matches_one_block(spec, monkeypatch, case):
     nodes = spec.nodes()
     masses = np.zeros(spec.size)
     masses[atoms] = np.linspace(1e-3, 2e-3, len(atoms))
-    mu = maximal.DiscreteMeasure(spec, masses)
+    mu = maximal.DiscreteMeasure(spec, masses.reshape(spec.counts))
     rungs = maximal.radius_ladder(maximal.cell_diameter(spec), 4 * s)
     dist = np.max(core.w_dinf(nodes[:, None, :], nodes[atoms][None, :, :]), axis=1)
     centers = np.arange(spec.size) if which == "all" else np.flatnonzero(dist < rungs[0])
@@ -246,7 +248,7 @@ def disk_cutoff_cases(draw):
         low, high = maximal.cell_diameter(spec), (spec.counts[0] - 1) * spec.h
         r = low + q * (high - low)
         thr = float(np.sum(masses)) / (core.constants(n)[0] * r ** (2 * n + 1)) if masses.any() else 1.0
-    return maximal.DiscreteMeasure(spec, masses), s, centers, thr, q, draw(st.booleans()), draw(st.sampled_from((1, 2)))
+    return maximal.DiscreteMeasure(spec, masses.reshape(spec.counts)), s, centers, thr, q, draw(st.booleans()), draw(st.sampled_from((1, 2)))
 
 
 @given(disk_cutoff_cases())
@@ -286,7 +288,7 @@ def test_block_loops_stay_within_the_arena_bound(spec, monkeypatch, workers, loo
     if loop == "disk_maximal":
         masses = np.zeros(spec.size)
         masses[[4644, 5644, 4655]] = [1e-3, 2e-3, 5e-4]
-        mu = maximal.DiscreteMeasure(spec, masses)
+        mu = maximal.DiscreteMeasure(spec, masses.reshape(spec.counts))
         run, planes = lambda: maximal.disk_maximal(mu, 5.0), 3
     else:
         nodes = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 4))
@@ -311,7 +313,7 @@ def test_zero_measure_gives_zero_field(spec):
 
 
 def test_support_precondition(spec):
-    mu = maximal.DiscreteMeasure(spec, np.full(spec.size, spec.cell_volume))
+    mu = maximal.DiscreteMeasure(spec, np.full(spec.counts, spec.cell_volume))
     with pytest.raises(ValueError):
         maximal.disk_maximal(mu, 0.12)  # grid corners lie outside D_{0.48}
 

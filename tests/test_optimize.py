@@ -159,7 +159,7 @@ def test_solve_constant_data_from_noisy_interior(spec):
     assert np.all(np.diff(rep.energy_trace) <= 0)
     assert np.max(np.abs(rep.phi.values - 0.4)) < 1e-3
     # boundary data untouched
-    m = prob.initial.dirichlet_mask
+    m = prob.mask
     assert np.array_equal(rep.phi.values[m], prob.initial.values[m])
 
 
@@ -176,7 +176,7 @@ def test_linear_graph_is_discrete_critical_point(spec):
     # layers the one-sided stencil columns never reach a free node
     prob = optimize.dirichlet_problem(spec, data=lambda w: 0.1 * w[:, 1])
     g = optimize.energy_gradient(prob.initial)
-    assert np.max(np.abs(g[~prob.initial.dirichlet_mask.ravel()])) < 1e-13
+    assert np.max(np.abs(g[~prob.mask.ravel()])) < 1e-13
     rep = optimize.solve(prob)
     assert rep.iterations == 0
     assert math.isclose(
@@ -194,12 +194,12 @@ def disk_problem(spec, data, init, radius=0.55):
     mask = spec.boundary_mask(optimize.STENCIL_REACH) | ~disk
     vals = prob.initial.values.copy()
     vals[~mask] = GridFunction.from_callable(spec, init).values[~mask]
-    return optimize.DirichletProblem(GridFunction(spec, vals, dirichlet_mask=mask))
+    return optimize.DirichletProblem(GridFunction(spec, vals), mask)
 
 
 def test_solve_on_disk_region(spec):
     prob = disk_problem(spec, data=0.0, init=lambda w: 0.03 * np.cos(4 * w[:, 1]) * np.cos(w[:, 3]))
-    free = ~prob.initial.dirichlet_mask.ravel()
+    free = ~prob.mask.ravel()
     assert np.all(free <= surface.disk_mask(spec, 0.55))  # free nodes sit inside the disk
     rep = optimize.solve(prob)
     assert rep.converged
@@ -221,17 +221,18 @@ def test_capped_run_reports_unconverged(spec):
 
 def test_problem_validation(spec):
     f = GridFunction.constant(spec, 0.0)
-    with pytest.raises(ValueError):
-        optimize.DirichletProblem(f)  # no mask
-    thin = GridFunction.constant(spec, 0.0)
-    thin.dirichlet_mask = spec.boundary_mask(1)
-    with pytest.raises(ValueError):
-        optimize.DirichletProblem(thin)
+    rim = spec.boundary_mask(optimize.STENCIL_REACH)
+    assert optimize.DirichletProblem(f, rim).mask is rim
+    with pytest.raises(ValueError, match="shape"):
+        optimize.DirichletProblem(f, rim.ravel())
+    with pytest.raises(ValueError, match="shape"):
+        optimize.DirichletProblem(f, rim[1:])
+    with pytest.raises(ValueError, match="3 layers"):
+        optimize.DirichletProblem(f, spec.boundary_mask(optimize.STENCIL_REACH - 1))
 
 
 def test_report_trace_invariant(spec):
     f = GridFunction.constant(spec, 0.0)
-    f.dirichlet_mask = spec.boundary_mask(3)
     with pytest.raises(ValueError):
         optimize.SolveReport(
             phi=f,
@@ -318,7 +319,7 @@ def energy_gradient_reference(f):
 
 def solve_reference(problem, tol=1e-8, max_iter=5000):
     """Descent with separate energy and gradient evaluations, kept as the reference."""
-    spec, free = problem.spec, ~problem.initial.dirichlet_mask.ravel()
+    spec, free = problem.spec, ~problem.mask.ravel()
 
     def masked_grad(vals):
         g = energy_gradient_reference(GridFunction(spec, vals))
@@ -489,7 +490,7 @@ def test_solve_runs_one_stencil_pass_per_energy_call(spec, monkeypatch):
     assert rep.iterations == 20
     assert calls["_area"] == 1
     assert calls["energy"] > calls["energy_gradient"] == rep.iterations + 1
-    energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
+    energy_box = optimize._free_boxes(prob.mask, spec.n)[0]
     outside = np.ones(spec.counts, dtype=bool)
     outside[energy_box] = False
     assert outside.any() and not outside.all()
@@ -519,7 +520,7 @@ def test_solve_runs_in_a_fixed_working_set():
     spec = GridSpec.centered(2, 0.8, 0.1)  # 65,536 nodes
     plane = 8 * spec.size
     prob = optimize.dirichlet_problem(spec, data=0.4, init=_wavy)
-    energy_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[0]
+    energy_box = optimize._free_boxes(prob.mask, spec.n)[0]
     box_share = math.prod(s.stop - s.start for s in energy_box) / spec.size
     assert box_share < 0.6
     peaks = {}
@@ -541,7 +542,7 @@ def test_dirichlet_problem_leaves_no_node_array_cached(spec):
     prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     assert graph.grid_nodes.cache_info().currsize == 0
     nodes = spec.nodes()
-    mask = prob.initial.dirichlet_mask.ravel()
+    mask = prob.mask.ravel()
     expected = np.where(mask, 0.3 + 0.05 * nodes[:, 1], _wavy(nodes))
     np.testing.assert_array_equal(prob.initial.values.ravel(), expected)
 
@@ -586,7 +587,7 @@ def test_dirichlet_problem_calls_data_and_init_per_block_in_node_order(monkeypat
     assert sum(seen) == spec.size
     assert len(seen) == len(list(core._row_blocks(spec.size, 2 * spec.n)))
     draw = 0.3 + 0.05 * np.random.default_rng(4).standard_normal(spec.size)
-    mask = prob.initial.dirichlet_mask.ravel()
+    mask = prob.mask.ravel()
     expected = np.where(mask, 0.3, draw)
     np.testing.assert_array_equal(prob.initial.values.ravel(), expected)
 
@@ -600,15 +601,14 @@ def descent_problems(draw):
     spec = GridSpec(2, tuple(-(c - 1) * 0.05 for c in counts), 0.1, counts)
     radius = draw(st.sampled_from((None, 0.3, 0.4, 0.6)))
     prob = optimize.dirichlet_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
-    mask = prob.initial.dirichlet_mask.copy()
+    mask = prob.mask.copy()
     if radius is not None:
         mask |= ~surface.disk_mask(spec, radius).reshape(counts)
     for _ in range(draw(st.integers(0, 4))):
         corner = [draw(st.integers(0, c - 1)) for c in counts]
         sides = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
         mask[tuple(slice(a, a + w) for a, w in zip(corner, sides))] = True
-    f = GridFunction(spec, prob.initial.values, dirichlet_mask=mask)
-    return optimize.DirichletProblem(f)
+    return optimize.DirichletProblem(GridFunction(spec, prob.initial.values), mask)
 
 
 @settings(max_examples=40, deadline=None)
@@ -631,9 +631,8 @@ def test_solve_n3_matches_reference_bitwise():
 def fixed_problem(spec):
     """A problem whose six fixed layers at the grid edge leave no free node."""
     f = GridFunction.from_callable(spec, lambda w: 0.3 + 0.05 * w[:, 1])
-    f.dirichlet_mask = spec.boundary_mask(6)
-    prob = optimize.DirichletProblem(f)
-    assert prob.initial.dirichlet_mask.all()
+    prob = optimize.DirichletProblem(f, spec.boundary_mask(6))
+    assert prob.mask.all()
     return prob
 
 
@@ -678,7 +677,7 @@ def test_energy_and_gradient_in_slabs_match_reference_bitwise(
     f = GridFunction.from_callable(spec, smooth)
     g_want = energy_gradient_reference(f)
     if descent_point:
-        mask = disk_problem(spec, smooth, smooth, radius=0.5).initial.dirichlet_mask
+        mask = disk_problem(spec, smooth, smooth, radius=0.5).mask
         boxes = optimize._free_boxes(mask, spec.n)
         inside = np.zeros(spec.counts, dtype=bool)
         inside[boxes[1]] = True
@@ -707,7 +706,7 @@ def test_energy_and_gradient_n3_in_slabs_match_reference_bitwise(monkeypatch, ro
 def test_solve_in_slabs_matches_reference_bitwise(spec, monkeypatch, rows, workers):
     prob = disk_problem(spec, data=lambda w: 0.3 + 0.05 * w[:, 1], init=_wavy)
     # the gradient box is the narrowest pass of the descent
-    grad_box = optimize._free_boxes(prob.initial.dirichlet_mask, spec.n)[1]
+    grad_box = optimize._free_boxes(prob.mask, spec.n)[1]
     _force_slabs(monkeypatch, spec, rows, workers, grad_box)
     assert _solve_matches_reference(prob, tol=1e-7, max_iter=12).iterations == 12
 
