@@ -324,9 +324,8 @@ def solve(
     if math.isnan(tol) or max_iter < 0:
         raise ValueError(f"need a tol that is not NaN and max_iter >= 0, got {tol}, {max_iter}")
     spec = problem.spec
-    mask = problem.mask
-    fixed = mask.ravel()
-    boxes = _free_boxes(mask, spec.n)
+    fixed = problem.mask.ravel()
+    boxes = _free_boxes(problem.mask, spec.n)
 
     def masked_grad(point: _Iterate, out: np.ndarray) -> np.ndarray:
         g = energy_gradient(point, out)
